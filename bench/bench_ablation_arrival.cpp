@@ -27,7 +27,7 @@ std::vector<double> hourly_counts(
 
 }  // namespace
 
-CGC_BENCH("ablation_arrival", "bench_ablation_arrival", cgc::bench::CaseKind::kAblation,
+CGC_BENCH("ablation_arrival", cgc::bench::CaseKind::kAblation,
           "Arrival process ablation (DESIGN.md §5)") {
   using namespace cgc;
   bench::print_header("ablation_arrival",

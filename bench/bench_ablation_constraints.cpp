@@ -15,7 +15,7 @@
 #include "stats/descriptive.hpp"
 #include "util/table.hpp"
 
-CGC_BENCH("ablation_constraints", "bench_ablation_constraints", cgc::bench::CaseKind::kAblation,
+CGC_BENCH("ablation_constraints", cgc::bench::CaseKind::kAblation,
           "Placement-constraint ablation (extension)") {
   using namespace cgc;
   bench::print_header("ablation_constraints",

@@ -12,7 +12,7 @@
 #include "stats/descriptive.hpp"
 #include "util/table.hpp"
 
-CGC_BENCH("ablation_placement", "bench_ablation_placement", cgc::bench::CaseKind::kAblation,
+CGC_BENCH("ablation_placement", cgc::bench::CaseKind::kAblation,
           "Placement policy ablation (DESIGN.md §5)") {
   using namespace cgc;
   bench::print_header("ablation_placement",

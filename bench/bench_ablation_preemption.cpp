@@ -12,7 +12,7 @@
 #include "stats/descriptive.hpp"
 #include "util/table.hpp"
 
-CGC_BENCH("ablation_preemption", "bench_ablation_preemption", cgc::bench::CaseKind::kAblation,
+CGC_BENCH("ablation_preemption", cgc::bench::CaseKind::kAblation,
           "Preemption ablation (DESIGN.md §5)") {
   using namespace cgc;
   bench::print_header("ablation_preemption",

@@ -14,7 +14,7 @@
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
-CGC_BENCH("ablation_tail", "bench_ablation_tail", cgc::bench::CaseKind::kAblation,
+CGC_BENCH("ablation_tail", cgc::bench::CaseKind::kAblation,
           "Task-length tail ablation (DESIGN.md §5)") {
   using namespace cgc;
   bench::print_header("ablation_tail",

@@ -16,7 +16,7 @@
 #include "core/characterization.hpp"
 #include "util/table.hpp"
 
-CGC_BENCH("ext_periodicity", "bench_ext_periodicity", cgc::bench::CaseKind::kExtension,
+CGC_BENCH("ext_periodicity", cgc::bench::CaseKind::kExtension,
           "Host-load periodicity, Cloud vs Grid (extension)") {
   using namespace cgc;
   bench::print_header("ext_periodicity",

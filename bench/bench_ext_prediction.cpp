@@ -10,7 +10,7 @@
 #include "registry.hpp"
 #include "predict/evaluation.hpp"
 
-CGC_BENCH("ext_prediction", "bench_ext_prediction", cgc::bench::CaseKind::kExtension,
+CGC_BENCH("ext_prediction", cgc::bench::CaseKind::kExtension,
           "Host-load predictability, Cloud vs Grid (extension)") {
   using namespace cgc;
   bench::print_header("ext_prediction",

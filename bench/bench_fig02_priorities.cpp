@@ -11,7 +11,7 @@
 #include "gen/calibration.hpp"
 #include "util/table.hpp"
 
-CGC_BENCH("fig02", "bench_fig02_priorities", cgc::bench::CaseKind::kFigure,
+CGC_BENCH("fig02", cgc::bench::CaseKind::kFigure,
           "Number of jobs/tasks per priority (Fig 2)") {
   using namespace cgc;
   bench::print_header("fig02", "Number of jobs/tasks per priority (Fig 2)");

@@ -12,7 +12,7 @@
 #include "stats/descriptive.hpp"
 #include "util/table.hpp"
 
-CGC_BENCH("fig03", "bench_fig03_job_length_cdf", cgc::bench::CaseKind::kFigure,
+CGC_BENCH("fig03", cgc::bench::CaseKind::kFigure,
           "CDF of job length (Fig 3)") {
   using namespace cgc;
   bench::print_header("fig03", "CDF of job length (Fig 3)");

@@ -14,7 +14,7 @@
 #include "gen/calibration.hpp"
 #include "util/table.hpp"
 
-CGC_BENCH("fig04", "bench_fig04_masscount_tasklen", cgc::bench::CaseKind::kFigure,
+CGC_BENCH("fig04", cgc::bench::CaseKind::kFigure,
           "Mass-count disparity of task lengths (Fig 4)") {
   using namespace cgc;
   bench::print_header(

@@ -13,7 +13,7 @@
 #include "stats/descriptive.hpp"
 #include "util/table.hpp"
 
-CGC_BENCH("fig05", "bench_fig05_submission_interval", cgc::bench::CaseKind::kFigure,
+CGC_BENCH("fig05", cgc::bench::CaseKind::kFigure,
           "CDF of submission interval (Fig 5)") {
   using namespace cgc;
   bench::print_header("fig05", "CDF of submission interval (Fig 5)");

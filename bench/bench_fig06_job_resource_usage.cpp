@@ -13,7 +13,7 @@
 #include "stats/descriptive.hpp"
 #include "util/table.hpp"
 
-CGC_BENCH("fig06", "bench_fig06_job_resource_usage", cgc::bench::CaseKind::kFigure,
+CGC_BENCH("fig06", cgc::bench::CaseKind::kFigure,
           "Per-job CPU & memory usage (Fig 6)") {
   using namespace cgc;
   bench::print_header("fig06", "Per-job CPU & memory usage (Fig 6)");

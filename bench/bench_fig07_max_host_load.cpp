@@ -14,7 +14,7 @@
 #include "stats/descriptive.hpp"
 #include "util/table.hpp"
 
-CGC_BENCH("fig07", "bench_fig07_max_host_load", cgc::bench::CaseKind::kFigure,
+CGC_BENCH("fig07", cgc::bench::CaseKind::kFigure,
           "Maximum host load distribution (Fig 7)") {
   using namespace cgc;
   bench::print_header("fig07", "Maximum host load distribution (Fig 7)");

@@ -13,7 +13,7 @@
 #include "stats/descriptive.hpp"
 #include "util/table.hpp"
 
-CGC_BENCH("fig08", "bench_fig08_queue_state", cgc::bench::CaseKind::kFigure,
+CGC_BENCH("fig08", cgc::bench::CaseKind::kFigure,
           "Task events & queuing state (Fig 8)") {
   using namespace cgc;
   bench::print_header("fig08", "Task events & queuing state (Fig 8)");

@@ -11,7 +11,7 @@
 #include "registry.hpp"
 #include "util/table.hpp"
 
-CGC_BENCH("fig09", "bench_fig09_masscount_queue", cgc::bench::CaseKind::kFigure,
+CGC_BENCH("fig09", cgc::bench::CaseKind::kFigure,
           "Mass-count of unchanged queuing-state durations (Fig 9)") {
   using namespace cgc;
   bench::print_header(

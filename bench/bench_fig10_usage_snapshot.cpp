@@ -12,7 +12,7 @@
 #include "registry.hpp"
 #include "util/table.hpp"
 
-CGC_BENCH("fig10", "bench_fig10_usage_snapshot", cgc::bench::CaseKind::kFigure,
+CGC_BENCH("fig10", cgc::bench::CaseKind::kFigure,
           "Usage-level snapshot (Fig 10)") {
   using namespace cgc;
   bench::print_header("fig10", "Usage-level snapshot (Fig 10)");

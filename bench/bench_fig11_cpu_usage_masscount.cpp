@@ -10,7 +10,7 @@
 #include "registry.hpp"
 #include "gen/calibration.hpp"
 
-CGC_BENCH("fig11", "bench_fig11_cpu_usage_masscount", cgc::bench::CaseKind::kFigure,
+CGC_BENCH("fig11", cgc::bench::CaseKind::kFigure,
           "Mass-count disparity of CPU usage (Fig 11)") {
   using namespace cgc;
   bench::print_header("fig11",

@@ -10,7 +10,7 @@
 #include "registry.hpp"
 #include "gen/calibration.hpp"
 
-CGC_BENCH("fig12", "bench_fig12_mem_usage_masscount", cgc::bench::CaseKind::kFigure,
+CGC_BENCH("fig12", cgc::bench::CaseKind::kFigure,
           "Mass-count disparity of memory usage (Fig 12)") {
   using namespace cgc;
   bench::print_header("fig12",

@@ -15,7 +15,7 @@
 #include "registry.hpp"
 #include "gen/calibration.hpp"
 
-CGC_BENCH("fig13", "bench_fig13_hostload_compare", cgc::bench::CaseKind::kFigure,
+CGC_BENCH("fig13", cgc::bench::CaseKind::kFigure,
           "Cloud vs Grid host load (Fig 13)") {
   using namespace cgc;
   bench::print_header("fig13", "Cloud vs Grid host load (Fig 13)");

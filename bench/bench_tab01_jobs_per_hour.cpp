@@ -10,7 +10,7 @@
 #include "gen/calibration.hpp"
 #include "util/table.hpp"
 
-CGC_BENCH("tab01", "bench_tab01_jobs_per_hour", cgc::bench::CaseKind::kTable,
+CGC_BENCH("tab01", cgc::bench::CaseKind::kTable,
           "Jobs submitted per hour (Table I)") {
   using namespace cgc;
   bench::print_header("tab01", "Jobs submitted per hour (Table I)");

@@ -13,7 +13,7 @@
 #include "registry.hpp"
 #include "util/table.hpp"
 
-CGC_BENCH("tab02", "bench_tab02_cpu_level_durations", cgc::bench::CaseKind::kTable,
+CGC_BENCH("tab02", cgc::bench::CaseKind::kTable,
           "Continuous duration of unchanged CPU usage level (Table II)") {
   using namespace cgc;
   bench::print_header(

@@ -13,7 +13,7 @@
 #include "registry.hpp"
 #include "util/table.hpp"
 
-CGC_BENCH("tab03", "bench_tab03_mem_level_durations", cgc::bench::CaseKind::kTable,
+CGC_BENCH("tab03", cgc::bench::CaseKind::kTable,
           "Continuous duration of unchanged memory usage level (Table III)") {
   using namespace cgc;
   bench::print_header(

@@ -3,11 +3,11 @@
 //
 // Runs every registered bench case (all paper figures/tables plus the
 // ablations and extensions) sequentially over the shared in-memory
-// trace cache — each standard trace is built exactly once instead of
-// once per bench binary, and the kernels inside each pipeline fan out
-// across the cgc::exec pool. Emits the same .dat series as the
-// standalone binaries (bit-identical: case bodies are the same
-// functions) plus a machine-readable $CGC_BENCH_OUT/report.json.
+// trace cache — each standard trace is built exactly once per process
+// — and the kernels inside each pipeline fan out across the cgc::exec
+// pool. `--only <id>` runs one case: this is the one way to run a paper
+// figure or table. Emits the .dat series plus a machine-readable
+// $CGC_BENCH_OUT/report.json.
 //
 // The sweep is built to survive a bad night: report.json is rewritten
 // atomically after every case (a SIGKILL at any point leaves a valid
@@ -27,37 +27,7 @@
 // hang (capped backoff, bounded budget), then merges, degrading
 // exhausted shards to failed cases instead of sinking the sweep.
 //
-// Usage:
-//   cgc_report                  run everything
-//   cgc_report --list           list case ids and exit
-//   cgc_report --only id[,id]   run a subset (comma-separated ids)
-//   cgc_report --resume         skip cases already satisfied on disk
-//   cgc_report --shard i/N      run only the cases shard i of N owns
-//   cgc_report --merge DIR...   fuse shard dirs into $CGC_BENCH_OUT
-//   cgc_report --partial        (with --merge) degrade unfinished
-//                               shards to failed cases
-//   cgc_report --spawn N        supervise an N-shard sweep end to end
-// Environment: CGC_BENCH_FAST / CGC_BENCH_CACHE / CGC_BENCH_OUT /
-// CGC_THREADS as for the standalone benches (see bench/common.hpp),
-// plus:
-//   CGC_RETRY_MAX=N         attempts per case on transient errors (3)
-//   CGC_RETRY_BACKOFF_MS=N  first backoff, doubling, capped at 2000 (100)
-//   CGC_CASE_TIMEOUT=N      per-case wall-clock budget in seconds
-//                           (0 = no watchdog, the default)
-//   CGC_SWEEP_RETRY=N       respawns per shard under --spawn (5)
-//   CGC_SWEEP_HEARTBEAT=N   seconds of heartbeat silence before a
-//                           worker is declared hung and killed (120)
-//   CGC_CACHE_WAIT=N        seconds to wait on another shard's cache
-//                           builder lock (600)
-//   CGC_FAULT_SPEC=...      fault injection (src/fault/fault.hpp);
-//                           sweep sites: sweep.worker_kill,
-//                           sweep.lease_steal, sweep.torn_merge_input
-//
-// Exit codes: 0 all cases ok and no data loss; 1 a case failed, timed
-// out, a degraded load lost data (see report.json), or a merge input
-// is merely unfinished (resumable); 2 usage — or, for --merge/--spawn,
-// a conflict between shards (overlap, digest disagreement: DataError);
-// 3 fatal environment error.
+// Flags, environment knobs and exit codes: `cgc_report --help`.
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
@@ -69,6 +39,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -89,6 +60,7 @@
 #include "sweep/partition.hpp"
 #include "sweep/report_io.hpp"
 #include "sweep/supervisor.hpp"
+#include "util/args.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
 
@@ -151,16 +123,27 @@ long env_long(const char* name, long fallback) {
   }
 }
 
-std::vector<std::string> split_ids(const std::string& csv) {
+/// Case ids from the (repeatable, comma-separated) --only values.
+std::vector<std::string> split_ids(const std::vector<std::string>& values) {
   std::vector<std::string> ids;
-  std::stringstream ss(csv);
-  std::string id;
-  while (std::getline(ss, id, ',')) {
-    if (!id.empty()) {
-      ids.push_back(id);
+  for (const std::string& csv : values) {
+    std::stringstream ss(csv);
+    std::string id;
+    while (std::getline(ss, id, ',')) {
+      if (!id.empty()) {
+        ids.push_back(id);
+      }
     }
   }
   return ids;
+}
+
+/// Prints `message` and the usage text to stderr; returns the usage
+/// exit code.
+int usage_error(const cgc::util::Args& args, const std::string& message) {
+  std::fprintf(stderr, "cgc_report: %s\n%s", message.c_str(),
+               args.usage().c_str());
+  return cgc::util::kExitUsage;
 }
 
 /// Respawn generation under a supervisor (0 for a first life / plain
@@ -365,7 +348,6 @@ struct Sweep {
   void run_case(std::size_t index, const BenchCase* c, double elapsed) {
     CaseRecord r;
     r.id = c->id;
-    r.binary = c->binary;
     r.kind = cgc::bench::kind_name(c->kind);
     r.title = c->title;
 
@@ -461,8 +443,7 @@ std::vector<cgc::sweep::CaseMeta> case_universe(
   std::vector<cgc::sweep::CaseMeta> expected;
   expected.reserve(cases.size());
   for (const BenchCase* c : cases) {
-    expected.push_back(
-        {c->id, c->binary, cgc::bench::kind_name(c->kind), c->title});
+    expected.push_back({c->id, cgc::bench::kind_name(c->kind), c->title});
   }
   return expected;
 }
@@ -507,7 +488,7 @@ std::string self_exe(const char* argv0) {
   return argv0;
 }
 
-int run_spawn(int num_shards, const std::string& only_csv,
+int run_spawn(int num_shards, const std::vector<std::string>& only,
               const char* argv0,
               const std::vector<const BenchCase*>& cases) {
   try {
@@ -519,14 +500,14 @@ int run_spawn(int num_shards, const std::string& only_csv,
         static_cast<int>(std::max(0L, env_long("CGC_SWEEP_RETRY", 5)));
     config.heartbeat_timeout_sec = static_cast<double>(
         std::max(0L, env_long("CGC_SWEEP_HEARTBEAT", 120)));
-    config.make_args = [num_shards, only_csv](int index) {
+    config.make_args = [num_shards, only](int index) {
       std::vector<std::string> args = {
           "--shard", std::to_string(index) + "/" +
                          std::to_string(num_shards),
           "--resume"};
-      if (!only_csv.empty()) {
+      for (const std::string& id : only) {
         args.push_back("--only");
-        args.push_back(only_csv);
+        args.push_back(id);
       }
       return args;
     };
@@ -582,89 +563,112 @@ int run_spawn(int num_shards, const std::string& only_csv,
 int run(int argc, char** argv) {
   std::vector<const BenchCase*> cases = cgc::bench::sorted_cases();
 
-  std::vector<std::string> only;
-  std::string only_csv;
-  bool resume = false;
-  bool merge_mode = false;
-  bool partial = false;
-  int spawn_shards = 0;
-  std::optional<ShardSpec> shard;
-  std::vector<std::string> merge_dirs;
-  const auto usage = [&argv] {
-    std::fprintf(stderr,
-                 "usage: %s [--list] [--only id[,id...]] [--all] "
-                 "[--resume] [--shard i/N]\n"
-                 "       %s --merge DIR... [--partial]\n"
-                 "       %s --spawn N [--only id[,id...]]\n",
-                 argv[0], argv[0], argv[0]);
-    return cgc::util::kExitUsage;
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--list") {
-      for (const BenchCase* c : cases) {
-        std::printf("%-20s %-10s %s\n", c->id.c_str(),
-                    cgc::bench::kind_name(c->kind), c->title.c_str());
-      }
+  cgc::util::Args args("cgc_report",
+                       "run the paper's figure/table cases: all of them, a "
+                       "subset, or sharded across processes");
+  args.set_positional_help("[DIR...]", "shard dirs to fuse (with --merge)");
+  args.add_bool("list", "print the case ids and exit");
+  args.add_list("only", "run only these case ids (comma-separated)");
+  args.add_bool("all", "run every case (overrides --only)");
+  args.add_bool("resume", "skip cases already satisfied on disk");
+  args.add_string("shard", "", "run only the cases shard i of N owns (i/N)");
+  args.add_bool("merge", "fuse the shard DIRs into $CGC_BENCH_OUT");
+  args.add_bool("partial",
+                "with --merge: degrade unfinished shards to failed cases");
+  args.add_int("spawn", 0, "supervise an N-shard sweep end to end");
+  args.add_usage_note(
+      "Environment: CGC_BENCH_FAST, CGC_BENCH_CACHE, CGC_BENCH_OUT and\n"
+      "CGC_THREADS (see bench/common.hpp), plus:\n"
+      "  CGC_RETRY_MAX=N         attempts per case on transient errors (3)\n"
+      "  CGC_RETRY_BACKOFF_MS=N  first backoff, doubling, capped at 2000 "
+      "(100)\n"
+      "  CGC_CASE_TIMEOUT=N      per-case wall-clock budget in seconds\n"
+      "                          (0 = no watchdog, the default)\n"
+      "  CGC_SWEEP_RETRY=N       respawns per shard under --spawn (5)\n"
+      "  CGC_SWEEP_HEARTBEAT=N   seconds of heartbeat silence before a\n"
+      "                          worker is declared hung and killed (120)\n"
+      "  CGC_CACHE_WAIT=N        seconds to wait on another shard's cache\n"
+      "                          builder lock (600)\n"
+      "  CGC_FAULT_SPEC=...      fault injection (src/fault/fault.hpp);\n"
+      "                          sweep sites: sweep.worker_kill,\n"
+      "                          sweep.lease_steal, sweep.torn_merge_input");
+  args.add_usage_note(
+      "Exit codes: 0 all cases ok and no data loss; 1 a case failed, timed\n"
+      "out, a degraded load lost data (see report.json), or a merge input\n"
+      "is merely unfinished (resumable); 2 usage — or, for --merge/--spawn,\n"
+      "a conflict between shards (overlap, digest disagreement); 3 fatal\n"
+      "environment error.");
+  switch (args.parse(argc, argv)) {
+    case cgc::util::ParseStatus::kHelp:
       return cgc::util::kExitOk;
+    case cgc::util::ParseStatus::kError:
+      return cgc::util::kExitUsage;
+    case cgc::util::ParseStatus::kOk:
+      break;
+  }
+  if (args.get_bool("list")) {
+    for (const BenchCase* c : cases) {
+      std::printf("%-20s %-10s %s\n", c->id.c_str(),
+                  cgc::bench::kind_name(c->kind), c->title.c_str());
     }
-    if (arg == "--only" && i + 1 < argc) {
-      only_csv = argv[++i];
-      only = split_ids(only_csv);
-    } else if (arg.rfind("--only=", 0) == 0) {
-      only_csv = arg.substr(7);
-      only = split_ids(only_csv);
-    } else if (arg == "--all") {
-      only.clear();
-      only_csv.clear();
-    } else if (arg == "--resume") {
-      resume = true;
-    } else if (arg == "--shard" && i + 1 < argc) {
-      shard = cgc::sweep::parse_shard_spec(argv[++i]);
-    } else if (arg.rfind("--shard=", 0) == 0) {
-      shard = cgc::sweep::parse_shard_spec(arg.substr(8));
-    } else if (arg == "--merge") {
-      merge_mode = true;
-    } else if (arg == "--partial") {
-      partial = true;
-    } else if (arg == "--spawn" && i + 1 < argc) {
-      spawn_shards = std::atoi(argv[++i]);
-    } else if (arg.rfind("--spawn=", 0) == 0) {
-      spawn_shards = std::atoi(arg.substr(8).c_str());
-    } else if (merge_mode && arg.rfind("--", 0) != 0) {
-      merge_dirs.push_back(arg);
-    } else {
-      return usage();
+    return cgc::util::kExitOk;
+  }
+
+  // Every value is checked before any work starts: a bad one is a usage
+  // error naming it, never a silently different sweep.
+  const bool resume = args.get_bool("resume");
+  const bool merge_mode = args.get_bool("merge");
+  const bool partial = args.get_bool("partial");
+  const bool spawn_mode = args.provided("spawn");
+  const std::int64_t spawn_shards = args.get_int("spawn");
+  if (spawn_mode &&
+      (spawn_shards < 1 || spawn_shards > std::numeric_limits<int>::max())) {
+    return usage_error(args, "--spawn expects a positive shard count, got " +
+                                 std::to_string(spawn_shards));
+  }
+  std::optional<ShardSpec> shard;
+  if (args.provided("shard")) {
+    try {
+      shard = cgc::sweep::parse_shard_spec(args.get_string("shard"));
+    } catch (const cgc::util::FatalError& e) {
+      return usage_error(args, e.what());
     }
   }
-  if ((merge_mode && (shard.has_value() || spawn_shards > 0)) ||
-      (shard.has_value() && spawn_shards > 0)) {
-    std::fprintf(stderr,
-                 "--merge, --shard, and --spawn are mutually exclusive\n");
-    return usage();
+  if ((merge_mode && (shard.has_value() || spawn_mode)) ||
+      (shard.has_value() && spawn_mode)) {
+    return usage_error(args,
+                       "--merge, --shard, and --spawn are mutually exclusive");
   }
   if (partial && !merge_mode) {
-    std::fprintf(stderr, "--partial only applies to --merge\n");
-    return usage();
+    return usage_error(args, "--partial only applies to --merge");
+  }
+  const std::vector<std::string>& merge_dirs = args.positionals();
+  if (merge_mode && merge_dirs.empty()) {
+    return usage_error(args, "--merge needs at least one shard dir");
+  }
+  if (!merge_mode && !merge_dirs.empty()) {
+    return usage_error(args, "unexpected argument \"" + merge_dirs.front() +
+                                 "\" (shard dirs only go with --merge)");
+  }
+  const std::vector<std::string> only =
+      args.get_bool("all") ? std::vector<std::string>{}
+                           : split_ids(args.get_list("only"));
+  for (const std::string& id : only) {
+    if (std::none_of(cases.begin(), cases.end(),
+                     [&id](const BenchCase* c) { return c->id == id; })) {
+      return usage_error(args, "unknown case id \"" + id + "\" (see --list)");
+    }
   }
   if (!only.empty()) {
     std::erase_if(cases, [&only](const BenchCase* c) {
       return std::find(only.begin(), only.end(), c->id) == only.end();
     });
-    if (cases.empty()) {
-      std::fprintf(stderr, "no cases matched --only filter\n");
-      return cgc::util::kExitUsage;
-    }
   }
   if (merge_mode) {
-    if (merge_dirs.empty()) {
-      std::fprintf(stderr, "--merge needs at least one shard dir\n");
-      return usage();
-    }
     return run_merge(merge_dirs, partial, cases);
   }
-  if (spawn_shards > 0) {
-    return run_spawn(spawn_shards, only_csv, argv[0], cases);
+  if (spawn_mode) {
+    return run_spawn(static_cast<int>(spawn_shards), only, argv[0], cases);
   }
 
   // The sweep universe this process owns. A shard may legitimately own
@@ -788,8 +792,7 @@ int run(int argc, char** argv) {
   const auto sweep_start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const BenchCase* c = cases[i];
-    std::printf("\n[%zu/%zu] %s (%s)\n", i + 1, cases.size(), c->id.c_str(),
-                c->binary.c_str());
+    std::printf("\n[%zu/%zu] %s\n", i + 1, cases.size(), c->id.c_str());
     const auto it = previous.find(c->id);
     if (it != previous.end()) {
       CaseRecord r = it->second;

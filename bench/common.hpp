@@ -1,6 +1,6 @@
-// Shared infrastructure for the reproduction benches.
+// Shared infrastructure for the reproduction cases.
 //
-// Every bench_* binary regenerates one table or figure of the paper:
+// Every CGC_BENCH case regenerates one table or figure of the paper:
 // it builds (or loads from the on-disk cache) the standard traces,
 // runs the corresponding analyzer, prints the series/rows, and prints a
 // paper-vs-measured block that EXPERIMENTS.md quotes.
@@ -12,9 +12,8 @@
 //   CGC_THREADS=N         worker count for parallel kernels (cgc::exec)
 //
 // Trace accessors return references into a process-wide memo: within
-// one process (the standalone binary, or cgc_report running the whole
-// sweep) each standard trace is built exactly once, no matter how many
-// cases consume it.
+// one cgc_report process each standard trace is built exactly once, no
+// matter how many cases consume it.
 #pragma once
 
 #include <cstdint>

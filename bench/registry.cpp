@@ -37,15 +37,6 @@ std::vector<const BenchCase*> sorted_cases() {
   return cases;
 }
 
-const BenchCase* find_case(const std::string& id) {
-  for (const BenchCase& c : registry()) {
-    if (c.id == id) {
-      return &c;
-    }
-  }
-  return nullptr;
-}
-
 int register_case(BenchCase c) {
   registry().push_back(std::move(c));
   return 0;

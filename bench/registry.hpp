@@ -1,12 +1,10 @@
 // Bench-case registry.
 //
 // Every reproduction pipeline (one paper figure/table/ablation) is a
-// CGC_BENCH-registered function instead of a main(). The same case
-// source links two ways:
-//   * standalone_main.cpp + one case  -> the classic bench_* binary;
-//   * cgc_report.cpp      + all cases -> one process running the whole
-//     sweep over a shared in-memory trace cache (each standard trace is
-//     built once instead of once per binary).
+// CGC_BENCH-registered function instead of a main(). All case sources
+// link into cgc_report, which runs the whole sweep, or any subset with
+// `--only <id>`, in one process over a shared in-memory trace cache, so
+// each standard trace is built once.
 #pragma once
 
 #include <functional>
@@ -21,8 +19,7 @@ enum class CaseKind { kFigure, kTable, kAblation, kExtension };
 const char* kind_name(CaseKind kind);
 
 struct BenchCase {
-  std::string id;      ///< e.g. "fig04"
-  std::string binary;  ///< standalone binary name, e.g. "bench_fig04_..."
+  std::string id;  ///< e.g. "fig04"
   std::string title;
   CaseKind kind = CaseKind::kFigure;
   std::function<void()> fn;
@@ -36,22 +33,18 @@ std::vector<BenchCase>& registry();
 /// process lifetime.
 std::vector<const BenchCase*> sorted_cases();
 
-/// Case with the given id, or nullptr.
-const BenchCase* find_case(const std::string& id);
-
 /// Registers a case; returns a dummy for static-init use.
 int register_case(BenchCase c);
 
 /// Registers the body that follows as a bench case:
-///   CGC_BENCH("fig02", "bench_fig02_priorities",
-///             cgc::bench::CaseKind::kFigure, "…title…") {
+///   CGC_BENCH("fig02", cgc::bench::CaseKind::kFigure, "…title…") {
 ///     ...pipeline...
 ///   }
-#define CGC_BENCH(id, binary, kind, title)                            \
+#define CGC_BENCH(id, kind, title)                                    \
   static void cgc_bench_case_body();                                  \
   static const int cgc_bench_case_registered_ =                       \
       ::cgc::bench::register_case(                                    \
-          {id, binary, title, kind, &cgc_bench_case_body});           \
+          {id, title, kind, &cgc_bench_case_body});                   \
   static void cgc_bench_case_body()
 
 }  // namespace cgc::bench

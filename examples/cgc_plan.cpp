@@ -184,6 +184,13 @@ int run(int argc, char** argv) {
                  matrix_name.c_str(), args.usage().c_str());
     return cgc::util::kExitUsage;
   }
+  cgc::sweep::ShardSpec shard;
+  try {
+    shard = cgc::sweep::parse_shard_spec(args.get_string("shard"));
+  } catch (const cgc::util::FatalError& e) {
+    std::fprintf(stderr, "%s\n%s", e.what(), args.usage().c_str());
+    return cgc::util::kExitUsage;
+  }
 
   ScenarioMatrix matrix = build_matrix(args);
   const std::string& out_dir = args.get_string("out");
@@ -218,10 +225,9 @@ int run(int argc, char** argv) {
   }
 
   cgc::plan::PlanConfig config;
-  config.shard = cgc::sweep::parse_shard_spec(args.get_string("shard"));
+  config.shard = shard;
   config.out_dir = out_dir;
   config.resume = args.get_bool("resume");
-  const cgc::sweep::ShardSpec shard = config.shard;
   cgc::plan::PlanRunner runner(std::move(matrix), std::move(config));
   const std::vector<ScenarioResult> results = runner.run();
 

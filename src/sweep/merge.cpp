@@ -23,7 +23,6 @@ namespace {
 CaseRecord canonical_record(const CaseRecord& r) {
   CaseRecord out;
   out.id = r.id;
-  out.binary = r.binary;
   out.kind = r.kind;
   out.title = r.title;
   out.ok = r.ok;
@@ -41,7 +40,6 @@ CaseRecord synthesized_failure(const CaseMeta& meta,
                                const std::string& error) {
   CaseRecord r;
   r.id = meta.id;
-  r.binary = meta.binary;
   r.kind = meta.kind;
   r.title = meta.title;
   r.ok = false;

@@ -37,7 +37,6 @@ namespace cgc::sweep {
 /// failed records for cases no shard completed.
 struct CaseMeta {
   std::string id;
-  std::string binary;
   std::string kind;
   std::string title;
 };

@@ -134,7 +134,6 @@ bool get_bool(std::string_view obj, std::string_view key, bool* out) {
 
 void write_case(std::ostream& out, const CaseRecord& r) {
   out << "    {\"id\": \"" << json_escape(r.id) << "\", "
-      << "\"binary\": \"" << json_escape(r.binary) << "\", "
       << "\"kind\": \"" << json_escape(r.kind) << "\", "
       << "\"title\": \"" << json_escape(r.title) << "\", "
       << "\"seconds\": " << r.seconds << ", "
@@ -160,7 +159,6 @@ bool parse_case(std::string_view line, CaseRecord* r) {
   if (!get_string(line, "id", &r->id)) {
     return false;
   }
-  get_string(line, "binary", &r->binary);
   get_string(line, "kind", &r->kind);
   get_string(line, "title", &r->title);
   get_double(line, "seconds", &r->seconds);
@@ -310,10 +308,6 @@ ReportReadStatus read_report_checked(const std::string& path,
   get_u64(header, "parse_lines_bad", &report.parse_lines_bad);
   *out = std::move(report);
   return ReportReadStatus::kOk;
-}
-
-bool read_report(const std::string& path, SweepReport* out) {
-  return read_report_checked(path, out) == ReportReadStatus::kOk;
 }
 
 bool file_crc32(const std::string& path, std::uint32_t* crc,

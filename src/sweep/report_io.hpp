@@ -39,7 +39,6 @@ struct CasePerf {
 
 struct CaseRecord {
   std::string id;
-  std::string binary;
   std::string kind;
   std::string title;
   double seconds = 0.0;
@@ -94,10 +93,6 @@ enum class ReportReadStatus {
 /// loudly on a torn report instead of silently re-running.
 ReportReadStatus read_report_checked(const std::string& path,
                                      SweepReport* out);
-
-/// Parses a report written by write_report(). Returns false (leaving
-/// `out` untouched) when the file is missing or not recognizably ours.
-bool read_report(const std::string& path, SweepReport* out);
 
 /// CRC-32 + size of a file's content (.dat series are small enough to
 /// read whole). Returns false when the file cannot be read.

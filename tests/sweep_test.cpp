@@ -315,7 +315,7 @@ TEST_F(SweepTest, VerifyCacheIsCleanOnHealthyDir) {
 // ---- merge ----------------------------------------------------------------
 
 CaseMeta meta_of(const std::string& id) {
-  return {id, "bench_" + id, "figure", "Title " + id};
+  return {id, "figure", "Title " + id};
 }
 
 /// Writes `<id>.dat` into `dir` and returns the matching ok record.
@@ -329,7 +329,6 @@ CaseRecord make_ok_case(const std::string& dir, const std::string& id,
   }
   CaseRecord r;
   r.id = id;
-  r.binary = "bench_" + id;
   r.kind = "figure";
   r.title = "Title " + id;
   r.ok = true;
