@@ -37,7 +37,6 @@
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <limits>
 #include <map>
@@ -63,6 +62,7 @@
 #include "util/args.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
+#include "util/file.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -518,8 +518,7 @@ int run_spawn(int num_shards, const std::vector<std::string>& only,
     // Side file for CI/operators: respawn counts prove the kill matrix
     // actually killed something. Not part of the merged artifact.
     {
-      std::ofstream side(config.out_root + "/supervisor.json",
-                         std::ios::trunc);
+      std::ostringstream side;
       side << "{\"shards\": " << sup.shards.size()
            << ", \"respawns\": " << sup.respawns << ", \"workers\": [";
       for (std::size_t i = 0; i < sup.shards.size(); ++i) {
@@ -532,6 +531,8 @@ int run_spawn(int num_shards, const std::vector<std::string>& only,
              << "}";
       }
       side << "]}\n";
+      cgc::util::write_file_atomic(config.out_root + "/supervisor.json",
+                                   side.str());
     }
     std::vector<std::string> dirs;
     for (const cgc::sweep::ShardStatus& s : sup.shards) {
@@ -715,7 +716,7 @@ int run(int argc, char** argv) {
     SweepReport prior;
     std::vector<std::string> recorded;
     switch (cgc::sweep::read_report_checked(sweep.report_path, &prior)) {
-      case cgc::sweep::ReportReadStatus::kOk:
+      case cgc::util::ReadStatus::kOk:
         if (prior.shard_total != sweep.report.shard_total ||
             prior.shard_index != sweep.report.shard_index) {
           throw cgc::util::DataError(
@@ -730,11 +731,11 @@ int run(int argc, char** argv) {
           }
         }
         break;
-      case cgc::sweep::ReportReadStatus::kMissing:
+      case cgc::util::ReadStatus::kMissing:
         std::printf("resume: no %s; running everything\n",
                     sweep.report_path.c_str());
         break;
-      case cgc::sweep::ReportReadStatus::kCorrupt:
+      case cgc::util::ReadStatus::kCorrupt:
         // Silently re-running everything would hide that a previous
         // sweep died mid-write; make the operator decide.
         throw cgc::util::DataError(

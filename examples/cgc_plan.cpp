@@ -24,7 +24,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -35,6 +34,7 @@
 #include "util/args.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
+#include "util/file.hpp"
 #include "util/time_util.hpp"
 
 namespace {
@@ -92,12 +92,12 @@ std::vector<cgc::plan::ShardResults> collect_shards(
   for (const std::string& path : paths) {
     cgc::plan::ShardResults shard;
     switch (cgc::plan::read_results(path, matrix, &shard)) {
-      case cgc::plan::ReadStatus::kOk:
+      case cgc::util::ReadStatus::kOk:
         shards.push_back(std::move(shard));
         break;
-      case cgc::plan::ReadStatus::kMissing:
+      case cgc::util::ReadStatus::kMissing:
         break;  // deleted between listing and reading; merge will notice
-      case cgc::plan::ReadStatus::kCorrupt:
+      case cgc::util::ReadStatus::kCorrupt:
         throw cgc::util::TransientError(
             "--merge: torn checkpoint " + path + "; rerun that shard");
     }
@@ -113,15 +113,7 @@ std::size_t emit_plan(const ScenarioMatrix& matrix,
   const std::string json = cgc::plan::render_plan_json(matrix, results);
   std::filesystem::create_directories(out_dir);
   const std::string path = out_dir + "/plan.json";
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out.write(json.data(), static_cast<std::streamsize>(json.size()));
-    if (!out.good()) {
-      throw cgc::util::TransientError("cannot write " + tmp);
-    }
-  }
-  std::filesystem::rename(tmp, path);
+  cgc::util::write_file_atomic(path, json);
 
   std::size_t failed = 0;
   for (const ScenarioResult& r : results) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "util/json.hpp"
 #include "util/mutex.hpp"
 
 namespace cgc::obs {
@@ -54,33 +55,6 @@ ThreadBuffer& local_buffer() {
   return *buffer;
 }
 
-void json_escape(std::ostream& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof hex, "\\u%04x", c);
-          out << hex;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
 void write_us(std::ostream& out, std::uint64_t ns) {
   // Microseconds with nanosecond precision kept in the fraction.
   out << ns / 1000 << '.';
@@ -123,9 +97,8 @@ void write_chrome_trace(std::ostream& out) {
   out << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
   const char* sep = "";
   for (const SpanEvent& e : events) {
-    out << sep << "\n{\"name\": \"";
-    json_escape(out, e.name);
-    out << "\", \"cat\": \"cgc\", \"ph\": \"X\", \"pid\": 1, \"tid\": "
+    out << sep << "\n{\"name\": \"" << util::json::escape(e.name)
+        << "\", \"cat\": \"cgc\", \"ph\": \"X\", \"pid\": 1, \"tid\": "
         << e.tid << ", \"ts\": ";
     write_us(out, e.start_ns - origin_ns);
     out << ", \"dur\": ";

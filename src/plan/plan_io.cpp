@@ -3,66 +3,29 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <unordered_map>
 
 #include "store/encoding.hpp"
 #include "util/error.hpp"
+#include "util/file.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace cgc::plan {
 
+namespace json = util::json;
+
 namespace {
 
-/// Exact-round-trip double formatting for checkpoint files: 17
-/// significant digits reproduce the bit pattern through strtod.
-std::string fmt17(double v) {
+/// printf %g at `digits` significant digits. 17 round-trips a double
+/// bit-exactly (checkpoints); 10 is plan.json's display precision,
+/// deterministic because the input doubles are bit-identical however
+/// the run was executed.
+std::string fmt(double v, int digits = 10) {
   char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  std::snprintf(buf, sizeof(buf), "%.*g", digits, v);
   return buf;
-}
-
-/// Display formatting for plan.json — readable, and deterministic
-/// because the input doubles are bit-identical however the run was
-/// executed.
-std::string fmt10(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string workload_str(const ScenarioSpec& spec) {
@@ -71,81 +34,112 @@ std::string workload_str(const ScenarioSpec& spec) {
     if (i > 0) {
       out += '+';
     }
-    out += spec.workload[i].model + ":" + fmt10(spec.workload[i].weight);
+    out += spec.workload[i].model + ":" + fmt(spec.workload[i].weight);
   }
   return out;
 }
 
-/// The 17 score fields, in frozen serialization order.
-void score_values(const ScenarioScore& s, double out[17]) {
-  out[0] = s.cpu_util_mean;
-  out[1] = s.cpu_util_peak;
-  out[2] = s.mem_util_mean;
-  out[3] = s.mem_util_peak;
-  out[4] = s.eviction_rate;
-  out[5] = s.wait_p50_s;
-  out[6] = s.wait_p90_s;
-  out[7] = s.wait_p99_s;
-  out[8] = s.wait_mean_s;
-  out[9] = s.machines_needed;
-  out[10] = s.headroom;
-  out[11] = s.machine_hours;
-  out[12] = s.cost_usd;
-  out[13] = s.consolidated_cost_usd;
-  out[14] = s.slo_attainment;
-  out[15] = s.cpu_hours_delivered;
-  out[16] = s.usd_per_slo;
-}
+/// The score fields by JSON name, in frozen serialization order.
+struct ScoreField {
+  const char* name;
+  double ScenarioScore::*member;
+};
+constexpr ScoreField kScoreFields[] = {
+    {"cpu_util_mean", &ScenarioScore::cpu_util_mean},
+    {"cpu_util_peak", &ScenarioScore::cpu_util_peak},
+    {"mem_util_mean", &ScenarioScore::mem_util_mean},
+    {"mem_util_peak", &ScenarioScore::mem_util_peak},
+    {"eviction_rate", &ScenarioScore::eviction_rate},
+    {"wait_p50_s", &ScenarioScore::wait_p50_s},
+    {"wait_p90_s", &ScenarioScore::wait_p90_s},
+    {"wait_p99_s", &ScenarioScore::wait_p99_s},
+    {"wait_mean_s", &ScenarioScore::wait_mean_s},
+    {"machines_needed", &ScenarioScore::machines_needed},
+    {"headroom", &ScenarioScore::headroom},
+    {"machine_hours", &ScenarioScore::machine_hours},
+    {"cost_usd", &ScenarioScore::cost_usd},
+    {"consolidated_cost_usd", &ScenarioScore::consolidated_cost_usd},
+    {"slo_attainment", &ScenarioScore::slo_attainment},
+    {"cpu_hours_delivered", &ScenarioScore::cpu_hours_delivered},
+    {"usd_per_slo", &ScenarioScore::usd_per_slo},
+};
 
-void score_from_values(const double in[17], ScenarioScore* s) {
-  s->cpu_util_mean = in[0];
-  s->cpu_util_peak = in[1];
-  s->mem_util_mean = in[2];
-  s->mem_util_peak = in[3];
-  s->eviction_rate = in[4];
-  s->wait_p50_s = in[5];
-  s->wait_p90_s = in[6];
-  s->wait_p99_s = in[7];
-  s->wait_mean_s = in[8];
-  s->machines_needed = in[9];
-  s->headroom = in[10];
-  s->machine_hours = in[11];
-  s->cost_usd = in[12];
-  s->consolidated_cost_usd = in[13];
-  s->slo_attainment = in[14];
-  s->cpu_hours_delivered = in[15];
-  s->usd_per_slo = in[16];
-}
-
-std::uint32_t content_crc(const std::string& content) {
-  return store::crc32(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(content.data()),
-      content.size()));
-}
-
-/// JSON fragment for one score (plan.json display precision).
-std::string score_json(const ScenarioScore& s) {
-  static constexpr const char* kNames[17] = {
-      "cpu_util_mean",       "cpu_util_peak",
-      "mem_util_mean",       "mem_util_peak",
-      "eviction_rate",       "wait_p50_s",
-      "wait_p90_s",          "wait_p99_s",
-      "wait_mean_s",         "machines_needed",
-      "headroom",            "machine_hours",
-      "cost_usd",            "consolidated_cost_usd",
-      "slo_attainment",      "cpu_hours_delivered",
-      "usd_per_slo"};
-  double values[17];
-  score_values(s, values);
+/// JSON object for one score, each field printed at `digits`.
+std::string score_json(const ScenarioScore& s, int digits) {
   std::string out = "{";
-  for (int i = 0; i < 17; ++i) {
-    if (i > 0) {
+  for (const ScoreField& f : kScoreFields) {
+    if (out.size() > 1) {
       out += ", ";
     }
-    out += std::string("\"") + kNames[i] + "\": " + fmt10(values[i]);
+    out += std::string("\"") + f.name + "\": " + fmt(s.*f.member, digits);
   }
   out += "}";
   return out;
+}
+
+/// Size of the "end <8 hex digits>\n" line that seals a checkpoint.
+constexpr std::size_t kSealSize = 13;
+
+/// The sealing line of a checkpoint whose body is `content`.
+std::string seal(const std::string& content) {
+  const std::uint32_t crc = store::crc32(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(content.data()),
+      content.size()));
+  char line[16];
+  std::snprintf(line, sizeof(line), "end %08x\n", crc);
+  return line;
+}
+
+/// The scored results in $/SLO ranking order: defined costs
+/// ascending, undefined last, ids breaking ties so the order is total.
+std::vector<const ScenarioResult*> rank_by_cost(
+    const std::vector<ScenarioResult>& results) {
+  std::vector<const ScenarioResult*> ranked;
+  for (const ScenarioResult& r : results) {
+    if (r.ok) {
+      ranked.push_back(&r);
+    }
+  }
+  std::sort(ranked.begin(), ranked.end(),
+            [](const ScenarioResult* a, const ScenarioResult* b) {
+              const double ca = a->score.usd_per_slo;
+              const double cb = b->score.usd_per_slo;
+              if ((ca >= 0.0) != (cb >= 0.0)) {
+                return ca >= 0.0;
+              }
+              if (ca >= 0.0 && ca != cb) {
+                return ca < cb;
+              }
+              return a->id < b->id;
+            });
+  return ranked;
+}
+
+/// Matrix position of every scenario id.
+std::unordered_map<std::string, std::size_t> scenario_index(
+    const ScenarioMatrix& matrix) {
+  std::unordered_map<std::string, std::size_t> index;
+  index.reserve(matrix.scenarios.size());
+  for (std::size_t i = 0; i < matrix.scenarios.size(); ++i) {
+    index.emplace(scenario_id(matrix.scenarios[i]), i);
+  }
+  return index;
+}
+
+/// Reads one checkpointed result row; false when any field is missing.
+bool parse_result(const json::Value& row, ScenarioResult* r) {
+  if (!row.get("id", &r->id) || !row.get("ok", &r->ok)) {
+    return false;
+  }
+  if (!r->ok) {
+    return row.get("error", &r->error);
+  }
+  const json::Value* score = row.find("score");
+  return score != nullptr &&
+         std::all_of(std::begin(kScoreFields), std::end(kScoreFields),
+                     [&](const ScoreField& f) {
+                       return score->get(f.name, &(r->score.*f.member));
+                     });
 }
 
 }  // namespace
@@ -158,180 +152,93 @@ std::string shard_results_path(const std::string& out_dir,
 
 void write_results(const std::string& path, const ShardResults& results) {
   std::string content;
-  content.reserve(256 + results.results.size() * 360);
-  content += "cgcplan v1\n";
-  char digest_hex[20];
-  std::snprintf(digest_hex, sizeof(digest_hex), "%016" PRIx64,
-                results.matrix_digest);
-  content += "matrix " + results.matrix_name + " " + digest_hex + "\n";
-  content += "shard " + results.shard.str() + "\n";
-  content += std::string("complete ") + (results.complete ? "1" : "0") + "\n";
-  for (const ScenarioResult& r : results.results) {
-    content += "R " + r.id;
-    if (r.ok) {
-      double values[17];
-      score_values(r.score, values);
-      content += " 1";
-      for (const double v : values) {
-        content += ' ';
-        content += fmt17(v);
-      }
-      content += "\n";
-    } else {
-      std::string error = r.error;
-      std::replace(error.begin(), error.end(), '\n', ' ');
-      content += " 0 " + error + "\n";
-    }
+  content.reserve(256 + results.results.size() * 600);
+  content += "{\"matrix\": \"" + json::escape(results.matrix_name) +
+             "\", \"digest\": " + std::to_string(results.matrix_digest) +
+             ",\n";
+  content += " \"shard_index\": " + std::to_string(results.shard.index) +
+             ", \"shard_total\": " + std::to_string(results.shard.total) +
+             ",\n";
+  content += std::string(" \"complete\": ") +
+             (results.complete ? "true" : "false") + ",\n";
+  content += " \"results\": [";
+  for (std::size_t i = 0; i < results.results.size(); ++i) {
+    const ScenarioResult& r = results.results[i];
+    content += i == 0 ? "\n" : ",\n";
+    content += "  {\"id\": \"" + json::escape(r.id) + "\", \"ok\": ";
+    content += r.ok ? "true, \"score\": " + score_json(r.score, 17)
+                    : "false, \"error\": \"" + json::escape(r.error) + "\"";
+    content += "}";
   }
-  char crc_hex[12];
-  std::snprintf(crc_hex, sizeof(crc_hex), "%08x", content_crc(content));
-  content += "end ";
-  content += crc_hex;
-  content += '\n';
-
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out || !(out << content) || !out.flush()) {
-      throw util::TransientError("cannot write " + tmp);
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    throw util::TransientError("cannot rename " + tmp + " -> " + path +
-                               ": " + ec.message());
-  }
+  content += "]}\n";
+  content += seal(content);
+  util::write_file_atomic(path, content);
 }
 
-ReadStatus read_results(const std::string& path, const ScenarioMatrix& matrix,
-                        ShardResults* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return ReadStatus::kMissing;
+util::ReadStatus read_results(const std::string& path,
+                              const ScenarioMatrix& matrix,
+                              ShardResults* out) {
+  std::string raw;
+  if (const util::ReadStatus status = util::read_file(path, &raw);
+      status != util::ReadStatus::kOk) {
+    return status;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string raw = buf.str();
-
-  // The file must end with a sealed "end <crc>\n" line over everything
-  // before it; anything else is a torn write.
-  const std::string::size_type tail = raw.rfind("end ");
-  if (tail == std::string::npos || raw.empty() || raw.back() != '\n' ||
-      (tail != 0 && raw[tail - 1] != '\n')) {
-    return ReadStatus::kCorrupt;
+  // The file must end with the seal line over everything before it;
+  // anything else is a torn write.
+  const std::size_t body = raw.size() - std::min(raw.size(), kSealSize);
+  if (raw.compare(body, kSealSize, seal(raw.substr(0, body))) != 0) {
+    return util::ReadStatus::kCorrupt;
   }
-  const std::string content = raw.substr(0, tail);
-  const std::string crc_line = raw.substr(tail + 4);
-  char expected_hex[12];
-  std::snprintf(expected_hex, sizeof(expected_hex), "%08x",
-                content_crc(content));
-  if (crc_line != std::string(expected_hex) + "\n") {
-    return ReadStatus::kCorrupt;
-  }
-
-  std::unordered_map<std::string, std::size_t> index;
-  index.reserve(matrix.scenarios.size());
-  for (std::size_t i = 0; i < matrix.scenarios.size(); ++i) {
-    index.emplace(scenario_id(matrix.scenarios[i]), i);
-  }
-
+  const std::optional<json::Value> doc = json::parse(raw.substr(0, body));
+  const json::Value* rows = doc ? doc->find("results") : nullptr;
   ShardResults parsed;
-  bool foreign = false;
-  std::vector<std::pair<std::size_t, ScenarioResult>> rows;
-  std::istringstream lines(content);
-  std::string line;
-  bool have_header = false;
-  while (std::getline(lines, line)) {
-    if (line == "cgcplan v1") {
-      have_header = true;
-      continue;
-    }
-    std::istringstream fields(line);
-    std::string tag;
-    fields >> tag;
-    if (tag == "matrix") {
-      std::string digest_hex;
-      fields >> parsed.matrix_name >> digest_hex;
-      parsed.matrix_digest =
-          std::strtoull(digest_hex.c_str(), nullptr, 16);
-      // A sealed checkpoint of a different matrix is not corruption:
-      // report kOk with the stamped digest and no results — the caller
-      // classifies (DataError on resume/merge). Its ids would not map
-      // onto this matrix, so R lines are skipped below.
-      foreign = parsed.matrix_digest != matrix.digest();
-    } else if (tag == "shard") {
-      std::string spec;
-      fields >> spec;
-      try {
-        parsed.shard = sweep::parse_shard_spec(spec);
-      } catch (const util::Error&) {
-        return ReadStatus::kCorrupt;
-      }
-    } else if (tag == "complete") {
-      int flag = 0;
-      fields >> flag;
-      parsed.complete = flag != 0;
-    } else if (tag == "R") {
-      if (foreign) {
-        continue;
-      }
-      ScenarioResult r;
-      int ok = 0;
-      fields >> r.id >> ok;
-      if (fields.fail()) {
-        return ReadStatus::kCorrupt;
-      }
-      const auto it = index.find(r.id);
-      if (it == index.end()) {
-        return ReadStatus::kCorrupt;  // not a scenario of this matrix
-      }
-      r.spec = matrix.scenarios[it->second];
-      r.ok = ok != 0;
-      if (r.ok) {
-        double values[17];
-        for (double& v : values) {
-          fields >> v;
-        }
-        if (fields.fail()) {
-          return ReadStatus::kCorrupt;
-        }
-        score_from_values(values, &r.score);
-      } else {
-        std::getline(fields >> std::ws, r.error);
-      }
-      rows.emplace_back(it->second, std::move(r));
-    } else if (!tag.empty()) {
-      return ReadStatus::kCorrupt;
-    }
+  sweep::ShardSpec& shard = parsed.shard;
+  if (rows == nullptr || rows->kind != json::Value::Kind::kArray ||
+      !doc->get("matrix", &parsed.matrix_name) ||
+      !doc->get("digest", &parsed.matrix_digest) ||
+      !doc->get("shard_index", &shard.index) ||
+      !doc->get("shard_total", &shard.total) || shard.index < 0 ||
+      shard.index >= shard.total || !doc->get("complete", &parsed.complete)) {
+    return util::ReadStatus::kCorrupt;
   }
-  if (!have_header) {
-    return ReadStatus::kCorrupt;
+  // A sealed checkpoint of a different matrix is not corruption: report
+  // kOk with the stamped digest and no results — the caller classifies
+  // (DataError on resume/merge). Its ids would not map onto this matrix.
+  if (parsed.matrix_digest != matrix.digest()) {
+    *out = std::move(parsed);
+    return util::ReadStatus::kOk;
   }
-  std::sort(rows.begin(), rows.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    if (rows[i].first == rows[i - 1].first) {
-      return ReadStatus::kCorrupt;  // duplicate scenario in one file
+
+  const std::unordered_map<std::string, std::size_t> index =
+      scenario_index(matrix);
+  std::vector<std::optional<ScenarioResult>> slots(matrix.scenarios.size());
+  for (const json::Value& row : rows->items) {
+    ScenarioResult r;
+    if (!parse_result(row, &r)) {
+      return util::ReadStatus::kCorrupt;
     }
+    const auto it = index.find(r.id);
+    if (it == index.end() || slots[it->second].has_value()) {
+      return util::ReadStatus::kCorrupt;  // foreign or duplicate scenario
+    }
+    r.spec = matrix.scenarios[it->second];
+    slots[it->second] = std::move(r);
   }
-  parsed.results.reserve(rows.size());
-  for (auto& [idx, r] : rows) {
-    parsed.results.push_back(std::move(r));
+  for (std::optional<ScenarioResult>& slot : slots) {
+    if (slot.has_value()) {
+      parsed.results.push_back(std::move(*slot));
+    }
   }
   *out = std::move(parsed);
-  return ReadStatus::kOk;
+  return util::ReadStatus::kOk;
 }
 
 std::vector<ScenarioResult> merge_results(
     const ScenarioMatrix& matrix, const std::vector<ShardResults>& shards) {
   const std::uint64_t digest = matrix.digest();
   std::vector<std::optional<ScenarioResult>> slots(matrix.scenarios.size());
-  std::unordered_map<std::string, std::size_t> index;
-  index.reserve(matrix.scenarios.size());
-  for (std::size_t i = 0; i < matrix.scenarios.size(); ++i) {
-    index.emplace(scenario_id(matrix.scenarios[i]), i);
-  }
+  const std::unordered_map<std::string, std::size_t> index =
+      scenario_index(matrix);
 
   for (const ShardResults& shard : shards) {
     if (shard.matrix_digest != digest) {
@@ -387,7 +294,7 @@ std::string render_plan_json(const ScenarioMatrix& matrix,
   std::string out;
   out.reserve(512 + results.size() * 700);
   out += "{\n";
-  out += "  \"matrix\": {\"name\": \"" + json_escape(matrix.name) +
+  out += "  \"matrix\": {\"name\": \"" + json::escape(matrix.name) +
          "\", \"digest\": \"" + digest_hex + "\", \"scenarios\": " +
          std::to_string(matrix.scenarios.size()) + "},\n";
 
@@ -398,20 +305,20 @@ std::string render_plan_json(const ScenarioMatrix& matrix,
     out += "    {\"id\": \"" + r.id + "\", \"fleet\": " +
            std::to_string(s.fleet) + ", \"horizon_s\": " +
            std::to_string(s.horizon) + ", \"workload\": \"" +
-           workload_str(s) + "\", \"hetero_mix\": " + fmt10(s.hetero_mix) +
+           workload_str(s) + "\", \"hetero_mix\": " + fmt(s.hetero_mix) +
            ", \"preemption\": " + (s.preemption ? "true" : "false") +
            ", \"remap\": \"" + std::string(remap_name(s.remap)) +
            "\", \"placement\": \"" +
            std::string(sim::placement_name(s.placement)) +
-           "\", \"target_utilization\": " + fmt10(s.target_utilization) +
-           ", \"cost_per_machine_hour\": " + fmt10(s.cost_per_machine_hour) +
-           ", \"slo_wait_s\": " + fmt10(s.slo_wait_s) +
+           "\", \"target_utilization\": " + fmt(s.target_utilization) +
+           ", \"cost_per_machine_hour\": " + fmt(s.cost_per_machine_hour) +
+           ", \"slo_wait_s\": " + fmt(s.slo_wait_s) +
            ", \"seed\": " + std::to_string(s.seed) + ", \"ok\": " +
            (r.ok ? "true" : "false");
     if (r.ok) {
-      out += ", \"score\": " + score_json(r.score);
+      out += ", \"score\": " + score_json(r.score, 10);
     } else {
-      out += ", \"error\": \"" + json_escape(r.error) + "\"";
+      out += ", \"error\": \"" + json::escape(r.error) + "\"";
     }
     out += i + 1 < results.size() ? "},\n" : "}\n";
   }
@@ -437,31 +344,15 @@ std::string render_plan_json(const ScenarioMatrix& matrix,
   }
   out += "],\n";
 
-  // $/SLO ranking: defined costs ascending, undefined last, ids break
-  // ties so the order is total.
-  std::vector<std::size_t> rank(ok_index);
-  std::sort(rank.begin(), rank.end(),
-            [&results](std::size_t a, std::size_t b) {
-              const double ca = results[a].score.usd_per_slo;
-              const double cb = results[b].score.usd_per_slo;
-              const bool da = ca >= 0.0;
-              const bool db = cb >= 0.0;
-              if (da != db) {
-                return da;
-              }
-              if (da && ca != cb) {
-                return ca < cb;
-              }
-              return results[a].id < results[b].id;
-            });
+  const std::vector<const ScenarioResult*> rank = rank_by_cost(results);
   out += "  \"ranking\": [\n";
   for (std::size_t i = 0; i < rank.size(); ++i) {
-    const ScenarioResult& r = results[rank[i]];
+    const ScenarioResult& r = *rank[i];
     out += "    {\"id\": \"" + r.id + "\", \"usd_per_slo\": " +
-           fmt10(r.score.usd_per_slo) + ", \"consolidated_cost_usd\": " +
-           fmt10(r.score.consolidated_cost_usd) + ", \"slo_attainment\": " +
-           fmt10(r.score.slo_attainment) + ", \"machines_needed\": " +
-           fmt10(r.score.machines_needed) + "}";
+           fmt(r.score.usd_per_slo) + ", \"consolidated_cost_usd\": " +
+           fmt(r.score.consolidated_cost_usd) + ", \"slo_attainment\": " +
+           fmt(r.score.slo_attainment) + ", \"machines_needed\": " +
+           fmt(r.score.machines_needed) + "}";
     out += i + 1 < rank.size() ? ",\n" : "\n";
   }
   out += "  ]\n";
@@ -471,26 +362,7 @@ std::string render_plan_json(const ScenarioMatrix& matrix,
 
 std::string render_comparison_table(
     const std::vector<ScenarioResult>& results, std::size_t top_n) {
-  std::vector<const ScenarioResult*> ranked;
-  for (const ScenarioResult& r : results) {
-    if (r.ok) {
-      ranked.push_back(&r);
-    }
-  }
-  std::sort(ranked.begin(), ranked.end(),
-            [](const ScenarioResult* a, const ScenarioResult* b) {
-              const double ca = a->score.usd_per_slo;
-              const double cb = b->score.usd_per_slo;
-              const bool da = ca >= 0.0;
-              const bool db = cb >= 0.0;
-              if (da != db) {
-                return da;
-              }
-              if (da && ca != cb) {
-                return ca < cb;
-              }
-              return a->id < b->id;
-            });
+  std::vector<const ScenarioResult*> ranked = rank_by_cost(results);
   if (top_n > 0 && ranked.size() > top_n) {
     ranked.resize(top_n);
   }

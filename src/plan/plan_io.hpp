@@ -2,12 +2,13 @@
 //
 // Two on-disk forms:
 //
-//   * The shard checkpoint (`plan-shard-<i>-of-<N>.cgcp`) — one line
-//     per finished scenario, stamped with the matrix digest and shard
-//     spec, rewritten atomically (tmp + rename) after every batch and
-//     sealed with a CRC line. Scores are printed with 17 significant
-//     digits, so a double round-trips bit-exactly: merging shard files
-//     yields the same bytes in plan.json as a single-process run.
+//   * The shard checkpoint (`plan-shard-<i>-of-<N>.cgcp`) — a JSON
+//     body (matrix name and digest, shard spec, complete flag, one row
+//     per finished scenario) sealed by an `end <crc32>` line, rewritten
+//     atomically after every batch. Scores are printed with 17
+//     significant digits, so a double round-trips bit-exactly: merging
+//     shard files yields the same bytes in plan.json as a single-process
+//     run.
 //   * plan.json — the canonical artifact: every scenario in matrix
 //     order with its spec and score, the Pareto frontier, and the
 //     $/SLO ranking. It contains no volatile fields (no timestamps,
@@ -26,6 +27,7 @@
 
 #include "plan/matrix.hpp"
 #include "plan/runner.hpp"
+#include "util/file.hpp"
 
 namespace cgc::plan {
 
@@ -43,27 +45,22 @@ struct ShardResults {
   std::vector<ScenarioResult> results;
 };
 
-/// Outcome of read_results(); mirrors sweep::read_report_checked.
-enum class ReadStatus {
-  kOk,       ///< parsed and CRC-verified
-  kMissing,  ///< no file at the path
-  kCorrupt,  ///< torn write, bad CRC, or an id the matrix doesn't know
-};
-
 /// Checkpoint path for shard `spec` under `out_dir`.
 std::string shard_results_path(const std::string& out_dir,
                                const sweep::ShardSpec& spec);
 
-/// Writes a shard checkpoint atomically (tmp + rename). Throws
+/// Writes a shard checkpoint with util::write_file_atomic. Throws
 /// util::TransientError on I/O failure.
 void write_results(const std::string& path, const ShardResults& results);
 
-/// Reads a checkpoint back, re-attaching specs from `matrix`. A digest
-/// mismatch against `matrix` is reported as kOk with the stamped digest
-/// preserved — the caller decides whether that is a DataError (merge)
-/// or a silent restart (resume after the matrix changed).
-ReadStatus read_results(const std::string& path, const ScenarioMatrix& matrix,
-                        ShardResults* out);
+/// Reads a checkpoint back, re-attaching specs from `matrix`. kCorrupt
+/// means a torn write, a bad CRC, a body that does not parse, or an id
+/// the matrix does not know. A digest mismatch against `matrix` is kOk
+/// with the stamped digest preserved and no results — the caller
+/// decides whether that is a DataError (merge) or a silent restart.
+util::ReadStatus read_results(const std::string& path,
+                              const ScenarioMatrix& matrix,
+                              ShardResults* out);
 
 /// Fuses shard checkpoints into the full result list in matrix order.
 /// Digest mismatches and overlapping ownership throw util::DataError;

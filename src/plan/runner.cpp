@@ -172,15 +172,15 @@ std::vector<ScenarioResult> PlanRunner::run() {
   }
   if (checkpointing && config_.resume) {
     ShardResults prev;
-    const ReadStatus status = read_results(path, matrix_, &prev);
-    if (status == ReadStatus::kCorrupt) {
+    const util::ReadStatus status = read_results(path, matrix_, &prev);
+    if (status == util::ReadStatus::kCorrupt) {
       // Torn checkpoint: quarantine it and start the shard over — the
       // same loud-but-resumable policy as the sweep driver.
       const std::string quarantined = path + ".corrupt";
       std::error_code ec;
       std::filesystem::rename(path, quarantined, ec);
       CGC_LOG(kWarn) << "plan: quarantined torn checkpoint " << path;
-    } else if (status == ReadStatus::kOk) {
+    } else if (status == util::ReadStatus::kOk) {
       if (prev.matrix_digest != digest) {
         throw util::DataError(
             "--resume: checkpoint " + path +

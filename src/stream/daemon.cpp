@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <ostream>
 #include <thread>
 
@@ -16,6 +17,7 @@
 #include "stream/shutdown.hpp"
 #include "trace/loader.hpp"
 #include "util/check.hpp"
+#include "util/json.hpp"
 #include "util/time_util.hpp"
 
 namespace cgc::stream {
@@ -219,38 +221,6 @@ int run_daemon(const DaemonConfig& config, std::istream& in,
   return stats.health.lossy() ? util::kExitFailure : util::kExitOk;
 }
 
-namespace {
-
-/// Minimal field extraction for the spill manifest's flat JSONL rows.
-bool manifest_u64(const std::string& line, const std::string& key,
-                  std::uint64_t* out) {
-  const std::string needle = "\"" + key + "\": ";
-  const std::string::size_type pos = line.find(needle);
-  if (pos == std::string::npos) {
-    return false;
-  }
-  return std::sscanf(line.c_str() + pos + needle.size(), "%llu",
-                     reinterpret_cast<unsigned long long*>(out)) == 1;
-}
-
-bool manifest_string(const std::string& line, const std::string& key,
-                     std::string* out) {
-  const std::string needle = "\"" + key + "\": \"";
-  const std::string::size_type pos = line.find(needle);
-  if (pos == std::string::npos) {
-    return false;
-  }
-  const std::string::size_type begin = pos + needle.size();
-  const std::string::size_type end = line.find('"', begin);
-  if (end == std::string::npos) {
-    return false;
-  }
-  *out = line.substr(begin, end - begin);
-  return true;
-}
-
-}  // namespace
-
 SpillAudit verify_spill(const std::string& dir) {
   const std::string manifest = dir + "/windows.jsonl";
   std::ifstream in(manifest);
@@ -269,13 +239,14 @@ SpillAudit verify_spill(const std::string& dir) {
 
     std::string name;
     std::uint64_t expected_events = 0;
+    const std::optional<util::json::Value> entry = util::json::parse(line);
     // raw_events is the authoritative per-window store row count;
     // manifests from before it existed stamped the same value as
     // "events" (the window's deduplicated total), so fall back.
     const bool have_count =
-        manifest_u64(line, "raw_events", &expected_events) ||
-        manifest_u64(line, "events", &expected_events);
-    if (!manifest_string(line, "cgcs", &name) || !have_count) {
+        entry && (entry->get("raw_events", &expected_events) ||
+                  entry->get("events", &expected_events));
+    if (!have_count || !entry->get("cgcs", &name)) {
       audit.issues.push_back({manifest,
                               "malformed manifest row " + std::to_string(row),
                               true});

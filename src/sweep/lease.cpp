@@ -199,10 +199,9 @@ QuarantineReport quarantine_stale(const std::string& dir,
       }
       continue;
     }
-    // Staging litter: report.json.tmp from a kill mid-rename window,
-    // and `*.tmp` / `*.tmp.<pid>` from interrupted cache/report writers.
-    if (name == "report.json.tmp" ||
-        name.find(".tmp.") != std::string::npos || ends_with(name, ".tmp")) {
+    // Staging litter: `*.tmp` from an interrupted util::write_file_atomic
+    // (report.json.tmp), `*.tmp.<pid>` from an interrupted cache build.
+    if (name.find(".tmp.") != std::string::npos || ends_with(name, ".tmp")) {
       move_aside(entry.path(), rel);
       continue;
     }

@@ -94,18 +94,16 @@ MergeResult merge_shards(const std::vector<std::string>& shard_dirs,
     ShardInput input;
     input.dir = shard_dirs[d];
     const std::string path = input.dir + "/report.json";
-    ReportReadStatus status = ReportReadStatus::kOk;
     // Deterministic stand-in for reading a shard dir mid-write (e.g.
     // merging while a worker is still flushing): the report looks torn.
-    if (fault::inject("sweep.torn_merge_input", d)) {
-      status = ReportReadStatus::kCorrupt;
-    } else {
-      status = read_report_checked(path, &input.report);
-    }
-    if (status != ReportReadStatus::kOk || !input.report.complete) {
+    const util::ReadStatus status =
+        fault::inject("sweep.torn_merge_input", d)
+            ? util::ReadStatus::kCorrupt
+            : read_report_checked(path, &input.report);
+    if (status != util::ReadStatus::kOk || !input.report.complete) {
       const std::string what =
-          status == ReportReadStatus::kMissing ? "no report.json"
-          : status == ReportReadStatus::kCorrupt
+          status == util::ReadStatus::kMissing ? "no report.json"
+          : status == util::ReadStatus::kCorrupt
               ? "torn/corrupt report.json"
               : "incomplete sweep (complete: false)";
       if (!options.allow_partial) {

@@ -1,11 +1,12 @@
 // report.json reading/writing for the cgc_report sweep driver.
 //
 // The report is both the sweep's human-readable summary and its
-// checkpoint: cgc_report rewrites it atomically (tmp + rename) after
-// every case, so a sweep killed at any point leaves a valid partial
-// report on disk, and `--resume` reads it back to skip cases whose
-// recorded .dat outputs still hash-match. One case per line keeps the
-// parser here trivial — it only ever reads what write_report() wrote.
+// checkpoint: cgc_report rewrites it atomically (util::write_file_atomic)
+// after every case, so a sweep killed at any point leaves a valid
+// partial report on disk, and `--resume` reads it back to skip cases
+// whose recorded .dat outputs still hash-match. The reader is one
+// util::json::parse of the whole document: a report that does not
+// parse, or has no `cases` array, is torn.
 //
 // Shard workers stamp their reports with `shard i/N` so --merge can
 // verify every input dir belongs to the same partition; the merged
@@ -16,6 +17,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "util/file.hpp"
 
 namespace cgc::sweep {
 
@@ -76,22 +79,16 @@ struct SweepReport {
   }
 };
 
-/// Writes `report` as JSON to `path` atomically: the content lands in
-/// `path + ".tmp"` first and is renamed over `path`, so readers never
-/// observe a torn file.
+/// Writes `report` as JSON to `path` through util::write_file_atomic,
+/// so readers never observe a torn file. Throws util::TransientError on
+/// I/O failure.
 void write_report(const SweepReport& report, const std::string& path);
 
-/// What read_report_checked() found at the path.
-enum class ReportReadStatus {
-  kOk,       ///< parsed; `out` is filled
-  kMissing,  ///< no file — a fresh sweep
-  kCorrupt,  ///< file exists but is not a complete report we wrote
-};
-
-/// Parses a report written by write_report(), distinguishing "no file"
-/// from "file exists but is truncated/unparseable" so --resume can fail
+/// Parses a report written by write_report(): kOk fills `out`, kMissing
+/// means a fresh sweep, kCorrupt a report that is truncated, does not
+/// parse, or lacks a case id or an output field — so --resume fails
 /// loudly on a torn report instead of silently re-running.
-ReportReadStatus read_report_checked(const std::string& path,
+util::ReadStatus read_report_checked(const std::string& path,
                                      SweepReport* out);
 
 /// CRC-32 + size of a file's content (.dat series are small enough to

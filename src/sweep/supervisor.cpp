@@ -116,7 +116,7 @@ pid_t spawn_worker(const SpawnPlan& plan) {
 bool shard_finished(const std::string& dir) {
   SweepReport report;
   return read_report_checked(dir + "/report.json", &report) ==
-             ReportReadStatus::kOk &&
+             util::ReadStatus::kOk &&
          report.complete;
 }
 

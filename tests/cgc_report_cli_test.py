@@ -6,6 +6,9 @@
 A bad flag value is a usage error: exit 2 (util::kExitUsage) with a
 message naming the value, before any work starts. --help exits 0, and
 `cgc_report --list` prints the 22 case ids in sorted_cases() order.
+A plan shard checkpoint in the retired `cgcplan v1` line format reads
+as torn: `cgc_plan --merge` exits 1 asking for that shard to be rerun,
+and `--resume` quarantines it and reruns the shard.
 
 Every command runs under CGC_BENCH_FAST=1 with throwaway CGC_BENCH_OUT
 and CGC_BENCH_CACHE directories, so a build that wrongly starts a sweep
@@ -17,6 +20,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import zlib
 
 # sorted_cases() order: figures, tables, ablations, extensions, each by id.
 CASE_IDS = [
@@ -29,7 +33,20 @@ CASE_IDS = [
 ]
 
 EXIT_OK = 0
+EXIT_FAILURE = 1
 EXIT_USAGE = 2
+
+# The head of a shard 1/2 checkpoint of `cgc_plan --matrix small` as the
+# line-format writer sealed it (one row kept; the seal is recomputed).
+V1_CHECKPOINT_BODY = (
+    "cgcplan v1\n"
+    "matrix small b7447036b73735e1\n"
+    "shard 1/2\n"
+    "complete 1\n"
+    "R s9a1e895e806f617d 1 0.12411571330591743 0.16732074495624094 "
+    "0.33598792847866815 0.37098778784275055 0.070675249965758122 0 0 0 0 "
+    "4 0.5 48 1.9199999999999999 0.95999999999999996 1 3.1649506893008947 "
+    "0.30332226130576906\n")
 
 
 def main():
@@ -76,6 +93,20 @@ def main():
         expect(report, ["--merge", os.path.join(tmp, "s0"),
                         "--shard", "0/2"], EXIT_USAGE)
         expect(plan, ["--shard", "4/4"], EXIT_USAGE, "4/4")
+
+        plan_out = os.path.join(tmp, "plan")
+        os.makedirs(plan_out)
+        shard = os.path.join(plan_out, "plan-shard-1-of-2.cgcp")
+        with open(shard, "w") as f:
+            f.write(V1_CHECKPOINT_BODY + "end %08x\n" %
+                    zlib.crc32(V1_CHECKPOINT_BODY.encode()))
+        plan_args = ["--matrix", "small", "--out", plan_out]
+        expect(plan, [*plan_args, "--merge"], EXIT_FAILURE,
+               "rerun that shard")
+        expect(plan, [*plan_args, "--shard", "1/2", "--resume"], EXIT_OK)
+        if not os.path.exists(shard + ".corrupt"):
+            failures.append("cgc_plan --resume: line-format checkpoint "
+                            "was not quarantined")
 
     for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)

@@ -323,7 +323,7 @@ TEST_F(PlanRunTest, ShardedCheckpointsMergeToTheSingleProcessBytes) {
     ShardResults shard;
     ASSERT_EQ(read_results(shard_results_path(dir(), config.shard),
                            runner.matrix(), &shard),
-              ReadStatus::kOk);
+              util::ReadStatus::kOk);
     EXPECT_TRUE(shard.complete);
     shards.push_back(std::move(shard));
   }
@@ -366,7 +366,8 @@ TEST_F(PlanRunTest, TornCheckpointIsQuarantinedAndRerun) {
     out << bytes.substr(0, bytes.size() - 12);
   }
   ShardResults ignored;
-  ASSERT_EQ(read_results(path, matrix(), &ignored), ReadStatus::kCorrupt);
+  ASSERT_EQ(read_results(path, matrix(), &ignored),
+            util::ReadStatus::kCorrupt);
 
   config.resume = true;
   PlanRunner runner(matrix(), config);
@@ -374,8 +375,47 @@ TEST_F(PlanRunTest, TornCheckpointIsQuarantinedAndRerun) {
   EXPECT_EQ(runner.resumed(), 0u);  // nothing trusted from the torn file
   EXPECT_TRUE(fs::exists(path + ".corrupt"));
   ShardResults reread;
-  EXPECT_EQ(read_results(path, matrix(), &reread), ReadStatus::kOk);
+  EXPECT_EQ(read_results(path, matrix(), &reread), util::ReadStatus::kOk);
   EXPECT_TRUE(reread.complete);
+}
+
+TEST_F(PlanRunTest, LineFormatCheckpointIsQuarantinedAndRerun) {
+  // A sealed checkpoint in the retired `cgcplan v1` line format, as the
+  // line-format writer produced it for this matrix: the CRC holds, but
+  // the body is not JSON, so it reads as torn and the shard reruns.
+  PlanConfig config;
+  config.out_dir = dir();
+  const std::string path = shard_results_path(dir(), config.shard);
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << R"(cgcplan v1
+matrix small 4cb6a73e0cf60ca7
+shard 0/1
+complete 1
+R s20de3325fc2783ac 1 0.11204244043020641 0.12657770558315165 0.37387668574228883 0.40518324263393879 0.065347323681763853 0 0 0 0 5 0.375 8 0.32000000000000001 0.20000000000000001 1 0.47618037182837725 0.42000891223648146
+R sf6267a7b6a32c468 1 0.12450376503607806 0.14307871373260722 0.32174095620090765 0.35723228380084038 0 0 0 0 0 4 0.5 8 0.32000000000000001 0.16 1 0.52914100140333176 0.30237687039119049
+R s3493e044b75468b8 1 0.13822020546021851 0.17202617775867968 0.42976667553496856 0.44508560979738832 0.064011959771677091 0 0 0 0 5 0.375 8 0.32000000000000001 0.20000000000000001 1 0.58743587320592872 0.34046269409544377
+R sdc691978feaee680 1 0.090134687432402966 0.10252064552760738 0.25696439074818045 0.27144189015962183 0 0 0 0 0 3 0.625 8 0.32000000000000001 0.12 1 0.3830724215877126 0.31325669308857684
+R s338b0af5fb64e47f 1 0.2496685341877096 0.49440025582033043 0.079098299766580268 0.15402043890208006 0 0 0 0 0 6 0.25 8 0.32000000000000001 0.23999999999999999 1 1.0610912702977657 0.22618223966035519
+R sf8486e6866da1241 1 0.034602899469581304 0.13073844769421747 0.021454538606728118 0.065675035119056702 0 0 0 0 0 2 0.75 8 0.32000000000000001 0.080000000000000002 1 0.14706232274572054 0.54398705600702868
+R s1c7e1abd54bf40cb 1 0.26822567541225284 0.6003557022880105 0.07311519716555874 0.14836764521896839 0 0 0 0 0 7 0.125 8 0.32000000000000001 0.28000000000000003 1 1.1399591205020745 0.245622842928507
+R sc8e82c38cb5b71b5 1 0.10771290022952884 0.22947258107802448 0.032821279251947999 0.058771872892975807 0 0 0 0 0 3 0.625 8 0.32000000000000001 0.12 1 0.45777982597549755 0.26213474948199866
+end 13aeab1e
+)";
+  }
+  ShardResults ignored;
+  ASSERT_EQ(read_results(path, matrix(), &ignored),
+            util::ReadStatus::kCorrupt);
+
+  config.resume = true;
+  PlanRunner runner(matrix(), config);
+  runner.run();
+  EXPECT_EQ(runner.resumed(), 0u);
+  EXPECT_TRUE(fs::exists(path + ".corrupt"));
+  ShardResults reread;
+  ASSERT_EQ(read_results(path, matrix(), &reread), util::ReadStatus::kOk);
+  EXPECT_TRUE(reread.complete);
+  EXPECT_EQ(reread.results.size(), matrix().scenarios.size());
 }
 
 TEST_F(PlanRunTest, ResumeAgainstADifferentMatrixIsADataError) {
@@ -398,7 +438,7 @@ TEST_F(PlanRunTest, MergeTaxonomyMatchesTheSweepContract) {
   ShardResults shard0;
   ASSERT_EQ(read_results(shard_results_path(dir(), config.shard), runner.matrix(),
                          &shard0),
-            ReadStatus::kOk);
+            util::ReadStatus::kOk);
   const ScenarioMatrix m = matrix();
 
   // Missing coverage (only shard 0 of 2): transient — rerun and retry.

@@ -1,7 +1,8 @@
 // Tests for the sweep driver's report.json checkpoint I/O: perf-block
-// round-trip and the kOk/kMissing/kCorrupt distinction that lets
-// --resume fail loudly on a torn report (regression: a truncated file
-// used to be treated the same as a missing one).
+// round-trip, strings and file names the old line scanner mangled, and
+// the kOk/kMissing/kCorrupt distinction that lets --resume fail loudly
+// on a torn report (regression: a truncated file used to be treated
+// the same as a missing one).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -52,7 +53,7 @@ TEST_F(ReportIoTest, RoundTripIncludesPerfBlock) {
   write_report(make_report(), path_);
 
   SweepReport loaded;
-  ASSERT_EQ(read_report_checked(path_, &loaded), ReportReadStatus::kOk);
+  ASSERT_EQ(read_report_checked(path_, &loaded), util::ReadStatus::kOk);
   ASSERT_EQ(loaded.cases.size(), 1u);
   const CaseRecord& r = loaded.cases[0];
   EXPECT_EQ(r.id, "fig02_priorities");
@@ -67,6 +68,46 @@ TEST_F(ReportIoTest, RoundTripIncludesPerfBlock) {
   EXPECT_EQ(r.outputs[0].size, 321u);
 }
 
+TEST_F(ReportIoTest, AwkwardStringsRoundTripExactly) {
+  SweepReport report = make_report();
+  CaseRecord& r = report.cases[0];
+  r.ok = false;
+  r.error = "cannot open C:\\data\\";  // ends in a backslash
+  r.title = "quote \" tab \t newline \n bell \x07 brace }";
+  r.outputs.push_back({"odd}name{.dat", 0x01020304, 99});
+  write_report(report, path_);
+
+  SweepReport loaded;
+  ASSERT_EQ(read_report_checked(path_, &loaded), util::ReadStatus::kOk);
+  ASSERT_EQ(loaded.cases.size(), 1u);
+  EXPECT_EQ(loaded.cases[0].error, r.error);
+  EXPECT_EQ(loaded.cases[0].title, r.title);
+  ASSERT_EQ(loaded.cases[0].outputs.size(), 2u);
+  EXPECT_EQ(loaded.cases[0].outputs[1].file, "odd}name{.dat");
+  EXPECT_EQ(loaded.cases[0].outputs[1].crc, 0x01020304u);
+  EXPECT_EQ(loaded.cases[0].outputs[1].size, 99u);
+}
+
+TEST_F(ReportIoTest, MalformedUnicodeEscapeIsCorruptNotAThrow) {
+  write_report(make_report(), path_);
+  std::string bytes;
+  {
+    std::ifstream in(path_, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const std::string::size_type pos = bytes.find("Priority mix");
+  ASSERT_NE(pos, std::string::npos);
+  bytes.replace(pos, 8, "\\uzz12x");
+  {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  SweepReport out;
+  util::ReadStatus status = util::ReadStatus::kOk;
+  EXPECT_NO_THROW(status = read_report_checked(path_, &out));
+  EXPECT_EQ(status, util::ReadStatus::kCorrupt);
+}
+
 TEST_F(ReportIoTest, ShardStampRoundTripsAndDefaultsWhenAbsent) {
   SweepReport report = make_report();
   report.shard_index = 2;
@@ -74,7 +115,7 @@ TEST_F(ReportIoTest, ShardStampRoundTripsAndDefaultsWhenAbsent) {
   report.merged = true;
   write_report(report, path_);
   SweepReport loaded;
-  ASSERT_EQ(read_report_checked(path_, &loaded), ReportReadStatus::kOk);
+  ASSERT_EQ(read_report_checked(path_, &loaded), util::ReadStatus::kOk);
   EXPECT_EQ(loaded.shard_index, 2);
   EXPECT_EQ(loaded.shard_total, 4);
   EXPECT_TRUE(loaded.merged);
@@ -83,7 +124,7 @@ TEST_F(ReportIoTest, ShardStampRoundTripsAndDefaultsWhenAbsent) {
   // single-shard defaults.
   write_report(make_report(), path_);
   SweepReport plain;
-  ASSERT_EQ(read_report_checked(path_, &plain), ReportReadStatus::kOk);
+  ASSERT_EQ(read_report_checked(path_, &plain), util::ReadStatus::kOk);
   EXPECT_EQ(plain.shard_index, 0);
   EXPECT_EQ(plain.shard_total, 1);
   EXPECT_FALSE(plain.merged);
@@ -111,7 +152,7 @@ TEST_F(ReportIoTest, CaseLineWithRetiredBinaryKeyParses) {
 )";
   }
   SweepReport loaded;
-  ASSERT_EQ(read_report_checked(path_, &loaded), ReportReadStatus::kOk);
+  ASSERT_EQ(read_report_checked(path_, &loaded), util::ReadStatus::kOk);
   ASSERT_EQ(loaded.cases.size(), 1u);
   const CaseRecord& r = loaded.cases[0];
   EXPECT_EQ(r.id, "fig02");
@@ -125,7 +166,7 @@ TEST_F(ReportIoTest, CaseLineWithRetiredBinaryKeyParses) {
 
 TEST_F(ReportIoTest, MissingFileIsMissingNotCorrupt) {
   SweepReport out;
-  EXPECT_EQ(read_report_checked(path_, &out), ReportReadStatus::kMissing);
+  EXPECT_EQ(read_report_checked(path_, &out), util::ReadStatus::kMissing);
 }
 
 TEST_F(ReportIoTest, TruncatedReportIsCorrupt) {
@@ -142,7 +183,7 @@ TEST_F(ReportIoTest, TruncatedReportIsCorrupt) {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
   }
   SweepReport out;
-  EXPECT_EQ(read_report_checked(path_, &out), ReportReadStatus::kCorrupt);
+  EXPECT_EQ(read_report_checked(path_, &out), util::ReadStatus::kCorrupt);
 }
 
 TEST_F(ReportIoTest, ForeignFileIsCorrupt) {
@@ -151,7 +192,7 @@ TEST_F(ReportIoTest, ForeignFileIsCorrupt) {
     out << "{\"something\": \"else entirely\"}\n";
   }
   SweepReport out;
-  EXPECT_EQ(read_report_checked(path_, &out), ReportReadStatus::kCorrupt);
+  EXPECT_EQ(read_report_checked(path_, &out), util::ReadStatus::kCorrupt);
 }
 
 TEST_F(ReportIoTest, MangledCaseLineIsCorrupt) {
@@ -171,7 +212,7 @@ TEST_F(ReportIoTest, MangledCaseLineIsCorrupt) {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
   SweepReport out;
-  EXPECT_EQ(read_report_checked(path_, &out), ReportReadStatus::kCorrupt);
+  EXPECT_EQ(read_report_checked(path_, &out), util::ReadStatus::kCorrupt);
 }
 
 }  // namespace
