@@ -213,10 +213,10 @@ struct ClusterSim::Impl {
 
   /// Exhaustive scan with the seed's exact semantics: the first machine
   /// achieving a strictly better score wins, so ties resolve to the
-  /// lowest index. Scored policies go through exec::parallel_reduce
-  /// (chunk partials combined in chunk order reproduce the serial
-  /// first-wins rule); first-fit exits early and random gathers the
-  /// fitting set, both serial.
+  /// lowest index. First-fit exits early and random gathers the
+  /// fitting set. All three are serial: in auto mode the full scan only
+  /// runs on parks of at most 512 machines, too small for a parallel
+  /// split to pay for itself.
   int pick_machine_full(std::uint32_t task, const TaskStatic& ts) {
     const std::size_t m_count = machines.size();
     if (config.placement == PlacementPolicy::kFirstFit) {
@@ -241,33 +241,19 @@ struct ClusterSim::Impl {
           rng::hash2(config.seed, rng::kSaltRandomPick, task, pass_seq);
       return static_cast<int>(scratch_fitting[h % scratch_fitting.size()]);
     }
-    struct Cand {
-      int machine = -1;
-      double score = 0.0;
-    };
-    const Cand best = exec::parallel_reduce<Cand>(
-        0, m_count, Cand{},
-        [&](std::size_t lo, std::size_t hi) {
-          Cand c;
-          for (std::size_t m = lo; m < hi; ++m) {
-            if (!fits(m, ts)) {
-              continue;
-            }
-            const double s = score_of(m, ts);
-            if (c.machine < 0 || s < c.score) {
-              c.machine = static_cast<int>(m);
-              c.score = s;
-            }
-          }
-          return c;
-        },
-        [](Cand& acc, Cand part) {
-          if (part.machine >= 0 &&
-              (acc.machine < 0 || part.score < acc.score)) {
-            acc = part;
-          }
-        });
-    return best.machine;
+    int best = -1;
+    double best_score = 0.0;
+    for (std::size_t m = 0; m < m_count; ++m) {
+      if (!fits(m, ts)) {
+        continue;
+      }
+      const double s = score_of(m, ts);
+      if (best < 0 || s < best_score) {
+        best = static_cast<int>(m);
+        best_score = s;
+      }
+    }
+    return best;
   }
 
   /// Probed placement: O(probe_limit) hashed candidates instead of

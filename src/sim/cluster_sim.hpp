@@ -16,8 +16,8 @@
 // tens of millions of task events — see bench_perf_sim / BENCH_sim.json):
 // a calendar event queue (sim/event_queue.hpp), struct-of-arrays state
 // banks (sim/state_banks.hpp), counter-based randomness
-// (sim/sim_rng.hpp), and cgc::exec-sharded sampling and placement
-// scoring. Results are bit-identical at any CGC_THREADS — the same
+// (sim/sim_rng.hpp), and cgc::exec-sharded host-load sampling.
+// Results are bit-identical at any CGC_THREADS — the same
 // determinism contract as cgc::exec and cgc::stream; DESIGN.md §13 has
 // the argument. Hot-loop metric sites (sim.*) arm via CGC_METRICS, and
 // the deterministic fault sites sim.task_lost / sim.machine_outage arm

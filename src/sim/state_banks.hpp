@@ -27,10 +27,11 @@
 //     are pointer writes into arrays already in cache, replacing the
 //     seed's 12 std::deques and their node churn.
 //
-// All mutation happens on the serial event spine; parallel regions
-// (sampling, placement scoring) only read. Allocation happens once, up
-// front — the steady-state event loop performs no heap traffic except
-// amortized growth of per-machine run lists and calendar buckets.
+// All mutation happens on the serial event spine; the one parallel
+// region inside the run (host-load sampling) only reads. Allocation
+// happens once, up front — the steady-state event loop performs no
+// heap traffic except amortized growth of per-machine run lists and
+// calendar buckets.
 #pragma once
 
 #include <cstdint>

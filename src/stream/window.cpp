@@ -5,7 +5,6 @@
 #include <cstring>
 #include <iomanip>
 #include <limits>
-#include <map>
 #include <ostream>
 #include <utility>
 
@@ -244,17 +243,57 @@ void WindowStats::write_json(std::ostream& out,
 // SlidingWindow
 // ---------------------------------------------------------------------------
 
-/// Count-only deltas one parallel chunk accumulates for one window.
-struct SlidingWindow::WindowDelta {
-  CounterBank bank;
-  std::vector<std::int64_t> bins;
+/// Count-only deltas one parallel chunk (or the merged batch) holds for
+/// a dense run of panes first .. first + panes.size() − 1. Events late
+/// for every window covering them skip the panes: they land in `late`,
+/// weighted by the number of windows they missed.
+struct SlidingWindow::BatchPartial {
+  struct PaneDelta {
+    CounterBank events;
+    std::vector<std::int64_t> rate_cells;  ///< empty until a SUBMIT
+  };
+  std::int64_t first = 0;
+  std::vector<PaneDelta> panes;
+  CounterBank late;
+
+  /// Delta of pane p, growing the dense run to cover it.
+  PaneDelta& at(std::int64_t p) {
+    if (panes.empty()) {
+      first = p;
+    } else if (p < first) {
+      panes.insert(panes.begin(), static_cast<std::size_t>(first - p),
+                   PaneDelta{});
+      first = p;
+    }
+    const auto k = static_cast<std::size_t>(p - first);
+    if (k >= panes.size()) {
+      panes.resize(k + 1);
+    }
+    return panes[k];
+  }
+
+  void merge(BatchPartial&& other) {
+    late.merge(other.late);
+    for (std::size_t k = 0; k < other.panes.size(); ++k) {
+      PaneDelta& from = other.panes[k];
+      PaneDelta& into = at(other.first + static_cast<std::int64_t>(k));
+      into.events.merge(from.events);
+      if (into.rate_cells.empty()) {
+        into.rate_cells = std::move(from.rate_cells);
+      } else {
+        for (std::size_t c = 0; c < from.rate_cells.size(); ++c) {
+          into.rate_cells[c] += from.rate_cells[c];
+        }
+      }
+    }
+  }
 };
 
-/// One chunk's (or the merged batch's) parallel-phase result. The map is
-/// ordered so the fold over windows is canonical.
-struct SlidingWindow::BatchPartial {
-  std::map<std::int64_t, WindowDelta> windows;
-};
+SlidingWindow::Pane::Pane(const WindowConfig& config, std::size_t cells)
+    : rate_cells(cells, 0),
+      job_length(config.relative_error),
+      task_length(config.relative_error),
+      submit_gap(config.relative_error) {}
 
 SlidingWindow::SlidingWindow(WindowConfig config) : config_(config) {
   if (config_.slide == 0) {
@@ -267,12 +306,50 @@ SlidingWindow::SlidingWindow(WindowConfig config) : config_(config) {
   CGC_CHECK_MSG(config_.rate_bins > 0, "need at least one rate bin");
   // Validates the sketch error bound eagerly (same check as the sketches).
   (void)stats::bucketing::log_gamma_for_error(config_.relative_error);
+  span_ = config_.width / config_.slide;
+
+  // A window's rate bin b starts ceil(b·width/bins) seconds in, and the
+  // windows covering a pane start whole slides apart, so every pane is
+  // cut at the same offsets: each bin start modulo the slide. Between
+  // two cuts every covering window sees a single bin.
+  const auto bins = static_cast<std::int64_t>(config_.rate_bins);
+  std::vector<TimeSec> bin_starts;
+  for (std::int64_t b = 0; b < bins; ++b) {
+    bin_starts.push_back((b * config_.width + bins - 1) / bins);
+    cell_starts_.push_back(bin_starts.back() % config_.slide);
+  }
+  std::sort(cell_starts_.begin(), cell_starts_.end());
+  cell_starts_.erase(std::unique(cell_starts_.begin(), cell_starts_.end()),
+                     cell_starts_.end());
+  for (const TimeSec start : bin_starts) {
+    if (start >= config_.slide) {
+      break;
+    }
+    first_cell_of_bin_.push_back(static_cast<std::size_t>(
+        std::lower_bound(cell_starts_.begin(), cell_starts_.end(), start) -
+        cell_starts_.begin()));
+  }
+  cell_bins_.reserve(static_cast<std::size_t>(span_) * cell_starts_.size());
+  for (std::int64_t j = 0; j < span_; ++j) {
+    for (const TimeSec start : cell_starts_) {
+      cell_bins_.push_back(static_cast<std::uint32_t>(
+          (j * config_.slide + start) * bins / config_.width));
+    }
+  }
 }
 
-std::int64_t SlidingWindow::first_window_of(TimeSec t) const {
-  const std::int64_t last = window_of(t);
-  const std::int64_t span = config_.width / config_.slide;
-  return std::max<std::int64_t>(0, last - span + 1);
+std::size_t SlidingWindow::cell_of(TimeSec offset) const {
+  // Start at the cell where the offset's bin in the pane's own window
+  // begins, then step past any later windows' cuts inside that bin. For
+  // tumbling windows, and whenever the slide spans a whole number of
+  // bins, cells are exactly those bins and the loop never runs.
+  const auto bins = static_cast<std::int64_t>(config_.rate_bins);
+  std::size_t c = first_cell_of_bin_[static_cast<std::size_t>(
+      offset * bins / config_.width)];
+  while (c + 1 < cell_starts_.size() && cell_starts_[c + 1] <= offset) {
+    ++c;
+  }
+  return c;
 }
 
 TimeSec SlidingWindow::watermark() const {
@@ -282,7 +359,7 @@ TimeSec SlidingWindow::watermark() const {
   return max_event_time_ - config_.watermark_lag;
 }
 
-WindowStats& SlidingWindow::open_window(std::int64_t index) {
+SlidingWindow::OpenWindow& SlidingWindow::open_window(std::int64_t index) {
   if (!any_open_) {
     any_open_ = true;
     first_open_index_ = index;
@@ -297,10 +374,8 @@ WindowStats& SlidingWindow::open_window(std::int64_t index) {
     ws.index = i;
     ws.start = i * config_.slide;
     ws.end = ws.start + config_.width;
-    open_.push_back(std::move(ws));
-    if (config_.keep_events) {
-      open_events_.emplace_back();
-    }
+    open_.push_back(OpenWindow{std::move(ws),
+                               Pane(config_, cell_starts_.size()), {}});
   }
   return open_[static_cast<std::size_t>(index - first_open_index_)];
 }
@@ -336,12 +411,14 @@ void SlidingWindow::ingest(std::span<const trace::TaskEvent> events) {
     ingested.add(events.size());
   }
 
-  // Parallel phase: per-chunk CounterBank / rate-bin accumulators over
-  // deterministic chunk boundaries, folded in chunk index order. All
-  // integer adds — bit-identical at any CGC_THREADS.
+  // Parallel phase: per-chunk pane deltas over deterministic chunk
+  // boundaries, folded in chunk index order. All integer adds —
+  // bit-identical at any CGC_THREADS. Windows below first_open closed
+  // in an earlier batch; an event's share for them is late.
   const TimeSec slide = config_.slide;
-  const TimeSec width = config_.width;
-  const std::size_t rate_bins = config_.rate_bins;
+  const std::int64_t span = span_;
+  const std::int64_t first_open =
+      any_open_ ? first_open_index_ : std::numeric_limits<std::int64_t>::min();
   BatchPartial batch = exec::parallel_reduce<BatchPartial>(
       0, events.size(), BatchPartial{},
       [&](std::size_t lo, std::size_t hi) {
@@ -349,73 +426,28 @@ void SlidingWindow::ingest(std::span<const trace::TaskEvent> events) {
         for (std::size_t i = lo; i < hi; ++i) {
           const trace::TaskEvent& event = events[i];
           const TimeSec t = std::max<TimeSec>(0, event.time);
-          const std::int64_t last = t / slide;
-          const std::int64_t span_windows = width / slide;
-          const std::int64_t first =
-              std::max<std::int64_t>(0, last - span_windows + 1);
-          for (std::int64_t w = first; w <= last; ++w) {
-            WindowDelta& delta = partial.windows[w];
-            delta.bank.add(event.priority, event.type);
-            if (event.type == trace::TaskEventType::kSubmit) {
-              if (delta.bins.empty()) {
-                delta.bins.assign(rate_bins, 0);
-              }
-              const TimeSec rel = t - w * slide;
-              const auto bin = static_cast<std::size_t>(std::min<std::int64_t>(
-                  static_cast<std::int64_t>(rate_bins) - 1,
-                  rel * static_cast<std::int64_t>(rate_bins) / width));
-              ++delta.bins[bin];
+          const std::int64_t p = t / slide;
+          if (p < first_open) {
+            // Late for every window covering p.
+            partial.late.add(event.priority, event.type,
+                             p - std::max<std::int64_t>(0, p - span + 1) + 1);
+            continue;
+          }
+          BatchPartial::PaneDelta& delta = partial.at(p);
+          delta.events.add(event.priority, event.type);
+          if (event.type == trace::TaskEventType::kSubmit) {
+            if (delta.rate_cells.empty()) {
+              delta.rate_cells.assign(cell_starts_.size(), 0);
             }
+            ++delta.rate_cells[cell_of(t - p * slide)];
           }
         }
         return partial;
       },
       [](BatchPartial& acc, BatchPartial&& partial) {
-        for (auto& [w, delta] : partial.windows) {
-          WindowDelta& into = acc.windows[w];
-          into.bank.merge(delta.bank);
-          if (!delta.bins.empty()) {
-            if (into.bins.empty()) {
-              into.bins = std::move(delta.bins);
-            } else {
-              for (std::size_t b = 0; b < into.bins.size(); ++b) {
-                into.bins[b] += delta.bins[b];
-              }
-            }
-          }
-        }
+        acc.merge(std::move(partial));
       });
-
-  // Apply per-window deltas. A window that closed in a *previous* batch
-  // makes its share of the delta late (per window-assignment — with
-  // overlapping windows one event can be late for its oldest window and
-  // on time for the rest).
-  for (auto& [w, delta] : batch.windows) {
-    if (any_open_ && w < first_open_index_) {
-      const auto n = static_cast<std::uint64_t>(delta.bank.total());
-      if (config_.late_policy == LatePolicy::kAbsorbOldest) {
-        health_.late_absorbed += n;
-        // Reassigned, not lost: counts land in the oldest open window
-        // (its rate bins are left alone — noise reflects on-time
-        // arrivals only).
-        open_window(first_open_index_).events.merge(delta.bank);
-      } else {
-        health_.late_dropped += n;
-        if (obs::metrics_enabled()) {
-          static obs::Counter& late = obs::counter("stream.late_dropped");
-          late.add(n);
-        }
-      }
-      continue;
-    }
-    WindowStats& ws = open_window(w);
-    ws.events.merge(delta.bank);
-    if (!delta.bins.empty()) {
-      for (std::size_t b = 0; b < ws.rate_bins.size(); ++b) {
-        ws.rate_bins[b] += delta.bins[b];
-      }
-    }
-  }
+  apply_batch(batch);
 
   // Sequential phase: the stateful task/job/host bookkeeping, in
   // arrival order. The watermark advances per event and windows close
@@ -429,7 +461,7 @@ void SlidingWindow::ingest(std::span<const trace::TaskEvent> events) {
       any_event_ = true;
       close_ready_windows();
     }
-    apply_sequential(event);
+    apply_sequential(event, t / slide);
   }
   if (obs::metrics_enabled()) {
     static obs::Gauge& open_windows = obs::gauge("stream.open_windows");
@@ -437,29 +469,66 @@ void SlidingWindow::ingest(std::span<const trace::TaskEvent> events) {
   }
 }
 
-void SlidingWindow::add_sample_to_windows(TimeSec t,
-                                          StreamingEcdf WindowStats::*sketch,
-                                          double value) {
-  const std::int64_t last = window_of(t);
-  for (std::int64_t w = first_window_of(t); w <= last; ++w) {
-    if (any_open_ && w < first_open_index_) {
-      continue;  // late for this window; the event counts already say so
+void SlidingWindow::apply_batch(BatchPartial& batch) {
+  // Windowing starts at the oldest window covering the first batch.
+  if (!any_open_ && !batch.panes.empty()) {
+    open_window(std::max<std::int64_t>(0, batch.first - span_ + 1));
+  }
+  // A pane is late for the covering windows that closed in an earlier
+  // batch (with overlapping windows one event can be late for its
+  // oldest window and on time for the rest): its count times theirs.
+  CounterBank late = std::move(batch.late);
+  for (std::size_t k = 0; k < batch.panes.size(); ++k) {
+    const std::int64_t p = batch.first + static_cast<std::int64_t>(k);
+    const std::int64_t missed =
+        first_open_index_ - std::max<std::int64_t>(0, p - span_ + 1);
+    for (std::int64_t m = 0; m < missed; ++m) {
+      late.merge(batch.panes[k].events);
     }
-    (open_window(w).*sketch).add(value);
+  }
+  if (late.total() != 0) {
+    const auto n = static_cast<std::uint64_t>(late.total());
+    if (config_.late_policy == LatePolicy::kAbsorbOldest) {
+      health_.late_absorbed += n;
+      // Reassigned, not lost: counts land in the oldest open window
+      // (its rate bins are left alone — noise reflects on-time
+      // arrivals only).
+      open_window(first_open_index_).stats.events.merge(late);
+    } else {
+      health_.late_dropped += n;
+      if (obs::metrics_enabled()) {
+        static obs::Counter& late_dropped = obs::counter("stream.late_dropped");
+        late_dropped.add(n);
+      }
+    }
+  }
+  for (std::size_t k = 0; k < batch.panes.size(); ++k) {
+    const BatchPartial::PaneDelta& delta = batch.panes[k];
+    Pane& pane =
+        open_window(batch.first + static_cast<std::int64_t>(k)).pane;
+    pane.events.merge(delta.events);
+    for (std::size_t c = 0; c < delta.rate_cells.size(); ++c) {
+      pane.rate_cells[c] += delta.rate_cells[c];
+    }
   }
 }
 
-void SlidingWindow::apply_sequential(const trace::TaskEvent& event) {
+void SlidingWindow::apply_sequential(const trace::TaskEvent& event,
+                                     std::int64_t last) {
   const TimeSec t = std::max<TimeSec>(0, event.time);
+  // The still-open windows covering t: first .. last, where `last` is
+  // the event's pane. Window `last` retires together with pane `last`,
+  // so the pane is live exactly when the range is non-empty; otherwise
+  // the event is late for every window and its counts already say so.
+  const std::int64_t oldest = std::max<std::int64_t>(0, last - span_ + 1);
+  const std::int64_t first =
+      any_open_ ? std::max(oldest, first_open_index_) : oldest;
+  const auto live_pane = [&]() -> Pane* {
+    return first <= last ? &open_window(last).pane : nullptr;
+  };
   if (config_.keep_events) {
-    const std::int64_t last = window_of(t);
-    for (std::int64_t w = first_window_of(t); w <= last; ++w) {
-      if (any_open_ && w < first_open_index_) {
-        continue;
-      }
-      open_window(w);  // ensures the deques cover w
-      open_events_[static_cast<std::size_t>(w - first_open_index_)].push_back(
-          event);
+    for (std::int64_t w = first; w <= last; ++w) {
+      open_window(w).events.push_back(event);
     }
   }
   switch (event.type) {
@@ -471,14 +540,11 @@ void SlidingWindow::apply_sequential(const trace::TaskEvent& event) {
         if (last_job_submit_ >= 0) {
           const auto gap = static_cast<double>(
               std::max<TimeSec>(0, t - last_job_submit_));
-          const std::int64_t last = window_of(t);
-          for (std::int64_t w = first_window_of(t); w <= last; ++w) {
-            if (any_open_ && w < first_open_index_) {
-              continue;
-            }
-            WindowStats& ws = open_window(w);
-            ws.submit_gap.add(gap);
-            ws.submit_gap_moments.add(gap);
+          if (Pane* pane = live_pane()) {
+            pane->submit_gap.add(gap);
+          }
+          for (std::int64_t w = first; w <= last; ++w) {
+            open_window(w).stats.submit_gap_moments.add(gap);
           }
         }
         last_job_submit_ = t;
@@ -501,10 +567,10 @@ void SlidingWindow::apply_sequential(const trace::TaskEvent& event) {
       const auto it = running_tasks_.find(task_key(event));
       if (it != running_tasks_.end()) {
         running_ = std::max<std::int64_t>(0, running_ - 1);
-        add_sample_to_windows(
-            t, &WindowStats::task_length,
-            static_cast<double>(
-                std::max<TimeSec>(0, t - it->second.schedule_time)));
+        if (Pane* pane = live_pane()) {
+          pane->task_length.add(static_cast<double>(
+              std::max<TimeSec>(0, t - it->second.schedule_time)));
+        }
         if (it->second.machine_id >= 0) {
           auto host = host_running_.find(it->second.machine_id);
           if (host != host_running_.end() && host->second > 0) {
@@ -522,14 +588,11 @@ void SlidingWindow::apply_sequential(const trace::TaskEvent& event) {
         if (--job->second.live == 0) {
           const auto length = static_cast<double>(
               std::max<TimeSec>(0, t - job->second.first_submit));
-          const std::int64_t last = window_of(t);
-          for (std::int64_t w = first_window_of(t); w <= last; ++w) {
-            if (any_open_ && w < first_open_index_) {
-              continue;
-            }
-            WindowStats& ws = open_window(w);
-            ws.job_length.add(length);
-            ws.job_length_probe.add(length);
+          if (Pane* pane = live_pane()) {
+            pane->job_length.add(length);
+          }
+          for (std::int64_t w = first; w <= last; ++w) {
+            open_window(w).stats.job_length_probe.add(length);
           }
         }
       }
@@ -540,7 +603,7 @@ void SlidingWindow::apply_sequential(const trace::TaskEvent& event) {
 
 void SlidingWindow::close_ready_windows() {
   const TimeSec wm = watermark();
-  while (any_open_ && !open_.empty() && open_.front().end <= wm) {
+  while (any_open_ && !open_.empty() && open_.front().stats.end <= wm) {
     close_oldest();
   }
 }
@@ -548,13 +611,35 @@ void SlidingWindow::close_ready_windows() {
 void SlidingWindow::close_oldest() {
   CGC_CHECK(!open_.empty());
   const std::uint64_t t0 = obs::metrics_enabled() ? obs::now_ns() : 0;
-  WindowStats ws = std::move(open_.front());
+  OpenWindow closing = std::move(open_.front());
   open_.pop_front();
   ++first_open_index_;
-  std::vector<trace::TaskEvent> events;
-  if (config_.keep_events) {
-    events = std::move(open_events_.front());
-    open_events_.pop_front();
+  WindowStats& ws = closing.stats;
+
+  // Add up the window's panes: its own (retired with it) and the next
+  // span − 1, as far as they exist. Exact integer adds throughout. The
+  // window's ECDFs are pane-fed only, so they start as its own pane's.
+  ws.job_length = std::move(closing.pane.job_length);
+  ws.task_length = std::move(closing.pane.task_length);
+  ws.submit_gap = std::move(closing.pane.submit_gap);
+  const std::size_t cells = cell_starts_.size();
+  for (std::int64_t j = 0; j < span_; ++j) {
+    if (j > static_cast<std::int64_t>(open_.size())) {
+      break;
+    }
+    const Pane& pane =
+        j == 0 ? closing.pane : open_[static_cast<std::size_t>(j - 1)].pane;
+    ws.events.merge(pane.events);
+    if (j > 0) {
+      ws.job_length.merge(pane.job_length);
+      ws.task_length.merge(pane.task_length);
+      ws.submit_gap.merge(pane.submit_gap);
+    }
+    const std::uint32_t* bins =
+        cell_bins_.data() + static_cast<std::size_t>(j) * cells;
+    for (std::size_t c = 0; c < cells; ++c) {
+      ws.rate_bins[bins[c]] += pane.rate_cells[c];
+    }
   }
 
   // Snapshot queue and host state. Gauges are as-of the close, i.e. the
@@ -577,7 +662,7 @@ void SlidingWindow::close_oldest() {
 
   ++windows_closed_;
   if (spill_) {
-    spill_(ws, events);
+    spill_(ws, closing.events);
   }
   closed_.push_back(std::move(ws));
   while (closed_.size() > config_.max_closed_retained) {
@@ -609,7 +694,7 @@ const WindowStats* SlidingWindow::find(std::int64_t index) const {
   }
   if (any_open_ && index >= first_open_index_ &&
       index < first_open_index_ + static_cast<std::int64_t>(open_.size())) {
-    return &open_[static_cast<std::size_t>(index - first_open_index_)];
+    return &open_[static_cast<std::size_t>(index - first_open_index_)].stats;
   }
   return nullptr;
 }
@@ -617,8 +702,8 @@ const WindowStats* SlidingWindow::find(std::int64_t index) const {
 std::vector<const WindowStats*> SlidingWindow::open() const {
   std::vector<const WindowStats*> out;
   out.reserve(open_.size());
-  for (const WindowStats& ws : open_) {
-    out.push_back(&ws);
+  for (const OpenWindow& ow : open_) {
+    out.push_back(&ow.stats);
   }
   return out;
 }

@@ -22,13 +22,25 @@
 // into the oldest open window under LatePolicy::kAbsorbOldest. Closed
 // windows are immutable, queryable, and optionally spilled.
 //
-// Determinism: the count-heavy per-window aggregation runs as a
-// cgc::exec::parallel_reduce over each ingest batch (per-chunk
-// CounterBank/rate-bin accumulators, merged in chunk order — the
-// sharded-counters + periodic-snapshot idiom), and the stateful task/
-// job/host bookkeeping runs sequentially per batch. Both are
-// independent of CGC_THREADS, so for a fixed batching the engine's
-// entire state — every sketch bit — is identical at any worker count.
+// Panes ("No pane, no gain", Li et al. 2005): time is cut into
+// slide-wide panes, and window i is the union of panes i .. i+span−1
+// (span = width/slide). An event updates only its own pane — the
+// CounterBank, the SUBMIT counts per rate cell, and the job-length,
+// task-length and submission-gap ECDFs — and a closing window adds up
+// its span panes. Every one of those merges is an exact integer add,
+// so a closed window is bit-identical to feeding each window directly.
+// The order-dependent accumulators (submission-gap Moments, the
+// job-length ExtendedP2 probe), late counts absorbed into a window, and
+// the keep_events lists stay per window. Consequence for observers: the
+// pane-fed fields of a still-open window (open(), find()) are empty
+// until it closes; everything a closed window reports is complete.
+//
+// Determinism: the count part of a batch runs as a
+// cgc::exec::parallel_reduce (per-chunk dense pane deltas, folded in
+// chunk order), and the stateful task/job/host bookkeeping runs
+// sequentially per batch. Both are independent of CGC_THREADS, so for
+// a fixed batching the engine's entire state — every sketch bit — is
+// identical at any worker count.
 #pragma once
 
 #include <cstdint>
@@ -162,8 +174,11 @@ class SlidingWindow {
   /// Most recently closed window; nullptr before the first close.
   const WindowStats* latest() const;
   /// Window (closed or open) by index; nullptr when unknown/evicted.
+  /// An open window's pane-fed fields (events, rate_bins, job_length,
+  /// task_length, submit_gap) are filled in when it closes.
   const WindowStats* find(std::int64_t index) const;
-  /// Open windows, oldest first (observable mid-stream state).
+  /// Open windows, oldest first (observable mid-stream state; pane-fed
+  /// fields empty until close, as for find()).
   std::vector<const WindowStats*> open() const;
 
   const StreamHealth& health() const { return health_; }
@@ -185,24 +200,49 @@ class SlidingWindow {
     TimeSec schedule_time = 0;
     std::int64_t machine_id = -1;
   };
-  /// Per-window deltas accumulated by the parallel phase.
-  struct WindowDelta;
+  /// One slide-wide slice of event time, [i·slide, (i+1)·slide): the
+  /// state every window covering it adds up at close.
+  struct Pane {
+    Pane(const WindowConfig& config, std::size_t cells);
+    CounterBank events;
+    /// SUBMITs per rate cell (cells are cut at every rate-bin boundary
+    /// of every window covering the pane; see cell_starts_).
+    std::vector<std::int64_t> rate_cells;
+    StreamingEcdf job_length;
+    StreamingEcdf task_length;
+    StreamingEcdf submit_gap;
+  };
+  /// Open window i together with pane i, its first pane: window i is
+  /// the last window covering pane i, so the two retire together.
+  struct OpenWindow {
+    WindowStats stats;
+    Pane pane;
+    std::vector<trace::TaskEvent> events;  ///< keep_events only
+  };
+  /// Count-only deltas of one parallel chunk (or the merged batch).
   struct BatchPartial;
 
-  std::int64_t window_of(TimeSec t) const { return t / config_.slide; }
-  /// First (oldest) window index containing t.
-  std::int64_t first_window_of(TimeSec t) const;
-  WindowStats& open_window(std::int64_t index);
+  /// Rate cell of a time `offset` seconds into its pane.
+  std::size_t cell_of(TimeSec offset) const;
+  OpenWindow& open_window(std::int64_t index);
+  void apply_batch(BatchPartial& batch);
   void close_ready_windows();
   void close_oldest();
-  void apply_sequential(const trace::TaskEvent& event);
-  void add_sample_to_windows(TimeSec t,
-                             StreamingEcdf WindowStats::*sketch,
-                             double value);
+  /// Feeds one event to the stream state machine. `last` is the event's
+  /// pane, which is also the newest window covering it.
+  void apply_sequential(const trace::TaskEvent& event, std::int64_t last);
 
   WindowConfig config_;
-  std::deque<WindowStats> open_;
-  std::deque<std::vector<trace::TaskEvent>> open_events_;
+  std::int64_t span_ = 1;  ///< panes per window, width / slide
+  /// Start offsets of the rate cells within a pane, ascending from 0.
+  std::vector<TimeSec> cell_starts_;
+  /// Cell where rate bin b starts, in the window that begins with the
+  /// pane (only bins that start inside the first pane).
+  std::vector<std::size_t> first_cell_of_bin_;
+  /// Rate bin of cell c in the window whose j-th pane holds it:
+  /// cell_bins_[j · cells + c].
+  std::vector<std::uint32_t> cell_bins_;
+  std::deque<OpenWindow> open_;
   std::int64_t first_open_index_ = 0;
   bool any_open_ = false;
   std::deque<WindowStats> closed_;

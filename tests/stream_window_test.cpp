@@ -1,11 +1,18 @@
 // SlidingWindow engine tests: window semantics (tumbling, overlapping,
 // watermark, late policy), streaming-vs-batch agreement on a generated
 // workload within the sketch error bound, bit-identical state across
-// CGC_THREADS, and deterministic degradation under fault injection.
+// CGC_THREADS, deterministic degradation under fault injection, and the
+// pane engine against a per-window reference implementation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
+#include <map>
+#include <random>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "exec/parallel.hpp"
@@ -47,6 +54,299 @@ std::string closed_state(const SlidingWindow& engine) {
     ws.append_state(&bytes);
   }
   return bytes;
+}
+
+/// Per-window reference engine: every event updates every window that
+/// covers it, one window at a time. Same semantics as SlidingWindow —
+/// watermark, late policy per window assignment, counts applied at batch
+/// start, samples in arrival order — with none of the pane machinery, so
+/// the two must agree byte for byte on every closed window. Serial, no
+/// fault filter, no metrics, no retained-window ring.
+class PerWindowReference {
+ public:
+  explicit PerWindowReference(WindowConfig config) : config_(config) {
+    if (config_.slide == 0) {
+      config_.slide = config_.width;
+    }
+  }
+
+  void ingest(std::span<const TaskEvent> events) {
+    if (events.empty()) {
+      close_ready();
+      return;
+    }
+    struct Delta {
+      stream::CounterBank bank;
+      std::vector<std::int64_t> bins;
+    };
+    std::map<std::int64_t, Delta> deltas;
+    const auto bins = static_cast<std::int64_t>(config_.rate_bins);
+    for (const TaskEvent& event : events) {
+      const util::TimeSec t = std::max<util::TimeSec>(0, event.time);
+      for (std::int64_t w = first_window_of(t); w <= window_of(t); ++w) {
+        Delta& delta = deltas[w];
+        delta.bank.add(event.priority, event.type);
+        if (event.type == TaskEventType::kSubmit) {
+          delta.bins.resize(config_.rate_bins, 0);
+          ++delta.bins[static_cast<std::size_t>(std::min<std::int64_t>(
+              bins - 1, (t - w * config_.slide) * bins / config_.width))];
+        }
+      }
+    }
+    for (auto& [w, delta] : deltas) {
+      if (any_open_ && w < first_open_) {
+        if (config_.late_policy == LatePolicy::kAbsorbOldest) {
+          late_absorbed += static_cast<std::uint64_t>(delta.bank.total());
+          open_window(first_open_).stats.events.merge(delta.bank);
+        } else {
+          late_dropped += static_cast<std::uint64_t>(delta.bank.total());
+        }
+        continue;
+      }
+      WindowStats& ws = open_window(w).stats;
+      ws.events.merge(delta.bank);
+      for (std::size_t b = 0; b < delta.bins.size(); ++b) {
+        ws.rate_bins[b] += delta.bins[b];
+      }
+    }
+    for (const TaskEvent& event : events) {
+      const util::TimeSec t = std::max<util::TimeSec>(0, event.time);
+      if (!any_event_ || t > max_time_) {
+        max_time_ = t;
+        any_event_ = true;
+        close_ready();
+      }
+      apply(event, t);
+    }
+  }
+
+  void flush() {
+    while (!open_.empty()) {
+      close_oldest();
+    }
+  }
+
+  std::vector<std::string> closed_states;
+  std::vector<std::vector<TaskEvent>> closed_events;
+  std::uint64_t late_dropped = 0;
+  std::uint64_t late_absorbed = 0;
+
+ private:
+  struct Open {
+    WindowStats stats;
+    std::vector<TaskEvent> events;
+  };
+
+  std::int64_t window_of(util::TimeSec t) const { return t / config_.slide; }
+  std::int64_t first_window_of(util::TimeSec t) const {
+    return std::max<std::int64_t>(
+        0, window_of(t) - config_.width / config_.slide + 1);
+  }
+
+  Open& open_window(std::int64_t index) {
+    if (!any_open_) {
+      any_open_ = true;
+      first_open_ = index;
+    }
+    while (first_open_ + static_cast<std::int64_t>(open_.size()) <= index) {
+      const std::int64_t i = first_open_ + static_cast<std::int64_t>(open_.size());
+      Open window{WindowStats(config_), {}};
+      window.stats.index = i;
+      window.stats.start = i * config_.slide;
+      window.stats.end = window.stats.start + config_.width;
+      open_.push_back(std::move(window));
+    }
+    return open_[static_cast<std::size_t>(index - first_open_)];
+  }
+
+  /// Calls fn(window) for every still-open window covering t.
+  template <typename Fn>
+  void for_open_windows(util::TimeSec t, Fn&& fn) {
+    for (std::int64_t w = first_window_of(t); w <= window_of(t); ++w) {
+      if (!any_open_ || w >= first_open_) {
+        fn(open_window(w));
+      }
+    }
+  }
+
+  void apply(const TaskEvent& event, util::TimeSec t) {
+    if (config_.keep_events) {
+      for_open_windows(t, [&](Open& w) { w.events.push_back(event); });
+    }
+    const std::uint64_t task =
+        (static_cast<std::uint64_t>(event.job_id) << 32) ^
+        static_cast<std::uint32_t>(event.task_index);
+    switch (event.type) {
+      case TaskEventType::kSubmit: {
+        ++pending_;
+        auto [it, inserted] = jobs_.try_emplace(event.job_id);
+        if (inserted) {
+          it->second.first = t;
+          if (last_submit_ >= 0) {
+            const auto gap = static_cast<double>(
+                std::max<util::TimeSec>(0, t - last_submit_));
+            for_open_windows(t, [&](Open& w) {
+              w.stats.submit_gap.add(gap);
+              w.stats.submit_gap_moments.add(gap);
+            });
+          }
+          last_submit_ = t;
+        }
+        ++it->second.live;
+        break;
+      }
+      case TaskEventType::kSchedule:
+        pending_ = std::max<std::int64_t>(0, pending_ - 1);
+        ++running_;
+        running_tasks_[task] = {t, event.machine_id};
+        if (event.machine_id >= 0) {
+          ++hosts_[event.machine_id];
+        }
+        break;
+      case TaskEventType::kUpdate:
+        break;
+      default: {
+        const auto it = running_tasks_.find(task);
+        if (it != running_tasks_.end()) {
+          running_ = std::max<std::int64_t>(0, running_ - 1);
+          const auto run = static_cast<double>(
+              std::max<util::TimeSec>(0, t - it->second.first));
+          for_open_windows(t, [&](Open& w) { w.stats.task_length.add(run); });
+          if (it->second.second >= 0) {
+            auto host = hosts_.find(it->second.second);
+            if (host != hosts_.end() && host->second > 0) {
+              --host->second;
+            }
+          }
+          running_tasks_.erase(it);
+        } else {
+          pending_ = std::max<std::int64_t>(0, pending_ - 1);
+        }
+        auto job = jobs_.find(event.job_id);
+        if (job != jobs_.end() && job->second.live > 0 &&
+            --job->second.live == 0) {
+          const auto length = static_cast<double>(
+              std::max<util::TimeSec>(0, t - job->second.first));
+          for_open_windows(t, [&](Open& w) {
+            w.stats.job_length.add(length);
+            w.stats.job_length_probe.add(length);
+          });
+        }
+        break;
+      }
+    }
+  }
+
+  void close_ready() {
+    const util::TimeSec wm = max_time_ - config_.watermark_lag;
+    while (any_event_ && !open_.empty() && open_.front().stats.end <= wm) {
+      close_oldest();
+    }
+  }
+
+  void close_oldest() {
+    Open window = std::move(open_.front());
+    open_.pop_front();
+    ++first_open_;
+    WindowStats& ws = window.stats;
+    ws.pending_at_close = pending_;
+    ws.running_at_close = running_;
+    for (auto it = hosts_.begin(); it != hosts_.end();) {
+      if (it->second > 0) {
+        ++ws.hosts_seen;
+        ws.host_load.add_n(static_cast<double>(it->second), 1);
+        ++it;
+      } else {
+        it = hosts_.erase(it);
+      }
+    }
+    ws.closed = true;
+    closed_states.emplace_back();
+    ws.append_state(&closed_states.back());
+    closed_events.push_back(std::move(window.events));
+  }
+
+  struct Job {
+    util::TimeSec first = 0;
+    std::int64_t live = 0;
+  };
+
+  WindowConfig config_;
+  std::deque<Open> open_;
+  std::int64_t first_open_ = 0;
+  bool any_open_ = false;
+  util::TimeSec max_time_ = 0;
+  bool any_event_ = false;
+  std::unordered_map<std::int64_t, Job> jobs_;
+  std::unordered_map<std::uint64_t, std::pair<util::TimeSec, std::int64_t>>
+      running_tasks_;
+  std::unordered_map<std::int64_t, std::int64_t> hosts_;
+  std::int64_t pending_ = 0;
+  std::int64_t running_ = 0;
+  util::TimeSec last_submit_ = -1;
+};
+
+/// What a run leaves behind: every closed window's canonical state and
+/// raw events (in close order, through the spill hook) plus late counts.
+struct RunRecord {
+  std::vector<std::string> states;
+  std::vector<std::vector<TaskEvent>> events;
+  std::uint64_t late_dropped = 0;
+  std::uint64_t late_absorbed = 0;
+};
+
+RunRecord run_engine(const WindowConfig& config,
+                     std::span<const TaskEvent> events, std::size_t batch) {
+  SlidingWindow engine(config);
+  RunRecord record;
+  engine.set_spill([&record](const WindowStats& ws,
+                             std::span<const TaskEvent> kept) {
+    record.states.emplace_back();
+    ws.append_state(&record.states.back());
+    record.events.emplace_back(kept.begin(), kept.end());
+  });
+  for (std::size_t i = 0; i < events.size(); i += batch) {
+    engine.ingest(events.subspan(i, std::min(batch, events.size() - i)));
+  }
+  engine.flush();
+  record.late_dropped = engine.health().late_dropped;
+  record.late_absorbed = engine.health().late_absorbed;
+  return record;
+}
+
+RunRecord run_reference(const WindowConfig& config,
+                        std::span<const TaskEvent> events, std::size_t batch) {
+  PerWindowReference reference(config);
+  for (std::size_t i = 0; i < events.size(); i += batch) {
+    reference.ingest(events.subspan(i, std::min(batch, events.size() - i)));
+  }
+  reference.flush();
+  return RunRecord{std::move(reference.closed_states),
+                   std::move(reference.closed_events),
+                   reference.late_dropped, reference.late_absorbed};
+}
+
+bool same_events(const std::vector<TaskEvent>& a,
+                 const std::vector<TaskEvent>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const TaskEvent& x, const TaskEvent& y) {
+                      return x.time == y.time && x.type == y.type &&
+                             x.job_id == y.job_id &&
+                             x.task_index == y.task_index;
+                    });
+}
+
+void expect_same_run(const RunRecord& engine, const RunRecord& reference,
+                     const std::string& label) {
+  EXPECT_EQ(engine.late_dropped, reference.late_dropped) << label;
+  EXPECT_EQ(engine.late_absorbed, reference.late_absorbed) << label;
+  ASSERT_EQ(engine.states.size(), reference.states.size()) << label;
+  for (std::size_t i = 0; i < engine.states.size(); ++i) {
+    ASSERT_EQ(engine.states[i], reference.states[i])
+        << label << ": closed window #" << i << " differs";
+    ASSERT_TRUE(same_events(engine.events[i], reference.events[i]))
+        << label << ": closed window #" << i << " kept other events";
+  }
 }
 
 TEST(SlidingWindowTest, TumblingWindowLifecycleAndMetrics) {
@@ -327,6 +627,107 @@ TEST(SlidingWindowTest, SpillHookSeesEveryClosedWindowInOrder) {
   engine.flush();
   EXPECT_EQ(spilled, (std::vector<std::int64_t>{0, 1, 2, 3}));
   EXPECT_EQ(spilled_events, 3u);
+}
+
+/// The pane engine against the per-window reference: every closed
+/// window's canonical state byte-equal, across window shapes, late
+/// policies, batch sizes and worker counts, and on a hand-built stream
+/// with an event late for its oldest window only.
+TEST(SlidingWindowTest, PanesMatchPerWindowOracle) {
+  gen::GoogleModelConfig model_config;
+  model_config.task_sampling_rate = 0.05;
+  const trace::TraceSet workload =
+      gen::GoogleWorkloadModel(model_config)
+          .generate_workload(util::kSecondsPerDay);
+  const std::vector<TaskEvent> ordered = stream::synthesize_events(workload);
+  ASSERT_FALSE(ordered.empty());
+  // Disordered copy: one event in 20 arrives up to two hours behind its
+  // neighbours, far past the watermark lag, so it is late for some or
+  // all of the windows covering it.
+  std::vector<TaskEvent> disordered = ordered;
+  std::mt19937_64 rng(7);
+  for (TaskEvent& event : disordered) {
+    if (rng() % 20 == 0) {
+      event.time = std::max<util::TimeSec>(
+          0, event.time - static_cast<util::TimeSec>(
+                              rng() % (2 * util::kSecondsPerHour)));
+    }
+  }
+
+  struct Case {
+    std::string name;
+    util::TimeSec width;
+    util::TimeSec slide;
+    std::size_t rate_bins;
+    LatePolicy late;
+    bool disorder;
+  };
+  const util::TimeSec hour = util::kSecondsPerHour;
+  const util::TimeSec five_min = 5 * util::kSecondsPerMinute;
+  const std::vector<Case> cases = {
+      {"tumbling 1h", hour, 0, 60, LatePolicy::kDrop, false},
+      {"1h/5min", hour, five_min, 60, LatePolicy::kDrop, false},
+      {"1h/10min, 7 bins", hour, 2 * five_min, 7, LatePolicy::kDrop, false},
+      {"24h/5min", util::kSecondsPerDay, five_min, 60, LatePolicy::kDrop,
+       false},
+      {"1h/5min disordered, drop", hour, five_min, 60, LatePolicy::kDrop,
+       true},
+      {"1h/5min disordered, absorb", hour, five_min, 60,
+       LatePolicy::kAbsorbOldest, true},
+  };
+  util::ThreadPool one(1);
+  util::ThreadPool eight(8);
+  for (const Case& c : cases) {
+    WindowConfig config;
+    config.width = c.width;
+    config.slide = c.slide;
+    config.rate_bins = c.rate_bins;
+    config.late_policy = c.late;
+    config.keep_events = c.disorder;
+    const std::span<const TaskEvent> events =
+        c.disorder ? disordered : ordered;
+    for (const std::size_t batch : {std::size_t{777}, std::size_t{4096}}) {
+      const RunRecord reference = run_reference(config, events, batch);
+      ASSERT_GT(reference.states.size(), 1u);
+      if (c.disorder) {
+        EXPECT_GT(reference.late_dropped + reference.late_absorbed, 0u);
+      }
+      for (util::ThreadPool* pool : {&one, &eight}) {
+        exec::ScopedPool scoped(pool);
+        expect_same_run(run_engine(config, events, batch), reference,
+                        c.name + ", batch " + std::to_string(batch) + ", " +
+                            std::to_string(pool->size()) + " worker(s)");
+      }
+    }
+  }
+
+  // Hand-built: with 100 s windows sliding by 50 s and no lag, the
+  // events at t=60 and t=65 in the second batch are late for window 0
+  // (closed by t=120) but on time for window 1.
+  const std::vector<TaskEvent> hand = {
+      make_event(10, TaskEventType::kSubmit, 1, 0, 3),
+      make_event(20, TaskEventType::kSchedule, 1, 0, 3, 7),
+      make_event(120, TaskEventType::kSubmit, 2, 0, 9),
+      make_event(60, TaskEventType::kFinish, 1, 0, 3, 7),
+      make_event(65, TaskEventType::kSubmit, 3, 0, 5),
+      make_event(130, TaskEventType::kSchedule, 2, 0, 9, 8),
+      make_event(260, TaskEventType::kFinish, 2, 0, 9, 8),
+  };
+  for (const LatePolicy policy :
+       {LatePolicy::kDrop, LatePolicy::kAbsorbOldest}) {
+    WindowConfig config;
+    config.width = 100;
+    config.slide = 50;
+    config.watermark_lag = 0;
+    config.rate_bins = 8;
+    config.late_policy = policy;
+    config.keep_events = true;
+    const RunRecord reference = run_reference(config, hand, 3);
+    EXPECT_EQ(reference.late_dropped + reference.late_absorbed, 2u);
+    expect_same_run(run_engine(config, hand, 3), reference,
+                    policy == LatePolicy::kDrop ? "hand-built, drop"
+                                                : "hand-built, absorb");
+  }
 }
 
 }  // namespace
