@@ -3,14 +3,14 @@
 // Replays the standard month-long Google workload trace's event stream
 // through a SlidingWindow at the daemon-default batch size, in two
 // window shapes — 1 h tumbling, and 1 h sliding by the trace's 5-minute
-// sample period (12 panes per window) — at 1, 4, and
-// hardware-concurrency worker threads, measuring:
+// sample period (12 panes per window) — measuring:
 //   * ingest throughput (events/sec)
 //   * per-window close latency (the stream.window_close_ns histogram)
 //   * peak RSS per run (VmHWM, reset via /proc/self/clear_refs)
 //
-// The acceptance bar for the streaming subsystem is >= 1M events/sec
-// at 4 threads, in both shapes. Results are written as BENCH_stream.json
+// Ingest is serial (the engine never touches the thread pool), so each
+// shape runs once. The acceptance bar for the streaming subsystem is
+// >= 1M events/sec in both shapes. Results are written as BENCH_stream.json
 // (argv[1], default $CGC_BENCH_OUT/BENCH_stream.json) with the host's
 // core count and RAM, so the perf trajectory is tracked in-repo.
 #include <chrono>
@@ -21,12 +21,10 @@
 #include <vector>
 
 #include "common.hpp"
-#include "exec/parallel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "stream/replay.hpp"
 #include "stream/window.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -67,7 +65,6 @@ double proc_mb(const char* path, const std::string& row) {
 double peak_rss_mb() { return proc_mb("/proc/self/status", "VmHWM:"); }
 
 struct RunResult {
-  std::size_t threads = 0;
   util::TimeSec slide_s = 0;
   double wall_s = 0;
   double events_per_sec = 0;
@@ -79,14 +76,11 @@ struct RunResult {
 };
 
 RunResult run_ingest(std::span<const trace::TaskEvent> events,
-                     std::size_t threads, util::TimeSec slide) {
+                     util::TimeSec slide) {
   RunResult result;
-  result.threads = threads;
   result.rss_isolated = reset_peak_rss();
   obs::reset_metrics();
 
-  util::ThreadPool pool(threads);
-  exec::ScopedPool scoped(&pool);
   stream::WindowConfig config;
   config.width = util::kSecondsPerHour;
   config.slide = slide;
@@ -132,41 +126,27 @@ int main(int argc, char** argv) {
   // the measurement noise floor at these batch sizes.
   obs::configure(true, false);
 
-  std::vector<std::size_t> thread_counts = {1, 4};
-  const std::size_t hw = std::max<std::size_t>(
-      1, std::thread::hardware_concurrency());
-  if (hw != 1 && hw != 4) {
-    thread_counts.push_back(hw);
-  }
-
   // slide 0 is tumbling (slide = width).
   std::vector<RunResult> runs;
   for (const util::TimeSec slide : {util::TimeSec{0}, kSlidingSlide}) {
-    for (const std::size_t threads : thread_counts) {
-      RunResult r = run_ingest(events, threads, slide);
-      std::printf("  slide %4lld s, %zu thread(s): %.0f events/s, %llu "
-                  "windows, close mean %.0f ns (p99 <= %llu ns), peak RSS "
-                  "%.0f MB%s\n",
-                  static_cast<long long>(r.slide_s), r.threads,
-                  r.events_per_sec,
-                  static_cast<unsigned long long>(r.windows_closed),
-                  r.close_ns_mean,
-                  static_cast<unsigned long long>(r.close_ns_p99),
-                  r.peak_rss_mb, r.rss_isolated ? "" : " (cumulative)");
-      runs.push_back(r);
-    }
+    RunResult r = run_ingest(events, slide);
+    std::printf("  slide %4lld s: %.0f events/s, %llu windows, close mean "
+                "%.0f ns (p99 <= %llu ns), peak RSS %.0f MB%s\n",
+                static_cast<long long>(r.slide_s), r.events_per_sec,
+                static_cast<unsigned long long>(r.windows_closed),
+                r.close_ns_mean,
+                static_cast<unsigned long long>(r.close_ns_p99),
+                r.peak_rss_mb, r.rss_isolated ? "" : " (cumulative)");
+    runs.push_back(r);
   }
 
   bool pass = true;
   for (const RunResult& r : runs) {
-    if (r.threads != 4) {
-      continue;
-    }
     pass = pass && r.events_per_sec >= kTargetEventsPerSec;
     const std::string label =
         r.slide_s == util::kSecondsPerHour
-            ? "tumbling ingest Mevents/s @4 threads (target >= 1)"
-            : "sliding ingest Mevents/s @4 threads (target >= 1)";
+            ? "tumbling ingest Mevents/s (target >= 1)"
+            : "sliding ingest Mevents/s (target >= 1)";
     bench::print_comparison(label, kTargetEventsPerSec / 1e6,
                             r.events_per_sec / 1e6, 2);
   }
@@ -175,7 +155,8 @@ int main(int argc, char** argv) {
       argc > 1 ? argv[1] : bench::out_dir() + "/BENCH_stream.json";
   std::ofstream out(json_path);
   out << "{\n  \"bench\": \"perf_stream\",\n";
-  out << "  \"hardware_concurrency\": " << hw << ",\n";
+  out << "  \"hardware_concurrency\": "
+      << std::max(1u, std::thread::hardware_concurrency()) << ",\n";
   out << "  \"ram_gb\": " << proc_mb("/proc/meminfo", "MemTotal:") / 1024.0
       << ",\n";
   out << "  \"trace_days\": " << trace_days << ",\n";
@@ -188,7 +169,6 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const RunResult& r = runs[i];
     out << "    {\"slide_s\": " << r.slide_s
-        << ", \"threads\": " << r.threads
         << ", \"wall_s\": " << r.wall_s
         << ", \"events_per_sec\": " << r.events_per_sec
         << ", \"windows_closed\": " << r.windows_closed

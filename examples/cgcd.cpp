@@ -11,7 +11,8 @@
 // Flags are declared through util::Args (--help for the full list);
 // --name value and --name=value are both accepted.
 //
-// Environment: CGC_THREADS (ingest parallelism), CGC_METRICS /
+// Environment: CGC_THREADS (parallel trace load and event sort; ingest
+// itself is serial and thread-count-independent), CGC_METRICS /
 // CGC_TRACE (observability export), CGC_FAULT_SPEC (deterministic
 // fault injection; sites stream.drop / stream.dup).
 //

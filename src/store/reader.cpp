@@ -59,7 +59,7 @@ StoreReader::StoreReader(const std::string& path, ReadMode mode)
   }
   parse_footer();
   std::vector<std::atomic<bool>> flags(chunks_.size());
-  crc_checked_ = std::move(flags);
+  payload_checked_ = std::move(flags);
   std::vector<std::atomic<bool>> bad(chunks_.size());
   chunk_bad_ = std::move(bad);
   validate_chunks();
@@ -213,11 +213,12 @@ std::size_t StoreReader::chunk_index(const ChunkMeta& chunk) const {
 }
 
 std::string StoreReader::verify_payload(const ChunkMeta& chunk) const {
-  // Verify the CRC once per directory chunk; copies of ChunkMeta passed
-  // from outside the directory are verified every time. Races on the
-  // memo flags are benign — both sides compute the same answer.
+  // Verify the payload once per directory chunk; copies of ChunkMeta
+  // passed from outside the directory are verified every time. Races on
+  // the memo flags are benign — both sides compute the same answer.
   const std::size_t idx = chunk_index(chunk);
-  if (idx != kNoIndex && crc_checked_[idx].load(std::memory_order_relaxed)) {
+  if (idx != kNoIndex &&
+      payload_checked_[idx].load(std::memory_order_relaxed)) {
     return {};
   }
   if (fault::armed() && fault::inject("store.chunk_crc", chunk.offset)) {
@@ -238,11 +239,23 @@ std::string StoreReader::verify_payload(const ChunkMeta& chunk) const {
     return "chunk CRC mismatch in section " +
            std::string(section_name(chunk.section));
   }
+  // A task event type decodes straight into trace::TaskEventType, which
+  // indexes fixed per-type tables downstream: a byte past the enum is
+  // damage, the same as a CRC failure.
+  if ((chunk.column == ColumnId::kEventType ||
+       chunk.column == ColumnId::kEndEvent) &&
+      chunk.encoding == Encoding::kRawU8 &&
+      std::any_of(span.begin(), span.end(), [](std::uint8_t type) {
+        return type >= trace::kNumTaskEventTypes;
+      })) {
+    return "task event type out of range in section " +
+           std::string(section_name(chunk.section));
+  }
   if (idx != kNoIndex) {
     // exchange() makes the first-transition test exact, so the verified
     // count is one per chunk even when racing accessors double-check.
-    const bool already = crc_checked_[idx].exchange(true,
-                                                    std::memory_order_relaxed);
+    const bool already =
+        payload_checked_[idx].exchange(true, std::memory_order_relaxed);
     if (!already && obs::metrics_enabled()) {
       static obs::Counter& verified = obs::counter("store.chunks_verified");
       verified.add(1);

@@ -181,9 +181,9 @@ class StoreReader {
   std::vector<EventRowGroup> event_row_groups() const;
   /// Directory index of `chunk`, or npos for a copy from outside.
   std::size_t chunk_index(const ChunkMeta& chunk) const;
-  /// "" when the chunk's payload verifies (fault injection + CRC),
-  /// else the reason it does not. Memoizes success for directory
-  /// chunks.
+  /// "" when the chunk's payload verifies (fault injection, CRC, and
+  /// the range of event-type columns), else the reason it does not.
+  /// Memoizes success for directory chunks.
   std::string verify_payload(const ChunkMeta& chunk) const;
   void quarantine(const ChunkMeta& chunk, const std::string& reason) const;
 
@@ -200,10 +200,11 @@ class StoreReader {
   };
   std::vector<SeriesMeta> series_;
   std::vector<ChunkMeta> chunks_;
-  /// One flag per chunk: CRC verified. First access verifies; races are
-  /// benign (both sides compute the same answer).
-  mutable std::vector<std::atomic<bool>> crc_checked_;
-  /// One flag per chunk: known damaged (bounds at open, CRC on access).
+  /// One flag per chunk: payload verified. First access verifies;
+  /// races are benign (both sides compute the same answer).
+  mutable std::vector<std::atomic<bool>> payload_checked_;
+  /// One flag per chunk: known damaged (bounds at open, payload check
+  /// on access).
   mutable std::vector<std::atomic<bool>> chunk_bad_;
   mutable util::Mutex damage_mutex_;
   mutable DamageReport damage_ CGC_GUARDED_BY(damage_mutex_);

@@ -216,25 +216,6 @@ void Moments::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void Moments::merge(const Moments& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto na = static_cast<double>(count_);
-  const auto nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * (nb / n);
-  m2_ += other.m2_ + delta * delta * (na * nb / n);
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  count_ += other.count_;
-}
-
 double Moments::variance() const {
   return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_);
 }
@@ -435,47 +416,6 @@ void ExtendedP2::add(double x) {
       positions_[i] = np;
     }
   }
-}
-
-void ExtendedP2::merge(const ExtendedP2& other) {
-  CGC_CHECK_MSG(probes_.size() == other.probes_.size() &&
-                    std::equal(probes_.begin(), probes_.end(),
-                               other.probes_.begin()),
-                "cannot merge ExtendedP2 with different probe sets");
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const std::size_t m = heights_.size();
-  if (count_ < m || other.count_ < m) {
-    // At least one side is still in exact warm-up: replay the smaller
-    // side's exact samples (or markers) into the larger.
-    ExtendedP2 base = count_ >= other.count_ ? *this : other;
-    const ExtendedP2& tail = count_ >= other.count_ ? other : *this;
-    const std::size_t n =
-        std::min<std::size_t>(tail.count_, tail.heights_.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      base.add(tail.heights_[i]);
-    }
-    *this = std::move(base);
-    return;
-  }
-  // Both sides are estimating: count-weighted average of marker heights
-  // (markers track the same desired quantiles on both sides), summed
-  // positions. Deterministic for a fixed merge order.
-  const auto wa = static_cast<double>(count_);
-  const auto wb = static_cast<double>(other.count_);
-  for (std::size_t i = 0; i < m; ++i) {
-    heights_[i] = (heights_[i] * wa + other.heights_[i] * wb) / (wa + wb);
-    positions_[i] += other.positions_[i];
-  }
-  heights_[0] = std::min(heights_[0], other.heights_[0]);
-  heights_[m - 1] = std::max(heights_[m - 1], other.heights_[m - 1]);
-  std::sort(heights_.begin(), heights_.end());
-  count_ += other.count_;
 }
 
 double ExtendedP2::estimate(std::size_t probe_index) const {

@@ -1,4 +1,4 @@
-// cgc::stream — streaming (one-pass, mergeable) variants of the stats
+// cgc::stream — streaming (one-pass) variants of the stats
 // kernels the batch analyzers use.
 //
 // The batch pipeline computes the paper's distributions from complete
@@ -8,22 +8,20 @@
 //
 //   1. add(x) is O(1) and allocation-free on the hot path (amortized:
 //      the ECDF's bucket array grows to the data's dynamic range once).
-//   2. merge(other) combines two summaries built over disjoint shards
-//      of a stream into the summary of the union. For the count-based
-//      kernels (StreamingEcdf, CounterBank) merge is exact and
-//      order-invariant: integer bucket adds commute and associate, so
-//      any merge tree over any shard permutation yields bit-identical
-//      state. For the floating-point kernels (Moments via Chan's
-//      formula, ExtendedP2 via count-weighted marker interpolation)
-//      merge is deterministic only for a fixed merge order — the
-//      SlidingWindow engine always merges shards in ascending shard
-//      index (cgc::exec::parallel_reduce's contract), which is how the
-//      daemon stays bit-identical across CGC_THREADS.
+//   2. The count-based kernels (StreamingEcdf, CounterBank) merge:
+//      merge(other) combines two summaries built over disjoint slices
+//      of a stream into the summary of the union, exactly and
+//      order-invariantly — integer bucket adds commute and associate,
+//      so any merge tree over any slice permutation yields bit-identical
+//      state. SlidingWindow adds up pane summaries this way. The
+//      floating-point kernels (Moments, ExtendedP2) have no merge: their
+//      state depends on sample order, so the engine feeds each window's
+//      copy directly, in arrival order.
 //   3. Accuracy is bounded and documented: StreamingEcdf quantiles are
 //      within relative error α of the exact sample quantile (log-γ
 //      buckets, DDSketch-style, stats/bucketing.hpp); ExtendedP2 is a
 //      constant-space heuristic (the extended_p_square idiom) with no
-//      hard bound — it is the cheap per-shard probe, not the metric of
+//      hard bound — it is the cheap per-window probe, not the metric of
 //      record.
 #pragma once
 
@@ -101,15 +99,13 @@ class StreamingEcdf {
 };
 
 // ---------------------------------------------------------------------------
-// Moments — windowed mean/variance (Welford update, Chan merge).
+// Moments — windowed mean/variance (Welford update).
 // ---------------------------------------------------------------------------
 
-/// Count, mean, variance, min, max in O(1) space. merge() uses Chan's
-/// parallel combination; deterministic for a fixed merge order.
+/// Count, mean, variance, min, max in O(1) space.
 class Moments {
  public:
   void add(double x);
-  void merge(const Moments& other);
 
   std::uint64_t count() const { return count_; }
   double mean() const { return mean_; }
@@ -174,16 +170,14 @@ class CounterBank {
 /// Extended P² estimator: maintains 2K+3 markers tracking K probe
 /// quantiles simultaneously with parabolic (P²) marker adjustment.
 /// A heuristic — accurate on smooth unimodal data, unbounded error in
-/// adversarial cases; the engine uses it as the cheap per-shard probe
-/// while StreamingEcdf carries the documented error bound. merge()
-/// count-weights marker heights; deterministic for a fixed merge order.
+/// adversarial cases; the engine uses it as the cheap per-window probe
+/// while StreamingEcdf carries the documented error bound.
 class ExtendedP2 {
  public:
   /// Probes must be strictly increasing, each in (0, 1).
   explicit ExtendedP2(std::vector<double> probes = {0.5, 0.9, 0.95, 0.99});
 
   void add(double x);
-  void merge(const ExtendedP2& other);
 
   std::uint64_t count() const { return count_; }
   std::span<const double> probes() const { return probes_; }

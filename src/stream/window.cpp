@@ -8,7 +8,6 @@
 #include <ostream>
 #include <utility>
 
-#include "exec/parallel.hpp"
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
@@ -243,52 +242,6 @@ void WindowStats::write_json(std::ostream& out,
 // SlidingWindow
 // ---------------------------------------------------------------------------
 
-/// Count-only deltas one parallel chunk (or the merged batch) holds for
-/// a dense run of panes first .. first + panes.size() − 1. Events late
-/// for every window covering them skip the panes: they land in `late`,
-/// weighted by the number of windows they missed.
-struct SlidingWindow::BatchPartial {
-  struct PaneDelta {
-    CounterBank events;
-    std::vector<std::int64_t> rate_cells;  ///< empty until a SUBMIT
-  };
-  std::int64_t first = 0;
-  std::vector<PaneDelta> panes;
-  CounterBank late;
-
-  /// Delta of pane p, growing the dense run to cover it.
-  PaneDelta& at(std::int64_t p) {
-    if (panes.empty()) {
-      first = p;
-    } else if (p < first) {
-      panes.insert(panes.begin(), static_cast<std::size_t>(first - p),
-                   PaneDelta{});
-      first = p;
-    }
-    const auto k = static_cast<std::size_t>(p - first);
-    if (k >= panes.size()) {
-      panes.resize(k + 1);
-    }
-    return panes[k];
-  }
-
-  void merge(BatchPartial&& other) {
-    late.merge(other.late);
-    for (std::size_t k = 0; k < other.panes.size(); ++k) {
-      PaneDelta& from = other.panes[k];
-      PaneDelta& into = at(other.first + static_cast<std::int64_t>(k));
-      into.events.merge(from.events);
-      if (into.rate_cells.empty()) {
-        into.rate_cells = std::move(from.rate_cells);
-      } else {
-        for (std::size_t c = 0; c < from.rate_cells.size(); ++c) {
-          into.rate_cells[c] += from.rate_cells[c];
-        }
-      }
-    }
-  }
-};
-
 SlidingWindow::Pane::Pane(const WindowConfig& config, std::size_t cells)
     : rate_cells(cells, 0),
       job_length(config.relative_error),
@@ -411,79 +364,39 @@ void SlidingWindow::ingest(std::span<const trace::TaskEvent> events) {
     ingested.add(events.size());
   }
 
-  // Parallel phase: per-chunk pane deltas over deterministic chunk
-  // boundaries, folded in chunk index order. All integer adds —
-  // bit-identical at any CGC_THREADS. Windows below first_open closed
-  // in an earlier batch; an event's share for them is late.
+  // Count pass: every event's counts land in its pane before any window
+  // closes in this batch. Lateness is decided against the windows open
+  // at batch start: an event is late once for each covering window that
+  // closed in an earlier batch. (Counting inside the state-machine pass
+  // would make events behind a mid-batch close late, too.) On the first
+  // batch, windowing starts at the oldest window covering the batch's
+  // earliest pane.
   const TimeSec slide = config_.slide;
-  const std::int64_t span = span_;
-  const std::int64_t first_open =
-      any_open_ ? first_open_index_ : std::numeric_limits<std::int64_t>::min();
-  BatchPartial batch = exec::parallel_reduce<BatchPartial>(
-      0, events.size(), BatchPartial{},
-      [&](std::size_t lo, std::size_t hi) {
-        BatchPartial partial;
-        for (std::size_t i = lo; i < hi; ++i) {
-          const trace::TaskEvent& event = events[i];
-          const TimeSec t = std::max<TimeSec>(0, event.time);
-          const std::int64_t p = t / slide;
-          if (p < first_open) {
-            // Late for every window covering p.
-            partial.late.add(event.priority, event.type,
-                             p - std::max<std::int64_t>(0, p - span + 1) + 1);
-            continue;
-          }
-          BatchPartial::PaneDelta& delta = partial.at(p);
-          delta.events.add(event.priority, event.type);
-          if (event.type == trace::TaskEventType::kSubmit) {
-            if (delta.rate_cells.empty()) {
-              delta.rate_cells.assign(cell_starts_.size(), 0);
-            }
-            ++delta.rate_cells[cell_of(t - p * slide)];
-          }
-        }
-        return partial;
-      },
-      [](BatchPartial& acc, BatchPartial&& partial) {
-        acc.merge(std::move(partial));
-      });
-  apply_batch(batch);
-
-  // Sequential phase: the stateful task/job/host bookkeeping, in
-  // arrival order. The watermark advances per event and windows close
-  // the moment it passes their end, so the queue/host snapshot in a
-  // closed window reflects the stream state at that point — not the
-  // end of the batch.
+  if (!any_open_) {
+    TimeSec earliest = std::numeric_limits<TimeSec>::max();
+    for (const trace::TaskEvent& event : events) {
+      earliest = std::min(earliest, event.time);
+    }
+    open_window(std::max<std::int64_t>(
+        0, std::max<TimeSec>(0, earliest) / slide - span_ + 1));
+  }
+  const std::int64_t first_open = first_open_index_;
+  CounterBank late;
   for (const trace::TaskEvent& event : events) {
     const TimeSec t = std::max<TimeSec>(0, event.time);
-    if (!any_event_ || t > max_event_time_) {
-      max_event_time_ = t;
-      any_event_ = true;
-      close_ready_windows();
+    const std::int64_t p = t / slide;
+    const std::int64_t missed = std::min(p + 1, first_open) -
+                                std::max<std::int64_t>(0, p - span_ + 1);
+    if (missed > 0) {
+      late.add(event.priority, event.type, missed);
     }
-    apply_sequential(event, t / slide);
-  }
-  if (obs::metrics_enabled()) {
-    static obs::Gauge& open_windows = obs::gauge("stream.open_windows");
-    open_windows.set(static_cast<std::int64_t>(open_.size()));
-  }
-}
-
-void SlidingWindow::apply_batch(BatchPartial& batch) {
-  // Windowing starts at the oldest window covering the first batch.
-  if (!any_open_ && !batch.panes.empty()) {
-    open_window(std::max<std::int64_t>(0, batch.first - span_ + 1));
-  }
-  // A pane is late for the covering windows that closed in an earlier
-  // batch (with overlapping windows one event can be late for its
-  // oldest window and on time for the rest): its count times theirs.
-  CounterBank late = std::move(batch.late);
-  for (std::size_t k = 0; k < batch.panes.size(); ++k) {
-    const std::int64_t p = batch.first + static_cast<std::int64_t>(k);
-    const std::int64_t missed =
-        first_open_index_ - std::max<std::int64_t>(0, p - span_ + 1);
-    for (std::int64_t m = 0; m < missed; ++m) {
-      late.merge(batch.panes[k].events);
+    if (p < first_open) {
+      continue;
+    }
+    Pane& pane = open_window(p).pane;
+    pane.events.add(event.priority, event.type);
+    if (event.type == trace::TaskEventType::kSubmit) {
+      ++pane.rate_cells[cell_of(t - p * slide)];
     }
   }
   if (late.total() != 0) {
@@ -502,18 +415,28 @@ void SlidingWindow::apply_batch(BatchPartial& batch) {
       }
     }
   }
-  for (std::size_t k = 0; k < batch.panes.size(); ++k) {
-    const BatchPartial::PaneDelta& delta = batch.panes[k];
-    Pane& pane =
-        open_window(batch.first + static_cast<std::int64_t>(k)).pane;
-    pane.events.merge(delta.events);
-    for (std::size_t c = 0; c < delta.rate_cells.size(); ++c) {
-      pane.rate_cells[c] += delta.rate_cells[c];
+
+  // State-machine pass: the task/job/host bookkeeping, in arrival
+  // order. The watermark advances per event and windows close
+  // the moment it passes their end, so the queue/host snapshot in a
+  // closed window reflects the stream state at that point — not the
+  // end of the batch.
+  for (const trace::TaskEvent& event : events) {
+    const TimeSec t = std::max<TimeSec>(0, event.time);
+    if (!any_event_ || t > max_event_time_) {
+      max_event_time_ = t;
+      any_event_ = true;
+      close_ready_windows();
     }
+    advance_state(event, t / slide);
+  }
+  if (obs::metrics_enabled()) {
+    static obs::Gauge& open_windows = obs::gauge("stream.open_windows");
+    open_windows.set(static_cast<std::int64_t>(open_.size()));
   }
 }
 
-void SlidingWindow::apply_sequential(const trace::TaskEvent& event,
+void SlidingWindow::advance_state(const trace::TaskEvent& event,
                                      std::int64_t last) {
   const TimeSec t = std::max<TimeSec>(0, event.time);
   // The still-open windows covering t: first .. last, where `last` is

@@ -35,12 +35,12 @@
 // pane-fed fields of a still-open window (open(), find()) are empty
 // until it closes; everything a closed window reports is complete.
 //
-// Determinism: the count part of a batch runs as a
-// cgc::exec::parallel_reduce (per-chunk dense pane deltas, folded in
-// chunk order), and the stateful task/job/host bookkeeping runs
-// sequentially per batch. Both are independent of CGC_THREADS, so for
-// a fixed batching the engine's entire state — every sketch bit — is
-// identical at any worker count.
+// Determinism: a batch is ingested in two serial passes over its
+// events — a count pass that lands every pane count, then the stateful
+// task/job/host bookkeeping that advances the watermark and closes
+// windows. No pass touches the thread pool, so for a fixed batching the
+// engine's entire state — every sketch bit — is identical at any
+// CGC_THREADS.
 #pragma once
 
 #include <cstdint>
@@ -219,18 +219,14 @@ class SlidingWindow {
     Pane pane;
     std::vector<trace::TaskEvent> events;  ///< keep_events only
   };
-  /// Count-only deltas of one parallel chunk (or the merged batch).
-  struct BatchPartial;
-
   /// Rate cell of a time `offset` seconds into its pane.
   std::size_t cell_of(TimeSec offset) const;
   OpenWindow& open_window(std::int64_t index);
-  void apply_batch(BatchPartial& batch);
   void close_ready_windows();
   void close_oldest();
   /// Feeds one event to the stream state machine. `last` is the event's
   /// pane, which is also the newest window covering it.
-  void apply_sequential(const trace::TaskEvent& event, std::int64_t last);
+  void advance_state(const trace::TaskEvent& event, std::int64_t last);
 
   WindowConfig config_;
   std::int64_t span_ = 1;  ///< panes per window, width / slide
@@ -253,7 +249,7 @@ class SlidingWindow {
   std::uint64_t windows_closed_ = 0;
   StreamHealth health_;
 
-  // Stream state machine (sequential phase).
+  // Stream state machine.
   std::unordered_map<std::int64_t, JobState> jobs_;
   std::unordered_map<std::uint64_t, TaskRun> running_tasks_;
   std::unordered_map<std::int64_t, std::int64_t> host_running_;

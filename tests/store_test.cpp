@@ -1,5 +1,6 @@
 // Tests for the CGCS columnar trace store: lossless round-trips,
-// zone-map pushdown, zero-copy spans, and rejection of corrupted files.
+// zone-map pushdown, zero-copy spans, and rejection of corrupted files
+// (including out-of-range event types that pass the CRC).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -244,6 +245,42 @@ TEST_F(StoreTest, RoundTripsEmptyTrace) {
   EXPECT_EQ(loaded.duration(), 10);
   EXPECT_TRUE(loaded.jobs().empty());
   EXPECT_TRUE(loaded.events().empty());
+}
+
+TEST_F(StoreTest, OutOfRangeEventTypeIsDamage) {
+  // One SCHEDULE and one event whose type byte (9) lies past the enum:
+  // a bit-rotted or hostile file that still passes every CRC.
+  TraceSet original("bad-type");
+  original.add_event({100, 1, 0, -1, TaskEventType::kSchedule, 3});
+  original.add_event({200, 1, 0, -1, static_cast<TaskEventType>(9), 3});
+  original.set_duration(300);
+  original.finalize();
+  const std::string p = path("bad_type.cgcs");
+  write_cgcs(original, p);
+
+  // Strict mode refuses the file, through load and scan alike.
+  try {
+    read_cgcs(p);
+    FAIL() << "expected DataError";
+  } catch (const util::DataError& e) {
+    EXPECT_NE(std::string(e.what()).find("event type out of range"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(StoreReader(p).query_events(EventPredicate{}),
+               util::DataError);
+
+  // Degraded mode drops the row group and accounts it, like a CRC
+  // failure: the type chunk is quarantined and no event survives.
+  DamageReport damage;
+  const TraceSet degraded = read_cgcs_degraded(p, &damage);
+  EXPECT_TRUE(degraded.events().empty());
+  EXPECT_EQ(damage.rows_lost, 2u);
+  ASSERT_EQ(damage.chunks_quarantined(), 1u);
+  EXPECT_EQ(damage.chunks[0].column, ColumnId::kEventType);
+  const StoreReader scanner(p, ReadMode::kDegraded);
+  EXPECT_TRUE(scanner.query_events(EventPredicate{}).empty());
+  EXPECT_EQ(scanner.damage().rows_lost, 2u);
 }
 
 TEST_F(StoreTest, StoreInfoMatchesTraceSummary) {

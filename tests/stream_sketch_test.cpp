@@ -133,7 +133,7 @@ TEST(StreamingEcdfTest, PlotPointsAreAMonotoneCdf) {
   EXPECT_DOUBLE_EQ(points.back().second, 1.0);
 }
 
-TEST(MomentsTest, MatchesExactMomentsAndChanMergeAgrees) {
+TEST(MomentsTest, MatchesExactMoments) {
   const std::vector<double> xs = heavy_tailed_sample(6000, 43);
   Moments whole;
   for (const double x : xs) {
@@ -144,17 +144,6 @@ TEST(MomentsTest, MatchesExactMomentsAndChanMergeAgrees) {
   EXPECT_NEAR(whole.variance(), exact.variance(), 1e-6 * exact.variance());
   EXPECT_DOUBLE_EQ(whole.min(), *std::min_element(xs.begin(), xs.end()));
   EXPECT_DOUBLE_EQ(whole.max(), *std::max_element(xs.begin(), xs.end()));
-
-  // Chan's merge over shards agrees with the single stream to fp noise.
-  Moments a;
-  Moments b;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    (i < xs.size() / 3 ? a : b).add(xs[i]);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), whole.count());
-  EXPECT_NEAR(a.mean(), whole.mean(), 1e-9 * std::abs(whole.mean()));
-  EXPECT_NEAR(a.variance(), whole.variance(), 1e-6 * whole.variance());
 }
 
 TEST(CounterBankTest, CountsAndDerivedTotals) {
@@ -234,23 +223,6 @@ TEST(ExtendedP2Test, TracksSmoothDistributions) {
   EXPECT_NEAR(probe.estimate(1), exact.quantile(0.90), 0.02);
   EXPECT_NEAR(probe.estimate(2), exact.quantile(0.95), 0.02);
   EXPECT_NEAR(probe.estimate(3), exact.quantile(0.99), 0.02);
-}
-
-TEST(ExtendedP2Test, MergeApproximatesCombinedStream) {
-  util::Rng rng(103);
-  ExtendedP2 a;
-  ExtendedP2 b;
-  std::vector<double> xs;
-  for (int i = 0; i < 8000; ++i) {
-    const double x = rng.uniform(0.0, 10.0);
-    xs.push_back(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), xs.size());
-  const stats::Ecdf exact(xs);
-  EXPECT_NEAR(a.estimate(0), exact.quantile(0.50), 0.3);
-  EXPECT_NEAR(a.estimate(1), exact.quantile(0.90), 0.3);
 }
 
 }  // namespace

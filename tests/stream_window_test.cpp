@@ -728,6 +728,36 @@ TEST(SlidingWindowTest, PanesMatchPerWindowOracle) {
                     policy == LatePolicy::kDrop ? "hand-built, drop"
                                                 : "hand-built, absorb");
   }
+
+  // Hand-built: the first batch's earliest event (t=20, pane 0) arrives
+  // after an event in pane 2, so windowing must start at window 0, the
+  // oldest window covering the earliest pane — not window 1, the oldest
+  // covering the first event's pane. Nothing is late.
+  const std::vector<TaskEvent> first_batch = {
+      make_event(130, TaskEventType::kSubmit, 1, 0, 2),
+      make_event(20, TaskEventType::kSubmit, 2, 0, 6),
+      make_event(40, TaskEventType::kSchedule, 2, 0, 6, 7),
+      make_event(140, TaskEventType::kSchedule, 1, 0, 2, 8),
+      make_event(90, TaskEventType::kFinish, 2, 0, 6, 7),
+      make_event(210, TaskEventType::kFinish, 1, 0, 2, 8),
+  };
+  for (const LatePolicy policy :
+       {LatePolicy::kDrop, LatePolicy::kAbsorbOldest}) {
+    WindowConfig config;
+    config.width = 100;
+    config.slide = 50;
+    config.watermark_lag = 60;
+    config.rate_bins = 8;
+    config.late_policy = policy;
+    config.keep_events = true;
+    const RunRecord reference = run_reference(config, first_batch, 4);
+    EXPECT_EQ(reference.late_dropped + reference.late_absorbed, 0u);
+    EXPECT_EQ(reference.states.size(), 5u);  // windows 0 .. 4
+    expect_same_run(run_engine(config, first_batch, 4), reference,
+                    policy == LatePolicy::kDrop
+                        ? "hand-built first batch, drop"
+                        : "hand-built first batch, absorb");
+  }
 }
 
 }  // namespace
