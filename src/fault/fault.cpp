@@ -2,6 +2,8 @@
 
 #include <charconv>
 #include <cstdlib>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -29,8 +31,7 @@ struct Config {
 };
 
 util::Mutex g_mutex;
-// Leaked on reconfigure; sites are tiny.
-const Config* g_config CGC_GUARDED_BY(g_mutex) = nullptr;
+std::unique_ptr<const Config> g_config CGC_GUARDED_BY(g_mutex);
 
 /// splitmix64 — a strong 64-bit mixer; the p= trigger hashes
 /// (seed, site, key) through it and compares against p * 2^64.
@@ -134,8 +135,8 @@ Site parse_entry(std::string_view entry, const std::string& spec) {
   return site;
 }
 
-const Config* parse_spec(const std::string& spec) {
-  auto config = new Config;
+std::unique_ptr<const Config> parse_spec(const std::string& spec) {
+  auto config = std::make_unique<Config>();
   config->spec = spec;
   std::string_view rest = spec;
   while (!rest.empty()) {
@@ -151,8 +152,8 @@ const Config* parse_spec(const std::string& spec) {
   return config;
 }
 
-const Site* find_site(const Config* config, std::string_view name) {
-  for (const Site& s : config->sites) {
+const Site* find_site(const Config& config, std::string_view name) {
+  for (const Site& s : config.sites) {
     if (s.name == name) {
       return &s;
     }
@@ -198,7 +199,7 @@ bool should_fail_slow(std::string_view site, std::uint64_t key) {
   if (g_config == nullptr) {
     return false;
   }
-  const Site* s = find_site(g_config, site);
+  const Site* s = find_site(*g_config, site);
   return s != nullptr && site_fires(*s, key);
 }
 
@@ -212,7 +213,7 @@ void maybe_throw(std::string_view site, std::uint64_t key,
   ErrorKind kind = fallback;
   {
     util::MutexLock lock(g_mutex);
-    const Site* s = g_config ? find_site(g_config, site) : nullptr;
+    const Site* s = g_config ? find_site(*g_config, site) : nullptr;
     if (s != nullptr && s->kind_set) {
       kind = s->kind;
     }
@@ -230,16 +231,16 @@ void maybe_throw(std::string_view site, std::uint64_t key,
 }
 
 void configure(const std::string& spec) {
-  const Config* config = spec.empty() ? nullptr : parse_spec(spec);
+  std::unique_ptr<const Config> config =
+      spec.empty() ? nullptr : parse_spec(spec);
+  const bool armed = config != nullptr;
   {
+    // Every reader uses the config only while it holds the lock, so the
+    // replaced config can be freed as soon as the swap is done.
     util::MutexLock lock(g_mutex);
-    // The previous config is leaked intentionally: concurrent
-    // should_fail_slow() holds the lock, so the swap itself is safe,
-    // and configs are a few hundred bytes arriving once per process
-    // (or per test).
-    g_config = config;
+    g_config.swap(config);
   }
-  detail::g_armed.store(config != nullptr, std::memory_order_relaxed);
+  detail::g_armed.store(armed, std::memory_order_relaxed);
 }
 
 std::string active_spec() {

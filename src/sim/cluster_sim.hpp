@@ -13,7 +13,7 @@
 // inputs to every host-load analyzer (Figs 7-13, Tables II-III).
 //
 // The engine is built for paper scale (a month over 12.5k hosts,
-// tens of millions of task events — see bench_perf_sim / BENCH_sim.json):
+// tens of millions of task events — see `bench_perf sim` / BENCH_sim.json):
 // a calendar event queue (sim/event_queue.hpp), struct-of-arrays state
 // banks (sim/state_banks.hpp), counter-based randomness
 // (sim/sim_rng.hpp), and cgc::exec-sharded host-load sampling.
@@ -59,7 +59,7 @@ struct SimStats {
   /// High-water mark of the global pending-queue depth.
   std::int64_t max_pending_depth = 0;
   /// Queue events processed (submits, requeues, attempt ends) — the
-  /// numerator of bench_perf_sim's events/s.
+  /// numerator of `bench_perf sim`'s events/s.
   std::int64_t events_processed = 0;
   /// Scheduler passes run (each scans the 12 priority FIFOs once).
   std::int64_t schedule_passes = 0;

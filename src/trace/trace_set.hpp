@@ -90,7 +90,7 @@ class TraceSet {
   /// set (float/double fields hashed by bit pattern). Two TraceSets have
   /// equal digests iff their contents are byte-identical — the equality
   /// check behind the simulator's CGC_THREADS determinism contract
-  /// (tests/sim_determinism_test.cpp, bench_perf_sim).
+  /// (tests/sim_determinism_test.cpp, `bench_perf sim`).
   std::uint64_t content_digest() const;
 
   // -- derived sample vectors (used by many analyzers) ----------------------

@@ -1,20 +1,25 @@
 #!/usr/bin/env python3
-"""CLI contract of the sweep and plan drivers, cgc_report and cgc_plan.
+"""CLI contract of the sweep, plan and perf drivers: cgc_report, cgc_plan
+and bench_perf.
 
-    cgc_report_cli_test.py <cgc_report> <cgc_plan>
+    cgc_report_cli_test.py <cgc_report> <cgc_plan> <bench_perf>
 
 A bad flag value is a usage error: exit 2 (util::kExitUsage) with a
 message naming the value, before any work starts. --help exits 0, and
 `cgc_report --list` prints the 22 case ids in sorted_cases() order.
 A plan shard checkpoint in the retired `cgcplan v1` line format reads
 as torn: `cgc_plan --merge` exits 1 asking for that shard to be rerun,
-and `--resume` quarantines it and reruns the shard.
+and `--resume` quarantines it and reruns the shard. bench_perf runs
+exactly one known leg: none, an unknown one or two are usage errors, and
+its plan leg writes a record with the common frame whose thread runs
+share one digest and fail no scenario.
 
 Every command runs under CGC_BENCH_FAST=1 with throwaway CGC_BENCH_OUT
 and CGC_BENCH_CACHE directories, so a build that wrongly starts a sweep
 stays at smoke-test scale and then fails its exit-code check.
 """
 
+import json
 import os
 import shutil
 import subprocess
@@ -49,11 +54,35 @@ V1_CHECKPOINT_BODY = (
     "0.30332226130576906\n")
 
 
+def check_plan_record(path):
+    """Problems with a bench_perf plan record, as failure lines."""
+    try:
+        with open(path) as f:
+            record = json.load(f)
+    except (OSError, ValueError) as e:
+        return [f"bench_perf plan: no readable record: {e}"]
+    problems = [f"bench_perf plan: record lacks {key!r}" for key in
+                ("bench", "fast_mode", "hardware_concurrency", "ram_gb",
+                 "runs") if key not in record]
+    if problems:
+        return problems
+    runs = record["runs"]
+    if record["bench"] != "perf_plan" or not record["fast_mode"]:
+        problems.append(f"bench_perf plan: bad frame {record}")
+    if not (record.get("pass") and record.get("deterministic")):
+        problems.append(f"bench_perf plan: not pass+deterministic {record}")
+    if len(runs) < 2 or len({r.get("digest") for r in runs}) != 1:
+        problems.append(f"bench_perf plan: want one digest, runs {runs}")
+    if any(r.get("failed") != 0 for r in runs):
+        problems.append(f"bench_perf plan: failed scenarios in {runs}")
+    return problems
+
+
 def main():
-    if len(sys.argv) != 3:
+    if len(sys.argv) != 4:
         sys.stderr.write(__doc__)
         return EXIT_USAGE
-    report, plan = (os.path.abspath(exe) for exe in sys.argv[1:])
+    report, plan, perf = (os.path.abspath(exe) for exe in sys.argv[1:])
     failures = []
     with tempfile.TemporaryDirectory(prefix="cgc_cli_test_") as tmp:
         out = os.path.join(tmp, "out")
@@ -72,13 +101,14 @@ def main():
             elif named is not None and named not in proc.stderr:
                 failures.append(f"{label}: stderr does not name "
                                 f"{named!r}\n{proc.stderr[-1500:]}")
-            if code == EXIT_USAGE and os.path.exists(
-                    os.path.join(out, "report.json")):
-                failures.append(f"{label}: a usage error still ran a sweep")
+            # bench_perf makes CGC_BENCH_OUT only once a leg starts.
+            work = out if exe == perf else os.path.join(out, "report.json")
+            if code == EXIT_USAGE and os.path.exists(work):
+                failures.append(f"{label}: a usage error still did work")
             shutil.rmtree(out, ignore_errors=True)
             return proc
 
-        for exe in (report, plan):
+        for exe in (report, plan, perf):
             expect(exe, ["--help"], EXIT_OK)
         listed = expect(report, ["--list"], EXIT_OK)
         ids = [line.split()[0] for line in listed.stdout.splitlines()
@@ -93,6 +123,12 @@ def main():
         expect(report, ["--merge", os.path.join(tmp, "s0"),
                         "--shard", "0/2"], EXIT_USAGE)
         expect(plan, ["--shard", "4/4"], EXIT_USAGE, "4/4")
+
+        for args in ([], ["warp"], ["plan", "sim"], ["--out"]):
+            expect(perf, args, EXIT_USAGE, args[-1] if args else None)
+        record_path = os.path.join(tmp, "BENCH_plan.json")
+        expect(perf, ["plan", "--out", record_path], EXIT_OK)
+        failures.extend(check_plan_record(record_path))
 
         plan_out = os.path.join(tmp, "plan")
         os.makedirs(plan_out)
@@ -112,7 +148,7 @@ def main():
         print(f"FAIL {failure}", file=sys.stderr)
     if failures:
         return 1
-    print("cgc_report/cgc_plan CLI contract holds")
+    print("cgc_report/cgc_plan/bench_perf CLI contract holds")
     return 0
 
 
