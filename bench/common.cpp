@@ -8,10 +8,9 @@
 #include <memory>
 #include <mutex>
 
+#include "analysis/report.hpp"
 #include "core/characterization.hpp"
 #include "sweep/cache.hpp"
-#include "trace/google_format.hpp"
-#include "trace/loader.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
@@ -53,45 +52,6 @@ trace::TraceSet cached_trace(const std::string& key,
     note_damage(result.damage);
   }
   return std::move(result.trace);
-}
-
-/// Host-load builder: prefers the clusterdata CSV directory when one
-/// exists (kept as an IO-path exercise and for external tooling),
-/// otherwise simulates and mirrors the CSV form — atomically, via a
-/// staging directory, since a killed worker must never leave a
-/// half-written CSV dir for the next tier to trust. Runs under the
-/// cache builder lock, so at most one process does any of this.
-trace::TraceSet build_hostload(
-    const std::string& key,
-    const std::function<trace::TraceSet()>& simulate) {
-  const std::string dir = cache_dir() + "/" + key;
-  if (std::filesystem::exists(dir + "/task_events.csv")) {
-    CGC_LOG(kInfo) << "loading cached host-load trace from " << dir;
-    trace::LoadOptions options;
-    options.format = trace::TraceFormat::kGoogleCsv;
-    options.system_name = key;
-    options.strictness = trace::Strictness::kTolerant;
-    trace::LoadReport report;
-    trace::TraceSet trace = trace::load_trace(dir, options, &report);
-    if (!report.parse.clean()) {
-      CGC_LOG(kWarn) << "CSV cache " << dir << ": "
-                     << report.parse.summary();
-      note_parse(report.parse);
-    }
-    return trace;
-  }
-  trace::TraceSet trace = simulate();
-  CGC_LOG(kInfo) << "caching host-load trace to " << dir;
-  const std::string staging = dir + ".tmp." + std::to_string(::getpid());
-  std::error_code ec;
-  std::filesystem::remove_all(staging, ec);  // stale litter from a kill
-  if (std::filesystem::exists(dir)) {
-    // A dir without task_events.csv is a torn write; replace it.
-    std::filesystem::remove_all(dir, ec);
-  }
-  trace::write_google_trace(trace, staging);
-  std::filesystem::rename(staging, dir);
-  return trace;
 }
 
 std::string scale_key() {
@@ -187,34 +147,30 @@ gen::GridSystemPreset preset_by_name(const std::string& name) {
 }
 
 const trace::TraceSet& google_hostload() {
-  const std::string key = "google_" + scale_key();
+  const std::string key = "hostload_google_" + scale_key();
   const std::string config =
       "google_hostload v1 machines=" + std::to_string(google_machines()) +
       " horizon=" + std::to_string(hostload_horizon());
-  return memoized("hostload_" + key, [&key, &config] {
-    return cached_trace("hostload_" + key, config, [&key] {
-      return build_hostload(key, [] {
-        gen::GoogleModelConfig model;
-        sim::SimConfig sim_config;
-        return Characterization::simulate_google_hostload(
-            model, sim_config, google_machines(), hostload_horizon());
-      });
+  return memoized(key, [&key, &config] {
+    return cached_trace(key, config, [] {
+      return Characterization::simulate_google_hostload(
+          gen::GoogleModelConfig{}, sim::SimConfig{}, google_machines(),
+          hostload_horizon());
     });
   });
 }
 
 const trace::TraceSet& grid_hostload(const std::string& name) {
-  const std::string key = analysis::sanitize_name(name) + "_" + scale_key();
+  const std::string key =
+      "hostload_" + analysis::sanitize_name(name) + "_" + scale_key();
   const std::string config =
       "grid_hostload v1 system=" + name +
       " machines=" + std::to_string(grid_machines()) +
       " horizon=" + std::to_string(hostload_horizon());
-  return memoized("hostload_" + key, [&key, &config, &name] {
-    return cached_trace("hostload_" + key, config, [&key, &name] {
-      return build_hostload(key, [&name] {
-        return Characterization::simulate_grid_hostload(
-            preset_by_name(name), grid_machines(), hostload_horizon());
-      });
+  return memoized(key, [&key, &config, &name] {
+    return cached_trace(key, config, [&name] {
+      return Characterization::simulate_grid_hostload(
+          preset_by_name(name), grid_machines(), hostload_horizon());
     });
   });
 }
@@ -262,14 +218,6 @@ void note_damage(const store::DamageReport& damage) {
   g_health.chunks_quarantined += damage.chunks_quarantined();
   g_health.rows_lost += damage.rows_lost;
   g_health.values_defaulted += damage.values_defaulted;
-}
-
-void note_parse(const trace::ParseReport& report) {
-  if (report.clean()) {
-    return;
-  }
-  std::lock_guard lock(g_health_mutex);
-  g_health.parse_lines_bad += report.lines_bad;
 }
 
 IoHealth io_health() {

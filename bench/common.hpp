@@ -23,7 +23,6 @@
 #include "gen/grid_model.hpp"
 #include "sim/config.hpp"
 #include "store/reader.hpp"
-#include "trace/parse_report.hpp"
 #include "trace/trace_set.hpp"
 
 namespace cgc::bench {
@@ -64,8 +63,7 @@ const trace::TraceSet& grid_workload(const std::string& name);
 /// Simulated Google host-load trace (Figs 7-13, Tables II-III).
 /// Memoized in-process and cached on disk under CGC_BENCH_CACHE between
 /// invocations — the first consumer pays the simulation, later ones
-/// reload via the columnar store or clusterdata reader (the latter kept
-/// as an IO-path exercise).
+/// reload the CGCS entry.
 const trace::TraceSet& google_hostload();
 
 /// Simulated grid host-load trace for "AuverGrid" or "SHARCNET"
@@ -89,14 +87,16 @@ void print_comparison(const std::string& metric, double paper,
 void print_series_note(const std::string& dat_hint);
 
 /// Degraded-operation accounting aggregated across the process. The
-/// trace cache feeds every store quarantine and tolerant-parse loss it
-/// observes in here; cgc_report stamps the totals into report.json and
-/// turns a nonzero total into a failing (1) exit code, so data loss is
-/// never silent even when every case "succeeds".
+/// trace cache feeds every store quarantine it observes in here;
+/// cgc_report stamps the totals into report.json and turns a nonzero
+/// total into a failing (1) exit code, so data loss is never silent
+/// even when every case "succeeds".
 struct IoHealth {
   std::uint64_t chunks_quarantined = 0;
   std::uint64_t rows_lost = 0;
   std::uint64_t values_defaulted = 0;
+  /// Always 0: the cache reads no CSV. Kept so report.json keeps its
+  /// `parse_lines_bad` key.
   std::uint64_t parse_lines_bad = 0;
 
   bool degraded() const {
@@ -107,9 +107,6 @@ struct IoHealth {
 
 /// Folds a degraded store read's damage into the process-wide health.
 void note_damage(const store::DamageReport& damage);
-
-/// Folds a tolerant parse's losses into the process-wide health.
-void note_parse(const trace::ParseReport& report);
 
 /// Snapshot of the process-wide degraded-operation accounting.
 IoHealth io_health();

@@ -1,44 +1,8 @@
 #include "core/characterization.hpp"
 
-#include <algorithm>
-#include <sstream>
-
-#include "util/check.hpp"
-#include "util/log.hpp"
+#include "sim/cluster_sim.hpp"
 
 namespace cgc {
-
-namespace {
-
-/// The Fig 13 comparison uses these two grids (the paper's choice).
-constexpr const char* kFig13Grids[] = {"AuverGrid", "SHARCNET"};
-
-std::vector<gen::GridSystemPreset> selected_presets(
-    const std::vector<std::string>& names) {
-  std::vector<gen::GridSystemPreset> all = gen::presets::all();
-  if (names.empty()) {
-    return all;
-  }
-  std::vector<gen::GridSystemPreset> out;
-  for (const std::string& name : names) {
-    const auto it = std::find_if(
-        all.begin(), all.end(),
-        [&name](const gen::GridSystemPreset& p) { return p.name == name; });
-    CGC_CHECK_MSG(it != all.end(), "unknown grid system: " + name);
-    out.push_back(*it);
-  }
-  return out;
-}
-
-}  // namespace
-
-Characterization::Characterization(CharacterizationConfig config)
-    : config_(std::move(config)) {}
-
-trace::TraceSet Characterization::build_google_workload(
-    const gen::GoogleModelConfig& config, util::TimeSec horizon) {
-  return gen::GoogleWorkloadModel(config).generate_workload(horizon);
-}
 
 trace::TraceSet Characterization::simulate_google_hostload(
     const gen::GoogleModelConfig& config, const sim::SimConfig& sim_config,
@@ -61,204 +25,6 @@ trace::TraceSet Characterization::simulate_grid_hostload(
   sim::ClusterSim sim(model.make_machines(machines), sc);
   return sim.run(model.generate_sim_workload(horizon, machines),
                  preset.name + "-hostload");
-}
-
-const CharacterizationReport& Characterization::run() {
-  CGC_CHECK_MSG(!ran_, "Characterization::run() is single-shot");
-  ran_ = true;
-
-  // ---- work load --------------------------------------------------------
-  CGC_LOG(kInfo) << "generating Google workload ("
-                 << util::format_duration(config_.workload_horizon) << ")";
-  google_workload_ =
-      build_google_workload(config_.google, config_.workload_horizon);
-
-  const std::vector<gen::GridSystemPreset> presets =
-      selected_presets(config_.grid_systems);
-  for (const gen::GridSystemPreset& preset : presets) {
-    CGC_LOG(kInfo) << "generating " << preset.name << " workload";
-    grid_workloads_.push_back(gen::GridWorkloadModel(preset).generate_workload(
-        config_.workload_horizon));
-  }
-
-  std::vector<const trace::TraceSet*> all_traces;
-  all_traces.push_back(&google_workload_);
-  for (const trace::TraceSet& t : grid_workloads_) {
-    all_traces.push_back(&t);
-  }
-
-  report_.priorities = analysis::analyze_priorities(google_workload_);
-  report_.job_length_cdf = analysis::analyze_job_length_cdf(all_traces);
-  report_.task_mass_count.push_back(
-      analysis::analyze_task_length_mass_count(google_workload_));
-  for (const trace::TraceSet& t : grid_workloads_) {
-    if (t.system_name() == "AuverGrid") {
-      report_.task_mass_count.push_back(
-          analysis::analyze_task_length_mass_count(t));
-    }
-  }
-  report_.submission_interval_cdf =
-      analysis::analyze_submission_interval_cdf(all_traces);
-  for (const trace::TraceSet* t : all_traces) {
-    report_.submission_stats.push_back(analysis::analyze_submission_stats(*t));
-  }
-  // Fig 6 compares Google against AuverGrid, SHARCNET and DAS-2.
-  std::vector<const trace::TraceSet*> fig6_traces;
-  fig6_traces.push_back(&google_workload_);
-  for (const trace::TraceSet& t : grid_workloads_) {
-    if (t.system_name() == "AuverGrid" || t.system_name() == "SHARCNET" ||
-        t.system_name() == "DAS-2") {
-      fig6_traces.push_back(&t);
-    }
-  }
-  report_.job_cpu_usage_cdf = analysis::analyze_job_cpu_usage_cdf(fig6_traces);
-  const double capacities[] = {32.0, 64.0};
-  report_.job_mem_usage_cdf =
-      analysis::analyze_job_mem_usage_cdf(fig6_traces, capacities);
-
-  if (!config_.run_hostload) {
-    return report_;
-  }
-
-  // ---- host load --------------------------------------------------------
-  CGC_LOG(kInfo) << "simulating Google host load ("
-                 << config_.google_machines << " machines, "
-                 << util::format_duration(config_.hostload_horizon) << ")";
-  google_hostload_ =
-      simulate_google_hostload(config_.google, config_.sim,
-                               config_.google_machines,
-                               config_.hostload_horizon);
-
-  for (const char* name : kFig13Grids) {
-    const auto it = std::find_if(presets.begin(), presets.end(),
-                                 [name](const gen::GridSystemPreset& p) {
-                                   return p.name == name;
-                                 });
-    if (it == presets.end()) {
-      continue;
-    }
-    CGC_LOG(kInfo) << "simulating " << it->name << " host load";
-    grid_hostloads_.push_back(simulate_grid_hostload(
-        *it, config_.grid_machines, config_.hostload_horizon));
-  }
-
-  report_.max_load = analysis::analyze_max_host_load(google_hostload_);
-  report_.queue_state = analysis::analyze_queue_state(google_hostload_);
-  report_.queue_runs = analysis::analyze_queue_run_mass_count(google_hostload_);
-  for (const analysis::Metric metric :
-       {analysis::Metric::kCpu, analysis::Metric::kMem}) {
-    for (const trace::PriorityBand band :
-         {trace::PriorityBand::kLow, trace::PriorityBand::kHigh}) {
-      report_.usage_snapshots.push_back(analysis::analyze_usage_snapshot(
-          google_hostload_, metric, band));
-      report_.usage_mass_count.push_back(analysis::analyze_usage_mass_count(
-          google_hostload_, metric, band));
-    }
-    report_.level_tables.push_back(analysis::analyze_level_durations(
-        google_hostload_, metric, trace::PriorityBand::kLow));
-  }
-
-  std::vector<const trace::TraceSet*> hostload_traces;
-  hostload_traces.push_back(&google_hostload_);
-  for (const trace::TraceSet& t : grid_hostloads_) {
-    hostload_traces.push_back(&t);
-  }
-  if (hostload_traces.size() > 1) {
-    report_.hostload_comparison =
-        analysis::analyze_hostload_comparison(hostload_traces);
-  }
-  return report_;
-}
-
-std::string CharacterizationReport::render_summary() const {
-  std::ostringstream out;
-  out << "=== Cloud vs Grid characterization summary ===\n\n";
-
-  out << "Work load:\n";
-  const auto low = priorities.jobs_in_band(trace::PriorityBand::kLow);
-  const auto mid = priorities.jobs_in_band(trace::PriorityBand::kMid);
-  const auto high = priorities.jobs_in_band(trace::PriorityBand::kHigh);
-  out << "  - job priorities cluster low/mid/high = " << low << "/" << mid
-      << "/" << high << " (Fig 2)\n";
-  for (const analysis::MassCountReport& mc : task_mass_count) {
-    out << "  - " << mc.system << " task lengths: joint ratio "
-        << static_cast<int>(mc.result.joint_ratio_mass + 0.5) << "/"
-        << static_cast<int>(mc.result.joint_ratio_count + 0.5)
-        << ", mean " << mc.mean / 3600.0 << " h, max " << mc.max / 86400.0
-        << " d (Fig 4)\n";
-  }
-  out << analysis::render_submission_table(submission_stats);
-
-  if (queue_state.has_value()) {
-    out << "\nHost load:\n";
-    out << "  - completion events: " << queue_state->total_completions
-        << ", abnormal " << queue_state->abnormal_fraction * 100.0
-        << "% (fail " << queue_state->fail_share_of_abnormal * 100.0
-        << "%, kill " << queue_state->kill_share_of_abnormal * 100.0
-        << "%, evict " << queue_state->evict_share_of_abnormal * 100.0
-        << "%, lost " << queue_state->lost_share_of_abnormal * 100.0
-        << "% of abnormal) (Fig 8)\n";
-    for (const analysis::UsageMassCountReport& u : usage_mass_count) {
-      out << "  - mean " << analysis::metric_name(u.metric) << " usage ("
-          << trace::band_name(u.min_band)
-          << "+): " << u.mean_usage * 100.0 << "% (Figs 11/12)\n";
-    }
-    for (const analysis::LevelDurationTable& t : level_tables) {
-      double avg = 0.0;
-      int n = 0;
-      for (const auto& row : t.rows) {
-        if (row.num_runs > 0) {
-          avg += row.avg_minutes;
-          ++n;
-        }
-      }
-      if (n > 0) {
-        out << "  - " << analysis::metric_name(t.metric)
-            << " usage level changes every ~" << avg / n
-            << " min on average (Tables II/III)\n";
-      }
-    }
-    if (hostload_comparison.has_value()) {
-      out << hostload_comparison->render();
-    }
-  }
-  return out.str();
-}
-
-void CharacterizationReport::write_all_figures(
-    const std::string& directory) const {
-  priorities.to_figure().write_dat(directory);
-  job_length_cdf.write_dat(directory);
-  for (const analysis::MassCountReport& mc : task_mass_count) {
-    mc.figure.write_dat(directory);
-  }
-  submission_interval_cdf.write_dat(directory);
-  job_cpu_usage_cdf.write_dat(directory);
-  job_mem_usage_cdf.write_dat(directory);
-  if (max_load.has_value()) {
-    for (const analysis::Figure& f : max_load->to_figures()) {
-      f.write_dat(directory);
-    }
-  }
-  if (queue_state.has_value()) {
-    queue_state->queue_figure.write_dat(directory);
-    queue_state->events_figure.write_dat(directory);
-  }
-  if (queue_runs.has_value()) {
-    queue_runs->figure.write_dat(directory);
-  }
-  for (const analysis::Figure& f : usage_snapshots) {
-    f.write_dat(directory);
-  }
-  for (const analysis::UsageMassCountReport& u : usage_mass_count) {
-    u.figure.write_dat(directory);
-  }
-  if (hostload_comparison.has_value()) {
-    for (const analysis::HostLoadSystemStats& s :
-         hostload_comparison->systems) {
-      s.series_figure.write_dat(directory);
-    }
-  }
 }
 
 }  // namespace cgc

@@ -1,116 +1,35 @@
-// cgc::Characterization — the library's top-level API.
+// cgc::Characterization — the simulated host-load traces of the study.
 //
-// Ties the pipeline together: generate (or load) a Cloud trace and a set
-// of Grid traces, run the simulator for the host-load views, execute
-// every analyzer from the paper, and collect the results into a single
-// report. This is the entry point the examples and the bench harnesses
-// build on; each bench target also calls the underlying analyzer
-// directly for finer control.
+// The workload-only views (Figs 2-6, Table I) run on generated traces
+// directly; the host-load views (Figs 7-13, Tables II-III) need a trace
+// the cluster simulator produced. These two builders are the one place
+// that pairs a generator with the simulator for that: the cgc_report
+// cases, the perf harness, the examples and the tests all call them.
+// Running the whole study is `cgc_report` (bench/registry.hpp).
 #pragma once
 
-#include <memory>
-#include <optional>
-#include <string>
-#include <vector>
+#include <cstddef>
 
-#include "analysis/hostload_analyzers.hpp"
-#include "analysis/workload_analyzers.hpp"
 #include "gen/google_model.hpp"
 #include "gen/grid_model.hpp"
-#include "sim/cluster_sim.hpp"
+#include "sim/config.hpp"
 #include "trace/trace_set.hpp"
 
 namespace cgc {
 
-/// Scale/selection knobs for a full characterization run.
-struct CharacterizationConfig {
-  /// Window for the workload-only analyses (Figs 2-6, Table I). Job
-  /// arrivals run at the paper's full rates, so a week is plenty for
-  /// stable statistics while staying laptop-sized.
-  util::TimeSec workload_horizon = 7 * util::kSecondsPerDay;
-  /// Window for the simulated host-load analyses (Figs 7-13, Tables
-  /// II-III). The paper's busy period sits at days 21-25, so the default
-  /// covers the full month.
-  util::TimeSec hostload_horizon = util::kSecondsPerMonth;
-  /// Simulated Google cluster size (the paper's 12.5k machines shrink to
-  /// a statistically equivalent park; per-machine load is preserved).
-  std::size_t google_machines = 96;
-  /// Simulated grid cluster size for the Fig 13 comparison.
-  std::size_t grid_machines = 32;
-  /// Grid systems to include (empty = all eight presets).
-  std::vector<std::string> grid_systems;
-  /// Include the simulation-backed host-load analyses.
-  bool run_hostload = true;
-  /// Model overrides (defaults are the paper-calibrated ones).
-  gen::GoogleModelConfig google;
-  sim::SimConfig sim;
-};
-
-/// Everything the paper reports, regenerated.
-struct CharacterizationReport {
-  // Work load (Section III).
-  analysis::PriorityHistogram priorities;                 // Fig 2
-  analysis::Figure job_length_cdf;                        // Fig 3
-  std::vector<analysis::MassCountReport> task_mass_count; // Fig 4
-  analysis::Figure submission_interval_cdf;               // Fig 5
-  std::vector<analysis::SubmissionStats> submission_stats;  // Table I
-  analysis::Figure job_cpu_usage_cdf;                     // Fig 6a
-  analysis::Figure job_mem_usage_cdf;                     // Fig 6b
-
-  // Host load (Section IV) — present when run_hostload.
-  std::optional<analysis::MaxLoadDistribution> max_load;  // Fig 7
-  std::optional<analysis::QueueStateReport> queue_state;  // Fig 8
-  std::optional<analysis::QueueRunMassCount> queue_runs;  // Fig 9
-  std::vector<analysis::Figure> usage_snapshots;          // Fig 10
-  std::vector<analysis::LevelDurationTable> level_tables; // Tables II/III
-  std::vector<analysis::UsageMassCountReport> usage_mass_count;  // Figs 11/12
-  std::optional<analysis::HostLoadComparison> hostload_comparison;  // Fig 13
-
-  /// Renders the headline findings as text (the paper's conclusion list).
-  std::string render_summary() const;
-
-  /// Writes every figure's .dat series under `directory`.
-  void write_all_figures(const std::string& directory) const;
-};
-
-/// Facade running the full study. The heavyweight intermediate traces
-/// are owned by the object so callers can inspect them after run().
 class Characterization {
  public:
-  explicit Characterization(CharacterizationConfig config = {});
-
-  /// Generates traces, simulates host load, runs all analyzers.
-  const CharacterizationReport& run();
-
-  /// Accessors to the underlying traces (valid after run()).
-  const trace::TraceSet& google_workload() const { return google_workload_; }
-  const std::vector<trace::TraceSet>& grid_workloads() const {
-    return grid_workloads_;
-  }
-  const trace::TraceSet& google_hostload() const { return google_hostload_; }
-  const std::vector<trace::TraceSet>& grid_hostloads() const {
-    return grid_hostloads_;
-  }
-  const CharacterizationReport& report() const { return report_; }
-
-  /// Convenience builders, usable without a full run.
-  static trace::TraceSet build_google_workload(
-      const gen::GoogleModelConfig& config, util::TimeSec horizon);
+  /// Simulates `machines` Google hosts over `horizon`. The trace's
+  /// system name is "google-hostload".
   static trace::TraceSet simulate_google_hostload(
       const gen::GoogleModelConfig& config, const sim::SimConfig& sim_config,
       std::size_t machines, util::TimeSec horizon);
+  /// Simulates `machines` hosts of a grid preset over `horizon` under
+  /// the grid scheduler defaults. The trace's system name is
+  /// "<preset>-hostload".
   static trace::TraceSet simulate_grid_hostload(
       const gen::GridSystemPreset& preset, std::size_t machines,
       util::TimeSec horizon);
-
- private:
-  CharacterizationConfig config_;
-  trace::TraceSet google_workload_;
-  std::vector<trace::TraceSet> grid_workloads_;
-  trace::TraceSet google_hostload_;
-  std::vector<trace::TraceSet> grid_hostloads_;
-  CharacterizationReport report_;
-  bool ran_ = false;
 };
 
 }  // namespace cgc

@@ -74,7 +74,7 @@ struct ScenarioSpec {
   /// Machine-selection policy (SimConfig::placement).
   sim::PlacementPolicy placement = sim::PlacementPolicy::kBalanced;
   /// Consolidation target: planning windows are sized so the packed
-  /// fleet would run at this utilization (capacity_planner's knob).
+  /// fleet would run at this utilization.
   double target_utilization = 0.75;
   /// Linear cost model: dollars per machine-hour of provisioned fleet.
   double cost_per_machine_hour = 0.04;

@@ -4,11 +4,10 @@
 // waits, evictions) reduce to a fixed set of planning metrics: how hot
 // the fleet ran, how violent the scheduler was, how long work queued,
 // how many machines the load actually needed at the target utilization
-// (the capacity_planner calculation, per 6-hour window), and what the
-// consolidated fleet costs per delivered SLO-attaining CPU-hour under
-// the scenario's linear machine-hour rate. The Pareto frontier over
-// four of those objectives is the plan's headline answer; dominates()
-// freezes the objective set.
+// (per 6-hour window), and what the consolidated fleet costs per
+// delivered SLO-attaining CPU-hour under the scenario's linear
+// machine-hour rate. The Pareto frontier over four of those objectives
+// is the plan's headline answer; dominates() freezes the objective set.
 #pragma once
 
 #include <cstddef>
@@ -44,7 +43,7 @@ struct ScenarioScore {
   /// Mean queue wait.
   double wait_mean_s = 0.0;
   /// Peak per-6h-window machines needed to carry the observed load at
-  /// the scenario's target utilization (ceil; capacity_planner math).
+  /// the scenario's target utilization (ceil).
   double machines_needed = 0.0;
   /// 1 - machines_needed / fleet: the shut-off headroom.
   double headroom = 0.0;

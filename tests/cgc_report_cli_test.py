@@ -12,13 +12,16 @@ as torn: `cgc_plan --merge` exits 1 asking for that shard to be rerun,
 and `--resume` quarantines it and reruns the shard. bench_perf runs
 exactly one known leg: none, an unknown one or two are usage errors, and
 its plan leg writes a record with the common frame whose thread runs
-share one digest and fail no scenario.
+share one digest and fail no scenario. The trace cache has one tier:
+a sweep that rebuilds deleted hostload_*.cgcs entries writes the same
+outputs (file, crc, size) as the sweep that first built them.
 
 Every command runs under CGC_BENCH_FAST=1 with throwaway CGC_BENCH_OUT
 and CGC_BENCH_CACHE directories, so a build that wrongly starts a sweep
 stays at smoke-test scale and then fails its exit-code check.
 """
 
+import glob
 import json
 import os
 import shutil
@@ -78,6 +81,40 @@ def check_plan_record(path):
     return problems
 
 
+def rebuilt_hostload_problems(report, env, tmp):
+    """Runs the two host-load cases twice on one cache, deleting the
+    hostload_*.cgcs entries in between, and compares report.json
+    outputs; returns failure lines."""
+    cases = "fig13,ext_periodicity"
+    cache = os.path.join(tmp, "hostload_cache")
+    outputs = []
+    for attempt in range(2):
+        if attempt == 1:
+            built = glob.glob(os.path.join(cache, "hostload_*.cgcs"))
+            if not built:
+                return [f"cgc_report --only {cases}: no hostload_*.cgcs in "
+                        f"{cache}"]
+            for path in built:
+                os.remove(path)
+        out = os.path.join(tmp, f"hostload_out{attempt}")
+        proc = subprocess.run([report, "--only", cases], cwd=tmp,
+                              env=dict(env, CGC_BENCH_OUT=out,
+                                       CGC_BENCH_CACHE=cache),
+                              capture_output=True, text=True, timeout=900,
+                              check=False)
+        if proc.returncode != EXIT_OK:
+            return [f"cgc_report --only {cases} (run {attempt + 1}): exit "
+                    f"{proc.returncode}\n{proc.stderr[-1500:]}"]
+        with open(os.path.join(out, "report.json")) as f:
+            outputs.append({c["id"]: c["outputs"]
+                            for c in json.load(f)["cases"]})
+    if outputs[0] != outputs[1]:
+        return [f"cgc_report --only {cases}: outputs after rebuilding the "
+                f"host-load cache differ\n  first:   {outputs[0]}\n"
+                f"  rebuilt: {outputs[1]}"]
+    return []
+
+
 def main():
     if len(sys.argv) != 4:
         sys.stderr.write(__doc__)
@@ -129,6 +166,8 @@ def main():
         record_path = os.path.join(tmp, "BENCH_plan.json")
         expect(perf, ["plan", "--out", record_path], EXIT_OK)
         failures.extend(check_plan_record(record_path))
+
+        failures.extend(rebuilt_hostload_problems(report, env, tmp))
 
         plan_out = os.path.join(tmp, "plan")
         os.makedirs(plan_out)

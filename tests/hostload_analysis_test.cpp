@@ -31,6 +31,37 @@ const trace::TraceSet& grid_hostload() {
   return t;
 }
 
+TEST(HostLoadBuilders, GoogleBuilderSimulatesTheRequestedMachines) {
+  const trace::TraceSet t = Characterization::simulate_google_hostload(
+      gen::GoogleModelConfig{}, sim::SimConfig{}, 12,
+      2 * util::kSecondsPerDay);
+  EXPECT_EQ(t.machines().size(), 12u);
+  EXPECT_GT(t.summary().num_samples, 0u);
+  ASSERT_EQ(t.host_load().size(), 12u);
+  for (const trace::HostLoadSeries& h : t.host_load()) {
+    EXPECT_GT(h.size(), 0u) << "machine " << h.machine_id();
+  }
+}
+
+TEST(HostLoadBuilders, SystemNamesNameTheFigureFiles) {
+  // cgc_report's fig13 and ext_periodicity cases write
+  // fig13_<system>_host_load.dat and ext_acf_<system>_<metric>_mean_acf.dat,
+  // so these names are part of the golden output set.
+  EXPECT_EQ(hostload().system_name(), "google-hostload");
+  EXPECT_EQ(grid_hostload().system_name(), "AuverGrid-hostload");
+  const trace::TraceSet* traces[] = {&hostload(), &grid_hostload()};
+  const HostLoadComparison comparison =
+      analyze_hostload_comparison(traces);
+  ASSERT_EQ(comparison.systems.size(), 2u);
+  EXPECT_EQ(comparison.systems[0].series_figure.id, "fig13_google_hostload");
+  EXPECT_EQ(comparison.systems[1].series_figure.id,
+            "fig13_auvergrid_hostload");
+  EXPECT_EQ(analyze_periodicity(hostload(), Metric::kCpu).acf_figure.id,
+            "ext_acf_google_hostload_cpu");
+  EXPECT_EQ(analyze_periodicity(grid_hostload(), Metric::kMem).acf_figure.id,
+            "ext_acf_auvergrid_hostload_memory");
+}
+
 TEST(MaxLoadAnalyzer, GroupsCoverAllMachines) {
   const MaxLoadDistribution dist = analyze_max_host_load(hostload());
   std::size_t cpu_machines = 0;
