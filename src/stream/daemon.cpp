@@ -1,6 +1,5 @@
 #include "stream/daemon.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -36,30 +35,6 @@ std::uint64_t fnv1a(const std::string& bytes) {
     h *= 1099511628211ULL;
   }
   return h;
-}
-
-/// Replays a pre-sorted event vector in batches, pacing trace time at
-/// `rate` seconds per wall second when rate > 0. Stops at the next
-/// batch boundary once a shutdown has been requested.
-void replay_events(SlidingWindow* engine,
-                   std::span<const trace::TaskEvent> events, double rate,
-                   std::size_t batch_size) {
-  const auto wall0 = std::chrono::steady_clock::now();
-  const util::TimeSec t0 = events.empty() ? 0 : events.front().time;
-  for (std::size_t i = 0; i < events.size() && !shutdown_requested();
-       i += batch_size) {
-    const std::span<const trace::TaskEvent> batch =
-        events.subspan(i, std::min(batch_size, events.size() - i));
-    if (rate > 0.0) {
-      const double target_s =
-          static_cast<double>(batch.front().time - t0) / rate;
-      std::this_thread::sleep_until(
-          wall0 + std::chrono::duration_cast<
-                      std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double>(target_s)));
-    }
-    engine->ingest(batch);
-  }
 }
 
 void write_health_json(std::ostream& out, const StreamHealth& health) {
@@ -132,15 +107,35 @@ int run_daemon(const DaemonConfig& config, std::istream& in,
   // generate cost is not part of the streaming rate.
   StreamHealth io_health;
   const auto wall0 = std::chrono::steady_clock::now();
+  // Trace replay. With rate > 0, each batch waits until trace time has
+  // advanced `rate` seconds per wall second since the first event.
+  const auto replay = [&](const trace::TraceSet& trace) {
+    std::optional<util::TimeSec> t0;
+    std::chrono::steady_clock::time_point pace0;
+    replay_trace(
+        trace, config.batch_size,
+        [&](std::span<const trace::TaskEvent> batch) {
+          if (!t0) {
+            t0 = batch.front().time;
+            pace0 = std::chrono::steady_clock::now();
+          }
+          if (config.rate > 0.0) {
+            const double target_s =
+                static_cast<double>(batch.front().time - *t0) / config.rate;
+            std::this_thread::sleep_until(
+                pace0 + std::chrono::duration_cast<
+                            std::chrono::steady_clock::duration>(
+                            std::chrono::duration<double>(target_s)));
+          }
+          engine.ingest(batch);
+        });
+  };
   if (config.generate) {
     gen::GoogleModelConfig model_config;
     model_config.task_sampling_rate = config.task_sampling_rate;
     const auto horizon = static_cast<util::TimeSec>(config.generate_days *
                                                     util::kSecondsPerDay);
-    const trace::TraceSet workload =
-        gen::GoogleWorkloadModel(model_config).generate_workload(horizon);
-    const std::vector<trace::TaskEvent> events = synthesize_events(workload);
-    replay_events(&engine, events, config.rate, config.batch_size);
+    replay(gen::GoogleWorkloadModel(model_config).generate_workload(horizon));
   } else if (config.input == "-") {
     read_event_stream(
         in, config.batch_size,
@@ -160,8 +155,7 @@ int run_daemon(const DaemonConfig& config, std::istream& in,
     const trace::TraceSet loaded =
         trace::load_trace(config.input, load_options, &report);
     io_health.parse_bad_lines += report.parse.lines_bad;
-    const std::vector<trace::TaskEvent> events = synthesize_events(loaded);
-    replay_events(&engine, events, config.rate, config.batch_size);
+    replay(loaded);
   } else {
     CGC_CHECK_MSG(false, "no input: give a trace path, \"-\", or generate");
   }

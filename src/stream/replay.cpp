@@ -1,8 +1,8 @@
 #include "stream/replay.hpp"
 
 #include <algorithm>
+#include <array>
 #include <istream>
-#include <tuple>
 
 #include "exec/parallel.hpp"
 #include "stream/shutdown.hpp"
@@ -15,6 +15,8 @@ namespace cgc::stream {
 namespace {
 
 constexpr std::int64_t kMicrosPerSecond = 1'000'000;
+/// Batch size synthesize_events drains replay_trace with.
+constexpr std::size_t kDrainBatch = 8192;
 
 /// clusterdata event code → TaskEventType; nullopt for unknown codes.
 bool event_from_code(std::int64_t code, trace::TaskEventType* out) {
@@ -49,53 +51,144 @@ bool event_from_code(std::int64_t code, trace::TaskEventType* out) {
   }
 }
 
-/// Stream sort order: time, then stable identity, then lifecycle order
-/// (SUBMIT < SCHEDULE < terminals) so a task's same-second events
-/// replay in state-machine order.
-bool event_before(const trace::TaskEvent& a, const trace::TaskEvent& b) {
-  return std::tuple(a.time, a.job_id, a.task_index,
-                    static_cast<int>(a.type)) <
-         std::tuple(b.time, b.job_id, b.task_index, static_cast<int>(b.type));
+/// One replayed event of a task-only trace: its time and the index of
+/// its task record. Each key array holds one lifecycle step (SUBMIT,
+/// SCHEDULE or terminal), so the step is implied by the array.
+struct ReplayKey {
+  trace::TimeSec time;
+  std::uint64_t record;
+};
+
+constexpr auto key_before = [](const ReplayKey& a, const ReplayKey& b) {
+  return a.time != b.time ? a.time < b.time : a.record < b.record;
+};
+
+/// The lifecycle steps a task record replays as, in tie-break order.
+enum Step : std::size_t { kSubmitStep, kScheduleStep, kEndStep, kSteps };
+
+trace::TaskEvent event_of(const trace::Task& task, Step step,
+                          trace::TimeSec time) {
+  trace::TaskEvent event;
+  event.time = time;
+  event.job_id = task.job_id;
+  event.task_index = task.task_index;
+  event.priority = task.priority;
+  event.machine_id = task.machine_id;
+  switch (step) {
+    case kSubmitStep:
+      event.type = trace::TaskEventType::kSubmit;
+      event.machine_id = -1;
+      break;
+    case kScheduleStep:
+      event.type = trace::TaskEventType::kSchedule;
+      break;
+    default:
+      event.type = task.end_event;
+      break;
+  }
+  return event;
+}
+
+/// Replays a task-only trace: one sorted key array per lifecycle step,
+/// merged on (time, record, step). The record index orders like
+/// (job_id, task_index) because the tasks are in finalize() order, so
+/// the merge is the (time, job_id, task_index, step) order.
+std::uint64_t replay_tasks(std::span<const trace::Task> tasks,
+                           std::size_t batch_size, const BatchSink& sink) {
+  for (std::size_t i = 1; i < tasks.size(); ++i) {
+    const trace::Task& a = tasks[i - 1];
+    const trace::Task& b = tasks[i];
+    CGC_CHECK_MSG(a.job_id < b.job_id ||
+                      (a.job_id == b.job_id && a.task_index <= b.task_index),
+                  "replay needs tasks in (job_id, task_index) order; "
+                  "finalize() the trace first");
+  }
+  std::array<std::vector<ReplayKey>, kSteps> keys;
+  for (std::vector<ReplayKey>& step_keys : keys) {
+    step_keys.reserve(tasks.size());
+  }
+  for (std::size_t r = 0; r < tasks.size(); ++r) {
+    const trace::Task& task = tasks[r];
+    keys[kSubmitStep].push_back({task.submit_time, r});
+    if (task.schedule_time >= 0) {
+      keys[kScheduleStep].push_back({task.schedule_time, r});
+    }
+    if (task.end_time >= 0) {
+      keys[kEndStep].push_back({task.end_time, r});
+    }
+  }
+  // Keys are unique within an array (one per record), so every sort
+  // gives the same order; the three arrays sort concurrently.
+  exec::parallel_for(
+      0, kSteps,
+      [&keys](std::size_t s) {
+        if (!std::is_sorted(keys[s].begin(), keys[s].end(), key_before)) {
+          std::sort(keys[s].begin(), keys[s].end(), key_before);
+        }
+      },
+      1);
+
+  std::array<std::size_t, kSteps> next{};
+  std::vector<trace::TaskEvent> batch;
+  batch.reserve(std::min(batch_size, 3 * tasks.size()));
+  std::uint64_t delivered = 0;
+  while (!shutdown_requested()) {
+    batch.clear();
+    while (batch.size() < batch_size) {
+      // Smallest head; a tie on (time, record) goes to the earlier step.
+      std::size_t best = kSteps;
+      for (std::size_t s = 0; s < kSteps; ++s) {
+        if (next[s] < keys[s].size() &&
+            (best == kSteps ||
+             key_before(keys[s][next[s]], keys[best][next[best]]))) {
+          best = s;
+        }
+      }
+      if (best == kSteps) {
+        break;
+      }
+      const ReplayKey& key = keys[best][next[best]++];
+      batch.push_back(
+          event_of(tasks[key.record], static_cast<Step>(best), key.time));
+    }
+    if (batch.empty()) {
+      break;
+    }
+    sink(batch);
+    delivered += batch.size();
+  }
+  return delivered;
 }
 
 }  // namespace
 
+std::uint64_t replay_trace(const trace::TraceSet& trace,
+                           std::size_t batch_size, const BatchSink& sink) {
+  CGC_CHECK(batch_size > 0);
+  const std::span<const trace::TaskEvent> events = trace.events();
+  if (events.empty()) {
+    return replay_tasks(trace.tasks(), batch_size, sink);
+  }
+  std::uint64_t delivered = 0;
+  for (std::size_t i = 0; i < events.size() && !shutdown_requested();
+       i += batch_size) {
+    const std::span<const trace::TaskEvent> batch =
+        events.subspan(i, std::min(batch_size, events.size() - i));
+    sink(batch);
+    delivered += batch.size();
+  }
+  return delivered;
+}
+
 std::vector<trace::TaskEvent> synthesize_events(
     const trace::TraceSet& trace) {
   std::vector<trace::TaskEvent> events;
-  if (!trace.events().empty()) {
-    events.assign(trace.events().begin(), trace.events().end());
-    return events;
-  }
-  events.reserve(trace.tasks().size() * 3);
-  for (const trace::Task& task : trace.tasks()) {
-    trace::TaskEvent base;
-    base.job_id = task.job_id;
-    base.task_index = task.task_index;
-    base.priority = task.priority;
-    base.machine_id = -1;
-
-    trace::TaskEvent submit = base;
-    submit.time = task.submit_time;
-    submit.type = trace::TaskEventType::kSubmit;
-    events.push_back(submit);
-
-    if (task.schedule_time >= 0) {
-      trace::TaskEvent schedule = base;
-      schedule.time = task.schedule_time;
-      schedule.type = trace::TaskEventType::kSchedule;
-      schedule.machine_id = task.machine_id;
-      events.push_back(schedule);
-    }
-    if (task.end_time >= 0) {
-      trace::TaskEvent end = base;
-      end.time = task.end_time;
-      end.type = task.end_event;
-      end.machine_id = task.machine_id;
-      events.push_back(end);
-    }
-  }
-  exec::parallel_sort(&events, event_before);
+  events.reserve(trace.events().empty() ? 3 * trace.tasks().size()
+                                        : trace.events().size());
+  replay_trace(trace, kDrainBatch,
+               [&events](std::span<const trace::TaskEvent> batch) {
+                 events.insert(events.end(), batch.begin(), batch.end());
+               });
   return events;
 }
 
@@ -128,10 +221,8 @@ bool parse_google_event_line(std::string_view line,
   }
 }
 
-std::uint64_t read_event_stream(
-    std::istream& in, std::size_t batch_size,
-    const std::function<void(std::span<const trace::TaskEvent>)>& sink,
-    StreamHealth* health) {
+std::uint64_t read_event_stream(std::istream& in, std::size_t batch_size,
+                                const BatchSink& sink, StreamHealth* health) {
   CGC_CHECK(batch_size > 0);
   std::uint64_t delivered = 0;
   std::vector<trace::TaskEvent> batch;

@@ -4,10 +4,11 @@
 // module turns the two kinds of input cgcd accepts into that shape:
 //
 //   * a loaded TraceSet (any cgc::trace::Loader format) — replayed via
-//     synthesize_events(), which uses the trace's own event log when it
-//     has one and otherwise reconstructs the SUBMIT/SCHEDULE/terminal
-//     triple per task record (generator workloads carry tasks but no
-//     event rows);
+//     replay_trace(), which hands out the trace's own event log when it
+//     has one and otherwise merges the SUBMIT/SCHEDULE/terminal triple
+//     of every task record into time order batch by batch (generator
+//     workloads carry tasks but no event rows), never holding the whole
+//     event stream;
 //   * a pipe of Google clusterdata task_events rows on stdin — parsed
 //     line by line, malformed rows counted into StreamHealth and never
 //     fatal.
@@ -25,13 +26,33 @@
 
 namespace cgc::stream {
 
-/// Builds a time-sorted event stream from `trace`. The trace's own
-/// events are used verbatim when present (finalize() already sorted
-/// them); otherwise events are synthesized from the task records.
-/// Synthesis emits one submit/schedule/terminal cycle per task —
-/// resubmission cycles are not reconstructed (the Task record only
-/// keeps their count), so replayed queue depths are a lower bound for
-/// traces with evictions.
+/// Receives one ingest batch. The span is valid only during the call.
+using BatchSink = std::function<void(std::span<const trace::TaskEvent>)>;
+
+/// Replays `trace` as a time-sorted event stream, delivering batches of
+/// exactly `batch_size` events (the last may be shorter) to `sink`.
+///
+/// A trace with event rows is replayed verbatim: the batches are spans
+/// over trace.events() (finalize() already sorted them), no copy.
+/// Otherwise every task record yields a SUBMIT, a SCHEDULE when it was
+/// placed (schedule_time >= 0) and its end_event when it ended
+/// (end_time >= 0) — one cycle per task; resubmission cycles are not
+/// reconstructed (the Task record only keeps their count), so replayed
+/// queue depths are a lower bound for traces with evictions. The
+/// events come out ordered by (time, job_id, task_index), and a task's
+/// events that share a second come out as submit, then schedule, then
+/// the terminal event — the lifecycle order the window state machine
+/// needs. That is the order of sorting on (time, job_id, task_index,
+/// type) whenever those keys are unique. Requires the tasks in
+/// finalize() order, ascending (job_id, task_index); CGC_CHECKs it.
+///
+/// Like read_event_stream, stops after the current batch once
+/// shutdown_requested() is up. Returns the number of events delivered.
+std::uint64_t replay_trace(const trace::TraceSet& trace,
+                           std::size_t batch_size, const BatchSink& sink);
+
+/// The whole of replay_trace's stream as one vector (for callers that
+/// need it materialized, such as tests and the traced benchmark leg).
 std::vector<trace::TaskEvent> synthesize_events(const trace::TraceSet& trace);
 
 /// Parses one Google clusterdata task_events row (13 columns: time in
@@ -47,9 +68,7 @@ bool parse_google_event_line(std::string_view line, trace::TaskEvent* event);
 /// delivering the partial batch) once shutdown_requested() is up, so a
 /// SIGTERM'd daemon can spill the open window and exit. Returns the
 /// number of events delivered.
-std::uint64_t read_event_stream(
-    std::istream& in, std::size_t batch_size,
-    const std::function<void(std::span<const trace::TaskEvent>)>& sink,
-    StreamHealth* health);
+std::uint64_t read_event_stream(std::istream& in, std::size_t batch_size,
+                                const BatchSink& sink, StreamHealth* health);
 
 }  // namespace cgc::stream

@@ -2,7 +2,7 @@
 //
 // cgcd must never lose the open window to a SIGTERM/SIGINT: the
 // handlers here only set an async-signal-safe flag, and the ingest
-// loops (read_event_stream, replay_events) poll it between batches.
+// loops (read_event_stream, replay_trace) poll it between batches.
 // When the flag is up the daemon stops ingesting, closes and spills
 // the current window through the normal flush path, stamps
 // `"interrupted": true` into the summary JSON, and exits cleanly —

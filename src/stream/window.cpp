@@ -5,6 +5,7 @@
 #include <cstring>
 #include <iomanip>
 #include <limits>
+#include <optional>
 #include <ostream>
 #include <utility>
 
@@ -23,15 +24,7 @@ void append_pod(std::string* out, const T& value) {
 }
 
 std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t task_key(const trace::TaskEvent& event) {
-  return (static_cast<std::uint64_t>(event.job_id) << 32) ^
-         static_cast<std::uint32_t>(event.task_index);
+  return mix_key(x + 0x9e3779b97f4a7c15ULL);
 }
 
 /// JSON fragment for one StreamingEcdf: summary quantiles plus plot
@@ -457,9 +450,9 @@ void SlidingWindow::advance_state(const trace::TaskEvent& event,
   switch (event.type) {
     case trace::TaskEventType::kSubmit: {
       ++pending_;
-      auto [it, inserted] = jobs_.try_emplace(event.job_id);
+      const auto [job, inserted] = jobs_.try_emplace(event.job_id);
       if (inserted) {
-        it->second.first_submit = t;
+        job->first_submit = t;
         if (last_job_submit_ >= 0) {
           const auto gap = static_cast<double>(
               std::max<TimeSec>(0, t - last_job_submit_));
@@ -472,51 +465,49 @@ void SlidingWindow::advance_state(const trace::TaskEvent& event,
         }
         last_job_submit_ = t;
       }
-      ++it->second.live;
+      ++job->live;
       break;
     }
     case trace::TaskEventType::kSchedule: {
       pending_ = std::max<std::int64_t>(0, pending_ - 1);
       ++running_;
-      running_tasks_[task_key(event)] = TaskRun{t, event.machine_id};
+      *running_tasks_.try_emplace({event.job_id, event.task_index}).first =
+          TaskRun{t, event.machine_id};
       if (event.machine_id >= 0) {
-        ++host_running_[event.machine_id];
+        ++*host_running_.try_emplace(event.machine_id).first;
       }
       break;
     }
     case trace::TaskEventType::kUpdate:
       break;
     default: {  // terminal: EVICT/FAIL/FINISH/KILL/LOST
-      const auto it = running_tasks_.find(task_key(event));
-      if (it != running_tasks_.end()) {
+      if (const std::optional<TaskRun> run =
+              running_tasks_.take({event.job_id, event.task_index})) {
         running_ = std::max<std::int64_t>(0, running_ - 1);
         if (Pane* pane = live_pane()) {
           pane->task_length.add(static_cast<double>(
-              std::max<TimeSec>(0, t - it->second.schedule_time)));
+              std::max<TimeSec>(0, t - run->schedule_time)));
         }
-        if (it->second.machine_id >= 0) {
-          auto host = host_running_.find(it->second.machine_id);
-          if (host != host_running_.end() && host->second > 0) {
-            --host->second;
+        if (run->machine_id >= 0) {
+          std::int64_t* host = host_running_.find(run->machine_id);
+          if (host != nullptr && *host > 0) {
+            --*host;
           }
         }
-        running_tasks_.erase(it);
       } else {
         // Terminal without a live placement: the task died from pending
         // (or its SCHEDULE was lost); no run-duration sample.
         pending_ = std::max<std::int64_t>(0, pending_ - 1);
       }
-      auto job = jobs_.find(event.job_id);
-      if (job != jobs_.end() && job->second.live > 0) {
-        if (--job->second.live == 0) {
-          const auto length = static_cast<double>(
-              std::max<TimeSec>(0, t - job->second.first_submit));
-          if (Pane* pane = live_pane()) {
-            pane->job_length.add(length);
-          }
-          for (std::int64_t w = first; w <= last; ++w) {
-            open_window(w).stats.job_length_probe.add(length);
-          }
+      JobState* job = jobs_.find(event.job_id);
+      if (job != nullptr && job->live > 0 && --job->live == 0) {
+        const auto length = static_cast<double>(
+            std::max<TimeSec>(0, t - job->first_submit));
+        if (Pane* pane = live_pane()) {
+          pane->job_length.add(length);
+        }
+        for (std::int64_t w = first; w <= last; ++w) {
+          open_window(w).stats.job_length_probe.add(length);
         }
       }
       break;
@@ -571,15 +562,14 @@ void SlidingWindow::close_oldest() {
   ws.pending_at_close = pending_;
   ws.running_at_close = running_;
   std::int64_t hosts = 0;
-  for (auto it = host_running_.begin(); it != host_running_.end();) {
-    if (it->second > 0) {
-      ++hosts;
-      ws.host_load.add_n(static_cast<double>(it->second), 1);
-      ++it;
-    } else {
-      it = host_running_.erase(it);  // prune idle hosts as we go
+  host_running_.erase_if([&](std::int64_t, std::int64_t running) {
+    if (running <= 0) {
+      return true;  // prune idle hosts
     }
-  }
+    ++hosts;
+    ws.host_load.add_n(static_cast<double>(running), 1);
+    return false;
+  });
   ws.hosts_seen = hosts;
   ws.closed = true;
 

@@ -50,9 +50,9 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "stream/flat_table.hpp"
 #include "stream/sketch.hpp"
 #include "trace/types.hpp"
 #include "util/time_util.hpp"
@@ -196,6 +196,19 @@ class SlidingWindow {
     TimeSec first_submit = 0;
     std::int64_t live = 0;
   };
+  /// A task's identity: the full job id and the task index (job ids
+  /// in Google clusterdata exceed 2^32).
+  struct TaskKey {
+    std::int64_t job_id = 0;
+    std::int32_t task_index = 0;
+    bool operator==(const TaskKey&) const = default;
+  };
+  struct TaskKeyHash {
+    std::uint64_t operator()(const TaskKey& key) const {
+      return mix_key(static_cast<std::uint64_t>(key.job_id) ^
+                     mix_key(static_cast<std::uint32_t>(key.task_index)));
+    }
+  };
   struct TaskRun {
     TimeSec schedule_time = 0;
     std::int64_t machine_id = -1;
@@ -249,10 +262,13 @@ class SlidingWindow {
   std::uint64_t windows_closed_ = 0;
   StreamHealth health_;
 
-  // Stream state machine.
-  std::unordered_map<std::int64_t, JobState> jobs_;
-  std::unordered_map<std::uint64_t, TaskRun> running_tasks_;
-  std::unordered_map<std::int64_t, std::int64_t> host_running_;
+  // Stream state machine. Jobs are never pruned: a job re-submitted
+  // after its live count drained to zero keeps its first submit time
+  // and makes no new submission gap.
+  FlatTable<std::int64_t, JobState> jobs_;
+  FlatTable<TaskKey, TaskRun, TaskKeyHash> running_tasks_;
+  /// Running tasks per machine; idle machines are pruned at close.
+  FlatTable<std::int64_t, std::int64_t> host_running_;
   std::int64_t pending_ = 0;
   std::int64_t running_ = 0;
   TimeSec last_job_submit_ = -1;

@@ -173,9 +173,8 @@ class PerWindowReference {
     if (config_.keep_events) {
       for_open_windows(t, [&](Open& w) { w.events.push_back(event); });
     }
-    const std::uint64_t task =
-        (static_cast<std::uint64_t>(event.job_id) << 32) ^
-        static_cast<std::uint32_t>(event.task_index);
+    const std::pair<std::int64_t, std::int32_t> task(event.job_id,
+                                                     event.task_index);
     switch (event.type) {
       case TaskEventType::kSubmit: {
         ++pending_;
@@ -278,7 +277,8 @@ class PerWindowReference {
   util::TimeSec max_time_ = 0;
   bool any_event_ = false;
   std::unordered_map<std::int64_t, Job> jobs_;
-  std::unordered_map<std::uint64_t, std::pair<util::TimeSec, std::int64_t>>
+  std::map<std::pair<std::int64_t, std::int32_t>,
+           std::pair<util::TimeSec, std::int64_t>>
       running_tasks_;
   std::unordered_map<std::int64_t, std::int64_t> hosts_;
   std::int64_t pending_ = 0;
@@ -413,6 +413,44 @@ TEST(SlidingWindowTest, TumblingWindowLifecycleAndMetrics) {
   EXPECT_EQ(w1->running_at_close, 0);
   EXPECT_EQ(w1->hosts_seen, 0);
   EXPECT_FALSE(engine.health().lossy());
+}
+
+/// Two running tasks with the same task index in jobs whose ids differ
+/// by 2^32 are two tasks: each end takes its own schedule time, and
+/// neither end counts as a death from pending. (Google clusterdata job
+/// ids exceed 2^32.)
+TEST(SlidingWindowTest, JobIdsBeyond32BitsKeepTheirOwnRunningTasks) {
+  const std::int64_t job_a = 7;
+  const std::int64_t job_b = 7 + (std::int64_t{1} << 32);
+  WindowConfig config;
+  config.width = 100;
+  config.watermark_lag = 0;
+  SlidingWindow engine(config);
+  engine.ingest(std::vector<TaskEvent>{
+      make_event(10, TaskEventType::kSubmit, job_a, 0, 2),
+      make_event(10, TaskEventType::kSubmit, job_b, 0, 2),
+      make_event(20, TaskEventType::kSchedule, job_a, 0, 2, 1),
+      make_event(30, TaskEventType::kSchedule, job_b, 0, 2, 2),
+      make_event(50, TaskEventType::kFinish, job_a, 0, 2, 1),
+      make_event(150, TaskEventType::kFinish, job_b, 0, 2, 2),
+  });
+  engine.flush();
+  ASSERT_EQ(engine.windows_closed(), 2u);
+  const WindowStats* w0 = engine.find(0);
+  const WindowStats* w1 = engine.find(1);
+  ASSERT_NE(w0, nullptr);
+  ASSERT_NE(w1, nullptr);
+  // Window [0, 100): job_a's task ran 20 -> 50; job_b's still runs.
+  ASSERT_EQ(w0->task_length.count(), 1u);
+  EXPECT_DOUBLE_EQ(w0->task_length.min(), 30.0);
+  EXPECT_EQ(w0->running_at_close, 1);
+  EXPECT_EQ(w0->pending_at_close, 0);
+  // Window [100, 200): job_b's task ran 30 -> 150, and nothing runs.
+  ASSERT_EQ(w1->task_length.count(), 1u);
+  EXPECT_DOUBLE_EQ(w1->task_length.min(), 120.0);
+  EXPECT_EQ(w1->running_at_close, 0);
+  EXPECT_EQ(w1->hosts_seen, 0);
+  EXPECT_EQ(w0->task_length.count() + w1->task_length.count(), 2u);
 }
 
 TEST(SlidingWindowTest, OverlappingWindowsAssignEventsToEverySlide) {
@@ -653,27 +691,40 @@ TEST(SlidingWindowTest, PanesMatchPerWindowOracle) {
                               rng() % (2 * util::kSecondsPerHour)));
     }
   }
+  // Placed copy: the generator leaves machine_id unset, so give every
+  // task one of 40 machines — the close-time host walk then counts
+  // busy hosts and prunes idle ones as the load moves.
+  std::vector<TaskEvent> placed = ordered;
+  for (TaskEvent& event : placed) {
+    if (event.type != TaskEventType::kSubmit) {
+      event.machine_id = (event.job_id * 7 + event.task_index) % 40;
+    }
+  }
 
+  enum class Input { kOrdered, kDisordered, kPlaced };
   struct Case {
     std::string name;
     util::TimeSec width;
     util::TimeSec slide;
     std::size_t rate_bins;
     LatePolicy late;
-    bool disorder;
+    Input input;
   };
   const util::TimeSec hour = util::kSecondsPerHour;
   const util::TimeSec five_min = 5 * util::kSecondsPerMinute;
   const std::vector<Case> cases = {
-      {"tumbling 1h", hour, 0, 60, LatePolicy::kDrop, false},
-      {"1h/5min", hour, five_min, 60, LatePolicy::kDrop, false},
-      {"1h/10min, 7 bins", hour, 2 * five_min, 7, LatePolicy::kDrop, false},
+      {"tumbling 1h", hour, 0, 60, LatePolicy::kDrop, Input::kOrdered},
+      {"1h/5min", hour, five_min, 60, LatePolicy::kDrop, Input::kOrdered},
+      {"1h/10min, 7 bins", hour, 2 * five_min, 7, LatePolicy::kDrop,
+       Input::kOrdered},
       {"24h/5min", util::kSecondsPerDay, five_min, 60, LatePolicy::kDrop,
-       false},
+       Input::kOrdered},
       {"1h/5min disordered, drop", hour, five_min, 60, LatePolicy::kDrop,
-       true},
+       Input::kDisordered},
       {"1h/5min disordered, absorb", hour, five_min, 60,
-       LatePolicy::kAbsorbOldest, true},
+       LatePolicy::kAbsorbOldest, Input::kDisordered},
+      {"1h/5min on 40 hosts", hour, five_min, 60, LatePolicy::kDrop,
+       Input::kPlaced},
   };
   util::ThreadPool one(1);
   util::ThreadPool eight(8);
@@ -683,13 +734,14 @@ TEST(SlidingWindowTest, PanesMatchPerWindowOracle) {
     config.slide = c.slide;
     config.rate_bins = c.rate_bins;
     config.late_policy = c.late;
-    config.keep_events = c.disorder;
+    const bool disorder = c.input == Input::kDisordered;
+    config.keep_events = disorder;
     const std::span<const TaskEvent> events =
-        c.disorder ? disordered : ordered;
+        disorder ? disordered : c.input == Input::kPlaced ? placed : ordered;
     for (const std::size_t batch : {std::size_t{777}, std::size_t{4096}}) {
       const RunRecord reference = run_reference(config, events, batch);
       ASSERT_GT(reference.states.size(), 1u);
-      if (c.disorder) {
+      if (disorder) {
         EXPECT_GT(reference.late_dropped + reference.late_absorbed, 0u);
       }
       for (util::ThreadPool* pool : {&one, &eight}) {
