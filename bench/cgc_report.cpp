@@ -55,6 +55,7 @@
 #include "obs/span.hpp"
 #include "registry.hpp"
 #include "sweep/lease.hpp"
+#include "sweep/ledger.hpp"
 #include "sweep/merge.hpp"
 #include "sweep/partition.hpp"
 #include "sweep/report_io.hpp"
@@ -597,8 +598,9 @@ int run(int argc, char** argv) {
       "Exit codes: 0 all cases ok and no data loss; 1 a case failed, timed\n"
       "out, a degraded load lost data (see report.json), or a merge input\n"
       "is merely unfinished (resumable); 2 usage — or, for --merge/--spawn,\n"
-      "a conflict between shards (overlap, digest disagreement); 3 fatal\n"
-      "environment error.");
+      "a conflict between shards (overlap, digest disagreement), or a\n"
+      "--resume report of another scale or shard; 3 fatal environment\n"
+      "error.");
   switch (args.parse(argc, argv)) {
     case cgc::util::ParseStatus::kHelp:
       return cgc::util::kExitOk;
@@ -711,37 +713,27 @@ int run(int argc, char** argv) {
   // recorded outputs still hash-match carries over; everything else
   // re-runs — after quarantining whatever a killed worker left behind
   // (stale lease, staging litter, .dat files the report never stamped).
+  // The ledger (sweep/ledger.hpp) moves a torn report aside and refuses
+  // one stamped for another scale or shard.
   std::map<std::string, CaseRecord> previous;
   if (resume) {
     SweepReport prior;
+    cgc::sweep::LedgerInput found;
+    found.path = sweep.report_path;
+    found.status = cgc::sweep::read_report_checked(found.path, &prior);
+    found.stamp = cgc::sweep::stamp_of(prior);
+    if (found.status == cgc::util::ReadStatus::kMissing) {
+      std::printf("resume: no %s; running everything\n",
+                  sweep.report_path.c_str());
+    }
+    if (!cgc::sweep::resume(found, cgc::sweep::stamp_of(sweep.report))) {
+      prior.cases.clear();
+    }
     std::vector<std::string> recorded;
-    switch (cgc::sweep::read_report_checked(sweep.report_path, &prior)) {
-      case cgc::util::ReadStatus::kOk:
-        if (prior.shard_total != sweep.report.shard_total ||
-            prior.shard_index != sweep.report.shard_index) {
-          throw cgc::util::DataError(
-              "resume: " + sweep.report_path + " was written by shard " +
-              std::to_string(prior.shard_index) + "/" +
-              std::to_string(prior.shard_total) +
-              ", not this worker's partition — wrong checkpoint dir?");
-        }
-        for (const CaseRecord& r : prior.cases) {
-          for (const CaseOutput& o : r.outputs) {
-            recorded.push_back(o.file);
-          }
-        }
-        break;
-      case cgc::util::ReadStatus::kMissing:
-        std::printf("resume: no %s; running everything\n",
-                    sweep.report_path.c_str());
-        break;
-      case cgc::util::ReadStatus::kCorrupt:
-        // Silently re-running everything would hide that a previous
-        // sweep died mid-write; make the operator decide.
-        throw cgc::util::DataError(
-            sweep.report_path +
-            " exists but is truncated or unparseable (crashed "
-            "mid-write?); delete it to start fresh");
+    for (const CaseRecord& r : prior.cases) {
+      for (const CaseOutput& o : r.outputs) {
+        recorded.push_back(o.file);
+      }
     }
     const cgc::sweep::QuarantineReport quarantined =
         cgc::sweep::quarantine_stale(sweep.out_dir, recorded);
@@ -846,6 +838,8 @@ int main(int argc, char** argv) {
     return run(argc, argv);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
-    return cgc::error::exit_code(e);
+    // A DataError escaping the run is the shard ledger refusing a
+    // --resume checkpoint of another experiment or shard: exit 2.
+    return cgc::error::merge_exit_code(e);
   }
 }

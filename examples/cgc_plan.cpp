@@ -15,13 +15,15 @@
 // (plan-shard-<i>-of-<N>.cgcp); --merge fuses every checkpoint in the
 // out directory into the same plan.json a single process would write.
 // --resume reuses a matching checkpoint's finished scenarios (failed
-// ones are retried; torn checkpoints are quarantined and re-run).
+// ones are retried; torn checkpoints are quarantined and re-run). Both
+// follow the shard ledger's policy (src/sweep/ledger.hpp), the same as
+// cgc_report's. --merge takes neither --shard nor --resume.
 //
 // Exit codes: 0 ok; 1 any scenario failed or a merge input is
-// incomplete (rerun the shard, merge again); 2 usage, or merge inputs
-// that contradict each other (different matrix digest, overlapping
-// ownership); 3 fatal.
-#include <algorithm>
+// incomplete (rerun the shard, merge again); 2 usage, or checkpoints
+// that contradict each other or the run (different matrix digest,
+// overlapping ownership, a --resume checkpoint of another shard); 3
+// fatal.
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -70,39 +72,17 @@ ScenarioMatrix build_matrix(const cgc::util::Args& args) {
   return matrix;
 }
 
-/// Reads every shard checkpoint under `out_dir` (sorted by path, so the
-/// merge input order is stable). Torn checkpoints are TransientErrors:
-/// rerun that shard and merge again.
-std::vector<cgc::plan::ShardResults> collect_shards(
-    const std::string& out_dir, const ScenarioMatrix& matrix) {
-  std::vector<std::string> paths;
-  for (const auto& entry : std::filesystem::directory_iterator(out_dir)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("plan-shard-", 0) == 0 &&
-        name.size() > 5 && name.substr(name.size() - 5) == ".cgcp") {
-      paths.push_back(entry.path().string());
+/// Names each failed scenario on stderr; returns how many failed.
+std::size_t report_failures(const std::vector<ScenarioResult>& results) {
+  std::size_t failed = 0;
+  for (const ScenarioResult& r : results) {
+    if (!r.ok) {
+      ++failed;
+      std::fprintf(stderr, "failed %s: %s\n", r.id.c_str(),
+                   r.error.c_str());
     }
   }
-  std::sort(paths.begin(), paths.end());
-  if (paths.empty()) {
-    throw cgc::util::TransientError("--merge: no plan-shard-*.cgcp files in " +
-                                    out_dir);
-  }
-  std::vector<cgc::plan::ShardResults> shards;
-  for (const std::string& path : paths) {
-    cgc::plan::ShardResults shard;
-    switch (cgc::plan::read_results(path, matrix, &shard)) {
-      case cgc::util::ReadStatus::kOk:
-        shards.push_back(std::move(shard));
-        break;
-      case cgc::util::ReadStatus::kMissing:
-        break;  // deleted between listing and reading; merge will notice
-      case cgc::util::ReadStatus::kCorrupt:
-        throw cgc::util::TransientError(
-            "--merge: torn checkpoint " + path + "; rerun that shard");
-    }
-  }
-  return shards;
+  return failed;
 }
 
 /// Writes plan.json atomically and prints the ranked comparison.
@@ -114,15 +94,7 @@ std::size_t emit_plan(const ScenarioMatrix& matrix,
   std::filesystem::create_directories(out_dir);
   const std::string path = out_dir + "/plan.json";
   cgc::util::write_file_atomic(path, json);
-
-  std::size_t failed = 0;
-  for (const ScenarioResult& r : results) {
-    if (!r.ok) {
-      ++failed;
-      std::fprintf(stderr, "failed %s: %s\n", r.id.c_str(),
-                   r.error.c_str());
-    }
-  }
+  const std::size_t failed = report_failures(results);
   std::printf("%s", cgc::plan::render_comparison_table(results, top_n).c_str());
   std::printf("\nplan: %zu scenarios (%zu failed) -> %s\n",
               results.size(), failed, path.c_str());
@@ -155,7 +127,8 @@ int run(int argc, char** argv) {
       "(observability), CGC_FAULT_SPEC (site plan.scenario_fail).");
   args.add_usage_note(
       "Exit codes: 0 ok; 1 scenario failure or incomplete merge input;\n"
-      "2 usage or conflicting merge inputs; 3 fatal.");
+      "2 usage, conflicting merge inputs, or a --resume checkpoint of\n"
+      "another matrix or shard; 3 fatal.");
   switch (args.parse(argc, argv)) {
     case cgc::util::ParseStatus::kHelp:
       return cgc::util::kExitOk;
@@ -174,6 +147,13 @@ int run(int argc, char** argv) {
     std::fprintf(stderr,
                  "unknown matrix: %s (expected default or small)\n%s",
                  matrix_name.c_str(), args.usage().c_str());
+    return cgc::util::kExitUsage;
+  }
+  if (args.get_bool("merge") &&
+      (args.provided("shard") || args.get_bool("resume"))) {
+    std::fprintf(stderr,
+                 "--merge cannot be combined with --shard or --resume\n%s",
+                 args.usage().c_str());
     return cgc::util::kExitUsage;
   }
   cgc::sweep::ShardSpec shard;
@@ -203,11 +183,11 @@ int run(int argc, char** argv) {
   if (args.get_bool("merge")) {
     try {
       const std::vector<ScenarioResult> results =
-          cgc::plan::merge_results(matrix, collect_shards(out_dir, matrix));
+          cgc::plan::merge_checkpoints(matrix, out_dir);
       const std::size_t failed = emit_plan(matrix, results, out_dir, top_n);
       return failed == 0 ? cgc::util::kExitOk : cgc::util::kExitFailure;
     } catch (const std::exception& e) {
-      // Merge failures follow the conflict taxonomy: contradictory
+      // Merge failures follow the ledger's taxonomy: contradictory
       // inputs (foreign digest, overlapping shards) are exit 2 — a
       // human must intervene; torn/incomplete shards are resumable
       // exit 1.
@@ -228,17 +208,11 @@ int run(int argc, char** argv) {
     // Single shard covers the whole matrix: emit the artifact directly.
     failed = emit_plan(runner.matrix(), results, out_dir, top_n);
   } else {
-    for (const ScenarioResult& r : results) {
-      if (!r.ok) {
-        ++failed;
-        std::fprintf(stderr, "failed %s: %s\n", r.id.c_str(),
-                     r.error.c_str());
-      }
-    }
+    failed = report_failures(results);
     std::printf("shard %s: %zu/%zu scenarios (%zu resumed, %zu failed) -> %s\n",
                 args.get_string("shard").c_str(), results.size(),
                 runner.matrix().scenarios.size(), runner.resumed(), failed,
-                cgc::plan::shard_results_path(out_dir, shard).c_str());
+                cgc::plan::checkpoint_path(out_dir, shard).c_str());
   }
   return failed == 0 ? cgc::util::kExitOk : cgc::util::kExitFailure;
 }
@@ -250,6 +224,8 @@ int main(int argc, char** argv) {
     return run(argc, argv);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
-    return cgc::error::exit_code(e);
+    // A DataError escaping the run is the shard ledger refusing a
+    // --resume checkpoint of another experiment or shard: exit 2.
+    return cgc::error::merge_exit_code(e);
   }
 }

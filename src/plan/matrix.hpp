@@ -6,9 +6,9 @@
 // the full cross-product in a frozen axis order, so a matrix is a pure
 // function of its axes: same axes -> same scenarios, same order, same
 // digest — on every machine, shard and thread count. The digest is the
-// handshake between shard workers and --merge (plan_io.hpp): results
-// files stamped with different digests are different experiments and
-// refuse to fuse.
+// handshake between shard workers and --merge: checkpoints stamped with
+// different digests are different experiments, and the shard ledger
+// (sweep/ledger.hpp) refuses to fuse them.
 #pragma once
 
 #include <cstdint>

@@ -3,12 +3,8 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <optional>
-#include <unordered_map>
 
-#include "store/encoding.hpp"
 #include "util/error.hpp"
-#include "util/file.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
 
@@ -18,13 +14,11 @@ namespace json = util::json;
 
 namespace {
 
-/// printf %g at `digits` significant digits. 17 round-trips a double
-/// bit-exactly (checkpoints); 10 is plan.json's display precision,
-/// deterministic because the input doubles are bit-identical however
-/// the run was executed.
-std::string fmt(double v, int digits = 10) {
+/// printf %.10g: plan.json's display precision, deterministic because
+/// the input doubles are bit-identical however the run was executed.
+std::string fmt(double v) {
   char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.*g", digits, v);
+  std::snprintf(buf, sizeof(buf), "%.10g", v);
   return buf;
 }
 
@@ -37,57 +31,6 @@ std::string workload_str(const ScenarioSpec& spec) {
     out += spec.workload[i].model + ":" + fmt(spec.workload[i].weight);
   }
   return out;
-}
-
-/// The score fields by JSON name, in frozen serialization order.
-struct ScoreField {
-  const char* name;
-  double ScenarioScore::*member;
-};
-constexpr ScoreField kScoreFields[] = {
-    {"cpu_util_mean", &ScenarioScore::cpu_util_mean},
-    {"cpu_util_peak", &ScenarioScore::cpu_util_peak},
-    {"mem_util_mean", &ScenarioScore::mem_util_mean},
-    {"mem_util_peak", &ScenarioScore::mem_util_peak},
-    {"eviction_rate", &ScenarioScore::eviction_rate},
-    {"wait_p50_s", &ScenarioScore::wait_p50_s},
-    {"wait_p90_s", &ScenarioScore::wait_p90_s},
-    {"wait_p99_s", &ScenarioScore::wait_p99_s},
-    {"wait_mean_s", &ScenarioScore::wait_mean_s},
-    {"machines_needed", &ScenarioScore::machines_needed},
-    {"headroom", &ScenarioScore::headroom},
-    {"machine_hours", &ScenarioScore::machine_hours},
-    {"cost_usd", &ScenarioScore::cost_usd},
-    {"consolidated_cost_usd", &ScenarioScore::consolidated_cost_usd},
-    {"slo_attainment", &ScenarioScore::slo_attainment},
-    {"cpu_hours_delivered", &ScenarioScore::cpu_hours_delivered},
-    {"usd_per_slo", &ScenarioScore::usd_per_slo},
-};
-
-/// JSON object for one score, each field printed at `digits`.
-std::string score_json(const ScenarioScore& s, int digits) {
-  std::string out = "{";
-  for (const ScoreField& f : kScoreFields) {
-    if (out.size() > 1) {
-      out += ", ";
-    }
-    out += std::string("\"") + f.name + "\": " + fmt(s.*f.member, digits);
-  }
-  out += "}";
-  return out;
-}
-
-/// Size of the "end <8 hex digits>\n" line that seals a checkpoint.
-constexpr std::size_t kSealSize = 13;
-
-/// The sealing line of a checkpoint whose body is `content`.
-std::string seal(const std::string& content) {
-  const std::uint32_t crc = store::crc32(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(content.data()),
-      content.size()));
-  char line[16];
-  std::snprintf(line, sizeof(line), "end %08x\n", crc);
-  return line;
 }
 
 /// The scored results in $/SLO ranking order: defined costs
@@ -115,169 +58,7 @@ std::vector<const ScenarioResult*> rank_by_cost(
   return ranked;
 }
 
-/// Matrix position of every scenario id.
-std::unordered_map<std::string, std::size_t> scenario_index(
-    const ScenarioMatrix& matrix) {
-  std::unordered_map<std::string, std::size_t> index;
-  index.reserve(matrix.scenarios.size());
-  for (std::size_t i = 0; i < matrix.scenarios.size(); ++i) {
-    index.emplace(scenario_id(matrix.scenarios[i]), i);
-  }
-  return index;
-}
-
-/// Reads one checkpointed result row; false when any field is missing.
-bool parse_result(const json::Value& row, ScenarioResult* r) {
-  if (!row.get("id", &r->id) || !row.get("ok", &r->ok)) {
-    return false;
-  }
-  if (!r->ok) {
-    return row.get("error", &r->error);
-  }
-  const json::Value* score = row.find("score");
-  return score != nullptr &&
-         std::all_of(std::begin(kScoreFields), std::end(kScoreFields),
-                     [&](const ScoreField& f) {
-                       return score->get(f.name, &(r->score.*f.member));
-                     });
-}
-
 }  // namespace
-
-std::string shard_results_path(const std::string& out_dir,
-                               const sweep::ShardSpec& spec) {
-  return out_dir + "/plan-shard-" + std::to_string(spec.index) + "-of-" +
-         std::to_string(spec.total) + ".cgcp";
-}
-
-void write_results(const std::string& path, const ShardResults& results) {
-  std::string content;
-  content.reserve(256 + results.results.size() * 600);
-  content += "{\"matrix\": \"" + json::escape(results.matrix_name) +
-             "\", \"digest\": " + std::to_string(results.matrix_digest) +
-             ",\n";
-  content += " \"shard_index\": " + std::to_string(results.shard.index) +
-             ", \"shard_total\": " + std::to_string(results.shard.total) +
-             ",\n";
-  content += std::string(" \"complete\": ") +
-             (results.complete ? "true" : "false") + ",\n";
-  content += " \"results\": [";
-  for (std::size_t i = 0; i < results.results.size(); ++i) {
-    const ScenarioResult& r = results.results[i];
-    content += i == 0 ? "\n" : ",\n";
-    content += "  {\"id\": \"" + json::escape(r.id) + "\", \"ok\": ";
-    content += r.ok ? "true, \"score\": " + score_json(r.score, 17)
-                    : "false, \"error\": \"" + json::escape(r.error) + "\"";
-    content += "}";
-  }
-  content += "]}\n";
-  content += seal(content);
-  util::write_file_atomic(path, content);
-}
-
-util::ReadStatus read_results(const std::string& path,
-                              const ScenarioMatrix& matrix,
-                              ShardResults* out) {
-  std::string raw;
-  if (const util::ReadStatus status = util::read_file(path, &raw);
-      status != util::ReadStatus::kOk) {
-    return status;
-  }
-  // The file must end with the seal line over everything before it;
-  // anything else is a torn write.
-  const std::size_t body = raw.size() - std::min(raw.size(), kSealSize);
-  if (raw.compare(body, kSealSize, seal(raw.substr(0, body))) != 0) {
-    return util::ReadStatus::kCorrupt;
-  }
-  const std::optional<json::Value> doc = json::parse(raw.substr(0, body));
-  const json::Value* rows = doc ? doc->find("results") : nullptr;
-  ShardResults parsed;
-  sweep::ShardSpec& shard = parsed.shard;
-  if (rows == nullptr || rows->kind != json::Value::Kind::kArray ||
-      !doc->get("matrix", &parsed.matrix_name) ||
-      !doc->get("digest", &parsed.matrix_digest) ||
-      !doc->get("shard_index", &shard.index) ||
-      !doc->get("shard_total", &shard.total) || shard.index < 0 ||
-      shard.index >= shard.total || !doc->get("complete", &parsed.complete)) {
-    return util::ReadStatus::kCorrupt;
-  }
-  // A sealed checkpoint of a different matrix is not corruption: report
-  // kOk with the stamped digest and no results — the caller classifies
-  // (DataError on resume/merge). Its ids would not map onto this matrix.
-  if (parsed.matrix_digest != matrix.digest()) {
-    *out = std::move(parsed);
-    return util::ReadStatus::kOk;
-  }
-
-  const std::unordered_map<std::string, std::size_t> index =
-      scenario_index(matrix);
-  std::vector<std::optional<ScenarioResult>> slots(matrix.scenarios.size());
-  for (const json::Value& row : rows->items) {
-    ScenarioResult r;
-    if (!parse_result(row, &r)) {
-      return util::ReadStatus::kCorrupt;
-    }
-    const auto it = index.find(r.id);
-    if (it == index.end() || slots[it->second].has_value()) {
-      return util::ReadStatus::kCorrupt;  // foreign or duplicate scenario
-    }
-    r.spec = matrix.scenarios[it->second];
-    slots[it->second] = std::move(r);
-  }
-  for (std::optional<ScenarioResult>& slot : slots) {
-    if (slot.has_value()) {
-      parsed.results.push_back(std::move(*slot));
-    }
-  }
-  *out = std::move(parsed);
-  return util::ReadStatus::kOk;
-}
-
-std::vector<ScenarioResult> merge_results(
-    const ScenarioMatrix& matrix, const std::vector<ShardResults>& shards) {
-  const std::uint64_t digest = matrix.digest();
-  std::vector<std::optional<ScenarioResult>> slots(matrix.scenarios.size());
-  const std::unordered_map<std::string, std::size_t> index =
-      scenario_index(matrix);
-
-  for (const ShardResults& shard : shards) {
-    if (shard.matrix_digest != digest) {
-      throw util::DataError(
-          "merge conflict: shard " + shard.shard.str() +
-          " was produced by a different matrix (digest mismatch)");
-    }
-    if (!shard.complete) {
-      throw util::TransientError("shard " + shard.shard.str() +
-                                 " is incomplete — rerun it, then merge");
-    }
-    for (const ScenarioResult& r : shard.results) {
-      if (!sweep::owns(shard.shard, r.id)) {
-        throw util::DataError("merge conflict: shard " + shard.shard.str() +
-                              " reports scenario " + r.id +
-                              " it does not own");
-      }
-      const std::size_t slot = index.at(r.id);
-      if (slots[slot].has_value()) {
-        throw util::DataError("merge conflict: scenario " + r.id +
-                              " appears in more than one shard");
-      }
-      slots[slot] = r;
-    }
-  }
-
-  std::vector<ScenarioResult> all;
-  all.reserve(slots.size());
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (!slots[i].has_value()) {
-      throw util::TransientError(
-          "merge incomplete: scenario " +
-          scenario_id(matrix.scenarios[i]) +
-          " is missing — run its shard, then merge again");
-    }
-    all.push_back(std::move(*slots[i]));
-  }
-  return all;
-}
 
 std::string render_plan_json(const ScenarioMatrix& matrix,
                              const std::vector<ScenarioResult>& results) {

@@ -11,10 +11,10 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/span.hpp"
-#include "plan/plan_io.hpp"
+#include "sweep/ledger.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
+#include "util/json.hpp"
 
 namespace cgc::plan {
 
@@ -40,6 +40,43 @@ std::uint8_t remap_priority(PriorityRemap remap, std::uint8_t priority) {
       return static_cast<std::uint8_t>(13 - priority);
   }
   return priority;
+}
+
+/// Scenarios per checkpoint rewrite: one atomic rewrite per 64 results.
+constexpr std::size_t kCheckpointBatch = 64;
+
+/// The experiment identity a matrix's checkpoints are stamped with.
+std::string experiment_of(const ScenarioMatrix& matrix) {
+  return "matrix " + std::to_string(matrix.digest());
+}
+
+/// A result's checkpoint record: its verdict, and its score at 17
+/// digits (bit-exact) or its error.
+std::string encode_result(const ScenarioResult& r) {
+  return r.ok ? "{\"ok\": true, \"score\": " + score_json(r.score, 17) + "}"
+              : "{\"ok\": false, \"error\": \"" +
+                    util::json::escape(r.error) + "\"}";
+}
+
+/// Reads shard checkpoint `path` as a ledger input, decoding its
+/// records into `*results` (ids set, specs left to the caller). A
+/// record that does not decode makes the checkpoint torn.
+sweep::LedgerInput read_shard(const std::string& path,
+                              std::vector<ScenarioResult>* results) {
+  std::vector<util::json::Value> records;
+  sweep::LedgerInput input = sweep::read_checkpoint(path, &records);
+  results->assign(records.size(), ScenarioResult{});
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    ScenarioResult& r = (*results)[i];
+    const util::json::Value* score = records[i].find("score");
+    r.id = input.ids[i];
+    if (!records[i].get("ok", &r.ok) ||
+        !(r.ok ? score != nullptr && parse_score(*score, &r.score)
+               : records[i].get("error", &r.error))) {
+      input.status = util::ReadStatus::kCorrupt;
+    }
+  }
+  return input;
 }
 
 }  // namespace
@@ -150,8 +187,6 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
 
 PlanRunner::PlanRunner(ScenarioMatrix matrix, PlanConfig config)
     : matrix_(std::move(matrix)), config_(std::move(config)) {
-  CGC_CHECK_MSG(config_.checkpoint_batch > 0,
-                "checkpoint batch must be positive");
   for (std::size_t i = 0; i < matrix_.scenarios.size(); ++i) {
     if (sweep::owns(config_.shard, scenario_id(matrix_.scenarios[i]))) {
       owned_.push_back(i);
@@ -161,33 +196,20 @@ PlanRunner::PlanRunner(ScenarioMatrix matrix, PlanConfig config)
 
 std::vector<ScenarioResult> PlanRunner::run() {
   resumed_ = 0;
-  const std::uint64_t digest = matrix_.digest();
   std::unordered_map<std::string, ScenarioResult> done;
 
   const bool checkpointing = !config_.out_dir.empty();
-  std::string path;
+  const std::string path = checkpoint_path(config_.out_dir, config_.shard);
+  sweep::Stamp stamp;
+  stamp.experiment = experiment_of(matrix_);
+  stamp.shard = config_.shard;
   if (checkpointing) {
     std::filesystem::create_directories(config_.out_dir);
-    path = shard_results_path(config_.out_dir, config_.shard);
   }
   if (checkpointing && config_.resume) {
-    ShardResults prev;
-    const util::ReadStatus status = read_results(path, matrix_, &prev);
-    if (status == util::ReadStatus::kCorrupt) {
-      // Torn checkpoint: quarantine it and start the shard over — the
-      // same loud-but-resumable policy as the sweep driver.
-      const std::string quarantined = path + ".corrupt";
-      std::error_code ec;
-      std::filesystem::rename(path, quarantined, ec);
-      CGC_LOG(kWarn) << "plan: quarantined torn checkpoint " << path;
-    } else if (status == util::ReadStatus::kOk) {
-      if (prev.matrix_digest != digest) {
-        throw util::DataError(
-            "--resume: checkpoint " + path +
-            " belongs to a different matrix (digest mismatch); remove it "
-            "or point --out elsewhere");
-      }
-      for (ScenarioResult& r : prev.results) {
+    std::vector<ScenarioResult> prev;
+    if (sweep::resume(read_shard(path, &prev), stamp)) {
+      for (ScenarioResult& r : prev) {
         if (r.ok) {  // failed scenarios are retried, not resumed
           done.emplace(r.id, std::move(r));
         }
@@ -203,45 +225,47 @@ std::vector<ScenarioResult> PlanRunner::run() {
     }
   }
 
-  const auto snapshot = [&](bool complete) {
-    ShardResults out;
-    out.matrix_name = matrix_.name;
-    out.matrix_digest = digest;
-    out.shard = config_.shard;
-    out.complete = complete;
+  // Rewrites the shard's sealed checkpoint: every finished owned
+  // scenario, in matrix order.
+  const auto checkpoint = [&](bool complete) {
+    stamp.complete = complete;
+    std::vector<std::string> ids;
+    std::vector<std::string> records;
     for (const std::size_t idx : owned_) {
-      const auto it = done.find(scenario_id(matrix_.scenarios[idx]));
+      std::string id = scenario_id(matrix_.scenarios[idx]);
+      const auto it = done.find(id);
       if (it != done.end()) {
-        out.results.push_back(it->second);
+        records.push_back(encode_result(it->second));
+        ids.push_back(std::move(id));
       }
     }
-    return out;
+    sweep::write_checkpoint(path, stamp, ids, records);
   };
 
   for (std::size_t start = 0; start < pending.size();
-       start += config_.checkpoint_batch) {
+       start += kCheckpointBatch) {
     const std::size_t count =
-        std::min(config_.checkpoint_batch, pending.size() - start);
+        std::min(kCheckpointBatch, pending.size() - start);
     // parallel_map returns results in index order — the batch's outcome
     // is independent of CGC_THREADS by construction.
     std::vector<ScenarioResult> batch =
         exec::parallel_map<ScenarioResult>(count, [&](std::size_t i) {
           const ScenarioSpec& spec =
               matrix_.scenarios[pending[start + i]];
+          const auto failed = [&spec](const char* kind,
+                                      const std::exception& e) {
+            ScenarioResult r;
+            r.spec = spec;
+            r.id = scenario_id(spec);
+            r.error = kind + std::string(e.what());
+            return r;
+          };
           try {
             return run_scenario(spec);
           } catch (const util::TransientError& e) {
-            ScenarioResult failed;
-            failed.spec = spec;
-            failed.id = scenario_id(spec);
-            failed.error = std::string("transient: ") + e.what();
-            return failed;
+            return failed("transient: ", e);
           } catch (const util::DataError& e) {
-            ScenarioResult failed;
-            failed.spec = spec;
-            failed.id = scenario_id(spec);
-            failed.error = std::string("data: ") + e.what();
-            return failed;
+            return failed("data: ", e);
           }
         },
         /*grain=*/1);  // scenarios are seconds each; never batch them
@@ -249,15 +273,65 @@ std::vector<ScenarioResult> PlanRunner::run() {
       done.emplace(r.id, std::move(r));
     }
     if (checkpointing) {
-      write_results(path, snapshot(start + count >= pending.size()));
+      checkpoint(start + count >= pending.size());
     }
   }
   if (checkpointing && pending.empty()) {
     // Nothing ran (fully resumed shard): still reseal as complete so a
     // later --merge sees a finished shard.
-    write_results(path, snapshot(true));
+    checkpoint(true);
   }
-  return snapshot(true).results;
+
+  // Every owned scenario is done now; resumed ones get their spec back.
+  std::vector<ScenarioResult> results;
+  results.reserve(owned_.size());
+  for (const std::size_t idx : owned_) {
+    ScenarioResult& r = done.at(scenario_id(matrix_.scenarios[idx]));
+    r.spec = matrix_.scenarios[idx];
+    results.push_back(std::move(r));
+  }
+  return results;
+}
+
+std::string checkpoint_path(const std::string& out_dir,
+                            const sweep::ShardSpec& spec) {
+  return out_dir + "/plan-shard-" + std::to_string(spec.index) + "-of-" +
+         std::to_string(spec.total) + ".cgcp";
+}
+
+std::vector<ScenarioResult> merge_checkpoints(const ScenarioMatrix& matrix,
+                                              const std::string& out_dir) {
+  std::vector<std::string> paths;
+  for (const auto& entry : std::filesystem::directory_iterator(out_dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("plan-shard-") && name.ends_with(".cgcp")) {
+      paths.push_back(entry.path().string());
+    }
+  }
+  std::sort(paths.begin(), paths.end());  // a stable merge input order
+
+  std::vector<std::vector<ScenarioResult>> shards(paths.size());
+  std::vector<sweep::LedgerInput> inputs;
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    inputs.push_back(read_shard(paths[i], &shards[i]));
+  }
+  sweep::MergePolicy policy;
+  policy.noun = "scenario";
+  policy.experiment = experiment_of(matrix);
+  for (const ScenarioSpec& spec : matrix.scenarios) {
+    policy.universe.push_back(scenario_id(spec));
+  }
+  const sweep::Claims claims = sweep::claim(inputs, policy);
+
+  // Without allow_partial the ledger has claimed every scenario.
+  std::vector<ScenarioResult> all;
+  all.reserve(matrix.scenarios.size());
+  for (std::size_t u = 0; u < claims.items.size(); ++u) {
+    const sweep::Claim& c = claims.items[u];
+    all.push_back(std::move(shards[c.input][c.index]));
+    all.back().spec = matrix.scenarios[u];
+  }
+  return all;
 }
 
 }  // namespace cgc::plan

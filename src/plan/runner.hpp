@@ -5,11 +5,13 @@
 // artifact is bit-identical at any CGC_THREADS), ownership under
 // --shard i/N is sweep::stable_case_hash over the scenario id (any
 // subset of shards can run anywhere and the union is exactly the
-// single-process run), and every checkpoint batch is written atomically
-// so a killed worker resumes from its last complete batch instead of
-// restarting. Scenario failures (TransientError/DataError, including
-// the plan.scenario_fail fault site) are recorded per scenario and the
-// matrix keeps going — one sick scenario must not strand the other 575.
+// single-process run), and every 64 results the shard's sealed ledger
+// checkpoint (sweep/ledger.hpp) is rewritten atomically, so a killed
+// worker resumes from its last complete batch instead of restarting.
+// Resume and merge follow the ledger's one taxonomy. Scenario failures
+// (TransientError/DataError, including the plan.scenario_fail fault
+// site) are recorded per scenario and the matrix keeps going — one
+// sick scenario must not strand the other 575.
 #pragma once
 
 #include <string>
@@ -40,15 +42,13 @@ struct ScenarioResult {
 struct PlanConfig {
   /// This worker's slice (default: the whole matrix).
   sweep::ShardSpec shard;
-  /// Directory for the shard's checkpoint file (plan_io.hpp); "" runs
+  /// Directory for the shard's checkpoint (checkpoint_path()); "" runs
   /// without checkpointing (tests, pure in-memory runs).
   std::string out_dir;
-  /// Reuse results from an existing checkpoint whose matrix digest and
-  /// shard stamp match; mismatches are DataErrors, torn checkpoints
-  /// are quarantined and re-run.
+  /// Reuse finished scenarios from the shard's checkpoint per
+  /// sweep::resume(): another matrix or shard is a DataError, a torn
+  /// checkpoint is moved to `<path>.corrupt` and its shard re-run.
   bool resume = false;
-  /// Scenarios per checkpoint batch (the atomic-rewrite granularity).
-  std::size_t checkpoint_batch = 64;
 };
 
 /// Runs one scenario start-to-finish: builds the machine park
@@ -60,6 +60,19 @@ struct PlanConfig {
 /// catches transient/data ones.
 ScenarioResult run_scenario(const ScenarioSpec& spec);
 
+/// Path of shard `spec`'s sealed checkpoint under `out_dir`:
+/// `plan-shard-<i>-of-<N>.cgcp`.
+std::string checkpoint_path(const std::string& out_dir,
+                            const sweep::ShardSpec& spec);
+
+/// Fuses every shard checkpoint under `out_dir` into the full matrix in
+/// matrix order. The inputs go through sweep::claim(), so a foreign
+/// matrix or overlapping shards throw util::DataError and a torn or
+/// incomplete shard or an uncovered scenario throws
+/// util::TransientError.
+std::vector<ScenarioResult> merge_checkpoints(const ScenarioMatrix& matrix,
+                                              const std::string& out_dir);
+
 /// Executes the shard-owned subset of a matrix (see file comment).
 class PlanRunner {
  public:
@@ -67,8 +80,8 @@ class PlanRunner {
   PlanRunner(ScenarioMatrix matrix, PlanConfig config);
 
   /// Runs every owned scenario (skipping resumed ones) and returns the
-  /// shard's results in matrix order. Also returns the completed list;
-  /// callers needing the artifact go through plan_io.hpp.
+  /// shard's results in matrix order; callers needing the artifact go
+  /// through plan_io.hpp.
   std::vector<ScenarioResult> run();
 
   /// The bound matrix.

@@ -2,12 +2,42 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 
 #include "util/error.hpp"
 #include "util/time_util.hpp"
 
 namespace cgc::plan {
+
+namespace {
+
+/// The score fields by JSON name, in frozen serialization order.
+struct ScoreField {
+  const char* name;
+  double ScenarioScore::*member;
+};
+constexpr ScoreField kScoreFields[] = {
+    {"cpu_util_mean", &ScenarioScore::cpu_util_mean},
+    {"cpu_util_peak", &ScenarioScore::cpu_util_peak},
+    {"mem_util_mean", &ScenarioScore::mem_util_mean},
+    {"mem_util_peak", &ScenarioScore::mem_util_peak},
+    {"eviction_rate", &ScenarioScore::eviction_rate},
+    {"wait_p50_s", &ScenarioScore::wait_p50_s},
+    {"wait_p90_s", &ScenarioScore::wait_p90_s},
+    {"wait_p99_s", &ScenarioScore::wait_p99_s},
+    {"wait_mean_s", &ScenarioScore::wait_mean_s},
+    {"machines_needed", &ScenarioScore::machines_needed},
+    {"headroom", &ScenarioScore::headroom},
+    {"machine_hours", &ScenarioScore::machine_hours},
+    {"cost_usd", &ScenarioScore::cost_usd},
+    {"consolidated_cost_usd", &ScenarioScore::consolidated_cost_usd},
+    {"slo_attainment", &ScenarioScore::slo_attainment},
+    {"cpu_hours_delivered", &ScenarioScore::cpu_hours_delivered},
+    {"usd_per_slo", &ScenarioScore::usd_per_slo},
+};
+
+}  // namespace
 
 ScenarioScore score_run(const ScenarioSpec& spec,
                         const trace::TraceSet& trace,
@@ -148,6 +178,27 @@ std::vector<std::size_t> pareto_frontier(
     }
   }
   return frontier;
+}
+
+std::string score_json(const ScenarioScore& score, int digits) {
+  std::string out = "{";
+  for (const ScoreField& f : kScoreFields) {
+    char value[40];
+    std::snprintf(value, sizeof(value), "%.*g", digits, score.*f.member);
+    if (out.size() > 1) {
+      out += ", ";
+    }
+    out += std::string("\"") + f.name + "\": " + value;
+  }
+  out += "}";
+  return out;
+}
+
+bool parse_score(const util::json::Value& object, ScenarioScore* score) {
+  return std::all_of(std::begin(kScoreFields), std::end(kScoreFields),
+                     [&](const ScoreField& f) {
+                       return object.get(f.name, &(score->*f.member));
+                     });
 }
 
 }  // namespace cgc::plan

@@ -8,14 +8,19 @@
 // delivered SLO-attaining CPU-hour under the scenario's linear
 // machine-hour rate. The Pareto frontier over four of those objectives
 // is the plan's headline answer; dominates() freezes the objective set.
+// score_json()/parse_score() are the score's one codec: plan.json
+// prints it at 10 significant digits, shard checkpoints at 17, which
+// round-trips every double bit-exactly.
 #pragma once
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "plan/scenario.hpp"
 #include "sim/cluster_sim.hpp"
 #include "trace/trace_set.hpp"
+#include "util/json.hpp"
 
 namespace cgc::plan {
 
@@ -84,5 +89,13 @@ bool dominates(const ScenarioScore& a, const ScenarioScore& b);
 /// matrices are hundreds to thousands of points.
 std::vector<std::size_t> pareto_frontier(
     const std::vector<ScenarioScore>& scores);
+
+/// JSON object of every score field in frozen order, each printed at
+/// `digits` significant digits.
+std::string score_json(const ScenarioScore& score, int digits);
+
+/// Reads an object written by score_json() back into `*score`; false
+/// when any field is missing.
+bool parse_score(const util::json::Value& object, ScenarioScore* score);
 
 }  // namespace cgc::plan

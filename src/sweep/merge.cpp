@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <filesystem>
 #include <map>
-#include <set>
 
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
-#include "sweep/partition.hpp"
+#include "sweep/ledger.hpp"
 #include "util/check.hpp"
 
 namespace cgc::sweep {
@@ -36,44 +35,18 @@ CaseRecord canonical_record(const CaseRecord& r) {
   return out;
 }
 
-CaseRecord synthesized_failure(const CaseMeta& meta,
-                               const std::string& error) {
+/// The failed record of a case no usable shard holds.
+CaseRecord synthesized_failure(const CaseMeta& meta) {
   CaseRecord r;
   r.id = meta.id;
   r.kind = meta.kind;
   r.title = meta.title;
   r.ok = false;
-  r.error = error;
+  r.error = "no shard completed this case";
   return r;
 }
 
 }  // namespace
-
-SweepReport canonicalize(const SweepReport& report,
-                         const std::vector<CaseMeta>& expected) {
-  std::map<std::string, const CaseRecord*> by_id;
-  for (const CaseRecord& r : report.cases) {
-    by_id[r.id] = &r;
-  }
-  SweepReport out;
-  out.fast_mode = report.fast_mode;
-  out.complete = true;
-  out.merged = true;
-  out.chunks_quarantined = report.chunks_quarantined;
-  out.rows_lost = report.rows_lost;
-  out.values_defaulted = report.values_defaulted;
-  out.parse_lines_bad = report.parse_lines_bad;
-  for (const CaseMeta& meta : expected) {
-    const auto it = by_id.find(meta.id);
-    if (it != by_id.end()) {
-      out.cases.push_back(canonical_record(*it->second));
-    } else {
-      out.cases.push_back(
-          synthesized_failure(meta, "no shard completed this case"));
-    }
-  }
-  return out;
-}
 
 MergeResult merge_shards(const std::vector<std::string>& shard_dirs,
                          const MergeOptions& options) {
@@ -81,110 +54,47 @@ MergeResult merge_shards(const std::vector<std::string>& shard_dirs,
   CGC_CHECK_MSG(!options.out_dir.empty(), "merge needs an output dir");
   MergeResult result;
 
-  // ---- Pass 1: read + classify every shard report. --------------------
-  struct ShardInput {
-    std::string dir;
-    SweepReport report;
-    bool usable = false;
-  };
-  std::vector<ShardInput> inputs;
-  bool fast_mode = false;
-  bool saw_usable = false;
+  // ---- Read every shard report; the ledger classifies and claims. -----
+  std::vector<SweepReport> reports(shard_dirs.size());
+  std::vector<LedgerInput> inputs(shard_dirs.size());
   for (std::size_t d = 0; d < shard_dirs.size(); ++d) {
-    ShardInput input;
-    input.dir = shard_dirs[d];
-    const std::string path = input.dir + "/report.json";
+    LedgerInput& input = inputs[d];
+    input.path = shard_dirs[d] + "/report.json";
     // Deterministic stand-in for reading a shard dir mid-write (e.g.
     // merging while a worker is still flushing): the report looks torn.
-    const util::ReadStatus status =
-        fault::inject("sweep.torn_merge_input", d)
-            ? util::ReadStatus::kCorrupt
-            : read_report_checked(path, &input.report);
-    if (status != util::ReadStatus::kOk || !input.report.complete) {
-      const std::string what =
-          status == util::ReadStatus::kMissing ? "no report.json"
-          : status == util::ReadStatus::kCorrupt
-              ? "torn/corrupt report.json"
-              : "incomplete sweep (complete: false)";
-      if (!options.allow_partial) {
-        throw util::TransientError(
-            "shard dir " + input.dir + ": " + what +
-            " — resumable: rerun that shard with --resume, then merge "
-            "again");
-      }
-      result.notes.push_back("shard dir " + input.dir + ": " + what +
-                             "; its cases degrade to failed");
-      inputs.push_back(std::move(input));
-      continue;
+    input.status = fault::inject("sweep.torn_merge_input", d)
+                       ? util::ReadStatus::kCorrupt
+                       : read_report_checked(input.path, &reports[d]);
+    input.stamp = stamp_of(reports[d]);
+    for (const CaseRecord& r : reports[d].cases) {
+      input.ids.push_back(r.id);
     }
-    if (input.report.merged) {
-      throw util::DataError("shard dir " + input.dir +
-                            " holds an already-merged report — merging "
-                            "merges is not meaningful");
-    }
-    // Partition-consistency check: every case a stamped shard claims
-    // must actually hash to that shard. A violation means the dirs come
-    // from different partitions (or a different hash), and fusing them
-    // could silently drop or double cases.
-    if (input.report.shard_total > 1) {
-      for (const CaseRecord& r : input.report.cases) {
-        const int want = shard_of(r.id, input.report.shard_total);
-        if (want != input.report.shard_index) {
-          throw util::DataError(
-              "partition mismatch: shard dir " + input.dir + " (stamp " +
-              std::to_string(input.report.shard_index) + "/" +
-              std::to_string(input.report.shard_total) + ") claims case " +
-              r.id + ", which hashes to shard " + std::to_string(want));
-        }
-      }
-    }
-    input.usable = true;
-    if (!saw_usable) {
-      fast_mode = input.report.fast_mode;
-      saw_usable = true;
-    } else if (input.report.fast_mode != fast_mode) {
-      throw util::DataError("shard dir " + input.dir +
-                            " was swept at a different scale (fast_mode "
-                            "mismatch) — outputs are not mergeable");
-    }
-    inputs.push_back(std::move(input));
   }
-
-  // ---- Pass 2: claim cases, detecting overlap and impostors. ----------
-  std::set<std::string> expected_ids;
+  MergePolicy policy;
+  policy.noun = "case";
+  policy.allow_partial = options.allow_partial;
   for (const CaseMeta& meta : options.expected) {
-    expected_ids.insert(meta.id);
+    policy.universe.push_back(meta.id);
   }
-  struct Claim {
-    const ShardInput* shard = nullptr;
-    const CaseRecord* record = nullptr;
-  };
-  std::map<std::string, Claim> claims;
-  SweepReport fused;  // header totals accumulate; cases fill below
-  for (const ShardInput& input : inputs) {
-    if (!input.usable) {
-      continue;
-    }
-    fused.chunks_quarantined += input.report.chunks_quarantined;
-    fused.rows_lost += input.report.rows_lost;
-    fused.values_defaulted += input.report.values_defaulted;
-    fused.parse_lines_bad += input.report.parse_lines_bad;
-    for (const CaseRecord& r : input.report.cases) {
-      if (expected_ids.find(r.id) == expected_ids.end()) {
-        throw util::DataError("shard dir " + input.dir +
-                              " reports unknown case " + r.id +
-                              " — shard set does not match this sweep");
-      }
-      const auto [it, inserted] = claims.emplace(r.id, Claim{&input, &r});
-      if (!inserted) {
-        throw util::DataError(
-            "case " + r.id + " claimed by both " + it->second.shard->dir +
-            " and " + input.dir + " — overlapping shards");
-      }
+  const Claims claims = claim(inputs, policy);
+  result.notes = claims.notes;
+
+  // The canonical report: summed damage totals, then one canonical
+  // record per expected case, in expected order.
+  SweepReport& merged = result.report;
+  merged.complete = true;
+  merged.merged = true;
+  for (std::size_t d = 0; d < reports.size(); ++d) {
+    if (claims.usable[d]) {
+      merged.fast_mode = reports[d].fast_mode;  // one scale, ledger-checked
+      merged.chunks_quarantined += reports[d].chunks_quarantined;
+      merged.rows_lost += reports[d].rows_lost;
+      merged.values_defaulted += reports[d].values_defaulted;
+      merged.parse_lines_bad += reports[d].parse_lines_bad;
     }
   }
 
-  // ---- Pass 3: verify digests and materialize outputs. ----------------
+  // ---- Verify digests and materialize outputs. ------------------------
   fs::create_directories(options.out_dir);
   struct Placed {
     std::uint32_t crc = 0;
@@ -192,12 +102,23 @@ MergeResult merge_shards(const std::vector<std::string>& shard_dirs,
     std::string from_case;
   };
   std::map<std::string, Placed> placed;
-  for (const auto& [id, claim] : claims) {
-    if (!claim.record->ok) {
+  for (std::size_t u = 0; u < claims.items.size(); ++u) {
+    const Claim& c = claims.items[u];
+    if (c.input == Claim::kNone) {
+      merged.cases.push_back(synthesized_failure(options.expected[u]));
+      ++result.cases_missing;
+      continue;
+    }
+    const CaseRecord& record = reports[c.input].cases[c.index];
+    merged.cases.push_back(canonical_record(record));
+    if (!record.ok) {
+      ++result.cases_failed;
       continue;  // failed cases carry no trusted outputs
     }
-    for (const CaseOutput& o : claim.record->outputs) {
-      const std::string src = claim.shard->dir + "/" + o.file;
+    ++result.cases_ok;
+    const std::string& id = record.id;
+    for (const CaseOutput& o : record.outputs) {
+      const std::string src = shard_dirs[c.input] + "/" + o.file;
       std::uint32_t crc = 0;
       std::uint64_t size = 0;
       if (!file_crc32(src, &crc, &size)) {
@@ -229,33 +150,8 @@ MergeResult merge_shards(const std::vector<std::string>& shard_dirs,
     }
   }
 
-  // ---- Pass 4: canonical report, written last (the commit marker). ----
-  fused.fast_mode = fast_mode;
-  for (const auto& [id, claim] : claims) {
-    fused.cases.push_back(*claim.record);
-    (void)id;
-  }
-  SweepReport merged = canonicalize(fused, options.expected);
-  for (const CaseRecord& r : merged.cases) {
-    if (r.ok) {
-      ++result.cases_ok;
-    } else if (claims.find(r.id) != claims.end()) {
-      ++result.cases_failed;
-    } else {
-      ++result.cases_missing;
-      if (!options.allow_partial) {
-        throw util::TransientError(
-            "case " + r.id + " (shard " +
-            std::to_string(shard_of(
-                r.id, std::max(1, static_cast<int>(shard_dirs.size())))) +
-            " of a " + std::to_string(shard_dirs.size()) +
-            "-way split) appears in no shard dir — resumable: run the "
-            "missing shard, then merge again");
-      }
-    }
-  }
+  // The report goes last: it is the merge's commit marker.
   write_report(merged, options.out_dir + "/report.json");
-  result.report = std::move(merged);
   if (obs::metrics_enabled()) {
     static obs::Counter& cases = obs::counter("sweep.cases_merged");
     static obs::Counter& files = obs::counter("sweep.files_merged");

@@ -1,19 +1,15 @@
 // Shard-output merge: fuse N shard dirs into the single-process
 // artifact, verifying every recorded digest on the way.
 //
-// Classification contract (the merge's whole point):
-//   * DataError  — the shards contradict each other or their own
-//     records: the same case id claimed by two dirs, a .dat whose
-//     content no longer matches its recorded CRC, a duplicate output
-//     file with different bytes, or a shard stamp from a different
-//     partition. Exit code 2 (util::kExitConflict) via
-//     error::merge_exit_code(). Nothing is trustworthy; a human (or
-//     the kill-matrix CI) must look.
-//   * TransientError — a shard is merely *unfinished*: torn or missing
-//     report, `complete: false`. Exit 1; rerun that shard with
-//     --resume and merge again. With MergeOptions::allow_partial the
-//     supervisor converts this into synthesized failed records instead
-//     (graceful degradation after a retry budget is exhausted).
+// Which dirs may be fused, and which dir supplies each case, is the
+// shard ledger's call (ledger.hpp): each dir's report.json is one
+// ledger input, stamped with its scale and shard, and the ledger's
+// taxonomy decides DataError (exit 2) versus TransientError (exit 1,
+// or failed records under MergeOptions::allow_partial). What this
+// module adds is specific to the report: it re-CRCs every recorded
+// .dat before copying it (a mismatch, an unreadable output, or one
+// output file with two contents is a DataError), and it writes the
+// canonical report.
 //
 // Determinism: the merged report is *canonical* — cases in the
 // caller-supplied expected order, volatile fields (timings, perf,
@@ -58,15 +54,10 @@ struct MergeResult {
   std::vector<std::string> notes;  ///< human-readable degradations
 };
 
-/// Reduces a shard (or single-process) report to the canonical form the
-/// merge emits. Exposed so tests and CI can canonicalize a golden
-/// single-process report and diff it against a merged one.
-SweepReport canonicalize(const SweepReport& report,
-                         const std::vector<CaseMeta>& expected);
-
 /// Merges shard dirs (each holding report.json + .dat outputs) into
 /// `options.out_dir`. Throws DataError on conflicts and TransientError
-/// on unfinished shards as described above. The merged report.json is
+/// on unfinished shards as described above, before copying anything
+/// when the ledger refuses the inputs. The merged report.json is
 /// written last, after every output file landed — it is the commit
 /// marker for the merge itself.
 MergeResult merge_shards(const std::vector<std::string>& shard_dirs,

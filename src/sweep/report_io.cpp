@@ -135,6 +135,15 @@ util::ReadStatus read_report_checked(const std::string& path,
   return util::ReadStatus::kOk;
 }
 
+Stamp stamp_of(const SweepReport& report) {
+  Stamp stamp;
+  stamp.experiment = report.fast_mode ? "fast scale" : "full scale";
+  stamp.shard = {report.shard_index, report.shard_total};
+  stamp.complete = report.complete;
+  stamp.merged = report.merged;
+  return stamp;
+}
+
 bool file_crc32(const std::string& path, std::uint32_t* crc,
                 std::uint64_t* size) {
   std::string content;

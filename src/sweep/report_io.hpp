@@ -8,8 +8,9 @@
 // util::json::parse of the whole document: a report that does not
 // parse, or has no `cases` array, is torn.
 //
-// Shard workers stamp their reports with `shard i/N` so --merge can
-// verify every input dir belongs to the same partition; the merged
+// Shard workers stamp their reports with `shard i/N`; stamp_of() turns
+// that, the scale and the complete/merged flags into the shard ledger's
+// stamp (ledger.hpp), which --merge and --resume check. The merged
 // report carries `merged: true` and canonicalized per-case fields (see
 // merge.hpp for the determinism argument).
 #pragma once
@@ -18,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "sweep/ledger.hpp"
 #include "util/file.hpp"
 
 namespace cgc::sweep {
@@ -86,10 +88,16 @@ void write_report(const SweepReport& report, const std::string& path);
 
 /// Parses a report written by write_report(): kOk fills `out`, kMissing
 /// means a fresh sweep, kCorrupt a report that is truncated, does not
-/// parse, or lacks a case id or an output field — so --resume fails
-/// loudly on a torn report instead of silently re-running.
+/// parse, or lacks a case id or an output field — which --resume
+/// (sweep::resume) moves aside to report.json.corrupt, naming it on
+/// stderr, instead of trusting any of it.
 util::ReadStatus read_report_checked(const std::string& path,
                                      SweepReport* out);
+
+/// The ledger stamp a report carries: its scale ("fast scale" or "full
+/// scale") as the experiment identity, its shard stamp, and its
+/// complete and merged flags.
+Stamp stamp_of(const SweepReport& report);
 
 /// CRC-32 + size of a file's content (.dat series are small enough to
 /// read whole). Returns false when the file cannot be read.

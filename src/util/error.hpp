@@ -16,9 +16,10 @@ namespace cgc::error {
 /// std::exception — → kExitFailure (1).
 int exit_code(const std::exception& e);
 
-/// Exit code for the merge/supervisor drivers, where the caller's next
-/// action depends on the class: DataError (shard overlap, digest
-/// disagreement) → kExitConflict (2, human intervenes); TransientError
+/// Exit code for the sharded drivers (cgc_report, cgc_plan), where the
+/// caller's next action depends on the class: DataError (shard overlap,
+/// digest disagreement, a --resume checkpoint of another experiment or
+/// shard) → kExitConflict (2, human intervenes); TransientError
 /// (torn/unfinished shard) → kExitFailure (1, resumable — rerun the
 /// shard and merge again); FatalError → kExitFatal (3).
 int merge_exit_code(const std::exception& e);

@@ -5,11 +5,15 @@ and bench_perf.
     cgc_report_cli_test.py <cgc_report> <cgc_plan> <bench_perf>
 
 A bad flag value is a usage error: exit 2 (util::kExitUsage) with a
-message naming the value, before any work starts. --help exits 0, and
-`cgc_report --list` prints the 22 case ids in sorted_cases() order.
-A plan shard checkpoint in the retired `cgcplan v1` line format reads
-as torn: `cgc_plan --merge` exits 1 asking for that shard to be rerun,
-and `--resume` quarantines it and reruns the shard. bench_perf runs
+message naming the value, before any work starts; so is `cgc_plan
+--merge` with --shard or --resume. --help exits 0, and `cgc_report
+--list` prints the 22 case ids in sorted_cases() order. A plan shard
+checkpoint in a retired format (the `cgcplan v1` lines, or the JSON
+body without a ledger stamp) reads as torn: `cgc_plan --merge` exits 1
+asking for that shard to be rerun, and `--resume` quarantines it and
+reruns the shard. `cgc_report --resume` over a torn report.json moves
+it to report.json.corrupt and reruns to the clean run's outputs, as
+`cgc_plan --resume` does with a torn checkpoint. bench_perf runs
 exactly one known leg: none, an unknown one or two are usage errors, and
 its plan leg writes a record with the common frame whose thread runs
 share one digest and fail no scenario. The trace cache has one tier:
@@ -55,6 +59,16 @@ V1_CHECKPOINT_BODY = (
     "0.33598792847866815 0.37098778784275055 0.070675249965758122 0 0 0 0 "
     "4 0.5 48 1.9199999999999999 0.95999999999999996 1 3.1649506893008947 "
     "0.30332226130576906\n")
+
+# The same shard as the JSON body written before the shard ledger: no
+# `experiment` stamp, rows under `results` (one kept; the seal is
+# recomputed).
+JSON_CHECKPOINT_BODY = (
+    '{"matrix": "small", "digest": 13205803387661530593,\n'
+    ' "shard_index": 1, "shard_total": 2,\n'
+    ' "complete": true,\n'
+    ' "results": [\n'
+    '  {"id": "s9a1e895e806f617d", "ok": false, "error": "transient: x"}]}\n')
 
 
 def check_plan_record(path):
@@ -115,6 +129,51 @@ def rebuilt_hostload_problems(report, env, tmp):
     return []
 
 
+def torn_report_resume_problems(report, env, tmp):
+    """Runs `--only fig02` clean, tears its report.json, and resumes;
+    returns failure lines."""
+    out = os.path.join(tmp, "torn_report_out")
+    run_env = dict(env, CGC_BENCH_OUT=out)
+
+    def sweep(*extra):
+        return subprocess.run([report, "--only", "fig02", *extra], cwd=tmp,
+                              env=run_env, capture_output=True, text=True,
+                              timeout=900, check=False)
+
+    def outputs():
+        with open(os.path.join(out, "report.json")) as f:
+            return [c["outputs"] for c in json.load(f)["cases"]]
+
+    proc = sweep()
+    if proc.returncode != EXIT_OK:
+        return [f"cgc_report --only fig02: exit {proc.returncode}\n"
+                f"{proc.stderr[-1500:]}"]
+    clean = outputs()
+    path = os.path.join(out, "report.json")
+    with open(path, "rb") as f:
+        whole = f.read()
+    torn = whole[:len(whole) // 2]
+    with open(path, "wb") as f:
+        f.write(torn)
+    proc = sweep("--resume")
+    label = "cgc_report --only fig02 --resume over a torn report.json"
+    if proc.returncode != EXIT_OK:
+        return [f"{label}: exit {proc.returncode}\n{proc.stderr[-1500:]}"]
+    problems = []
+    if path + ".corrupt" not in proc.stderr:
+        problems.append(f"{label}: stderr does not name {path}.corrupt\n"
+                        f"{proc.stderr[-1500:]}")
+    try:
+        with open(path + ".corrupt", "rb") as f:
+            if f.read() != torn:
+                problems.append(f"{label}: .corrupt lacks the torn bytes")
+    except OSError as e:
+        problems.append(f"{label}: no report.json.corrupt: {e}")
+    if outputs() != clean:
+        problems.append(f"{label}: outputs {outputs()}, clean run {clean}")
+    return problems
+
+
 def main():
     if len(sys.argv) != 4:
         sys.stderr.write(__doc__)
@@ -160,6 +219,8 @@ def main():
         expect(report, ["--merge", os.path.join(tmp, "s0"),
                         "--shard", "0/2"], EXIT_USAGE)
         expect(plan, ["--shard", "4/4"], EXIT_USAGE, "4/4")
+        expect(plan, ["--merge", "--shard", "0/2"], EXIT_USAGE, "--shard")
+        expect(plan, ["--merge", "--resume"], EXIT_USAGE, "--resume")
 
         for args in ([], ["warp"], ["plan", "sim"], ["--out"]):
             expect(perf, args, EXIT_USAGE, args[-1] if args else None)
@@ -169,19 +230,22 @@ def main():
 
         failures.extend(rebuilt_hostload_problems(report, env, tmp))
 
-        plan_out = os.path.join(tmp, "plan")
-        os.makedirs(plan_out)
-        shard = os.path.join(plan_out, "plan-shard-1-of-2.cgcp")
-        with open(shard, "w") as f:
-            f.write(V1_CHECKPOINT_BODY + "end %08x\n" %
-                    zlib.crc32(V1_CHECKPOINT_BODY.encode()))
-        plan_args = ["--matrix", "small", "--out", plan_out]
-        expect(plan, [*plan_args, "--merge"], EXIT_FAILURE,
-               "rerun that shard")
-        expect(plan, [*plan_args, "--shard", "1/2", "--resume"], EXIT_OK)
-        if not os.path.exists(shard + ".corrupt"):
-            failures.append("cgc_plan --resume: line-format checkpoint "
-                            "was not quarantined")
+        failures.extend(torn_report_resume_problems(report, env, tmp))
+
+        for name, body in (("v1", V1_CHECKPOINT_BODY),
+                           ("json", JSON_CHECKPOINT_BODY)):
+            plan_out = os.path.join(tmp, "plan-" + name)
+            os.makedirs(plan_out)
+            shard = os.path.join(plan_out, "plan-shard-1-of-2.cgcp")
+            with open(shard, "w") as f:
+                f.write(body + "end %08x\n" % zlib.crc32(body.encode()))
+            plan_args = ["--matrix", "small", "--out", plan_out]
+            expect(plan, [*plan_args, "--merge"], EXIT_FAILURE,
+                   "rerun that shard")
+            expect(plan, [*plan_args, "--shard", "1/2", "--resume"], EXIT_OK)
+            if not os.path.exists(shard + ".corrupt"):
+                failures.append(f"cgc_plan --resume: {name}-format "
+                                "checkpoint was not quarantined")
 
     for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)

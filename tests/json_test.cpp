@@ -14,8 +14,8 @@
 #include <string>
 
 #include "plan/matrix.hpp"
-#include "plan/plan_io.hpp"
 #include "plan/runner.hpp"
+#include "sweep/ledger.hpp"
 #include "sweep/report_io.hpp"
 #include "util/check.hpp"
 #include "util/file.hpp"
@@ -219,20 +219,21 @@ std::string write_plan_checkpoint(const std::string& dir) {
   config.out_dir = dir;
   plan::PlanRunner runner(plan::small_matrix(3600), config);
   runner.run();
-  return plan::shard_results_path(dir, config.shard);
+  return plan::checkpoint_path(dir, config.shard);
 }
 
 TEST_F(CheckpointDamageTest, TruncatedOrFlippedPlanCheckpointIsCorrupt) {
   const plan::ScenarioMatrix matrix = plan::small_matrix(3600);
   const std::string p = write_plan_checkpoint(dir_.string());
   const std::string doc = read(p);
-  plan::ShardResults out;
-  ASSERT_EQ(plan::read_results(p, matrix, &out), ReadStatus::kOk);
-  ASSERT_EQ(out.results.size(), matrix.scenarios.size());
+  std::vector<Value> records;
+  ASSERT_EQ(sweep::read_checkpoint(p, &records).status, ReadStatus::kOk);
+  ASSERT_EQ(records.size(), matrix.scenarios.size());
 
   for (std::size_t n = 0; n < trimmed_size(doc); ++n) {
     util::write_file_atomic(p, std::string_view(doc).substr(0, n));
-    ASSERT_EQ(plan::read_results(p, matrix, &out), ReadStatus::kCorrupt)
+    ASSERT_EQ(sweep::read_checkpoint(p, &records).status,
+              ReadStatus::kCorrupt)
         << "prefix of " << n << " bytes";
   }
   std::mt19937_64 rng(20121024);
@@ -241,7 +242,8 @@ TEST_F(CheckpointDamageTest, TruncatedOrFlippedPlanCheckpointIsCorrupt) {
     const std::size_t at = rng() % damaged.size();
     damaged[at] ^= static_cast<char>(1 + rng() % 255);
     util::write_file_atomic(p, damaged);
-    ASSERT_EQ(plan::read_results(p, matrix, &out), ReadStatus::kCorrupt)
+    ASSERT_EQ(sweep::read_checkpoint(p, &records).status,
+              ReadStatus::kCorrupt)
         << "trial " << trial << ", byte " << at;
   }
 }

@@ -10,9 +10,9 @@
 //     undefined-cost sentinel, and the refusal to score a run without
 //     host-load samples (the old capacity_planner UB, now a DataError);
 //   * execution — plan.json bytes are identical at any worker count and
-//     across sharded checkpoint + merge vs a single process, resume
-//     reuses only finished scenarios, and the merge conflict taxonomy
-//     (DataError vs TransientError) matches plan_io.hpp.
+//     across sharded checkpoint + merge vs a single process, and resume
+//     reuses only finished scenarios. The merge/resume taxonomy itself
+//     is the shard ledger's, tested once in sweep_test.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -31,6 +31,7 @@
 #include "plan/scenario.hpp"
 #include "plan/score.hpp"
 #include "sim/cluster_sim.hpp"
+#include "sweep/ledger.hpp"
 #include "sweep/partition.hpp"
 #include "trace/trace_set.hpp"
 #include "util/error.hpp"
@@ -313,23 +314,21 @@ TEST_F(PlanRunTest, PlanJsonIsByteIdenticalAtAnyWorkerCount) {
 TEST_F(PlanRunTest, ShardedCheckpointsMergeToTheSingleProcessBytes) {
   const std::string golden = single_process_json();
 
-  std::vector<ShardResults> shards;
   for (int i = 0; i < 2; ++i) {
     PlanConfig config;
     config.shard = sweep::ShardSpec{i, 2};
     config.out_dir = dir();
     PlanRunner runner(matrix(), config);
     runner.run();
-    ShardResults shard;
-    ASSERT_EQ(read_results(shard_results_path(dir(), config.shard),
-                           runner.matrix(), &shard),
-              util::ReadStatus::kOk);
-    EXPECT_TRUE(shard.complete);
-    shards.push_back(std::move(shard));
+    std::vector<util::json::Value> records;
+    const sweep::LedgerInput shard = sweep::read_checkpoint(
+        checkpoint_path(dir(), config.shard), &records);
+    ASSERT_EQ(shard.status, util::ReadStatus::kOk);
+    EXPECT_TRUE(shard.stamp.complete);
+    EXPECT_EQ(shard.ids.size(), runner.owned().size());
   }
   const ScenarioMatrix m = matrix();
-  const std::vector<ScenarioResult> merged = merge_results(m, shards);
-  EXPECT_EQ(render_plan_json(m, merged), golden);
+  EXPECT_EQ(render_plan_json(m, merge_checkpoints(m, dir())), golden);
 }
 
 TEST_F(PlanRunTest, ResumeReusesFinishedScenariosOnly) {
@@ -352,7 +351,7 @@ TEST_F(PlanRunTest, TornCheckpointIsQuarantinedAndRerun) {
   config.out_dir = dir();
   PlanRunner first(matrix(), config);
   first.run();
-  const std::string path = shard_results_path(dir(), config.shard);
+  const std::string path = checkpoint_path(dir(), config.shard);
 
   // Tear the checkpoint: drop the sealed tail.
   std::string bytes;
@@ -365,8 +364,8 @@ TEST_F(PlanRunTest, TornCheckpointIsQuarantinedAndRerun) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << bytes.substr(0, bytes.size() - 12);
   }
-  ShardResults ignored;
-  ASSERT_EQ(read_results(path, matrix(), &ignored),
+  std::vector<util::json::Value> records;
+  ASSERT_EQ(sweep::read_checkpoint(path, &records).status,
             util::ReadStatus::kCorrupt);
 
   config.resume = true;
@@ -374,9 +373,9 @@ TEST_F(PlanRunTest, TornCheckpointIsQuarantinedAndRerun) {
   runner.run();
   EXPECT_EQ(runner.resumed(), 0u);  // nothing trusted from the torn file
   EXPECT_TRUE(fs::exists(path + ".corrupt"));
-  ShardResults reread;
-  EXPECT_EQ(read_results(path, matrix(), &reread), util::ReadStatus::kOk);
-  EXPECT_TRUE(reread.complete);
+  const sweep::LedgerInput reread = sweep::read_checkpoint(path, &records);
+  EXPECT_EQ(reread.status, util::ReadStatus::kOk);
+  EXPECT_TRUE(reread.stamp.complete);
 }
 
 TEST_F(PlanRunTest, LineFormatCheckpointIsQuarantinedAndRerun) {
@@ -385,7 +384,7 @@ TEST_F(PlanRunTest, LineFormatCheckpointIsQuarantinedAndRerun) {
   // the body is not JSON, so it reads as torn and the shard reruns.
   PlanConfig config;
   config.out_dir = dir();
-  const std::string path = shard_results_path(dir(), config.shard);
+  const std::string path = checkpoint_path(dir(), config.shard);
   {
     std::ofstream out(path, std::ios::binary);
     out << R"(cgcplan v1
@@ -403,8 +402,8 @@ R sc8e82c38cb5b71b5 1 0.10771290022952884 0.22947258107802448 0.0328212792519479
 end 13aeab1e
 )";
   }
-  ShardResults ignored;
-  ASSERT_EQ(read_results(path, matrix(), &ignored),
+  std::vector<util::json::Value> records;
+  ASSERT_EQ(sweep::read_checkpoint(path, &records).status,
             util::ReadStatus::kCorrupt);
 
   config.resume = true;
@@ -412,10 +411,10 @@ end 13aeab1e
   runner.run();
   EXPECT_EQ(runner.resumed(), 0u);
   EXPECT_TRUE(fs::exists(path + ".corrupt"));
-  ShardResults reread;
-  ASSERT_EQ(read_results(path, matrix(), &reread), util::ReadStatus::kOk);
-  EXPECT_TRUE(reread.complete);
-  EXPECT_EQ(reread.results.size(), matrix().scenarios.size());
+  const sweep::LedgerInput reread = sweep::read_checkpoint(path, &records);
+  ASSERT_EQ(reread.status, util::ReadStatus::kOk);
+  EXPECT_TRUE(reread.stamp.complete);
+  EXPECT_EQ(reread.ids.size(), matrix().scenarios.size());
 }
 
 TEST_F(PlanRunTest, ResumeAgainstADifferentMatrixIsADataError) {
@@ -427,35 +426,6 @@ TEST_F(PlanRunTest, ResumeAgainstADifferentMatrixIsADataError) {
   config.resume = true;
   PlanRunner other(small_matrix(7200), config);  // different digest
   EXPECT_THROW(other.run(), util::DataError);
-}
-
-TEST_F(PlanRunTest, MergeTaxonomyMatchesTheSweepContract) {
-  PlanConfig config;
-  config.shard = sweep::ShardSpec{0, 2};
-  config.out_dir = dir();
-  PlanRunner runner(matrix(), config);
-  runner.run();
-  ShardResults shard0;
-  ASSERT_EQ(read_results(shard_results_path(dir(), config.shard), runner.matrix(),
-                         &shard0),
-            util::ReadStatus::kOk);
-  const ScenarioMatrix m = matrix();
-
-  // Missing coverage (only shard 0 of 2): transient — rerun and retry.
-  EXPECT_THROW(merge_results(m, {shard0}), util::TransientError);
-
-  // Duplicate ownership (same shard twice): the inputs conflict.
-  EXPECT_THROW(merge_results(m, {shard0, shard0}), util::DataError);
-
-  // Incomplete shard: transient.
-  ShardResults incomplete = shard0;
-  incomplete.complete = false;
-  EXPECT_THROW(merge_results(m, {incomplete}), util::TransientError);
-
-  // Foreign digest: a different experiment.
-  ShardResults foreign = shard0;
-  foreign.matrix_digest ^= 1;
-  EXPECT_THROW(merge_results(m, {foreign}), util::DataError);
 }
 
 TEST_F(PlanRunTest, ScenarioFaultSiteDegradesToRecordedFailures) {

@@ -1,7 +1,8 @@
 // Tests for the crash-tolerant sweep sharding layer (cgc::sweep):
 // deterministic partitioning, flock leases + stale-state quarantine,
-// the shared single-writer trace cache, the verified shard merge with
-// its DataError/TransientError classification, and the supervisor's
+// the shared single-writer trace cache, the shard ledger's one
+// DataError/TransientError taxonomy (one table row per class) and its
+// resume policy, the report merge's digest checks, and the supervisor's
 // exit-code triage. The end-to-end kill-and-resume invariant (SIGKILL
 // workers at random, resume, merge, diff against a single-process run)
 // lives in CI's sweep-kill-matrix job; these tests pin the contracts
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "store/writer.hpp"
 #include "sweep/cache.hpp"
 #include "sweep/lease.hpp"
+#include "sweep/ledger.hpp"
 #include "sweep/merge.hpp"
 #include "sweep/partition.hpp"
 #include "sweep/report_io.hpp"
@@ -418,29 +421,6 @@ TEST_F(MergeTest, ShardMergeIsByteIdenticalToSingleProcessMerge) {
   }
 }
 
-TEST_F(MergeTest, OverlappingClaimIsConflictNamingTheCase) {
-  SweepReport a, b;
-  a.complete = true;
-  b.complete = true;
-  a.cases.push_back(make_ok_case(path("a"), "dup_case", "same\n"));
-  b.cases.push_back(make_ok_case(path("b"), "dup_case", "same\n"));
-  write_report(a, path("a/report.json"));
-  write_report(b, path("b/report.json"));
-
-  MergeOptions options;
-  options.expected = {meta_of("dup_case")};
-  options.out_dir = path("out");
-  try {
-    merge_shards({path("a"), path("b")}, options);
-    FAIL() << "overlap not detected";
-  } catch (const util::DataError& e) {
-    EXPECT_NE(std::string(e.what()).find("dup_case"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("claimed by both"),
-              std::string::npos);
-    EXPECT_EQ(error::merge_exit_code(e), util::kExitConflict);
-  }
-}
-
 TEST_F(MergeTest, DigestDisagreementIsConflict) {
   SweepReport a;
   a.complete = true;
@@ -462,70 +442,66 @@ TEST_F(MergeTest, DigestDisagreementIsConflict) {
   }
 }
 
-TEST_F(MergeTest, PartitionMismatchIsConflict) {
-  // Find an id the 2-way split assigns to shard 1, then stamp the dir
-  // claiming it as shard 0/2 — dirs from different partitions.
-  std::string foreign;
-  for (int i = 0; i < 64 && foreign.empty(); ++i) {
-    const std::string id = "probe_" + std::to_string(i);
-    if (shard_of(id, 2) == 1) {
-      foreign = id;
+TEST_F(MergeTest, UncoveredCaseNamesItsShardUnderTheStampedSplit) {
+  // Four stamped shard dirs of a 4-way split over 16 cases; the merge
+  // gets three. Drop a shard whose first case would be misattributed by
+  // a 3-way reading of the split (the number of dirs passed).
+  std::vector<CaseMeta> expected;
+  for (int i = 0; i < 16; ++i) {
+    expected.push_back(meta_of("case_" + std::to_string(i)));
+  }
+  std::vector<SweepReport> shards(4);
+  for (int j = 0; j < 4; ++j) {
+    shards[j].shard_index = j;
+    shards[j].shard_total = 4;
+    shards[j].complete = true;
+  }
+  for (const CaseMeta& meta : expected) {
+    const int j = shard_of(meta.id, 4);
+    shards[j].cases.push_back(make_ok_case(path("s" + std::to_string(j)),
+                                           meta.id, meta.id + "\n"));
+  }
+  int dropped = -1;
+  std::string first;
+  for (int j = 0; j < 4 && dropped < 0; ++j) {
+    if (!shards[j].cases.empty() &&
+        shard_of(shards[j].cases[0].id, 3) != j) {
+      dropped = j;
+      first = shards[j].cases[0].id;
     }
   }
-  ASSERT_FALSE(foreign.empty());
-  SweepReport a;
-  a.shard_index = 0;
-  a.shard_total = 2;
-  a.complete = true;
-  a.cases.push_back(make_ok_case(path("a"), foreign, "bytes\n"));
-  write_report(a, path("a/report.json"));
+  ASSERT_GE(dropped, 0);
+  std::vector<std::string> dirs;
+  for (int j = 0; j < 4; ++j) {
+    const std::string dir = path("s" + std::to_string(j));
+    write_report(shards[j], dir + "/report.json");
+    if (j != dropped) {
+      dirs.push_back(dir);
+    }
+  }
 
   MergeOptions options;
-  options.expected = {meta_of(foreign)};
-  options.out_dir = path("out");
-  EXPECT_THROW(merge_shards({path("a")}, options), util::DataError);
-}
-
-TEST_F(MergeTest, TornReportIsResumableNotConflict) {
-  SweepReport a;
-  a.complete = true;
-  a.cases.push_back(make_ok_case(path("a"), "case_x", "bytes\n"));
-  write_report(a, path("a/report.json"));
-  const std::string bytes = read_file(path("a/report.json"));
-  write_file(path("a/report.json"), bytes.substr(0, bytes.size() / 2));
-
-  MergeOptions options;
-  options.expected = {meta_of("case_x")};
+  options.expected = expected;
   options.out_dir = path("out");
   try {
-    merge_shards({path("a")}, options);
-    FAIL() << "torn report not detected";
+    merge_shards(dirs, options);
+    FAIL() << "uncovered case not detected";
   } catch (const util::TransientError& e) {
-    EXPECT_NE(std::string(e.what()).find("resumable"), std::string::npos);
+    const std::string want = "case " + first + " (shard " +
+                             std::to_string(dropped) + " of a 4-way split)";
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+        << e.what() << "\nwant: " << want;
     EXPECT_EQ(error::merge_exit_code(e), util::kExitFailure);
   }
 
-  // With allow_partial the torn shard degrades to synthesized failures
-  // instead (the supervisor's budget-exhausted path).
+  // Under allow_partial the dropped shard's cases become failed records.
   options.allow_partial = true;
-  const MergeResult degraded = merge_shards({path("a")}, options);
-  EXPECT_EQ(degraded.cases_missing, 1u);
-  EXPECT_FALSE(degraded.notes.empty());
-  ASSERT_EQ(degraded.report.cases.size(), 1u);
-  EXPECT_FALSE(degraded.report.cases[0].ok);
-}
-
-TEST_F(MergeTest, MissingShardIsResumable) {
-  build_partitioned_dirs();
-  MergeOptions options;
-  options.expected = universe();
-  options.out_dir = path("out");
-  EXPECT_THROW(merge_shards({path("s0")}, options), util::TransientError);
-
-  options.allow_partial = true;
-  const MergeResult partial = merge_shards({path("s0")}, options);
-  EXPECT_GT(partial.cases_missing, 0u);
-  EXPECT_EQ(partial.cases_ok + partial.cases_missing, 8u);
+  const MergeResult partial = merge_shards(dirs, options);
+  EXPECT_EQ(partial.cases_missing, shards[dropped].cases.size());
+  EXPECT_EQ(partial.cases_ok + partial.cases_missing, expected.size());
+  for (const CaseRecord& r : partial.report.cases) {
+    EXPECT_EQ(r.ok, shard_of(r.id, 4) != dropped) << r.id;
+  }
 }
 
 TEST_F(MergeTest, MergingAMergeIsRejected) {
@@ -538,6 +514,148 @@ TEST_F(MergeTest, MergingAMergeIsRejected) {
   MergeOptions again = options;
   again.out_dir = path("out2");
   EXPECT_THROW(merge_shards({path("out")}, again), util::DataError);
+}
+
+// ---- ledger ---------------------------------------------------------------
+
+/// First id "<prefix>_<k>" that shard `index` of `total` owns.
+std::string owned_id(const std::string& prefix, int index, int total) {
+  for (int k = 0;; ++k) {
+    const std::string id = prefix + "_" + std::to_string(k);
+    if (shard_of(id, total) == index) {
+      return id;
+    }
+  }
+}
+
+/// A readable, complete input: shard `index` of 2 holding `ids`.
+LedgerInput shard_input(const std::string& path, int index,
+                        std::vector<std::string> ids) {
+  LedgerInput input;
+  input.path = path;
+  input.status = util::ReadStatus::kOk;
+  input.stamp.experiment = "exp";
+  input.stamp.shard = {index, 2};
+  input.stamp.complete = true;
+  input.ids = std::move(ids);
+  return input;
+}
+
+TEST(LedgerTest, MergeTaxonomyHasOneOutcomePerClass) {
+  const std::string a = owned_id("item", 0, 2);
+  const std::string b = owned_id("item", 1, 2);
+  const std::vector<LedgerInput> base = {shard_input("s0", 0, {a}),
+                                         shard_input("s1", 1, {b})};
+  enum class Want { kOk, kTransient, kData };
+  struct Row {
+    const char* name;
+    std::function<void(std::vector<LedgerInput>*, MergePolicy*)> edit;
+    Want want;
+    std::string says;  ///< expected message fragment ("" for kOk)
+  };
+  const auto none = [](std::vector<LedgerInput>*, MergePolicy*) {};
+  const std::vector<Row> rows = {
+      {"clean split", none, Want::kOk, ""},
+      {"foreign experiment",
+       [](auto* in, auto*) { (*in)[1].stamp.experiment = "other"; },
+       Want::kData, "s1 is stamped for other, not exp"},
+      {"already-merged input",
+       [](auto* in, auto*) { (*in)[0].stamp.merged = true; },
+       Want::kData, "s0 is the output of a merge"},
+      {"item its stamp does not own",
+       [&](auto* in, auto*) { (*in)[0].ids = {a, b}; }, Want::kData,
+       "partition mismatch: s0 (stamp 0/2) holds item " + b},
+      {"unknown id",
+       [](auto* in, auto*) {
+         (*in)[0].ids.push_back(owned_id("stray", 0, 2));
+       },
+       Want::kData, "s0 holds unknown item"},
+      {"one id in two inputs",
+       [](auto* in, auto*) {
+         in->push_back((*in)[1]);
+         in->back().path = "s1-copy";
+       },
+       Want::kData, "item " + b + " claimed by both s1 and s1-copy"},
+      {"torn input",
+       [](auto* in, auto*) {
+         (*in)[1].status = util::ReadStatus::kCorrupt;
+       },
+       Want::kTransient, "torn checkpoint s1 — resumable"},
+      {"impossible shard stamp reads as torn",
+       [](auto* in, auto*) { (*in)[1].stamp.shard = {2, 2}; },
+       Want::kTransient, "torn checkpoint s1"},
+      {"missing input",
+       [](auto* in, auto*) {
+         (*in)[1].status = util::ReadStatus::kMissing;
+       },
+       Want::kTransient, "no checkpoint s1 — resumable"},
+      {"incomplete input",
+       [](auto* in, auto*) { (*in)[1].stamp.complete = false; },
+       Want::kTransient, "incomplete shard (complete: false) s1"},
+      {"uncovered id", [](auto* in, auto*) { in->pop_back(); },
+       Want::kTransient, "item " + b + " (shard 1 of a 2-way split)"},
+      {"no inputs", [](auto* in, auto*) { in->clear(); }, Want::kTransient,
+       "no item checkpoints to merge"},
+      {"torn input under allow_partial",
+       [](auto* in, auto* policy) {
+         (*in)[1].status = util::ReadStatus::kCorrupt;
+         policy->allow_partial = true;
+       },
+       Want::kOk, ""},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    std::vector<LedgerInput> inputs = base;
+    MergePolicy policy;
+    policy.universe = {a, b};
+    row.edit(&inputs, &policy);
+    Want got = Want::kOk;
+    std::string what;
+    Claims claims;
+    try {
+      claims = claim(inputs, policy);
+    } catch (const util::DataError& e) {
+      got = Want::kData;
+      what = e.what();
+      EXPECT_EQ(error::merge_exit_code(e), util::kExitConflict);
+    } catch (const util::TransientError& e) {
+      got = Want::kTransient;
+      what = e.what();
+      EXPECT_EQ(error::merge_exit_code(e), util::kExitFailure);
+    }
+    EXPECT_EQ(static_cast<int>(got), static_cast<int>(row.want)) << what;
+    EXPECT_NE(what.find(row.says), std::string::npos)
+        << what << "\nwant: " << row.says;
+    if (got == Want::kOk) {
+      ASSERT_EQ(claims.items.size(), 2u);
+      EXPECT_EQ(claims.items[0].input, 0u);
+      EXPECT_EQ(claims.items[0].index, 0u);
+      const bool partial = policy.allow_partial;
+      EXPECT_EQ(claims.items[1].input, partial ? Claim::kNone : 1u);
+      EXPECT_EQ(claims.notes.size(), partial ? 1u : 0u);
+      EXPECT_EQ(claims.usable, (std::vector<bool>{true, !partial}));
+    }
+  }
+}
+
+TEST_F(SweepTest, LedgerResumeReusesOwnMovesTornAsideRefusesForeign) {
+  const std::string p = path("ckpt");
+  LedgerInput found = shard_input(p, 1, {});
+  const Stamp own = found.stamp;
+  EXPECT_TRUE(resume(found, own));
+  found.stamp.experiment = "other";
+  EXPECT_THROW(resume(found, own), util::DataError);
+  found.stamp = own;
+  found.stamp.shard = {0, 2};
+  EXPECT_THROW(resume(found, own), util::DataError);
+  found.status = util::ReadStatus::kMissing;
+  EXPECT_FALSE(resume(found, own));
+
+  write_file(p, "torn bytes");
+  found.status = util::ReadStatus::kCorrupt;
+  EXPECT_FALSE(resume(found, own));
+  EXPECT_FALSE(fs::exists(p));
+  EXPECT_EQ(read_file(p + ".corrupt"), "torn bytes");
 }
 
 // ---- supervisor -----------------------------------------------------------
