@@ -41,6 +41,7 @@
 #include "stream/replay.hpp"
 #include "stream/window.hpp"
 #include "trace/google_format.hpp"
+#include "trace/loader.hpp"
 #include "util/args.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
@@ -418,7 +419,10 @@ Record run_store() {
   step("cgcs_write", trace.events().size(),
        timed([&] { store::write_cgcs(trace, cgcs_path); }));
   trace::TraceSet loaded;
-  Run csv_load = timed([&] { loaded = trace::read_google_trace(csv_dir); });
+  trace::LoadOptions csv_options;
+  csv_options.format = trace::TraceFormat::kGoogleCsv;
+  Run csv_load =
+      timed([&] { loaded = trace::load_trace(csv_dir, csv_options); });
   const double csv_load_s = csv_load.wall_s;
   step("csv_load", loaded.events().size(), std::move(csv_load));
   loaded = trace::TraceSet();

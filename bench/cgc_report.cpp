@@ -438,7 +438,7 @@ struct Sweep {
   }
 };
 
-/// The full case universe in sweep order, as merge metadata.
+/// The cases to merge in sweep order, as merge metadata.
 std::vector<cgc::sweep::CaseMeta> case_universe(
     const std::vector<const BenchCase*>& cases) {
   std::vector<cgc::sweep::CaseMeta> expected;
@@ -454,6 +454,11 @@ int run_merge(const std::vector<std::string>& dirs, bool partial,
   try {
     cgc::sweep::MergeOptions options;
     options.expected = case_universe(cases);
+    // A shard resumed over a narrower --only set keeps its other cases'
+    // records; a merge skips those instead of calling them foreign.
+    for (const BenchCase* c : cgc::bench::sorted_cases()) {
+      options.known.push_back(c->id);
+    }
     options.out_dir = cgc::bench::out_dir();
     options.allow_partial = partial;
     const cgc::sweep::MergeResult result =
@@ -714,7 +719,9 @@ int run(int argc, char** argv) {
   // re-runs — after quarantining whatever a killed worker left behind
   // (stale lease, staging litter, .dat files the report never stamped).
   // The ledger (sweep/ledger.hpp) moves a torn report aside and refuses
-  // one stamped for another scale or shard.
+  // one stamped for another scale or shard. Satisfied records of cases
+  // outside this run's set stay in the report, so a later resume over a
+  // wider set still owns their outputs.
   std::map<std::string, CaseRecord> previous;
   if (resume) {
     SweepReport prior;
@@ -747,31 +754,26 @@ int run(int argc, char** argv) {
       }
     }
     for (CaseRecord& r : prior.cases) {
-      if (r.ok && outputs_match(r, sweep.out_dir)) {
+      if (!r.ok || !outputs_match(r, sweep.out_dir)) {
+        continue;
+      }
+      if (std::any_of(cases.begin(), cases.end(),
+                      [&r](const BenchCase* c) { return c->id == r.id; })) {
         previous.emplace(r.id, std::move(r));
+      } else {
+        sweep.report.cases.push_back(std::move(r));
       }
     }
     if (!prior.cases.empty()) {
       std::printf("resume: %zu of %zu cases already satisfied\n",
                   previous.size(), cases.size());
     }
-  }
-
-  // Every case already satisfied: carry the prior records over and skip
-  // the sweep loop entirely — no case banners, no generator warm-up.
-  if (resume && previous.size() == cases.size()) {
-    for (const BenchCase* c : cases) {
-      CaseRecord r = previous.at(c->id);
-      r.resumed = true;
-      sweep.report.cases.push_back(std::move(r));
+    if (previous.size() == cases.size()) {
+      std::printf("resume: all %zu cases satisfied; nothing to run\n",
+                  cases.size());
     }
-    std::printf("resume: all %zu cases satisfied; nothing to run\n",
-                cases.size());
-    sweep.flush(true, 0.0);
-    std::printf("report written to %s\n", sweep.report_path.c_str());
-    return cgc::bench::io_health().degraded() ? cgc::util::kExitFailure
-                                              : cgc::util::kExitOk;
   }
+  const std::size_t carried = sweep.report.cases.size();
 
   std::printf("cgc_report: %zu cases, %zu worker threads, %s scale%s%s\n",
               cases.size(), cgc::exec::num_workers(),
@@ -805,7 +807,8 @@ int run(int argc, char** argv) {
           .count();
 
   std::printf("\n================ sweep summary ================\n");
-  for (const CaseRecord& r : sweep.report.cases) {
+  for (std::size_t i = carried; i < sweep.report.cases.size(); ++i) {
+    const CaseRecord& r = sweep.report.cases[i];
     std::printf("  %-20s %8.2f s  %s%s\n", r.id.c_str(), r.seconds,
                 r.ok ? "ok" : "FAILED", r.resumed ? " (resumed)" : "");
   }

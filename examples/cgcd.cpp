@@ -39,8 +39,8 @@ int main(int argc, char** argv) {
   cgc::stream::install_shutdown_handlers();
   cgc::util::Args args("cgcd", "online characterization daemon");
   args.add_string("input", "",
-                  "trace file (any Loader format) or \"-\" for a Google "
-                  "task_events pipe on stdin");
+                  "trace file (CGCS, SWF, GWA or Google CSV) or \"-\" for "
+                  "a Google task_events pipe on stdin");
   args.add_bool("generate", "synthesize a Google-model workload instead");
   args.add_double("days", 2.0, "generated workload horizon in days");
   args.add_double("sampling", 0.25, "generated task sampling rate");

@@ -67,8 +67,8 @@ bool ends_with(const std::string& s, const char* suffix) {
   return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
 }
 
-/// All reads go through the Loader; format resolution (extension,
-/// magic, field-count sniff) is its job now.
+/// All reads go through trace::load_trace; format resolution
+/// (extension, magic, field-count sniff) is its job.
 trace::TraceSet load_any(const std::string& path,
                          trace::TraceFormat format = trace::TraceFormat::kAuto) {
   trace::LoadOptions options;
@@ -218,7 +218,7 @@ int main(int argc, char** argv) {
                   pos[2].c_str());
     } else if (command == "info") {
       const std::string& target = pos[1];
-      const trace::TraceFormat format = trace::Loader::detect(target);
+      const trace::TraceFormat format = trace::detect_format(target);
       std::printf("detected format: %s\n", trace::format_name(format));
       if (format == trace::TraceFormat::kCgcs) {
         const store::StoreReader reader(target);

@@ -7,7 +7,6 @@
 #include "stats/descriptive.hpp"
 #include "stats/periodicity.hpp"
 #include "util/check.hpp"
-#include "util/table.hpp"
 #include "util/time_util.hpp"
 
 namespace cgc::analysis {
@@ -133,18 +132,6 @@ PeriodicityReport analyze_periodicity(const trace::TraceSet& trace,
   }
   report.acf_figure.series.push_back(std::move(s));
   return report;
-}
-
-std::string render_periodicity_row(const PeriodicityReport& report) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "%-24s %-7s periodic hosts: %5.1f%%  median period: %4.0f h"
-                "  strength: %.2f",
-                report.system.c_str(),
-                std::string(metric_name(report.metric)).c_str(),
-                report.fraction_periodic * 100.0,
-                report.median_period_hours, report.mean_strength);
-  return buf;
 }
 
 }  // namespace cgc::analysis

@@ -37,7 +37,4 @@ PeriodicityReport analyze_periodicity(const trace::TraceSet& trace,
                                       std::size_t min_lag_hours = 6,
                                       std::size_t max_lag_hours = 48);
 
-/// Renders a one-line summary suitable for the comparison bench.
-std::string render_periodicity_row(const PeriodicityReport& report);
-
 }  // namespace cgc::analysis

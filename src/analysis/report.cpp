@@ -3,7 +3,6 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "util/check.hpp"
 #include "util/csv.hpp"
@@ -55,18 +54,6 @@ void Figure::write_dat(const std::string& directory) const {
       out << '\n';
     }
   }
-}
-
-std::string Figure::describe() const {
-  std::ostringstream oss;
-  oss << "[" << id << "] " << title << '\n';
-  for (const std::string& a : annotations) {
-    oss << "    " << a << '\n';
-  }
-  for (const Series& s : series) {
-    oss << "    series '" << s.name << "': " << s.rows.size() << " rows\n";
-  }
-  return oss.str();
 }
 
 }  // namespace cgc::analysis

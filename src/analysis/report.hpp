@@ -31,9 +31,6 @@ struct Figure {
   /// Writes one .dat file per series into `directory`
   /// (<id>_<series>.dat, '#'-commented header), creating it if needed.
   void write_dat(const std::string& directory) const;
-
-  /// Short human-readable summary (title + annotations + series sizes).
-  std::string describe() const;
 };
 
 /// Sanitizes a series/system name into a filename fragment.

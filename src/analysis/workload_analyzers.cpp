@@ -43,16 +43,6 @@ std::int64_t PriorityHistogram::jobs_in_band(trace::PriorityBand band) const {
   return total;
 }
 
-std::int64_t PriorityHistogram::tasks_in_band(trace::PriorityBand band) const {
-  std::int64_t total = 0;
-  for (int p = 1; p <= trace::kNumPriorities; ++p) {
-    if (trace::band_of(p) == band) {
-      total += tasks[static_cast<std::size_t>(p - 1)];
-    }
-  }
-  return total;
-}
-
 Figure PriorityHistogram::to_figure() const {
   Figure fig;
   fig.id = "fig02";

@@ -26,7 +26,6 @@ struct PriorityHistogram {
   std::array<std::int64_t, trace::kNumPriorities> tasks{};
 
   std::int64_t jobs_in_band(trace::PriorityBand band) const;
-  std::int64_t tasks_in_band(trace::PriorityBand band) const;
   Figure to_figure() const;
 };
 

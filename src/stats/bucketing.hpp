@@ -38,11 +38,6 @@ inline std::size_t linear_index(double x, double lo, double width,
   return raw >= num_bins ? num_bins - 1 : raw;
 }
 
-/// Lower edge of linear bin b.
-inline double linear_lower(std::size_t b, double lo, double width) {
-  return lo + static_cast<double>(b) * width;
-}
-
 /// Center of linear bin b.
 inline double linear_center(std::size_t b, double lo, double width) {
   return lo + (static_cast<double>(b) + 0.5) * width;

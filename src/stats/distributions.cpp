@@ -7,10 +7,6 @@
 
 namespace cgc::stats {
 
-Deterministic::Deterministic(double value) : value_(value) {
-  CGC_CHECK(value >= 0.0);
-}
-
 Uniform::Uniform(double lo, double hi) : lo_(lo), hi_(hi) {
   CGC_CHECK(hi > lo);
 }
@@ -83,34 +79,6 @@ double LogNormal::mean() const {
   return median_ * std::exp(0.5 * sigma_ * sigma_);
 }
 
-Weibull::Weibull(double lambda, double k) : lambda_(lambda), k_(k) {
-  CGC_CHECK(lambda > 0.0);
-  CGC_CHECK(k > 0.0);
-}
-
-double Weibull::sample(util::Rng& rng) const {
-  return std::weibull_distribution<double>(k_, lambda_)(rng.engine());
-}
-
-double Weibull::mean() const {
-  return lambda_ * std::tgamma(1.0 + 1.0 / k_);
-}
-
-HyperExponential::HyperExponential(double p, double mean1, double mean2)
-    : p_(p), mean1_(mean1), mean2_(mean2) {
-  CGC_CHECK(p >= 0.0 && p <= 1.0);
-  CGC_CHECK(mean1 > 0.0 && mean2 > 0.0);
-}
-
-double HyperExponential::sample(util::Rng& rng) const {
-  const double mean = rng.bernoulli(p_) ? mean1_ : mean2_;
-  return rng.exponential(1.0 / mean);
-}
-
-double HyperExponential::mean() const {
-  return p_ * mean1_ + (1.0 - p_) * mean2_;
-}
-
 Mixture::Mixture(std::vector<DistributionPtr> components,
                  std::vector<double> weights)
     : components_(std::move(components)) {
@@ -152,33 +120,6 @@ double Mixture::mean() const {
   }
   return m;
 }
-
-Zipf::Zipf(std::size_t n, double s) {
-  CGC_CHECK(n >= 1);
-  cumulative_.resize(n);
-  double total = 0.0;
-  double weighted = 0.0;
-  for (std::size_t k = 1; k <= n; ++k) {
-    const double w = std::pow(static_cast<double>(k), -s);
-    total += w;
-    weighted += static_cast<double>(k) * w;
-    cumulative_[k - 1] = total;
-  }
-  for (double& c : cumulative_) {
-    c /= total;
-  }
-  cumulative_.back() = 1.0;
-  mean_ = weighted / total;
-}
-
-double Zipf::sample(util::Rng& rng) const {
-  const double u = rng.uniform();
-  const auto it =
-      std::lower_bound(cumulative_.begin(), cumulative_.end(), u);
-  return static_cast<double>((it - cumulative_.begin()) + 1);
-}
-
-double Zipf::mean() const { return mean_; }
 
 std::vector<double> sample_many(const Distribution& dist, std::size_t count,
                                 util::Rng& rng) {

@@ -26,17 +26,6 @@ class Distribution {
 
 using DistributionPtr = std::shared_ptr<const Distribution>;
 
-/// Point mass at `value`.
-class Deterministic final : public Distribution {
- public:
-  explicit Deterministic(double value);
-  double sample(util::Rng&) const override { return value_; }
-  double mean() const override { return value_; }
-
- private:
-  double value_;
-};
-
 /// Uniform on [lo, hi).
 class Uniform final : public Distribution {
  public:
@@ -96,29 +85,6 @@ class LogNormal final : public Distribution {
   double median_, sigma_;
 };
 
-/// Weibull with scale lambda and shape k.
-class Weibull final : public Distribution {
- public:
-  Weibull(double lambda, double k);
-  double sample(util::Rng& rng) const override;
-  double mean() const override;
-
- private:
-  double lambda_, k_;
-};
-
-/// Two-phase hyperexponential: with prob p the mean is m1, else m2.
-/// High-CV inter-arrival model for bursty Grid submissions.
-class HyperExponential final : public Distribution {
- public:
-  HyperExponential(double p, double mean1, double mean2);
-  double sample(util::Rng& rng) const override;
-  double mean() const override;
-
- private:
-  double p_, mean1_, mean2_;
-};
-
 /// Finite mixture of component distributions with given weights.
 class Mixture final : public Distribution {
  public:
@@ -131,19 +97,6 @@ class Mixture final : public Distribution {
   std::vector<DistributionPtr> components_;
   std::vector<double> cumulative_;  // normalized cumulative weights
   std::vector<double> weights_;     // normalized weights
-};
-
-/// Zipf-like discrete distribution on {1..n}: P(k) ∝ k^{-s}. Used for
-/// tasks-per-job (most jobs single-task, a few map-reduce jobs huge).
-class Zipf final : public Distribution {
- public:
-  Zipf(std::size_t n, double s);
-  double sample(util::Rng& rng) const override;  ///< returns a value in [1,n]
-  double mean() const override;
-
- private:
-  std::vector<double> cumulative_;
-  double mean_;
 };
 
 /// Draws `count` samples into a vector.

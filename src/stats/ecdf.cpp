@@ -78,16 +78,4 @@ std::vector<std::pair<double, double>> Ecdf::plot_points(
   return points;
 }
 
-double ks_statistic(const Ecdf& a, const Ecdf& b) {
-  CGC_CHECK_MSG(!a.empty() && !b.empty(), "KS of empty Ecdf");
-  double d = 0.0;
-  for (const double x : a.sorted()) {
-    d = std::max(d, std::abs(a(x) - b(x)));
-  }
-  for (const double x : b.sorted()) {
-    d = std::max(d, std::abs(a(x) - b(x)));
-  }
-  return d;
-}
-
 }  // namespace cgc::stats

@@ -49,9 +49,4 @@ class Ecdf {
   double mean_ = 0.0;
 };
 
-/// Two-sample Kolmogorov–Smirnov statistic sup_x |F1(x) - F2(x)|.
-/// Used by tests to check generated samples against target shapes and by
-/// the comparison analyzers to quantify Cloud-vs-Grid distribution gaps.
-double ks_statistic(const Ecdf& a, const Ecdf& b);
-
 }  // namespace cgc::stats

@@ -1,10 +1,5 @@
 #include "stats/fairness.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "util/check.hpp"
-
 namespace cgc::stats {
 
 double jain_fairness(std::span<const double> values) {
@@ -21,48 +16,6 @@ double jain_fairness(std::span<const double> values) {
     return 0.0;
   }
   return (sum * sum) / (static_cast<double>(values.size()) * sum_sq);
-}
-
-double gini(std::span<const double> values) {
-  CGC_CHECK_MSG(!values.empty(), "gini of empty sample");
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  CGC_CHECK_MSG(sorted.front() >= 0.0, "gini requires non-negative values");
-  const double n = static_cast<double>(sorted.size());
-  double weighted = 0.0;
-  double total = 0.0;
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    weighted += (static_cast<double>(i) + 1.0) * sorted[i];
-    total += sorted[i];
-  }
-  if (total == 0.0) {
-    return 0.0;
-  }
-  return (2.0 * weighted) / (n * total) - (n + 1.0) / n;
-}
-
-std::vector<std::pair<double, double>> lorenz_curve(
-    std::span<const double> values, std::size_t num_points) {
-  CGC_CHECK_MSG(!values.empty(), "lorenz of empty sample");
-  CGC_CHECK(num_points >= 1);
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<double> prefix(sorted.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    acc += sorted[i];
-    prefix[i] = acc;
-  }
-  std::vector<std::pair<double, double>> out;
-  out.reserve(num_points + 1);
-  out.emplace_back(0.0, 0.0);
-  for (std::size_t p = 1; p <= num_points; ++p) {
-    const double frac = static_cast<double>(p) / num_points;
-    const auto idx = static_cast<std::size_t>(
-        std::ceil(frac * static_cast<double>(sorted.size()))) - 1;
-    out.emplace_back(frac, acc == 0.0 ? frac : prefix[idx] / acc);
-  }
-  return out;
 }
 
 }  // namespace cgc::stats

@@ -1,28 +1,16 @@
-// Fairness and inequality indices.
+// Fairness index.
 //
 // Jain's fairness index is the paper's measure of job-submission
 // stability (Table I): f(x) = (Σx)² / (n·Σx²) over per-hour submission
-// counts. The Gini coefficient / Lorenz curve back the "joint ratio is a
-// kind of Gini coefficient" remark and are exposed for completeness.
+// counts.
 #pragma once
 
 #include <span>
-#include <utility>
-#include <vector>
 
 namespace cgc::stats {
 
 /// Jain's fairness index in (0, 1]; 1 means perfectly even. Returns 0
 /// for an empty sample or an all-zero sample.
 double jain_fairness(std::span<const double> values);
-
-/// Gini coefficient in [0, 1] of a non-negative sample (0 = perfectly
-/// equal). Uses the sorted-rank formula.
-double gini(std::span<const double> values);
-
-/// Lorenz curve points: `num_points+1` rows of (population fraction,
-/// cumulative mass fraction), from (0,0) to (1,1).
-std::vector<std::pair<double, double>> lorenz_curve(
-    std::span<const double> values, std::size_t num_points = 100);
 
 }  // namespace cgc::stats

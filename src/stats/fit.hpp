@@ -2,8 +2,9 @@
 //
 // Closes the loop between traces and models: given an observed sample
 // (e.g. task lengths parsed from a real trace), recover the parameters
-// of the generator that would reproduce it. Used by the load_predictor
-// example and by tests as a round-trip property (sample -> fit -> match).
+// of the generator that would reproduce it. No shipped binary calls it
+// yet; the tests hold it to a round-trip property (sample -> fit ->
+// match) until the deferred MLE-fitted models (ROADMAP) build on it.
 #pragma once
 
 #include <span>

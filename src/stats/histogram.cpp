@@ -31,52 +31,8 @@ double Histogram::bin_center(std::size_t b) const {
   return bucketing::linear_center(b, lo_, width_);
 }
 
-double Histogram::bin_lo(std::size_t b) const {
-  return bucketing::linear_lower(b, lo_, width_);
-}
-
 double Histogram::pmf(std::size_t b) const {
   return total_ == 0.0 ? 0.0 : counts_[b] / total_;
-}
-
-double Histogram::pdf(std::size_t b) const { return pmf(b) / width_; }
-
-std::vector<double> Histogram::pmf_vector() const {
-  std::vector<double> out(counts_.size());
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    out[b] = pmf(b);
-  }
-  return out;
-}
-
-CategoryCounts::CategoryCounts(std::size_t num_categories)
-    : counts_(num_categories, 0) {
-  CGC_CHECK(num_categories > 0);
-}
-
-void CategoryCounts::add(std::size_t category, std::int64_t count) {
-  CGC_CHECK_MSG(category < counts_.size(), "category out of range");
-  counts_[category] += count;
-  total_ += count;
-}
-
-std::int64_t CategoryCounts::count(std::size_t category) const {
-  CGC_CHECK_MSG(category < counts_.size(), "category out of range");
-  return counts_[category];
-}
-
-double CategoryCounts::fraction(std::size_t category) const {
-  return total_ == 0 ? 0.0
-                     : static_cast<double>(count(category)) /
-                           static_cast<double>(total_);
-}
-
-void CategoryCounts::merge(const CategoryCounts& other) {
-  CGC_CHECK(counts_.size() == other.counts_.size());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  total_ += other.total_;
 }
 
 }  // namespace cgc::stats

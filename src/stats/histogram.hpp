@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -27,8 +26,6 @@ class Histogram {
 
   /// Center of bin b.
   double bin_center(std::size_t b) const;
-  /// Lower edge of bin b.
-  double bin_lo(std::size_t b) const;
   /// Raw (weighted) count of bin b.
   double count(std::size_t b) const { return counts_[b]; }
   /// Total weight added.
@@ -36,14 +33,9 @@ class Histogram {
 
   /// Probability mass of bin b: count(b)/total. 0 if empty.
   double pmf(std::size_t b) const;
-  /// Density estimate of bin b: pmf / bin_width.
-  double pdf(std::size_t b) const;
 
   /// Bin index for a value (after clamping).
   std::size_t bin_index(double x) const;
-
-  /// Mass vector (pmf for all bins).
-  std::vector<double> pmf_vector() const;
 
  private:
   double lo_;
@@ -51,26 +43,6 @@ class Histogram {
   double width_;
   double total_ = 0.0;
   std::vector<double> counts_;
-};
-
-/// Integer-category histogram (e.g. priority 1..12). Category values map
-/// to indices [0, num_categories).
-class CategoryCounts {
- public:
-  explicit CategoryCounts(std::size_t num_categories);
-
-  void add(std::size_t category, std::int64_t count = 1);
-
-  std::size_t num_categories() const { return counts_.size(); }
-  std::int64_t count(std::size_t category) const;
-  std::int64_t total() const { return total_; }
-  double fraction(std::size_t category) const;
-
-  void merge(const CategoryCounts& other);
-
- private:
-  std::vector<std::int64_t> counts_;
-  std::int64_t total_ = 0;
 };
 
 }  // namespace cgc::stats

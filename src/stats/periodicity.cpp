@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "exec/parallel.hpp"
 #include "stats/timeseries.hpp"
@@ -84,56 +83,6 @@ PeriodicityResult detect_periodicity(std::span<const double> series,
                        result.strength > threshold &&
                        result.prominence >= min_prominence;
   return result;
-}
-
-double spearman_correlation(std::span<const double> a,
-                            std::span<const double> b) {
-  CGC_CHECK_MSG(a.size() == b.size(), "samples must have equal length");
-  CGC_CHECK_MSG(a.size() >= 2, "need at least two observations");
-  const std::size_t n = a.size();
-  // Fractional ranks (ties get the average rank).
-  const auto ranks = [n](std::span<const double> v) {
-    std::vector<std::size_t> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(),
-              [&v](std::size_t x, std::size_t y) { return v[x] < v[y]; });
-    std::vector<double> rank(n);
-    std::size_t i = 0;
-    while (i < n) {
-      std::size_t j = i;
-      while (j + 1 < n && v[order[j + 1]] == v[order[i]]) {
-        ++j;
-      }
-      const double avg_rank = 0.5 * static_cast<double>(i + j) + 1.0;
-      for (std::size_t k = i; k <= j; ++k) {
-        rank[order[k]] = avg_rank;
-      }
-      i = j + 1;
-    }
-    return rank;
-  };
-  const std::vector<double> ra = ranks(a);
-  const std::vector<double> rb = ranks(b);
-  // Pearson correlation of the ranks.
-  double mean_a = 0.0, mean_b = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    mean_a += ra[i];
-    mean_b += rb[i];
-  }
-  mean_a /= static_cast<double>(n);
-  mean_b /= static_cast<double>(n);
-  double cov = 0.0, var_a = 0.0, var_b = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double da = ra[i] - mean_a;
-    const double db = rb[i] - mean_b;
-    cov += da * db;
-    var_a += da * da;
-    var_b += db * db;
-  }
-  if (var_a == 0.0 || var_b == 0.0) {
-    return 0.0;
-  }
-  return cov / std::sqrt(var_a * var_b);
 }
 
 }  // namespace cgc::stats

@@ -42,10 +42,4 @@ PeriodicityResult detect_periodicity(std::span<const double> series,
                                      double margin = 3.0,
                                      double min_prominence = 0.15);
 
-/// Spearman rank correlation of two equal-length samples, in [-1, 1].
-/// Used to compare load shapes across machines without assuming
-/// linearity.
-double spearman_correlation(std::span<const double> a,
-                            std::span<const double> b);
-
 }  // namespace cgc::stats

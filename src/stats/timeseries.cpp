@@ -154,15 +154,4 @@ std::vector<LevelRun> state_runs(std::span<const std::int64_t> states,
   return runs;
 }
 
-std::vector<double> run_durations_at_level(std::span<const LevelRun> runs,
-                                           std::size_t level) {
-  std::vector<double> out;
-  for (const LevelRun& run : runs) {
-    if (run.level == level) {
-      out.push_back(static_cast<double>(run.duration));
-    }
-  }
-  return out;
-}
-
 }  // namespace cgc::stats

@@ -56,8 +56,4 @@ std::vector<LevelRun> level_runs(std::span<const double> series,
 std::vector<LevelRun> state_runs(std::span<const std::int64_t> states,
                                  std::int64_t sample_period);
 
-/// Extracts the durations (as double) of runs at a given level.
-std::vector<double> run_durations_at_level(std::span<const LevelRun> runs,
-                                           std::size_t level);
-
 }  // namespace cgc::stats

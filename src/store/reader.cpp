@@ -328,21 +328,6 @@ std::span<const std::uint8_t> StoreReader::payload(
   return file_.data().subspan(chunk.offset, chunk.payload_size);
 }
 
-std::vector<const ChunkMeta*> StoreReader::column_chunks(
-    SectionId section, ColumnId column) const {
-  std::vector<const ChunkMeta*> out;
-  for (const ChunkMeta& c : chunks_) {
-    if (c.section == section && c.column == column) {
-      out.push_back(&c);
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const ChunkMeta* a, const ChunkMeta* b) {
-              return a->row_begin < b->row_begin;
-            });
-  return out;
-}
-
 std::span<const float> StoreReader::f32_span(const ChunkMeta& chunk) const {
   CGC_CHECK_MSG(chunk.encoding == Encoding::kRawF32,
                 "f32_span() on a non-raw-f32 chunk");
@@ -885,15 +870,6 @@ ScanStats StoreReader::scan(
     }
   }
   return stats;
-}
-
-std::vector<trace::TaskEvent> StoreReader::query_events(
-    const EventPredicate& predicate) const {
-  std::vector<trace::TaskEvent> out;
-  scan(predicate, [&](std::span<const trace::TaskEvent> batch) {
-    out.insert(out.end(), batch.begin(), batch.end());
-  });
-  return out;
 }
 
 trace::TraceSet read_cgcs(const std::string& path) {

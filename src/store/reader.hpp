@@ -136,10 +136,6 @@ class StoreReader {
   /// this to sweep a whole file.
   bool chunk_ok(const ChunkMeta& chunk) const noexcept;
 
-  /// Chunk directory entries for one column, ordered by row_begin.
-  std::vector<const ChunkMeta*> column_chunks(SectionId section,
-                                              ColumnId column) const;
-
   /// Zero-copy span over a raw f32 chunk (points into the mmap; valid
   /// for the reader's lifetime). CRC is verified on first access.
   std::span<const float> f32_span(const ChunkMeta& chunk) const;
@@ -167,10 +163,6 @@ class StoreReader {
   ScanStats scan(
       const EventPredicate& predicate,
       const std::function<void(std::span<const trace::TaskEvent>)>& fn) const;
-
-  /// Convenience: scan() collecting the matches.
-  std::vector<trace::TaskEvent> query_events(
-      const EventPredicate& predicate) const;
 
  private:
   struct EventRowGroup;

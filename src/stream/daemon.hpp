@@ -5,7 +5,7 @@
 // queries about the paper's headline metrics per window. Three input
 // modes:
 //
-//   * replay a trace file (any cgc::trace::Loader format) at a wall-
+//   * replay a trace file (any trace::load_trace format) at a wall-
 //     clock speedup (`rate`), or unthrottled when rate <= 0;
 //   * ingest Google clusterdata task_events rows from an istream pipe;
 //   * self-generate a Google-model workload (hermetic smoke tests).

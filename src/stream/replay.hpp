@@ -3,7 +3,7 @@
 // The SlidingWindow engine consumes trace::TaskEvent batches; this
 // module turns the two kinds of input cgcd accepts into that shape:
 //
-//   * a loaded TraceSet (any cgc::trace::Loader format) — replayed via
+//   * a loaded TraceSet (any format trace::load_trace reads) — replayed via
 //     replay_trace(), which hands out the trace's own event log when it
 //     has one and otherwise merges the SUBMIT/SCHEDULE/terminal triple
 //     of every task record into time order batch by batch (generator

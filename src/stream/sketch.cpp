@@ -123,23 +123,6 @@ double StreamingEcdf::quantile(double q) const {
   return max_;
 }
 
-double StreamingEcdf::cdf(double x) const {
-  if (count_ == 0) {
-    return 0.0;
-  }
-  const std::int32_t index = stats::bucketing::log_index(x, inv_ln_gamma_);
-  if (index < base_) {
-    return 0.0;
-  }
-  std::uint64_t seen = 0;
-  const auto limit = std::min<std::size_t>(
-      counts_.size(), static_cast<std::size_t>(index - base_) + 1);
-  for (std::size_t i = 0; i < limit; ++i) {
-    seen += counts_[i];
-  }
-  return static_cast<double>(seen) / static_cast<double>(count_);
-}
-
 std::vector<std::pair<double, double>> StreamingEcdf::plot_points(
     std::size_t max_points) const {
   std::vector<std::pair<double, double>> points;
@@ -264,14 +247,6 @@ std::int64_t CounterBank::total(trace::TaskEventType type) const {
   std::int64_t sum = 0;
   for (const auto& row : counts_) {
     sum += row[static_cast<std::size_t>(type)];
-  }
-  return sum;
-}
-
-std::int64_t CounterBank::total_at(int priority) const {
-  std::int64_t sum = 0;
-  for (const std::int64_t c : counts_[pindex(priority)]) {
-    sum += c;
   }
   return sum;
 }

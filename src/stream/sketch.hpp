@@ -72,9 +72,6 @@ class StreamingEcdf {
   /// error α of the exact sample quantile. 0 on an empty summary.
   double quantile(double q) const;
 
-  /// Fraction of samples in buckets at or below the bucket of x.
-  double cdf(double x) const;
-
   /// Up to `max_points` (value, F) pairs over the occupied buckets —
   /// the streaming analogue of stats::Ecdf::plot_points.
   std::vector<std::pair<double, double>> plot_points(
@@ -141,8 +138,6 @@ class CounterBank {
   std::int64_t count(int priority, trace::TaskEventType type) const;
   /// Total events of `type` across priorities.
   std::int64_t total(trace::TaskEventType type) const;
-  /// All events at `priority`.
-  std::int64_t total_at(int priority) const;
   std::int64_t total() const { return total_; }
   /// SUBMIT events inside a priority band — the streaming Fig 2 view.
   std::int64_t submits_in_band(trace::PriorityBand band) const;

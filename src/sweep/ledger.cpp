@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <optional>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "store/encoding.hpp"
 #include "util/check.hpp"
@@ -93,11 +94,14 @@ Claims claim(const std::vector<LedgerInput>& inputs,
     claims.usable[i] = true;
   }
 
-  // Every record of a usable input claims a known id, each id once.
+  // Every record of a usable input claims a universe id, each id once,
+  // or holds a known id outside the universe and is skipped.
   std::unordered_map<std::string, std::size_t> slot;
   for (std::size_t u = 0; u < policy.universe.size(); ++u) {
     slot.emplace(policy.universe[u], u);
   }
+  const std::unordered_set<std::string> known(policy.known.begin(),
+                                              policy.known.end());
   claims.items.assign(policy.universe.size(), Claim{});
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     for (std::size_t k = 0; claims.usable[i] && k < inputs[i].ids.size();
@@ -105,6 +109,9 @@ Claims claim(const std::vector<LedgerInput>& inputs,
       const std::string& id = inputs[i].ids[k];
       const auto it = slot.find(id);
       if (it == slot.end()) {
+        if (known.count(id) != 0) {
+          continue;
+        }
         throw util::DataError(inputs[i].path + " holds unknown " +
                               policy.noun + " " + id +
                               " — the inputs do not match this merge");

@@ -47,6 +47,9 @@ struct LedgerInput {
 /// What claim() checks the inputs against.
 struct MergePolicy {
   std::vector<std::string> universe;  ///< ids to cover, in output order
+  /// Ids outside the universe that an input may still hold (a resume
+  /// over a narrower set keeps them); their records are skipped.
+  std::vector<std::string> known;
   std::string noun = "item";          ///< "case", "scenario" in messages
   /// Required experiment; "" adopts the first readable input's.
   std::string experiment;

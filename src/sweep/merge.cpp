@@ -73,6 +73,7 @@ MergeResult merge_shards(const std::vector<std::string>& shard_dirs,
   MergePolicy policy;
   policy.noun = "case";
   policy.allow_partial = options.allow_partial;
+  policy.known = options.known;
   for (const CaseMeta& meta : options.expected) {
     policy.universe.push_back(meta.id);
   }

@@ -38,7 +38,10 @@ struct CaseMeta {
 };
 
 struct MergeOptions {
-  std::vector<CaseMeta> expected;  ///< full case universe, sweep order
+  std::vector<CaseMeta> expected;  ///< cases to merge, sweep order
+  /// Other registered case ids a shard report may hold (kept by a
+  /// resume over a narrower set); skipped rather than refused.
+  std::vector<std::string> known;
   std::string out_dir;             ///< merged artifact destination
   /// When set, an unfinished/unreadable shard degrades the merge (its
   /// cases become failed records) instead of raising TransientError.

@@ -82,6 +82,7 @@ void write_task_events(const TraceSet& trace, const std::string& path) {
     row[8] = std::to_string(static_cast<int>(e.priority) - 1);
     out.write_record(row);
   }
+  out.close();
 }
 
 void write_machine_events(const TraceSet& trace, const std::string& path) {
@@ -96,6 +97,7 @@ void write_machine_events(const TraceSet& trace, const std::string& path) {
     row[5] = util::format_double(m.mem_capacity);
     out.write_record(row);
   }
+  out.close();
 }
 
 void write_host_usage(const TraceSet& trace, const std::string& path) {
@@ -118,6 +120,7 @@ void write_host_usage(const TraceSet& trace, const std::string& path) {
       out.write_record(row);
     }
   }
+  out.close();
 }
 
 void write_google_trace(const TraceSet& trace, const std::string& directory) {
@@ -354,19 +357,6 @@ void rebuild_tasks_and_jobs(TraceSet* trace) {
   for (const auto& [id, job] : jobs) {
     trace->add_job(job);
   }
-}
-
-TraceSet read_google_trace(const std::string& directory,
-                           const std::string& system_name) {
-  return detail::read_google_trace_impl(directory, system_name,
-                                        ParseOptions{}, nullptr);
-}
-
-TraceSet read_google_trace(const std::string& directory,
-                           const std::string& system_name,
-                           const ParseOptions& options, ParseReport* report) {
-  return detail::read_google_trace_impl(directory, system_name, options,
-                                        report);
 }
 
 TraceSet detail::read_google_trace_impl(const std::string& directory,

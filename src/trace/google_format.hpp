@@ -32,13 +32,21 @@
 namespace cgc::trace {
 
 namespace detail {
-/// Canonical Google-trace parse path; both the Loader façade and the
-/// public read_google_trace overloads delegate here.
+/// Reads the three tables back from `directory`; load_trace
+/// (trace/loader.hpp), the one way to read a trace, calls it. Tasks and
+/// jobs are reconstructed from the event stream via the task state
+/// machine: each terminal event closes a task record; jobs aggregate
+/// their tasks. Files that are absent are skipped (a workload-only
+/// directory may have no host_usage.csv); `report` aggregates tolerant
+/// damage across the three tables.
 TraceSet read_google_trace_impl(const std::string& directory,
                                 const std::string& system_name,
                                 const ParseOptions& options,
                                 ParseReport* report);
 }  // namespace detail
+
+// The writers below throw util::TransientError naming the path when a
+// write fails (a full disk, for one).
 
 /// Writes trace.events() in clusterdata task_events layout.
 void write_task_events(const TraceSet& trace, const std::string& path);
@@ -53,22 +61,6 @@ void write_host_usage(const TraceSet& trace, const std::string& path);
 /// Convenience: writes all three tables into `directory` as
 /// task_events.csv, machine_events.csv, host_usage.csv.
 void write_google_trace(const TraceSet& trace, const std::string& directory);
-
-/// Reads the three tables back from `directory`. Tasks and jobs are
-/// reconstructed from the event stream via the task state machine: each
-/// terminal event closes a task record; jobs aggregate their tasks.
-/// Files that are absent are skipped (a workload-only directory may have
-/// no host_usage.csv). Kept as a delegating wrapper for one release;
-/// prefer cgc::trace::Loader (trace/loader.hpp).
-TraceSet read_google_trace(const std::string& directory,
-                           const std::string& system_name = "google-trace");
-
-/// As above, honoring `options` (tolerant mode skips and accounts bad
-/// records into `report`, which aggregates across the three tables; see
-/// parse_report.hpp). Delegating wrapper; prefer cgc::trace::Loader.
-TraceSet read_google_trace(const std::string& directory,
-                           const std::string& system_name,
-                           const ParseOptions& options, ParseReport* report);
 
 /// Reconstructs per-task and per-job records from an event stream.
 /// Exposed separately so tests can exercise the state-machine

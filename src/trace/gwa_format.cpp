@@ -6,17 +6,9 @@
 #include "fault/fault.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"
+#include "util/file.hpp"
 
 namespace cgc::trace {
-
-TraceSet read_gwa(const std::string& path, const std::string& system_name) {
-  return detail::read_gwa_impl(path, system_name, ParseOptions{}, nullptr);
-}
-
-TraceSet read_gwa(const std::string& path, const std::string& system_name,
-                  const ParseOptions& options, ParseReport* report) {
-  return detail::read_gwa_impl(path, system_name, options, report);
-}
 
 TraceSet detail::read_gwa_impl(const std::string& path,
                                const std::string& system_name,
@@ -127,6 +119,7 @@ void write_gwa(const TraceSet& trace, const std::string& path) {
         << static_cast<std::int64_t>(j.cpu_parallelism)
         << " -1 -1 " << (j.completed() ? 1 : 0) << '\n';
   }
+  util::close_or_throw(out, path);
 }
 
 }  // namespace cgc::trace

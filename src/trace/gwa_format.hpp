@@ -17,25 +17,15 @@
 namespace cgc::trace {
 
 namespace detail {
-/// Canonical GWA parse path; both the Loader façade and the public
-/// read_gwa overloads delegate here.
+/// The GWA parser behind load_trace (trace/loader.hpp), which is the
+/// one way to read a trace.
 TraceSet read_gwa_impl(const std::string& path,
                        const std::string& system_name,
                        const ParseOptions& options, ParseReport* report);
 }  // namespace detail
 
-/// Parses a GWA .gwf file into a workload-only TraceSet. Strict: the
-/// first malformed record throws. Kept as a delegating wrapper for one
-/// release; prefer cgc::trace::Loader (trace/loader.hpp).
-TraceSet read_gwa(const std::string& path, const std::string& system_name);
-
-/// As above, honoring `options` (tolerant mode skips and accounts bad
-/// records into `report`; see parse_report.hpp). Delegating wrapper;
-/// prefer cgc::trace::Loader.
-TraceSet read_gwa(const std::string& path, const std::string& system_name,
-                  const ParseOptions& options, ParseReport* report);
-
-/// Writes jobs of `trace` in GWA layout.
+/// Writes jobs of `trace` in GWA layout. Throws util::TransientError
+/// naming `path` when a write fails.
 void write_gwa(const TraceSet& trace, const std::string& path);
 
 }  // namespace cgc::trace

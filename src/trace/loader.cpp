@@ -89,9 +89,7 @@ std::string lower_extension(const std::string& path) {
 
 }  // namespace
 
-Loader::Loader(LoadOptions options) : options_(std::move(options)) {}
-
-TraceFormat Loader::detect(const std::string& path) {
+TraceFormat detect_format(const std::string& path) {
   namespace fs = std::filesystem;
   if (!fs::exists(path)) {
     throw util::DataError("no such trace: " + path);
@@ -125,11 +123,12 @@ TraceFormat Loader::detect(const std::string& path) {
                         std::to_string(fields) + " fields)");
 }
 
-TraceSet Loader::load(const std::string& path, LoadReport* report) const {
+TraceSet load_trace(const std::string& path, const LoadOptions& options,
+                    LoadReport* report) {
   obs::ScopedTimer timer("trace.load");
-  const TraceFormat format = options_.format == TraceFormat::kAuto
-                                 ? detect(path)
-                                 : options_.format;
+  const TraceFormat format = options.format == TraceFormat::kAuto
+                                 ? detect_format(path)
+                                 : options.format;
   LoadReport local;
   LoadReport& out = report != nullptr ? *report : local;
   out = LoadReport{};
@@ -137,12 +136,12 @@ TraceSet Loader::load(const std::string& path, LoadReport* report) const {
   out.path = path;
 
   ParseOptions parse_options;
-  parse_options.tolerant = options_.strictness == Strictness::kTolerant;
-  parse_options.max_bad_lines = options_.max_bad_lines;
-  parse_options.max_recorded = options_.max_recorded;
-  const auto name_or = [this](const char* fallback) {
-    return options_.system_name.empty() ? std::string(fallback)
-                                        : options_.system_name;
+  parse_options.tolerant = options.strictness == Strictness::kTolerant;
+  parse_options.max_bad_lines = options.max_bad_lines;
+  parse_options.max_recorded = options.max_recorded;
+  const auto name_or = [&options](const char* fallback) {
+    return options.system_name.empty() ? std::string(fallback)
+                                       : options.system_name;
   };
 
   switch (format) {
@@ -156,7 +155,7 @@ TraceSet Loader::load(const std::string& path, LoadReport* report) const {
       return detail::read_gwa_impl(path, name_or("gwa-trace"), parse_options,
                                    &out.parse);
     case TraceFormat::kCgcs: {
-      if (options_.on_damage == OnDamage::kQuarantine) {
+      if (options.on_damage == OnDamage::kQuarantine) {
         return store::read_cgcs_degraded(path, &out.damage);
       }
       return store::read_cgcs(path);
@@ -165,11 +164,6 @@ TraceSet Loader::load(const std::string& path, LoadReport* report) const {
       break;
   }
   throw util::DataError("unresolved trace format for " + path);
-}
-
-TraceSet load_trace(const std::string& path, const LoadOptions& options,
-                    LoadReport* report) {
-  return Loader(options).load(path, report);
 }
 
 }  // namespace cgc::trace

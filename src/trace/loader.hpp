@@ -1,23 +1,16 @@
-// cgc::trace::Loader — the one way in for trace data.
+// cgc::trace::load_trace — the one way in for trace data.
 //
-// Historically each on-disk format had its own entry point with its own
-// leniency knob: read_swf/read_gwa/read_google_trace grew a
-// ParseOptions{tolerant} overload, while the CGCS store grew
-// ReadMode::kDegraded with a separate DamageReport. Every caller had to
-// know which format it had, which knob that format spoke, and which
-// report type came back. The Loader collapses all of that:
-//
+//   trace::LoadOptions options;
+//   options.strictness = trace::Strictness::kTolerant;
 //   trace::LoadReport report;
-//   trace::TraceSet ts = trace::Loader({.strictness =
-//       trace::Strictness::kTolerant}).load(path, &report);
+//   trace::TraceSet ts = trace::load_trace(path, options, &report);
 //
 // Format is autodetected (directory → Google CSV; extension; CGCS
-// magic; field-count sniff for the headerless text formats), leniency
-// is two orthogonal fields — `strictness` for record-level parse
-// damage in text formats, `on_damage` for chunk-level corruption in
-// the binary store — and everything the load survived is merged into
-// one LoadReport. The per-format functions remain as delegating
-// wrappers for one release; new code should not call them.
+// magic; field-count sniff for the headerless text formats) unless
+// LoadOptions::format names it. Leniency is two orthogonal fields —
+// `strictness` for record-level parse damage in the text formats,
+// `on_damage` for chunk-level corruption in the binary store — and
+// everything the load survived is merged into one LoadReport.
 #pragma once
 
 #include <string>
@@ -28,7 +21,7 @@
 
 namespace cgc::trace {
 
-/// On-disk formats the Loader understands.
+/// On-disk formats load_trace understands.
 enum class TraceFormat {
   kAuto,       ///< detect from path (directory, extension, magic, sniff)
   kGoogleCsv,  ///< clusterdata-2011 CSV directory
@@ -83,29 +76,16 @@ struct LoadReport {
   std::string summary() const;
 };
 
-class Loader {
- public:
-  explicit Loader(LoadOptions options = {});
+/// Resolves kAuto for `path`: a directory is Google CSV; then by
+/// extension (.cgcs/.swf/.gwf/.gwa); then by CGCS magic; then by
+/// sniffing the first data line's field count (18 → SWF, ≥11 → GWA).
+/// Throws cgc::util::DataError when nothing matches.
+TraceFormat detect_format(const std::string& path);
 
-  /// Resolves kAuto for `path`: a directory is Google CSV; then by
-  /// extension (.cgcs/.swf/.gwf/.gwa); then by CGCS magic; then by
-  /// sniffing the first data line's field count (18 → SWF, ≥11 → GWA).
-  /// Throws cgc::util::DataError when nothing matches.
-  static TraceFormat detect(const std::string& path);
-
-  /// Loads `path` per the options. Fills `*report` (if non-null) with
-  /// the resolved format and damage accounting. Throws
-  /// cgc::util::DataError on unreadable input, on parse damage under
-  /// kStrict, and on chunk damage under kFail.
-  TraceSet load(const std::string& path, LoadReport* report = nullptr) const;
-
-  const LoadOptions& options() const { return options_; }
-
- private:
-  LoadOptions options_;
-};
-
-/// One-shot convenience: Loader(options).load(path, report).
+/// Loads `path` per `options`. Fills `*report` (if non-null) with the
+/// resolved format and damage accounting. Throws cgc::util::DataError
+/// on unreadable input, on parse damage under kStrict, and on chunk
+/// damage under kFail.
 TraceSet load_trace(const std::string& path, const LoadOptions& options = {},
                     LoadReport* report = nullptr);
 

@@ -5,6 +5,7 @@
 #include "fault/fault.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"
+#include "util/file.hpp"
 
 namespace cgc::trace {
 
@@ -33,15 +34,6 @@ std::vector<std::string_view> split_ws(std::string_view line,
 }
 
 }  // namespace
-
-TraceSet read_swf(const std::string& path, const std::string& system_name) {
-  return detail::read_swf_impl(path, system_name, ParseOptions{}, nullptr);
-}
-
-TraceSet read_swf(const std::string& path, const std::string& system_name,
-                  const ParseOptions& options, ParseReport* report) {
-  return detail::read_swf_impl(path, system_name, options, report);
-}
 
 TraceSet detail::read_swf_impl(const std::string& path,
                                const std::string& system_name,
@@ -149,6 +141,7 @@ void write_swf(const TraceSet& trace, const std::string& path) {
         << ' ' << -1;
     out << row.str() << '\n';
   }
+  util::close_or_throw(out, path);
 }
 
 }  // namespace cgc::trace

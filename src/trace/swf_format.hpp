@@ -24,25 +24,15 @@
 namespace cgc::trace {
 
 namespace detail {
-/// Canonical SWF parse path; both the Loader façade and the public
-/// read_swf overloads delegate here.
+/// The SWF parser behind load_trace (trace/loader.hpp), which is the
+/// one way to read a trace.
 TraceSet read_swf_impl(const std::string& path,
                        const std::string& system_name,
                        const ParseOptions& options, ParseReport* report);
 }  // namespace detail
 
-/// Parses an SWF file into a workload-only TraceSet. Strict: the first
-/// malformed record throws. Kept as a delegating wrapper for one
-/// release; prefer cgc::trace::Loader (trace/loader.hpp).
-TraceSet read_swf(const std::string& path, const std::string& system_name);
-
-/// As above, honoring `options` (tolerant mode skips and accounts bad
-/// records into `report`; see parse_report.hpp). Delegating wrapper;
-/// prefer cgc::trace::Loader.
-TraceSet read_swf(const std::string& path, const std::string& system_name,
-                  const ParseOptions& options, ParseReport* report);
-
 /// Writes jobs of `trace` as SWF (fields we do not track are -1).
+/// Throws util::TransientError naming `path` when a write fails.
 void write_swf(const TraceSet& trace, const std::string& path);
 
 }  // namespace cgc::trace

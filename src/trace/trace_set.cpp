@@ -98,10 +98,6 @@ void TraceSet::finalize() {
   for (std::size_t i = 0; i < host_load_.size(); ++i) {
     host_load_index_[host_load_[i].machine_id()] = i;
   }
-  job_index_.clear();
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    job_index_[jobs_[i].job_id] = i;
-  }
   job_task_range_.clear();
   if (!tasks_.empty()) {
     std::size_t start = 0;
@@ -153,12 +149,6 @@ std::span<const Task> TraceSet::tasks_for_job(std::int64_t job_id) const {
   }
   return std::span<const Task>(tasks_).subspan(
       it->second.first, it->second.second - it->second.first);
-}
-
-const Job* TraceSet::job_by_id(std::int64_t job_id) const {
-  require_finalized();
-  const auto it = job_index_.find(job_id);
-  return it == job_index_.end() ? nullptr : &jobs_[it->second];
 }
 
 TraceSummary TraceSet::summary() const {

@@ -81,8 +81,6 @@ class TraceSet {
   const HostLoadSeries* host_load_for(std::int64_t machine_id) const;
   /// Tasks belonging to a job (contiguous after finalize()).
   std::span<const Task> tasks_for_job(std::int64_t job_id) const;
-  /// Job record by id; nullptr if unknown.
-  const Job* job_by_id(std::int64_t job_id) const;
 
   TraceSummary summary() const;
 
@@ -124,7 +122,6 @@ class TraceSet {
 
   std::unordered_map<std::int64_t, std::size_t> machine_index_;
   std::unordered_map<std::int64_t, std::size_t> host_load_index_;
-  std::unordered_map<std::int64_t, std::size_t> job_index_;
   /// job_id -> [first, last) range into tasks_ after sorting.
   std::unordered_map<std::int64_t, std::pair<std::size_t, std::size_t>>
       job_task_range_;

@@ -2,16 +2,7 @@
 
 #include <sstream>
 
-#include "util/error.hpp"
-
-namespace cgc::util {
-
-int exit_code_for(const std::exception& e) {
-  // Delegates to the canonical mapping; kept for source compatibility.
-  return error::exit_code(e);
-}
-
-namespace detail {
+namespace cgc::util::detail {
 
 void fail_check(const char* expr, const char* file, int line,
                 const std::string& message) {
@@ -23,5 +14,4 @@ void fail_check(const char* expr, const char* file, int line,
   throw Error(oss.str());
 }
 
-}  // namespace detail
-}  // namespace cgc::util
+}  // namespace cgc::util::detail

@@ -55,9 +55,6 @@ inline constexpr int kExitUsage = 2;
 inline constexpr int kExitConflict = 2;
 inline constexpr int kExitFatal = 3;
 
-/// Maps a caught exception onto the exit-code taxonomy.
-int exit_code_for(const std::exception& e);
-
 namespace detail {
 [[noreturn]] void fail_check(const char* expr, const char* file, int line,
                              const std::string& message);

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "util/check.hpp"
+#include "util/file.hpp"
 
 namespace cgc::util {
 
@@ -40,13 +41,6 @@ double parse_double(std::string_view field) {
   return value;
 }
 
-std::optional<double> parse_optional_double(std::string_view field) {
-  if (field.empty()) {
-    return std::nullopt;
-  }
-  return parse_double(field);
-}
-
 void throw_parse_error(const std::string& path, std::size_t line_number,
                        const std::string& what) {
   throw Error(path + ":" + std::to_string(line_number) + ": " + what);
@@ -76,7 +70,7 @@ bool CsvReader::next_record() {
 }
 
 CsvWriter::CsvWriter(const std::string& path, char sep)
-    : out_(path), sep_(sep) {
+    : path_(path), out_(path), sep_(sep) {
   CGC_CHECK_MSG(out_.good(), "cannot open file for writing: " + path);
 }
 
@@ -90,11 +84,9 @@ void CsvWriter::write_record(const std::vector<std::string>& values) {
   out_.put('\n');
 }
 
-void CsvWriter::write_line(std::string_view line) {
-  out_ << line << '\n';
+void CsvWriter::close() {
+  close_or_throw(out_, path_);
 }
-
-void CsvWriter::flush() { out_.flush(); }
 
 std::string format_double(double value) {
   char buf[64];

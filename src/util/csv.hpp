@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,9 +25,6 @@ std::int64_t parse_int(std::string_view field);
 
 /// Parses a double field; throws cgc::util::Error on garbage.
 double parse_double(std::string_view field);
-
-/// Parses a double field that may be empty; empty -> nullopt.
-std::optional<double> parse_optional_double(std::string_view field);
 
 /// Throws cgc::util::Error with "path:line: what". Format readers wrap
 /// field-level failures with this so a truncated or garbled record (for
@@ -77,13 +73,13 @@ class CsvWriter {
   /// Writes one record; values are written verbatim.
   void write_record(const std::vector<std::string>& values);
 
-  /// Writes a raw line (e.g. a comment header).
-  void write_line(std::string_view line);
-
-  /// Flushes buffered output to disk.
-  void flush();
+  /// Flushes and closes the file. Throws util::TransientError naming
+  /// the path when any write failed (a full disk, for one), so a
+  /// truncated file is never reported as written.
+  void close();
 
  private:
+  std::string path_;
   std::ofstream out_;
   char sep_;
 };

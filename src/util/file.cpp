@@ -24,15 +24,19 @@ void write_file_atomic(const std::string& path, std::string_view content) {
   const std::string tmp = path + ".tmp";
   std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
   out.write(content.data(), static_cast<std::streamsize>(content.size()));
-  out.close();
-  if (out.fail()) {
-    throw TransientError("cannot write " + tmp);
-  }
+  close_or_throw(out, tmp);
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
   if (ec) {
     throw TransientError("cannot rename " + tmp + " -> " + path + ": " +
                          ec.message());
+  }
+}
+
+void close_or_throw(std::ofstream& out, const std::string& path) {
+  out.close();
+  if (out.fail()) {
+    throw TransientError("cannot write " + path);
   }
 }
 

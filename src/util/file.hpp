@@ -5,6 +5,7 @@
 // contract is kill-and-resume, not power loss: nothing is fsynced.
 #pragma once
 
+#include <iosfwd>
 #include <string>
 #include <string_view>
 
@@ -25,5 +26,9 @@ ReadStatus read_file(const std::string& path, std::string* out);
 /// closed, then renames it over `path`. Throws util::TransientError
 /// naming the path on any failure.
 void write_file_atomic(const std::string& path, std::string_view content);
+
+/// Closes `out`, which writes `path`, and throws util::TransientError
+/// naming the path when any write to it or the close failed.
+void close_or_throw(std::ofstream& out, const std::string& path);
 
 }  // namespace cgc::util

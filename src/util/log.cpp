@@ -55,11 +55,6 @@ LogLevel log_level() {
   return g_level.load(std::memory_order_relaxed);
 }
 
-void set_log_level(LogLevel level) {
-  std::call_once(g_env_once, init_from_env);
-  g_level.store(level, std::memory_order_relaxed);
-}
-
 namespace detail {
 
 void log_line(LogLevel level, const std::string& message) {

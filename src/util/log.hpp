@@ -13,9 +13,6 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 /// Current process-global level (default kInfo, or CGC_LOG_LEVEL env).
 LogLevel log_level();
 
-/// Overrides the process-global level.
-void set_log_level(LogLevel level);
-
 namespace detail {
 void log_line(LogLevel level, const std::string& message);
 }  // namespace detail

@@ -8,10 +8,6 @@ double to_days(TimeSec t) {
   return static_cast<double>(t) / static_cast<double>(kSecondsPerDay);
 }
 
-double to_hours(TimeSec t) {
-  return static_cast<double>(t) / static_cast<double>(kSecondsPerHour);
-}
-
 double to_minutes(TimeSec t) {
   return static_cast<double>(t) / static_cast<double>(kSecondsPerMinute);
 }

@@ -24,9 +24,6 @@ inline constexpr TimeSec kSamplePeriod = 5 * kSecondsPerMinute;
 /// day-scaled axes).
 double to_days(TimeSec t);
 
-/// Converts seconds to fractional hours.
-double to_hours(TimeSec t);
-
 /// Converts seconds to fractional minutes.
 double to_minutes(TimeSec t);
 

@@ -13,7 +13,12 @@ body without a ledger stamp) reads as torn: `cgc_plan --merge` exits 1
 asking for that shard to be rerun, and `--resume` quarantines it and
 reruns the shard. `cgc_report --resume` over a torn report.json moves
 it to report.json.corrupt and reruns to the clean run's outputs, as
-`cgc_plan --resume` does with a torn checkpoint. bench_perf runs
+`cgc_plan --resume` does with a torn checkpoint. A resume over a
+narrower or different --only set counts only the cases in its set, runs
+the ones missing, and keeps the other cases' records, so a later resume
+over the wider set quarantines nothing and reruns nothing; under
+--spawn, whose workers always resume, the narrower merge skips the
+records they kept instead of refusing them. bench_perf runs
 exactly one known leg: none, an unknown one or two are usage errors, and
 its plan leg writes a record with the common frame whose thread runs
 share one digest and fail no scenario. The trace cache has one tier:
@@ -174,6 +179,82 @@ def torn_report_resume_problems(report, env, tmp):
     return problems
 
 
+def changed_set_resume_problems(report, env, tmp):
+    """Runs `--only fig02,fig03`, then resumes over other --only sets in
+    the same dir; returns failure lines."""
+    problems = []
+
+    def sweep(out, only, *extra):
+        label = f"cgc_report --only {only} {' '.join(extra)}".strip()
+        proc = subprocess.run([report, "--only", only, *extra], cwd=tmp,
+                              env=dict(env, CGC_BENCH_OUT=out),
+                              capture_output=True, text=True, timeout=900,
+                              check=False)
+        if proc.returncode != EXIT_OK:
+            problems.append(f"{label}: exit {proc.returncode}\n"
+                            f"{proc.stderr[-1500:]}")
+        elif "quarantined" in proc.stdout:
+            problems.append(f"{label}: quarantined intact outputs\n"
+                            f"{proc.stdout[-1500:]}")
+        return proc
+
+    def cases(out):
+        try:
+            with open(os.path.join(out, "report.json")) as f:
+                return {c["id"]: c for c in json.load(f)["cases"]}
+        except (OSError, ValueError) as e:
+            problems.append(f"{out}/report.json unreadable: {e}")
+            return {}
+
+    # (a) Narrow the set, then widen it again.
+    out = os.path.join(tmp, "narrowed_out")
+    sweep(out, "fig02,fig03")
+    proc = sweep(out, "fig02", "--resume")
+    if "resume: 1 of 1 cases already satisfied" not in proc.stdout:
+        problems.append("cgc_report --only fig02 --resume: want \"1 of 1 "
+                        f"cases already satisfied\"\n{proc.stdout[-1500:]}")
+    if sorted(cases(out)) != ["fig02", "fig03"]:
+        problems.append("cgc_report --only fig02 --resume: report.json "
+                        f"cases {sorted(cases(out))}, want fig02 and fig03")
+    sweep(out, "fig02,fig03", "--resume")
+    rerun = [i for i, c in cases(out).items() if not c["resumed"]]
+    if rerun:
+        problems.append("cgc_report --only fig02,fig03 --resume after a "
+                        f"narrower resume reran {rerun}")
+
+    # (b) Swap one case of the set for another.
+    out = os.path.join(tmp, "swapped_out")
+    sweep(out, "fig02,fig03")
+    sweep(out, "fig02,fig04", "--resume")
+    got = {i: (c["ok"], c["resumed"]) for i, c in cases(out).items()}
+    want = {"fig02": (True, True), "fig03": (True, False),
+            "fig04": (True, False)}
+    if got != want:
+        problems.append("cgc_report --only fig02,fig04 --resume after "
+                        f"fig02,fig03: (ok, resumed) {got}, want {want}")
+
+    # (c) Sharded: --spawn workers always resume in their shard dirs, so
+    # the narrower merge must skip the records the workers kept.
+    out = os.path.join(tmp, "spawn_out")
+    sweep(out, "fig02,fig03", "--spawn", "2")
+    sweep(out, "fig02", "--spawn", "2")
+    if sorted(cases(out)) != ["fig02"]:
+        problems.append("cgc_report --only fig02 --spawn 2 after "
+                        f"fig02,fig03: merged cases {sorted(cases(out))}, "
+                        "want fig02")
+    sweep(out, "fig02,fig03", "--spawn", "2")
+    if sorted(cases(out)) != ["fig02", "fig03"]:
+        problems.append("cgc_report --only fig02,fig03 --spawn 2 after a "
+                        f"narrower spawn: merged cases {sorted(cases(out))}")
+    for shard in ("s0of2", "s1of2"):
+        rerun = [i for i, c in cases(os.path.join(out, "shards", shard))
+                 .items() if not c["resumed"]]
+        if rerun:
+            problems.append("cgc_report --only fig02,fig03 --spawn 2 after "
+                            f"a narrower spawn: shard {shard} reran {rerun}")
+    return problems
+
+
 def main():
     if len(sys.argv) != 4:
         sys.stderr.write(__doc__)
@@ -231,6 +312,8 @@ def main():
         failures.extend(rebuilt_hostload_problems(report, env, tmp))
 
         failures.extend(torn_report_resume_problems(report, env, tmp))
+
+        failures.extend(changed_set_resume_problems(report, env, tmp))
 
         for name, body in (("v1", V1_CHECKPOINT_BODY),
                            ("json", JSON_CHECKPOINT_BODY)):

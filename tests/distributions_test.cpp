@@ -41,7 +41,6 @@ TEST_P(MeanMatchesAnalytic, SampleMeanConverges) {
 INSTANTIATE_TEST_SUITE_P(
     AllDistributions, MeanMatchesAnalytic,
     ::testing::Values(
-        MeanCase{"deterministic", std::make_shared<Deterministic>(7.0), 1e-12},
         MeanCase{"uniform", std::make_shared<Uniform>(2.0, 10.0), 0.01},
         MeanCase{"exponential", std::make_shared<Exponential>(42.0), 0.01},
         MeanCase{"pareto", std::make_shared<Pareto>(1.0, 3.0), 0.02},
@@ -49,20 +48,8 @@ INSTANTIATE_TEST_SUITE_P(
                  std::make_shared<BoundedPareto>(1.0, 1000.0, 1.5), 0.03},
         MeanCase{"bounded_pareto_alpha_lt1",
                  std::make_shared<BoundedPareto>(10.0, 1e5, 0.5), 0.05},
-        MeanCase{"lognormal", std::make_shared<LogNormal>(100.0, 1.0), 0.02},
-        MeanCase{"weibull", std::make_shared<Weibull>(5.0, 2.0), 0.01},
-        MeanCase{"hyperexp",
-                 std::make_shared<HyperExponential>(0.3, 1.0, 50.0), 0.03},
-        MeanCase{"zipf", std::make_shared<Zipf>(100, 1.2), 0.02}),
+        MeanCase{"lognormal", std::make_shared<LogNormal>(100.0, 1.0), 0.02}),
     [](const auto& info) { return info.param.name; });
-
-TEST(Deterministic, AlwaysSameValue) {
-  util::Rng rng(1);
-  const Deterministic d(3.25);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_DOUBLE_EQ(d.sample(rng), 3.25);
-  }
-}
 
 TEST(Uniform, RespectssBounds) {
   util::Rng rng(2);
@@ -132,8 +119,8 @@ TEST(LogNormal, ZeroSigmaIsDeterministic) {
 
 TEST(Mixture, WeightsControlComponents) {
   util::Rng rng(8);
-  const Mixture mix({std::make_shared<Deterministic>(1.0),
-                     std::make_shared<Deterministic>(100.0)},
+  const Mixture mix({std::make_shared<Uniform>(0.5, 1.5),
+                     std::make_shared<Uniform>(99.5, 100.5)},
                     {0.75, 0.25});
   EXPECT_DOUBLE_EQ(mix.mean(), 0.75 * 1.0 + 0.25 * 100.0);
   int low = 0;
@@ -147,49 +134,11 @@ TEST(Mixture, WeightsControlComponents) {
 }
 
 TEST(Mixture, InvalidWeightsThrow) {
-  EXPECT_THROW(Mixture({std::make_shared<Deterministic>(1.0)}, {-1.0}),
+  EXPECT_THROW(Mixture({std::make_shared<Exponential>(1.0)}, {-1.0}),
                util::Error);
-  EXPECT_THROW(Mixture({std::make_shared<Deterministic>(1.0)}, {0.0}),
+  EXPECT_THROW(Mixture({std::make_shared<Exponential>(1.0)}, {0.0}),
                util::Error);
   EXPECT_THROW(Mixture({}, {}), util::Error);
-}
-
-TEST(Zipf, SupportIsOneToN) {
-  util::Rng rng(9);
-  const Zipf d(10, 1.0);
-  for (int i = 0; i < 5000; ++i) {
-    const double v = d.sample(rng);
-    EXPECT_GE(v, 1.0);
-    EXPECT_LE(v, 10.0);
-    EXPECT_DOUBLE_EQ(v, std::floor(v));
-  }
-}
-
-TEST(Zipf, RankOneIsMostFrequent) {
-  util::Rng rng(10);
-  const Zipf d(50, 1.5);
-  std::array<int, 51> counts{};
-  for (int i = 0; i < 20000; ++i) {
-    ++counts[static_cast<std::size_t>(d.sample(rng))];
-  }
-  EXPECT_GT(counts[1], counts[2]);
-  EXPECT_GT(counts[2], counts[5]);
-}
-
-TEST(HyperExponential, HighVarianceVsExponential) {
-  util::Rng rng(11);
-  const HyperExponential hyper(0.1, 100.0, 1.0);
-  const Exponential expo(hyper.mean());
-  // Same mean, but the hyperexponential has a far larger second moment.
-  double sq_h = 0.0, sq_e = 0.0;
-  constexpr int kN = 50000;
-  for (int i = 0; i < kN; ++i) {
-    const double h = hyper.sample(rng);
-    const double e = expo.sample(rng);
-    sq_h += h * h;
-    sq_e += e * e;
-  }
-  EXPECT_GT(sq_h, 2.0 * sq_e);
 }
 
 TEST(SampleMany, ReturnsRequestedCount) {

@@ -1,7 +1,6 @@
-// Tests for the empirical CDF and the two-sample KS statistic.
+// Tests for the empirical CDF.
 #include <gtest/gtest.h>
 
-#include "stats/distributions.hpp"
 #include "stats/ecdf.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -81,30 +80,6 @@ TEST(Ecdf, EmptyQuantileThrows) {
   const Ecdf e;
   EXPECT_TRUE(e.empty());
   EXPECT_THROW(e.quantile(0.5), util::Error);
-}
-
-TEST(KsStatistic, IdenticalSamplesHaveZeroDistance) {
-  const std::vector<double> v = {1.0, 2.0, 3.0};
-  const Ecdf a(v);
-  const Ecdf b(v);
-  EXPECT_DOUBLE_EQ(ks_statistic(a, b), 0.0);
-}
-
-TEST(KsStatistic, DisjointSamplesHaveDistanceOne) {
-  const Ecdf a(std::vector<double>{1.0, 2.0});
-  const Ecdf b(std::vector<double>{10.0, 20.0});
-  EXPECT_DOUBLE_EQ(ks_statistic(a, b), 1.0);
-}
-
-TEST(KsStatistic, SameDistributionIsSmallDifferentIsLarge) {
-  util::Rng rng(77);
-  const Exponential expo(10.0);
-  const LogNormal logn(10.0, 1.5);
-  const Ecdf e1(sample_many(expo, 4000, rng));
-  const Ecdf e2(sample_many(expo, 4000, rng));
-  const Ecdf l1(sample_many(logn, 4000, rng));
-  EXPECT_LT(ks_statistic(e1, e2), 0.05);
-  EXPECT_GT(ks_statistic(e1, l1), 0.15);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Tests for Jain fairness, Gini coefficient, and the Lorenz curve.
+// Tests for Jain fairness.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -62,58 +62,6 @@ TEST(JainFairness, RelatesToCv) {
   const double var = sq / static_cast<double>(v.size()) - mean * mean;
   const double cv2 = var / (mean * mean);
   EXPECT_NEAR(jain_fairness(v), 1.0 / (1.0 + cv2), 1e-9);
-}
-
-TEST(Gini, ConstantSampleIsZero) {
-  const std::vector<double> v(20, 4.0);
-  EXPECT_NEAR(gini(v), 0.0, 1e-9);
-}
-
-TEST(Gini, MaximallyUnequalApproachesOne) {
-  std::vector<double> v(100, 0.0);
-  v[99] = 1.0;
-  EXPECT_NEAR(gini(v), 0.99, 1e-9);
-}
-
-TEST(Gini, ExponentialIsHalf) {
-  util::Rng rng(11);
-  std::vector<double> v;
-  for (int i = 0; i < 50000; ++i) {
-    v.push_back(rng.exponential(1.0));
-  }
-  EXPECT_NEAR(gini(v), 0.5, 0.01);
-}
-
-TEST(Gini, UniformZeroToOneIsThird) {
-  util::Rng rng(12);
-  std::vector<double> v;
-  for (int i = 0; i < 50000; ++i) {
-    v.push_back(rng.uniform());
-  }
-  EXPECT_NEAR(gini(v), 1.0 / 3.0, 0.01);
-}
-
-TEST(Gini, EmptyThrows) {
-  EXPECT_THROW(gini(std::vector<double>{}), util::Error);
-}
-
-TEST(LorenzCurve, EndpointsAndConvexity) {
-  util::Rng rng(13);
-  std::vector<double> v;
-  for (int i = 0; i < 1000; ++i) {
-    v.push_back(rng.exponential(2.0));
-  }
-  const auto curve = lorenz_curve(v, 50);
-  ASSERT_EQ(curve.size(), 51u);
-  EXPECT_DOUBLE_EQ(curve.front().first, 0.0);
-  EXPECT_DOUBLE_EQ(curve.front().second, 0.0);
-  EXPECT_DOUBLE_EQ(curve.back().first, 1.0);
-  EXPECT_NEAR(curve.back().second, 1.0, 1e-9);
-  for (std::size_t i = 1; i < curve.size(); ++i) {
-    EXPECT_GE(curve[i].second, curve[i - 1].second);
-    // Lorenz curve lies below the diagonal.
-    EXPECT_LE(curve[i].second, curve[i].first + 1e-9);
-  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Round-trip and schema tests for the Google clusterdata, SWF, and GWA
-// trace formats.
+// trace formats, read back through load_trace with the format named.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -7,6 +7,7 @@
 
 #include "trace/google_format.hpp"
 #include "trace/gwa_format.hpp"
+#include "trace/loader.hpp"
 #include "trace/swf_format.hpp"
 #include "util/check.hpp"
 
@@ -26,6 +27,26 @@ class FormatsTest : public ::testing::Test {
   }
   std::filesystem::path dir_;
 };
+
+/// Strict load of `path` as `format`, stamped `name`.
+TraceSet load(const std::string& path, TraceFormat format,
+              const std::string& name) {
+  LoadOptions options;
+  options.format = format;
+  options.system_name = name;
+  return load_trace(path, options);
+}
+
+/// The job with id `job_id`; fails the test when there is none.
+const Job& job(const TraceSet& trace, std::int64_t job_id) {
+  for (const Job& j : trace.jobs()) {
+    if (j.job_id == job_id) {
+      return j;
+    }
+  }
+  ADD_FAILURE() << "no job " << job_id;
+  return trace.jobs().front();
+}
 
 TraceSet make_event_trace() {
   TraceSet trace("roundtrip");
@@ -63,7 +84,7 @@ TEST_F(FormatsTest, GoogleTraceRoundTrip) {
   const std::string dir = path("google_trace");
   write_google_trace(original, dir);
 
-  const TraceSet loaded = read_google_trace(dir, "loaded");
+  const TraceSet loaded = load(dir, TraceFormat::kGoogleCsv, "loaded");
   EXPECT_EQ(loaded.system_name(), "loaded");
   EXPECT_EQ(loaded.events().size(), original.events().size());
   EXPECT_EQ(loaded.machines().size(), 1u);
@@ -91,8 +112,8 @@ TEST_F(FormatsTest, GoogleTraceRoundTrip) {
 
   // Jobs aggregated from tasks.
   ASSERT_EQ(loaded.jobs().size(), 2u);
-  EXPECT_EQ(loaded.job_by_id(1)->priority, 2);
-  EXPECT_EQ(loaded.job_by_id(2)->priority, 11);
+  EXPECT_EQ(job(loaded, 1).priority, 2);
+  EXPECT_EQ(job(loaded, 2).priority, 11);
 
   // Host load restored.
   ASSERT_NE(loaded.host_load_for(3), nullptr);
@@ -121,7 +142,8 @@ TEST_F(FormatsTest, GoogleEventPrioritiesAreZeroBasedOnDisk) {
 }
 
 TEST_F(FormatsTest, GoogleMissingDirectoryThrows) {
-  EXPECT_THROW(read_google_trace(path("nope")), util::Error);
+  EXPECT_THROW(load(path("nope"), TraceFormat::kGoogleCsv, "nope"),
+               util::Error);
 }
 
 TEST_F(FormatsTest, SwfRoundTrip) {
@@ -141,7 +163,7 @@ TEST_F(FormatsTest, SwfRoundTrip) {
 
   const std::string p = path("trace.swf");
   write_swf(original, p);
-  const TraceSet loaded = read_swf(p, "swf-system");
+  const TraceSet loaded = load(p, TraceFormat::kSwf, "swf-system");
   ASSERT_EQ(loaded.jobs().size(), 1u);
   const Job& lj = loaded.jobs()[0];
   EXPECT_EQ(lj.job_id, 17);
@@ -165,7 +187,7 @@ TEST_F(FormatsTest, SwfParsesStandardFixture) {
     out << "1 0 30 3600 4 -1 102400 4 7200 -1 1 12 -1 -1 1 -1 -1 -1\n";
     out << "2 100 -1 -1 1 -1 -1 1 600 -1 0 13 -1 -1 1 -1 -1 -1\n";
   }
-  const TraceSet loaded = read_swf(p, "fixture");
+  const TraceSet loaded = load(p, TraceFormat::kSwf, "fixture");
   ASSERT_EQ(loaded.jobs().size(), 2u);
   EXPECT_EQ(loaded.jobs()[0].length(), 3630);  // wait + run
   // used_memory is KB/proc: 102400 KB * 4 procs = 400 MB.
@@ -179,7 +201,7 @@ TEST_F(FormatsTest, SwfTooFewFieldsThrows) {
     std::ofstream out(p);
     out << "1 0 30 3600\n";
   }
-  EXPECT_THROW(read_swf(p, "bad"), util::Error);
+  EXPECT_THROW(load(p, TraceFormat::kSwf, "bad"), util::Error);
 }
 
 TEST_F(FormatsTest, GwaRoundTrip) {
@@ -197,7 +219,7 @@ TEST_F(FormatsTest, GwaRoundTrip) {
 
   const std::string p = path("trace.gwf");
   write_gwa(original, p);
-  const TraceSet loaded = read_gwa(p, "gwa-system");
+  const TraceSet loaded = load(p, TraceFormat::kGwa, "gwa-system");
   ASSERT_EQ(loaded.jobs().size(), 1u);
   EXPECT_EQ(loaded.jobs()[0].job_id, 5);
   EXPECT_EQ(loaded.jobs()[0].length(), 1800);
@@ -212,7 +234,7 @@ TEST_F(FormatsTest, GwaSkipsHeaderComments) {
     out << "; GWA header\n";
     out << "7 0 10 100 1 -1 -1 1 -1 -1 1\n";
   }
-  const TraceSet loaded = read_gwa(p, "hdr");
+  const TraceSet loaded = load(p, TraceFormat::kGwa, "hdr");
   ASSERT_EQ(loaded.jobs().size(), 1u);
   EXPECT_EQ(loaded.jobs()[0].length(), 110);
 }
@@ -228,7 +250,7 @@ TEST_F(FormatsTest, GoogleTruncatedFinalRecordReportsLine) {
     out << "999000000,,42,0";  // 4 of the >= 9 required fields
   }
   try {
-    read_google_trace(dir, "trunc");
+    load(dir, TraceFormat::kGoogleCsv, "trunc");
     FAIL() << "expected Error for truncated record";
   } catch (const util::Error& e) {
     const std::string what = e.what();
@@ -246,7 +268,7 @@ TEST_F(FormatsTest, GoogleGarbledFieldReportsPathAndLine) {
     out << "not_a_number,,1,0,,0,,0,1\n";
   }
   try {
-    read_google_trace(dir, "garbled");
+    load(dir, TraceFormat::kGoogleCsv, "garbled");
     FAIL() << "expected Error for garbled field";
   } catch (const util::Error& e) {
     const std::string what = e.what();
@@ -273,7 +295,7 @@ TEST_F(FormatsTest, GoogleCrLfTraceParses) {
     }
     std::ofstream(p, std::ios::binary) << contents;
   }
-  const TraceSet loaded = read_google_trace(dir, "crlf");
+  const TraceSet loaded = load(dir, TraceFormat::kGoogleCsv, "crlf");
   EXPECT_EQ(loaded.events().size(), original.events().size());
   EXPECT_EQ(loaded.machines().size(), original.machines().size());
   ASSERT_NE(loaded.host_load_for(3), nullptr);
@@ -289,7 +311,7 @@ TEST_F(FormatsTest, SwfTruncatedFinalRecordReportsLine) {
     out << "2 100 -1 -1 1 -1";  // cut off mid-record
   }
   try {
-    read_swf(p, "trunc");
+    load(p, TraceFormat::kSwf, "trunc");
     FAIL() << "expected Error for truncated record";
   } catch (const util::Error& e) {
     const std::string what = e.what();
@@ -306,13 +328,34 @@ TEST_F(FormatsTest, GwaTruncatedFinalRecordReportsLine) {
     out << "8 5 10 100";  // cut off mid-record
   }
   try {
-    read_gwa(p, "trunc");
+    load(p, TraceFormat::kGwa, "trunc");
     FAIL() << "expected Error for truncated record";
   } catch (const util::Error& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find(":2:"), std::string::npos) << what;
     EXPECT_NE(what.find("truncated"), std::string::npos) << what;
   }
+}
+
+TEST_F(FormatsTest, WritersReportAFullDisk) {
+  // /dev/full accepts the open and fails every write with ENOSPC: each
+  // writer must throw instead of leaving a truncated file behind.
+  const std::string full = "/dev/full";
+  if (!std::filesystem::exists(full)) {
+    GTEST_SKIP() << full << " is absent";
+  }
+  const TraceSet trace = make_event_trace();
+  TraceSet jobs("jobs");
+  Job j;
+  j.job_id = 1;
+  j.end_time = 60;
+  jobs.add_job(j);
+  jobs.finalize();
+  EXPECT_THROW(write_task_events(trace, full), util::TransientError);
+  EXPECT_THROW(write_machine_events(trace, full), util::TransientError);
+  EXPECT_THROW(write_host_usage(trace, full), util::TransientError);
+  EXPECT_THROW(write_swf(jobs, full), util::TransientError);
+  EXPECT_THROW(write_gwa(jobs, full), util::TransientError);
 }
 
 TEST_F(FormatsTest, RebuildHandlesUnfinishedTasks) {

@@ -1,4 +1,4 @@
-// Tests for Histogram and CategoryCounts.
+// Tests for Histogram.
 #include <gtest/gtest.h>
 
 #include "stats/histogram.hpp"
@@ -34,13 +34,6 @@ TEST(Histogram, PmfSumsToOne) {
   EXPECT_NEAR(total, 1.0, 1e-12);
 }
 
-TEST(Histogram, PdfIsPmfOverWidth) {
-  Histogram h(0.0, 2.0, 4);  // width 0.5
-  h.add(0.25);
-  EXPECT_DOUBLE_EQ(h.pmf(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.pdf(0), 2.0);
-}
-
 TEST(Histogram, WeightedAdds) {
   Histogram h(0.0, 1.0, 2);
   h.add(0.1, 3.0);
@@ -49,11 +42,10 @@ TEST(Histogram, WeightedAdds) {
   EXPECT_DOUBLE_EQ(h.pmf(1), 0.25);
 }
 
-TEST(Histogram, BinCentersAndEdges) {
+TEST(Histogram, BinCenters) {
   Histogram h(0.0, 1.0, 4);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
   EXPECT_DOUBLE_EQ(h.bin_center(0), 0.125);
-  EXPECT_DOUBLE_EQ(h.bin_lo(3), 0.75);
+  EXPECT_DOUBLE_EQ(h.bin_center(3), 0.875);
 }
 
 TEST(Histogram, InvalidConstructionThrows) {
@@ -66,41 +58,6 @@ TEST(Histogram, AddAllFromSpan) {
   const std::vector<double> values = {0.1, 0.2, 0.8};
   h.add_all(values);
   EXPECT_DOUBLE_EQ(h.total(), 3.0);
-}
-
-TEST(CategoryCounts, CountsAndFractions) {
-  CategoryCounts c(3);
-  c.add(0);
-  c.add(1, 3);
-  EXPECT_EQ(c.count(0), 1);
-  EXPECT_EQ(c.count(1), 3);
-  EXPECT_EQ(c.count(2), 0);
-  EXPECT_EQ(c.total(), 4);
-  EXPECT_DOUBLE_EQ(c.fraction(1), 0.75);
-}
-
-TEST(CategoryCounts, OutOfRangeThrows) {
-  CategoryCounts c(2);
-  EXPECT_THROW(c.add(2), util::Error);
-  EXPECT_THROW(c.count(5), util::Error);
-}
-
-TEST(CategoryCounts, MergeAddsCounts) {
-  CategoryCounts a(2);
-  CategoryCounts b(2);
-  a.add(0, 2);
-  b.add(0, 1);
-  b.add(1, 5);
-  a.merge(b);
-  EXPECT_EQ(a.count(0), 3);
-  EXPECT_EQ(a.count(1), 5);
-  EXPECT_EQ(a.total(), 8);
-}
-
-TEST(CategoryCounts, MergeSizeMismatchThrows) {
-  CategoryCounts a(2);
-  CategoryCounts b(3);
-  EXPECT_THROW(a.merge(b), util::Error);
 }
 
 }  // namespace

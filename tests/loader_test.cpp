@@ -1,4 +1,4 @@
-// Tests for the unified trace-loading facade (cgc::trace::Loader):
+// Tests for the one way to load a trace (cgc::trace::load_trace):
 // format autodetection (directory / extension / magic / field sniff),
 // kAuto round-trips through all four on-disk formats, and the mapping
 // of LoadOptions::strictness and ::on_damage onto the per-format
@@ -83,25 +83,25 @@ void append_line(const std::string& p, const std::string& line) {
 TEST_F(LoaderTest, DetectByDirectoryAndExtension) {
   const std::string google_dir = path("google_trace");
   write_google_trace(make_event_trace(), google_dir);
-  EXPECT_EQ(Loader::detect(google_dir), TraceFormat::kGoogleCsv);
+  EXPECT_EQ(detect_format(google_dir), TraceFormat::kGoogleCsv);
 
   write_swf(make_job_trace(), path("jobs.swf"));
-  EXPECT_EQ(Loader::detect(path("jobs.swf")), TraceFormat::kSwf);
+  EXPECT_EQ(detect_format(path("jobs.swf")), TraceFormat::kSwf);
   write_gwa(make_job_trace(), path("jobs.gwa"));
-  EXPECT_EQ(Loader::detect(path("jobs.gwa")), TraceFormat::kGwa);
+  EXPECT_EQ(detect_format(path("jobs.gwa")), TraceFormat::kGwa);
   write_gwa(make_job_trace(), path("jobs.gwf"));
-  EXPECT_EQ(Loader::detect(path("jobs.gwf")), TraceFormat::kGwa);
+  EXPECT_EQ(detect_format(path("jobs.gwf")), TraceFormat::kGwa);
   store::write_cgcs(make_event_trace(), path("events.cgcs"));
-  EXPECT_EQ(Loader::detect(path("events.cgcs")), TraceFormat::kCgcs);
+  EXPECT_EQ(detect_format(path("events.cgcs")), TraceFormat::kCgcs);
 
   // Extension match is case-insensitive.
   write_swf(make_job_trace(), path("JOBS.SWF"));
-  EXPECT_EQ(Loader::detect(path("JOBS.SWF")), TraceFormat::kSwf);
+  EXPECT_EQ(detect_format(path("JOBS.SWF")), TraceFormat::kSwf);
 }
 
 TEST_F(LoaderTest, DetectByMagicWhenExtensionIsUnknown) {
   store::write_cgcs(make_event_trace(), path("blob.bin"));
-  EXPECT_EQ(Loader::detect(path("blob.bin")), TraceFormat::kCgcs);
+  EXPECT_EQ(detect_format(path("blob.bin")), TraceFormat::kCgcs);
 }
 
 TEST_F(LoaderTest, DetectBySniffedFieldCount) {
@@ -111,7 +111,7 @@ TEST_F(LoaderTest, DetectBySniffedFieldCount) {
     out << "; SWF fixture\n";
     out << "1 0 30 3600 4 -1 102400 4 7200 -1 1 12 -1 -1 1 -1 -1 -1\n";
   }
-  EXPECT_EQ(Loader::detect(path("swf_data.txt")), TraceFormat::kSwf);
+  EXPECT_EQ(detect_format(path("swf_data.txt")), TraceFormat::kSwf);
 
   // 11 fields -> GWA.
   {
@@ -119,14 +119,14 @@ TEST_F(LoaderTest, DetectBySniffedFieldCount) {
     out << "# GWA fixture\n";
     out << "7 0 10 100 1 -1 -1 1 -1 -1 1\n";
   }
-  EXPECT_EQ(Loader::detect(path("gwa_data.txt")), TraceFormat::kGwa);
+  EXPECT_EQ(detect_format(path("gwa_data.txt")), TraceFormat::kGwa);
 
   {
     std::ofstream out(path("junk.txt"));
     out << "this is not a trace\n";
   }
-  EXPECT_THROW(Loader::detect(path("junk.txt")), util::DataError);
-  EXPECT_THROW(Loader::detect(path("does_not_exist")), util::DataError);
+  EXPECT_THROW(detect_format(path("junk.txt")), util::DataError);
+  EXPECT_THROW(detect_format(path("does_not_exist")), util::DataError);
 }
 
 TEST_F(LoaderTest, AutoRoundTripAllFourFormats) {
@@ -229,18 +229,6 @@ TEST_F(LoaderTest, ExplicitFormatSkipsDetection) {
   options.format = TraceFormat::kSwf;
   const TraceSet loaded = load_trace(path("forced.txt"), options);
   EXPECT_EQ(loaded.jobs().size(), make_job_trace().jobs().size());
-}
-
-TEST_F(LoaderTest, DelegatingWrappersMatchLoader) {
-  // The legacy per-format entry points are now thin wrappers; both
-  // paths must produce identical traces.
-  write_gwa(make_job_trace(), path("wrap.gwa"));
-  const TraceSet via_wrapper = read_gwa(path("wrap.gwa"), "same-name");
-  LoadOptions options;
-  options.system_name = "same-name";
-  const TraceSet via_loader = load_trace(path("wrap.gwa"), options);
-  EXPECT_EQ(via_wrapper.jobs().size(), via_loader.jobs().size());
-  EXPECT_EQ(via_wrapper.system_name(), via_loader.system_name());
 }
 
 }  // namespace

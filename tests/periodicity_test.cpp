@@ -1,4 +1,4 @@
-// Tests for the periodicity detection and rank-correlation utilities.
+// Tests for periodicity detection.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -76,58 +76,6 @@ TEST(DetectPeriodicity, InvalidLagsThrow) {
   const std::vector<double> v(100, 1.0);
   EXPECT_THROW(detect_periodicity(v, 1, 48), util::Error);
   EXPECT_THROW(detect_periodicity(v, 10, 10), util::Error);
-}
-
-TEST(Spearman, PerfectMonotoneIsOne) {
-  const std::vector<double> a = {1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> b = {10.0, 100.0, 1000.0, 10000.0};
-  EXPECT_NEAR(spearman_correlation(a, b), 1.0, 1e-12);
-}
-
-TEST(Spearman, ReversedIsMinusOne) {
-  const std::vector<double> a = {1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> b = {4.0, 3.0, 2.0, 1.0};
-  EXPECT_NEAR(spearman_correlation(a, b), -1.0, 1e-12);
-}
-
-TEST(Spearman, IndependentIsNearZero) {
-  util::Rng rng(5);
-  std::vector<double> a(5000), b(5000);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = rng.normal();
-    b[i] = rng.normal();
-  }
-  EXPECT_NEAR(spearman_correlation(a, b), 0.0, 0.05);
-}
-
-TEST(Spearman, InvariantToMonotoneTransforms) {
-  util::Rng rng(6);
-  std::vector<double> a(1000), b(1000), b_transformed(1000);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = rng.normal();
-    b[i] = a[i] + 0.5 * rng.normal();
-    b_transformed[i] = std::exp(b[i]);  // monotone transform
-  }
-  EXPECT_NEAR(spearman_correlation(a, b),
-              spearman_correlation(a, b_transformed), 1e-9);
-}
-
-TEST(Spearman, TiesGetAverageRanks) {
-  const std::vector<double> a = {1.0, 1.0, 2.0, 3.0};
-  const std::vector<double> b = {1.0, 1.0, 2.0, 3.0};
-  EXPECT_NEAR(spearman_correlation(a, b), 1.0, 1e-12);
-}
-
-TEST(Spearman, MismatchedLengthsThrow) {
-  const std::vector<double> a = {1.0, 2.0};
-  const std::vector<double> b = {1.0};
-  EXPECT_THROW(spearman_correlation(a, b), util::Error);
-}
-
-TEST(Spearman, ConstantInputGivesZero) {
-  const std::vector<double> a = {1.0, 1.0, 1.0};
-  const std::vector<double> b = {1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(spearman_correlation(a, b), 0.0);
 }
 
 }  // namespace

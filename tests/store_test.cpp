@@ -44,6 +44,16 @@ class StoreTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
+/// Every event `reader` yields for `predicate`, gathered from scan().
+std::vector<TaskEvent> scan_all(const StoreReader& reader,
+                                const EventPredicate& predicate) {
+  std::vector<TaskEvent> out;
+  reader.scan(predicate, [&out](std::span<const TaskEvent> batch) {
+    out.insert(out.end(), batch.begin(), batch.end());
+  });
+  return out;
+}
+
 /// A small but fully populated Google-model trace: generated jobs and
 /// tasks, per-task synthetic events, a heterogeneous machine park, and
 /// host-load series. Deterministic (fixed model seed, LCG samples).
@@ -267,7 +277,7 @@ TEST_F(StoreTest, OutOfRangeEventTypeIsDamage) {
               std::string::npos)
         << e.what();
   }
-  EXPECT_THROW(StoreReader(p).query_events(EventPredicate{}),
+  EXPECT_THROW(scan_all(StoreReader(p), EventPredicate{}),
                util::DataError);
 
   // Degraded mode drops the row group and accounts it, like a CRC
@@ -279,7 +289,7 @@ TEST_F(StoreTest, OutOfRangeEventTypeIsDamage) {
   ASSERT_EQ(damage.chunks_quarantined(), 1u);
   EXPECT_EQ(damage.chunks[0].column, ColumnId::kEventType);
   const StoreReader scanner(p, ReadMode::kDegraded);
-  EXPECT_TRUE(scanner.query_events(EventPredicate{}).empty());
+  EXPECT_TRUE(scan_all(scanner, EventPredicate{}).empty());
   EXPECT_EQ(scanner.damage().rows_lost, 2u);
 }
 
@@ -305,8 +315,19 @@ TEST_F(StoreTest, ZeroCopySpansExposeRawColumns) {
   write_cgcs(original, p);
   const StoreReader reader(p);
 
+  // The chunk directory lists a column's chunks in row order.
+  const auto chunks_of = [&reader](SectionId section, ColumnId column) {
+    std::vector<const ChunkMeta*> out;
+    for (const ChunkMeta& c : reader.chunks()) {
+      if (c.section == section && c.column == column) {
+        EXPECT_TRUE(out.empty() || out.back()->row_begin < c.row_begin);
+        out.push_back(&c);
+      }
+    }
+    return out;
+  };
   const auto chunks =
-      reader.column_chunks(SectionId::kMachines, ColumnId::kCpuCapacity);
+      chunks_of(SectionId::kMachines, ColumnId::kCpuCapacity);
   ASSERT_EQ(chunks.size(), 1u);
   const std::span<const float> cpu = reader.f32_span(*chunks[0]);
   ASSERT_EQ(cpu.size(), original.machines().size());
@@ -315,7 +336,7 @@ TEST_F(StoreTest, ZeroCopySpansExposeRawColumns) {
   }
 
   const auto pri_chunks =
-      reader.column_chunks(SectionId::kEvents, ColumnId::kPriority);
+      chunks_of(SectionId::kEvents, ColumnId::kPriority);
   ASSERT_FALSE(pri_chunks.empty());
   std::size_t row = 0;
   for (const ChunkMeta* chunk : pri_chunks) {
@@ -371,7 +392,7 @@ TEST_F(StoreTest, JobIdPredicateFilters) {
   EventPredicate pred;
   pred.job_id_min = target;
   pred.job_id_max = target;
-  const std::vector<TaskEvent> got = reader.query_events(pred);
+  const std::vector<TaskEvent> got = scan_all(reader, pred);
   std::size_t expected = 0;
   for (const TaskEvent& e : original.events()) {
     expected += e.job_id == target ? 1 : 0;

@@ -570,6 +570,13 @@ TEST(LedgerTest, MergeTaxonomyHasOneOutcomePerClass) {
          (*in)[0].ids.push_back(owned_id("stray", 0, 2));
        },
        Want::kData, "s0 holds unknown item"},
+      {"known id outside the universe is skipped",
+       [](auto* in, auto* policy) {
+         const std::string kept = owned_id("kept", 0, 2);
+         (*in)[0].ids.push_back(kept);
+         policy->known = {kept};
+       },
+       Want::kOk, ""},
       {"one id in two inputs",
        [](auto* in, auto*) {
          in->push_back((*in)[1]);

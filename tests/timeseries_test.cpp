@@ -157,14 +157,5 @@ TEST(StateRuns, EmptyInputGivesNoRuns) {
   EXPECT_TRUE(state_runs(states, 60).empty());
 }
 
-TEST(RunDurations, FiltersByLevel) {
-  const std::vector<LevelRun> runs = {{0, 100}, {1, 200}, {0, 300}};
-  const auto at0 = run_durations_at_level(runs, 0);
-  ASSERT_EQ(at0.size(), 2u);
-  EXPECT_DOUBLE_EQ(at0[0], 100.0);
-  EXPECT_DOUBLE_EQ(at0[1], 300.0);
-  EXPECT_TRUE(run_durations_at_level(runs, 3).empty());
-}
-
 }  // namespace
 }  // namespace cgc::stats

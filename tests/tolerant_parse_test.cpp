@@ -1,6 +1,7 @@
-// Tests for tolerant trace parsing: bad-line accounting in ParseReport,
-// the bad-line cap, strict-mode compatibility, and the parser fault
-// sites (trace.parse_line skip-and-account vs io.read propagation).
+// Tests for tolerant trace parsing through load_trace: bad-line
+// accounting in the LoadReport, the bad-line cap, strict-mode
+// compatibility, and the parser fault sites (trace.parse_line
+// skip-and-account vs io.read propagation).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -8,10 +9,8 @@
 #include <string>
 
 #include "fault/fault.hpp"
-#include "trace/google_format.hpp"
-#include "trace/gwa_format.hpp"
+#include "trace/loader.hpp"
 #include "trace/parse_report.hpp"
-#include "trace/swf_format.hpp"
 #include "util/check.hpp"
 
 namespace cgc::trace {
@@ -49,12 +48,25 @@ std::string swf_row(int id) {
 
 constexpr char kBadRow[] = "2 100 not_a_number 60.0 4\n";
 
+/// Options that read `format`, strict or skipping malformed records.
+LoadOptions as(TraceFormat format,
+               Strictness strictness = Strictness::kStrict) {
+  LoadOptions options;
+  options.format = format;
+  options.strictness = strictness;
+  return options;
+}
+
+LoadOptions tolerant(TraceFormat format) {
+  return as(format, Strictness::kTolerant);
+}
+
 TEST_F(TolerantParseTest, StrictThrowsWithPathAndLine) {
   // Line 1 is the header; the bad row lands on line 3.
   const std::string p =
       write_file("t.swf", "; header\n" + swf_row(1) + kBadRow + swf_row(3));
   try {
-    read_swf(p, "swf");
+    load_trace(p, as(TraceFormat::kSwf));
     FAIL() << "expected a parse error";
   } catch (const util::Error& e) {
     EXPECT_NE(std::string(e.what()).find(p + ":3:"), std::string::npos)
@@ -65,10 +77,10 @@ TEST_F(TolerantParseTest, StrictThrowsWithPathAndLine) {
 TEST_F(TolerantParseTest, TolerantSkipsAndAccounts) {
   const std::string p =
       write_file("t.swf", "; header\n" + swf_row(1) + kBadRow + swf_row(3));
-  ParseOptions options;
-  options.tolerant = true;
-  ParseReport report;
-  const TraceSet trace = read_swf(p, "swf", options, &report);
+  LoadReport loaded;
+  const TraceSet trace =
+      load_trace(p, tolerant(TraceFormat::kSwf), &loaded);
+  const ParseReport& report = loaded.parse;
   EXPECT_EQ(trace.jobs().size(), 2u);
   EXPECT_FALSE(report.clean());
   EXPECT_EQ(report.lines_bad, 1u);
@@ -85,13 +97,11 @@ TEST_F(TolerantParseTest, GwaTolerantSkipsAndAccounts) {
       "1 100 5 60.0 4 -1 1024 4 -1 -1 1\n"
       "garbage line with words\n"
       "3 200 5 60.0 4 -1 1024 4 -1 -1 1\n");
-  ParseOptions options;
-  options.tolerant = true;
-  ParseReport report;
-  const TraceSet trace = read_gwa(p, "gwa", options, &report);
+  LoadReport report;
+  const TraceSet trace = load_trace(p, tolerant(TraceFormat::kGwa), &report);
   EXPECT_EQ(trace.jobs().size(), 2u);
-  EXPECT_EQ(report.lines_bad, 1u);
-  EXPECT_EQ(report.records_ok, 2u);
+  EXPECT_EQ(report.parse.lines_bad, 1u);
+  EXPECT_EQ(report.parse.records_ok, 2u);
 }
 
 TEST_F(TolerantParseTest, GoogleTolerantSkipsAndAccounts) {
@@ -103,13 +113,12 @@ TEST_F(TolerantParseTest, GoogleTolerantSkipsAndAccounts) {
     out << "not_a_time,,1,0,5,0,,0,3,,,,\n";
     out << "2000000,,1,0,5,4,,0,3,,,,\n";
   }
-  ParseOptions options;
-  options.tolerant = true;
-  ParseReport report;
-  const TraceSet trace = read_google_trace(d, "google", options, &report);
+  LoadReport report;
+  const TraceSet trace =
+      load_trace(d, tolerant(TraceFormat::kGoogleCsv), &report);
   EXPECT_EQ(trace.events().size(), 2u);
-  EXPECT_EQ(report.lines_bad, 1u);
-  EXPECT_EQ(report.records_ok, 2u);
+  EXPECT_EQ(report.parse.lines_bad, 1u);
+  EXPECT_EQ(report.parse.records_ok, 2u);
 }
 
 TEST_F(TolerantParseTest, CapAbortsWithDataError) {
@@ -118,12 +127,11 @@ TEST_F(TolerantParseTest, CapAbortsWithDataError) {
     content += kBadRow;
   }
   const std::string p = write_file("t.swf", content);
-  ParseOptions options;
-  options.tolerant = true;
+  LoadOptions options = tolerant(TraceFormat::kSwf);
   options.max_bad_lines = 2;
-  ParseReport report;
-  EXPECT_THROW(read_swf(p, "swf", options, &report), util::DataError);
-  EXPECT_GT(report.lines_bad, options.max_bad_lines);
+  LoadReport report;
+  EXPECT_THROW(load_trace(p, options, &report), util::DataError);
+  EXPECT_GT(report.parse.lines_bad, options.max_bad_lines);
 }
 
 TEST_F(TolerantParseTest, SampleRecordingIsCapped) {
@@ -132,13 +140,12 @@ TEST_F(TolerantParseTest, SampleRecordingIsCapped) {
     content += kBadRow;
   }
   const std::string p = write_file("t.swf", content);
-  ParseOptions options;
-  options.tolerant = true;
+  LoadOptions options = tolerant(TraceFormat::kSwf);
   options.max_recorded = 3;
-  ParseReport report;
-  read_swf(p, "swf", options, &report);
-  EXPECT_EQ(report.lines_bad, 10u);
-  EXPECT_EQ(report.samples.size(), 3u);
+  LoadReport report;
+  load_trace(p, options, &report);
+  EXPECT_EQ(report.parse.lines_bad, 10u);
+  EXPECT_EQ(report.parse.samples.size(), 3u);
 }
 
 TEST_F(TolerantParseTest, InjectedParseFaultSkipsDeterministically) {
@@ -147,19 +154,17 @@ TEST_F(TolerantParseTest, InjectedParseFaultSkipsDeterministically) {
                                                 swf_row(2) + swf_row(3) +
                                                 swf_row(4));
   fault::configure("trace.parse_line:every=2");
-  ParseOptions options;
-  options.tolerant = true;
-  ParseReport report;
-  const TraceSet trace = read_swf(p, "swf", options, &report);
+  LoadReport report;
+  const TraceSet trace = load_trace(p, tolerant(TraceFormat::kSwf), &report);
   EXPECT_EQ(trace.jobs().size(), 2u);
-  EXPECT_EQ(report.lines_bad, 2u);
-  for (const std::string& s : report.samples) {
+  EXPECT_EQ(report.parse.lines_bad, 2u);
+  for (const std::string& s : report.parse.samples) {
     EXPECT_NE(s.find("injected"), std::string::npos) << s;
   }
   // The same spec in strict mode fails on the first injected line.
   fault::configure("trace.parse_line:every=2");
   try {
-    read_swf(p, "swf");
+    load_trace(p, as(TraceFormat::kSwf));
     FAIL() << "expected a parse error";
   } catch (const util::Error& e) {
     EXPECT_NE(std::string(e.what()).find(":2:"), std::string::npos)
@@ -171,14 +176,12 @@ TEST_F(TolerantParseTest, IoFaultPropagatesEvenWhenTolerant) {
   const std::string p =
       write_file("t.swf", "; header\n" + swf_row(1) + swf_row(2));
   fault::configure("io.read:once=2");
-  ParseOptions options;
-  options.tolerant = true;
-  ParseReport report;
+  LoadReport report;
   // io.read defaults to the transient kind at the call site: not a
   // record-level problem, so tolerant mode must not swallow it.
-  EXPECT_THROW(read_swf(p, "swf", options, &report),
+  EXPECT_THROW(load_trace(p, tolerant(TraceFormat::kSwf), &report),
                util::TransientError);
-  EXPECT_EQ(report.lines_bad, 0u);
+  EXPECT_EQ(report.parse.lines_bad, 0u);
 }
 
 TEST_F(TolerantParseTest, ReportMergeAggregates) {

@@ -88,9 +88,10 @@ TEST(TraceSet, MachineLookup) {
 
 TEST(TraceSet, JobLookupAndTaskRanges) {
   const TraceSet trace = make_small_trace();
-  ASSERT_NE(trace.job_by_id(1), nullptr);
-  EXPECT_EQ(trace.job_by_id(1)->num_tasks, 2);
-  EXPECT_EQ(trace.job_by_id(42), nullptr);
+  // Jobs sorted by submit time.
+  ASSERT_EQ(trace.jobs().size(), 2u);
+  EXPECT_EQ(trace.jobs()[0].job_id, 1);
+  EXPECT_EQ(trace.jobs()[0].num_tasks, 2);
   EXPECT_EQ(trace.tasks_for_job(1).size(), 2u);
   EXPECT_EQ(trace.tasks_for_job(2).size(), 1u);
   EXPECT_EQ(trace.tasks_for_job(42).size(), 0u);
@@ -174,7 +175,7 @@ TEST(TraceSet, MemUsageScaling) {
 TEST(TraceSet, QueriesBeforeFinalizeThrow) {
   TraceSet trace("t");
   trace.add_job({});
-  EXPECT_THROW(trace.job_by_id(1), util::Error);
+  EXPECT_THROW(trace.tasks_for_job(1), util::Error);
   EXPECT_THROW(trace.machine_by_id(1), util::Error);
 }
 

@@ -100,7 +100,6 @@ TEST(Rng, BernoulliExtremes) {
 
 TEST(TimeUtil, Conversions) {
   EXPECT_DOUBLE_EQ(to_days(kSecondsPerDay), 1.0);
-  EXPECT_DOUBLE_EQ(to_hours(kSecondsPerHour * 3), 3.0);
   EXPECT_DOUBLE_EQ(to_minutes(90), 1.5);
   EXPECT_EQ(kSecondsPerMonth, 30 * 86400);
   EXPECT_EQ(kSamplePeriod, 300);
