@@ -346,9 +346,34 @@ sim::Workload GoogleWorkloadModel::generate_sim_workload(
     std::sort(arrivals.begin(), arrivals.end());
   }
 
+  // Best-effort scavenger stream: low-priority backfill tasks arriving
+  // at a steady Poisson rate, sized to hold ~scavenger_per_machine slots.
+  // Its arrivals are drawn here, before the batch loop, so the workload
+  // can be reserved once; the loop below never touches `rng`, so the
+  // split order and every draw match drawing them after it.
+  const LogNormal scav_length(config_.scavenger_length_median_s,
+                              config_.scavenger_length_sigma);
+  Rng scav_rng;
+  std::vector<TimeSec> scav_times;
+  if (config_.scavenger_per_machine > 0.0) {
+    scav_rng = rng.split();
+    ArrivalModel scav_arrival;  // flat Poisson backfill
+    scav_arrival.mean_per_hour = config_.scavenger_per_machine *
+                                 static_cast<double>(num_machines) *
+                                 util::kSecondsPerHour / scav_length.mean();
+    scav_times = arrival_times(scav_arrival, horizon + warmup, scav_rng);
+  }
+
+  // Reserve once: each batch holds 1 + Poisson(kMeanBatch - 1) tasks, so
+  // the batch total has mean n * kMeanBatch and variance
+  // n * (kMeanBatch - 1); six standard deviations of headroom make a
+  // regrowth (and its 2x copy transient) practically impossible.
+  const double batches = static_cast<double>(arrivals.size());
   sim::Workload workload;
   workload.reserve(static_cast<std::size_t>(
-      static_cast<double>(arrivals.size()) * kMeanBatch) + 16);
+                       batches * kMeanBatch +
+                       6.0 * std::sqrt(batches * (kMeanBatch - 1.0))) +
+                   64 + scav_times.size());
   std::int64_t job_id = 1;
   for (TimeSec submit : arrivals) {
     // A submission batch = one job of a few sibling tasks. Type (service
@@ -399,40 +424,26 @@ sim::Workload GoogleWorkloadModel::generate_sim_workload(
     }
     ++job_id;
   }
-  // Best-effort scavenger stream: low-priority backfill tasks arriving
-  // at a steady Poisson rate, sized to hold ~scavenger_per_machine slots.
-  if (config_.scavenger_per_machine > 0.0) {
-    Rng scav_rng = rng.split();
-    const LogNormal scav_length(config_.scavenger_length_median_s,
-                                config_.scavenger_length_sigma);
-    const double scav_rate_per_hour =
-        config_.scavenger_per_machine * static_cast<double>(num_machines) *
-        util::kSecondsPerHour / scav_length.mean();
-    ArrivalModel scav_arrival;  // flat Poisson backfill
-    scav_arrival.mean_per_hour = scav_rate_per_hour;
-    std::vector<TimeSec> scav_times =
-        arrival_times(scav_arrival, horizon + warmup, scav_rng);
-    for (const TimeSec t : scav_times) {
-      sim::TaskSpec spec;
-      spec.job_id = job_id++;
-      spec.task_index = 0;
-      spec.priority = static_cast<std::uint8_t>(scav_rng.uniform_int(1, 2));
-      spec.submit_time = t - warmup;
-      spec.duration = std::max<TimeSec>(
-          60, static_cast<TimeSec>(scav_length.sample(scav_rng)));
-      spec.cpu_request = 0.008f;
-      spec.mem_request = static_cast<float>(std::clamp(
-          0.018 * std::exp(0.4 * scav_rng.normal()), 0.004, 0.06));
-      spec.cpu_usage_ratio = 0.3f;
-      spec.mem_usage_ratio = 0.85f;
-      spec.page_cache = 0.004f;
-      spec.fate = TaskEventType::kFinish;
-      // Evicted backfill is abandoned; the steady arrival stream
-      // replenishes the population instead (bounding eviction churn).
-      spec.resubmit_on_abnormal = false;
-      spec.max_resubmits = 0;
-      workload.push_back(spec);
-    }
+  for (const TimeSec t : scav_times) {
+    sim::TaskSpec spec;
+    spec.job_id = job_id++;
+    spec.task_index = 0;
+    spec.priority = static_cast<std::uint8_t>(scav_rng.uniform_int(1, 2));
+    spec.submit_time = t - warmup;
+    spec.duration = std::max<TimeSec>(
+        60, static_cast<TimeSec>(scav_length.sample(scav_rng)));
+    spec.cpu_request = 0.008f;
+    spec.mem_request = static_cast<float>(std::clamp(
+        0.018 * std::exp(0.4 * scav_rng.normal()), 0.004, 0.06));
+    spec.cpu_usage_ratio = 0.3f;
+    spec.mem_usage_ratio = 0.85f;
+    spec.page_cache = 0.004f;
+    spec.fate = TaskEventType::kFinish;
+    // Evicted backfill is abandoned; the steady arrival stream
+    // replenishes the population instead (bounding eviction churn).
+    spec.resubmit_on_abnormal = false;
+    spec.max_resubmits = 0;
+    workload.push_back(spec);
   }
   CGC_LOG(kDebug) << "google sim workload: " << workload.size()
                   << " tasks across " << (job_id - 1) << " jobs";

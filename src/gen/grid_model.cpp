@@ -167,12 +167,27 @@ sim::Workload GridWorkloadModel::generate_sim_workload(
   const std::vector<TimeSec> arrivals =
       arrival_times(arrival, horizon, arrival_rng);
 
-  sim::Workload workload;
-  workload.reserve(arrivals.size() * static_cast<std::size_t>(mean_procs));
-  std::int64_t job_id = 1;
   // A parallel job cannot exceed the cluster's total slot count.
   const int max_procs_fit = std::max(
       1, static_cast<int>(static_cast<double>(num_machines) * slots / 2.0));
+  // Reserve once: a job holds min(procs, max_procs_fit) tasks, so the
+  // total has mean n * E[p] and variance n * Var[p] over the preset's
+  // processor choices; six standard deviations of headroom make a
+  // regrowth (and its 2x copy transient) practically impossible.
+  double procs_mean = 0.0;
+  double procs_sq = 0.0;
+  for (const ProcsChoice& c : preset_.procs) {
+    const double p = std::min(c.procs, max_procs_fit);
+    procs_mean += c.weight * p / total_weight;
+    procs_sq += c.weight * p * p / total_weight;
+  }
+  const double jobs = static_cast<double>(arrivals.size());
+  const double procs_var = std::max(0.0, procs_sq - procs_mean * procs_mean);
+  sim::Workload workload;
+  workload.reserve(static_cast<std::size_t>(jobs * procs_mean +
+                                            6.0 * std::sqrt(jobs * procs_var)) +
+                   64);
+  std::int64_t job_id = 1;
   // Each grid process claims one core slot of a node, and burns it almost
   // fully — grid jobs are compute-bound (Fig 13 discussion).
   const float slot_cpu_request = static_cast<float>(0.98 / slots);

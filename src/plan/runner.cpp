@@ -126,7 +126,9 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
   // by (submit, job, task) so the stream is one deterministic sequence.
   sim::SimConfig sim_config;
   bool pure_grid = spec.hetero_mix == 0.0;
-  sim::Workload workload;
+  std::vector<sim::Workload> parts;
+  parts.reserve(spec.workload.size());
+  std::size_t total = 0;
   for (std::size_t c = 0; c < spec.workload.size(); ++c) {
     const WorkloadComponent& component = spec.workload[c];
     CGC_CHECK_MSG(component.weight > 0.0,
@@ -151,7 +153,19 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
       if (spec.remap != PriorityRemap::kNone) {
         task.priority = remap_priority(spec.remap, task.priority);
       }
-      workload.push_back(task);
+    }
+    total += part.size();
+    parts.push_back(std::move(part));
+  }
+  // Merge reserved once; a one-component workload is taken as is.
+  sim::Workload workload;
+  if (parts.size() == 1) {
+    workload = std::move(parts.front());
+  } else {
+    workload.reserve(total);
+    for (sim::Workload& part : parts) {
+      workload.insert(workload.end(), part.begin(), part.end());
+      sim::Workload().swap(part);
     }
   }
   std::sort(workload.begin(), workload.end(),

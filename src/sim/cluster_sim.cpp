@@ -37,12 +37,26 @@ constexpr std::size_t kAutoFullScanMax = 512;
 /// power-of-d probes make a no-fit verdict overwhelmingly reliable.
 constexpr std::size_t kAutoProbes = 96;
 
+/// The task bank's time range (see BankTime).
+constexpr TimeSec kBankTimeMin = std::numeric_limits<BankTime>::min();
+constexpr TimeSec kBankTimeMax = std::numeric_limits<BankTime>::max();
+
 /// Stable fault key for (machine, sample): machine_index * 2^20 +
 /// sample_index (a month at 5-minute sampling has 8928 samples, far
 /// below 2^20). Documented in README's fault-site table.
 std::uint64_t outage_key(std::size_t machine, std::uint64_t sample_idx) {
   return (static_cast<std::uint64_t>(machine) << 20) + sample_idx;
 }
+
+/// What the simulator needs from the workload's submit times before the
+/// calendar queue exists.
+struct SubmitScan {
+  /// Earliest time any event can carry: generated workloads submit from
+  /// warmup_days *before* t=0, so the calendar origin must cover them.
+  TimeSec origin = 0;
+  /// Submit times are non-decreasing in slot order.
+  bool sorted = true;
+};
 
 }  // namespace
 
@@ -56,7 +70,8 @@ struct ClusterSim::Impl {
         mem_task_jitter(cfg.mem_usage_jitter),
         machine_cpu_jitter(cfg.machine_cpu_jitter),
         machine_mem_jitter(cfg.machine_mem_jitter),
-        queue(queue_origin(wl), cfg.horizon - queue_origin(wl)) {
+        submits(scan_submits(wl, cfg.horizon)),
+        queue(submits.origin, cfg.horizon - submits.origin) {
     CGC_CHECK_MSG(!machine_list.empty(), "simulator needs machines");
     CGC_CHECK_MSG(wl.size() <
                       static_cast<std::size_t>(
@@ -65,7 +80,7 @@ struct ClusterSim::Impl {
     machines.init(machine_list);
 
     const std::size_t n = wl.size();
-    tasks.resize(n);
+    tasks.resize(n, cfg.record_tasks);
     tstatic.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       const TaskSpec& spec = wl[i];
@@ -73,7 +88,12 @@ struct ClusterSim::Impl {
                         spec.priority <= trace::kMaxPriority,
                     "task priority out of range");
       CGC_CHECK_MSG(spec.duration > 0, "task duration must be positive");
-      tasks.remaining[i] = spec.duration;
+      CGC_CHECK_MSG(spec.duration <= kBankTimeMax,
+                    "task duration exceeds the 32-bit time range");
+      CGC_CHECK_MSG(spec.abnormal_after >= kBankTimeMin &&
+                        spec.abnormal_after <= kBankTimeMax,
+                    "task abnormal_after exceeds the 32-bit time range");
+      tasks.remaining[i] = static_cast<BankTime>(spec.duration);
       tasks.resubmits_left[i] = spec.max_resubmits;
       TaskStatic& ts = tstatic[i];
       ts.cpu_request = spec.cpu_request;
@@ -94,14 +114,18 @@ struct ClusterSim::Impl {
     // slot tie-break reproduces the seed's push order at equal times,
     // and cursor entries drain before any same-time dynamic event (the
     // cursor's implicit sequence numbers precede all queued ones).
+    // (submit_time, slot) is a strict total order, so a workload already
+    // sorted by submit time (every plan scenario) keeps the identity.
     order.resize(n);
     std::iota(order.begin(), order.end(), 0U);
-    exec::parallel_sort(&order, [&wl](std::uint32_t a, std::uint32_t b) {
-      if (wl[a].submit_time != wl[b].submit_time) {
-        return wl[a].submit_time < wl[b].submit_time;
-      }
-      return a < b;
-    });
+    if (!submits.sorted) {
+      exec::parallel_sort(&order, [&wl](std::uint32_t a, std::uint32_t b) {
+        if (wl[a].submit_time != wl[b].submit_time) {
+          return wl[a].submit_time < wl[b].submit_time;
+        }
+        return a < b;
+      });
+    }
 
     const std::size_t limit = config.placement_probe_limit;
     if (limit == 0) {
@@ -112,14 +136,19 @@ struct ClusterSim::Impl {
     }
   }
 
-  /// Earliest time any event can carry: generated workloads submit from
-  /// warmup_days *before* t=0, so the calendar origin must cover them.
-  static TimeSec queue_origin(const Workload& wl) {
-    TimeSec origin = 0;
+  /// One pass over the submit times (see SubmitScan). Refuses a run
+  /// whose times leave the task bank's 32-bit range.
+  static SubmitScan scan_submits(const Workload& wl, TimeSec horizon) {
+    SubmitScan scan;
+    TimeSec prev = std::numeric_limits<TimeSec>::min();
     for (const TaskSpec& spec : wl) {
-      origin = std::min(origin, spec.submit_time);
+      scan.origin = std::min(scan.origin, spec.submit_time);
+      scan.sorted = scan.sorted && prev <= spec.submit_time;
+      prev = spec.submit_time;
     }
-    return origin;
+    CGC_CHECK_MSG(scan.origin >= kBankTimeMin && horizon <= kBankTimeMax,
+                  "submit times and horizon must fit the 32-bit time range");
+    return scan;
   }
 
   // ---- event queue ---------------------------------------------------------
@@ -362,20 +391,20 @@ struct ClusterSim::Impl {
     tasks.machine[task] = -1;
   }
 
-  /// Credits run time of the current attempt and clears run bookkeeping.
+  /// Credits run time of the current attempt.
   void account_run_time(TimeSec now, std::uint32_t task) {
-    const TimeSec ran = now - tasks.run_start[task];
-    tasks.remaining[task] = std::max<TimeSec>(0, tasks.remaining[task] - ran);
+    const TimeSec ran = now - tasks.since[task];
+    tasks.remaining[task] = static_cast<BankTime>(
+        std::max<TimeSec>(0, tasks.remaining[task] - ran));
     if (tasks.fate_remaining[task] >= 0) {
-      tasks.fate_remaining[task] =
-          std::max<TimeSec>(0, tasks.fate_remaining[task] - ran);
+      tasks.fate_remaining[task] = static_cast<BankTime>(
+          std::max<TimeSec>(0, tasks.fate_remaining[task] - ran));
     }
-    tasks.run_start[task] = -1;
   }
 
   void enqueue_pending(TimeSec now, std::uint32_t task) {
     tasks.state[task] = static_cast<std::uint8_t>(trace::TaskState::kPending);
-    tasks.pending_since[task] = now;
+    tasks.since[task] = static_cast<BankTime>(now);
     pending.push(tasks, tstatic[task].priority, static_cast<std::int32_t>(task));
     stats.max_pending_depth = std::max(stats.max_pending_depth, pending.total);
     record(now, task, TaskEventType::kSubmit, -1);
@@ -396,7 +425,9 @@ struct ClusterSim::Impl {
       c.add(1);
     }
     record(now, task, TaskEventType::kEvict, machines.machine_id[m]);
-    ++tasks.resubmit_count[task];
+    if (config.record_tasks) {
+      ++tasks.resubmit_count[task];
+    }
     ++stats.resubmits;
     push_event(now, now + config.evict_requeue_delay, EvKind::kSubmit, task,
                tasks.generation[task]);
@@ -447,10 +478,13 @@ struct ClusterSim::Impl {
     const TaskStatic& ts = tstatic[task];
     tasks.state[task] = static_cast<std::uint8_t>(trace::TaskState::kRunning);
     tasks.machine[task] = static_cast<std::int32_t>(m);
-    tasks.last_machine[task] = static_cast<std::int32_t>(m);
-    tasks.run_start[task] = now;
-    if (tasks.first_schedule[task] < 0) {
-      tasks.first_schedule[task] = now;
+    const TimeSec pending_since = tasks.since[task];
+    tasks.since[task] = static_cast<BankTime>(now);
+    if (config.record_tasks) {
+      tasks.last_machine[task] = static_cast<std::int32_t>(m);
+      if (tasks.first_schedule[task] < 0) {
+        tasks.first_schedule[task] = static_cast<BankTime>(now);
+      }
     }
     machines.cpu_assigned[m] += ts.cpu_request;
     machines.mem_assigned[m] += ts.mem_request;
@@ -461,9 +495,8 @@ struct ClusterSim::Impl {
                                            ts.mem_usage, ts.page_cache,
                                            ts.priority, ts.band});
     ++stats.scheduled;
-    if (tasks.pending_since[task] >= 0) {
-      stats.record_wait(now - tasks.pending_since[task]);
-      tasks.pending_since[task] = -1;
+    if (pending_since >= 0) {
+      stats.record_wait(now - pending_since);
     }
     record(now, task, TaskEventType::kSchedule, machines.machine_id[m]);
 
@@ -553,11 +586,12 @@ struct ClusterSim::Impl {
       return;  // stale
     }
     if (tasks.first_submit[task] < 0) {
-      tasks.first_submit[task] = now;
+      tasks.first_submit[task] = static_cast<BankTime>(now);
       ++stats.submitted;
       // Initialize the scripted fate countdown for the first attempt.
       if ((tstatic[task].flags & TaskStatic::kFlagHasFate) != 0) {
-        tasks.fate_remaining[task] = workload[task].abnormal_after;
+        tasks.fate_remaining[task] =
+            static_cast<BankTime>(workload[task].abnormal_after);
       }
     }
     enqueue_pending(now, task);
@@ -589,8 +623,10 @@ struct ClusterSim::Impl {
       ++stats.faults_injected;
     }
     record(now, task, etype, machine_id);
-    tasks.end_time[task] = now;
-    tasks.end_event[task] = static_cast<std::uint8_t>(etype);
+    if (config.record_tasks) {
+      tasks.end_time[task] = static_cast<BankTime>(now);
+      tasks.end_event[task] = static_cast<std::uint8_t>(etype);
+    }
 
     switch (etype) {
       case TaskEventType::kFinish:
@@ -601,14 +637,14 @@ struct ClusterSim::Impl {
         if ((ts.flags & TaskStatic::kFlagResubmit) != 0 &&
             tasks.resubmits_left[task] > 0) {
           --tasks.resubmits_left[task];
-          ++tasks.resubmit_count[task];
           ++stats.resubmits;
           // The retry repeats the failure until the budget runs out,
           // then the final attempt is allowed to finish.
-          tasks.fate_remaining[task] = tasks.resubmits_left[task] > 0
-                                           ? workload[task].abnormal_after
-                                           : -1;
-          tasks.remaining[task] = std::max<TimeSec>(tasks.remaining[task], 1);
+          tasks.fate_remaining[task] =
+              tasks.resubmits_left[task] > 0
+                  ? static_cast<BankTime>(workload[task].abnormal_after)
+                  : -1;
+          tasks.remaining[task] = std::max<BankTime>(tasks.remaining[task], 1);
           const double u = rng::to_unit(rng::hash2(
               config.seed, rng::kSaltResubmit, task, tasks.generation[task]));
           const TimeSec delay = std::max<TimeSec>(
@@ -617,7 +653,10 @@ struct ClusterSim::Impl {
                      std::log(u)));
           push_event(now, now + delay, EvKind::kSubmit, task,
                      tasks.generation[task]);
-          tasks.end_time[task] = -1;  // story continues
+          if (config.record_tasks) {
+            ++tasks.resubmit_count[task];
+            tasks.end_time[task] = -1;  // story continues
+          }
         }
         break;
       }
@@ -807,6 +846,7 @@ struct ClusterSim::Impl {
   rng::JitterTable mem_task_jitter;
   rng::JitterTable machine_cpu_jitter;
   rng::JitterTable machine_mem_jitter;
+  SubmitScan submits;
   CalendarQueue queue;
   TaskBank tasks;
   std::vector<TaskStatic> tstatic;
@@ -845,9 +885,13 @@ trace::TraceSet ClusterSim::run(const Workload& workload,
     impl.out.add_machine(m);
   }
   if (config_.record_host_load) {
+    // Samples fall at 0, period, ... strictly before the horizon.
+    const auto samples = static_cast<std::size_t>(
+        (config_.horizon + config_.sample_period - 1) / config_.sample_period);
     series.reserve(machines_.size());
     for (const trace::Machine& m : machines_) {
       series.emplace_back(m.machine_id, 0, config_.sample_period);
+      series.back().reserve(samples);
     }
   }
 

@@ -12,7 +12,10 @@
 //
 //   * TaskBank — per-task dynamic state as parallel arrays indexed by
 //     the task's workload slot. The event handlers touch exactly the
-//     arrays they need; nothing else is pulled into cache.
+//     arrays they need; nothing else is pulled into cache. Times are
+//     32-bit (BankTime) and the five arrays that only feed per-task
+//     records exist only under SimConfig::record_tasks: 37 bytes per
+//     task hot, 17 more when recording.
 //   * TaskStatic — the per-task constants the scheduler and sampler
 //     read (requests, mean usage, priority/band, constraint bits),
 //     packed to 24 bytes; built once from the workload, after which the
@@ -31,7 +34,8 @@
 // region inside the run (host-load sampling) only reads. Allocation
 // happens once, up front — the steady-state event loop performs no
 // heap traffic except amortized growth of per-machine run lists and
-// calendar buckets.
+// calendar buckets (host-load series are reserved to the run's sample
+// count before the loop).
 #pragma once
 
 #include <cstdint>
@@ -72,18 +76,37 @@ struct TaskStatic {
   static constexpr std::uint8_t kFlagHasFate = 1U << 1;
 };
 
+/// A simulated time as the task bank stores it. Every time the bank
+/// holds lies in [queue origin, horizon) and every duration is bounded
+/// by a spec's `duration` or `abnormal_after`; ClusterSim refuses specs
+/// and horizons outside the 32-bit range, so halving the width is exact.
+using BankTime = std::int32_t;
+
 /// Per-task dynamic state, parallel arrays indexed by workload slot.
-/// Field semantics match the seed simulator's TaskRun exactly (the
-/// state machine and generation rule are unchanged — only the layout
-/// moved); see DESIGN.md §13.
+/// Field semantics match the seed simulator's TaskRun (the state
+/// machine and generation rule are unchanged); see DESIGN.md §13.
+///
+/// The first ten arrays are hot: every run allocates them and the event
+/// handlers read them, 37 bytes per task. The last five are
+/// record-only: they feed nothing but the per-task records
+/// materialized under SimConfig::record_tasks, so they are allocated
+/// (17 bytes per task) and written only when that knob is on.
 struct TaskBank {
   /// Work left until FINISH (decremented as run time accumulates).
-  std::vector<trace::TimeSec> remaining;
+  std::vector<BankTime> remaining;
   /// Run time left until the scripted fate fires in the current
   /// attempt; <0 when no fate applies (or it has been consumed).
-  std::vector<trace::TimeSec> fate_remaining;
-  /// Start of the current running attempt; -1 when not running.
-  std::vector<trace::TimeSec> run_start;
+  std::vector<BankTime> fate_remaining;
+  /// While pending: the time the pending stint began (queue-wait
+  /// accounting for SimStats::record_wait, which only sees stints that
+  /// began at t >= 0). While running: the start of the attempt. A task
+  /// is never pending and running at once, so one array holds both;
+  /// the value is meaningless in any other state.
+  std::vector<BankTime> since;
+  /// First SUBMIT time; -1 until submitted. Hot: it gates the
+  /// first-submit accounting (SimStats::submitted, fate arming) and the
+  /// horizon counts.
+  std::vector<BankTime> first_submit;
   /// Attempt generation: bumped on every eviction and end so queued end
   /// events of aborted attempts are recognized as stale and dropped.
   std::vector<std::uint32_t> generation;
@@ -93,22 +116,16 @@ struct TaskBank {
   std::vector<std::uint32_t> pos_in_machine;
   /// Intrusive pending-FIFO link: next task slot, -1 = tail.
   std::vector<std::int32_t> next_pending;
-  /// Time the current pending stint began (queue-wait accounting for
-  /// SimStats::record_wait); -1 when the task is not pending.
-  std::vector<trace::TimeSec> pending_since;
   /// trace::TaskState, stored as its underlying byte.
   std::vector<std::uint8_t> state;
   /// Resubmissions left before a fail-fate is allowed to finish.
   std::vector<std::int32_t> resubmits_left;
 
-  // Trace-facing bookkeeping (cold during the run, read at
-  // materialization).
-  /// First SUBMIT time; -1 until submitted.
-  std::vector<trace::TimeSec> first_submit;
+  // Record-only (empty unless SimConfig::record_tasks).
   /// First SCHEDULE time; -1 until first placed.
-  std::vector<trace::TimeSec> first_schedule;
+  std::vector<BankTime> first_schedule;
   /// Terminal event time; -1 while the task's story continues.
-  std::vector<trace::TimeSec> end_time;
+  std::vector<BankTime> end_time;
   /// Terminal event type (valid when end_time >= 0).
   std::vector<std::uint8_t> end_event;
   /// Times the task re-entered pending (evictions + fail retries).
@@ -116,20 +133,23 @@ struct TaskBank {
   /// Machine index of the last placement; -1 = never placed.
   std::vector<std::int32_t> last_machine;
 
-  /// Sizes every array for `n` tasks with the seed-equivalent initial
-  /// values (one allocation per array, up front).
-  void resize(std::size_t n) {
+  /// Sizes the hot arrays, and the record-only ones when `record`, for
+  /// `n` tasks with the seed-equivalent initial values (one allocation
+  /// per array, up front).
+  void resize(std::size_t n, bool record) {
     remaining.resize(n, 0);
     fate_remaining.resize(n, -1);
-    run_start.resize(n, -1);
+    since.resize(n, -1);
+    first_submit.resize(n, -1);
     generation.resize(n, 0);
     machine.resize(n, -1);
     pos_in_machine.resize(n, 0);
     next_pending.resize(n, -1);
-    pending_since.resize(n, -1);
     state.resize(n, static_cast<std::uint8_t>(trace::TaskState::kUnsubmitted));
     resubmits_left.resize(n, 0);
-    first_submit.resize(n, -1);
+    if (!record) {
+      return;
+    }
     first_schedule.resize(n, -1);
     end_time.resize(n, -1);
     end_event.resize(n,

@@ -24,6 +24,17 @@ void HostLoadSeries::append(const float cpu_by_band[kNumBands],
   pending_.push_back(pending);
 }
 
+void HostLoadSeries::reserve(std::size_t n) {
+  for (std::size_t b = 0; b < kNumBands; ++b) {
+    cpu_[b].reserve(n);
+    mem_[b].reserve(n);
+  }
+  mem_assigned_.reserve(n);
+  page_cache_.reserve(n);
+  running_.reserve(n);
+  pending_.reserve(n);
+}
+
 void HostLoadSeries::append_samples(
     const std::span<const float> cpu_by_band[kNumBands],
     const std::span<const float> mem_by_band[kNumBands],

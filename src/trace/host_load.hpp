@@ -29,6 +29,10 @@ class HostLoadSeries {
               const float mem_by_band[kNumBands], float mem_assigned,
               float page_cache, std::int32_t running, std::int32_t pending);
 
+  /// Reserves room for `n` samples in every column, so appending up to
+  /// `n` samples never reallocates.
+  void reserve(std::size_t n);
+
   /// Appends a block of samples from parallel columns, all of the same
   /// length (bulk path for columnar deserialization).
   void append_samples(const std::span<const float> cpu_by_band[kNumBands],

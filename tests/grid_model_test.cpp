@@ -142,6 +142,26 @@ TEST(GridModel, SimWorkloadIsGridShaped) {
   }
 }
 
+/// generate_sim_workload reserves once from the arrival count and the
+/// preset's processor choices: the vector never regrows and, at a scale
+/// where six standard deviations of headroom are below 1% of the mean,
+/// ends within 1% of its size.
+TEST(GridModel, SimWorkloadIsReservedOnce) {
+  GridSystemPreset preset = presets::auvergrid();  // the plan's grid model
+  for (const std::uint64_t seed : {1ULL, 7ULL}) {
+    for (const std::size_t machines : {4000U, 8000U}) {
+      preset.seed = seed;
+      const sim::Workload specs = GridWorkloadModel(preset)
+          .generate_sim_workload(3 * util::kSecondsPerDay, machines);
+      ASSERT_GT(specs.size(), 25000u);
+      EXPECT_LE(static_cast<double>(specs.capacity()),
+                1.01 * static_cast<double>(specs.size()) + 64)
+          << "seed " << seed << ", " << machines
+          << " machines: " << specs.size() << " specs";
+    }
+  }
+}
+
 TEST(GridModel, ApplyGridSimDefaultsDisablesPreemption) {
   sim::SimConfig config;
   GridWorkloadModel::apply_grid_sim_defaults(&config);

@@ -1,7 +1,8 @@
 // Tests for the paper-scale simulator core's structural guarantees:
 // bit-identical output at any CGC_THREADS (the sharded-determinism
-// contract), the calendar queue's (time, push-order) drain invariant,
-// and generation-counter invalidation under eviction storms.
+// contract), record knobs that never change the dynamics, the calendar
+// queue's (time, push-order) drain invariant, and generation-counter
+// invalidation under eviction storms.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 
 #include "exec/parallel.hpp"
 #include "fault/fault.hpp"
+#include "gen/google_model.hpp"
 #include "sim/cluster_sim.hpp"
 #include "sim/event_queue.hpp"
 #include "trace/validate.hpp"
@@ -97,6 +99,111 @@ TEST(SimDeterminism, ProbedPlacementIsAlsoThreadInvariant) {
     return out.content_digest();
   };
   EXPECT_EQ(run(1), run(4));
+}
+
+// ---------------------------------------------------------------------------
+// Record knobs
+// ---------------------------------------------------------------------------
+
+/// What one run under a (record_tasks, record_events) setting exposes.
+struct KnobRun {
+  SimStats stats;
+  /// content_digest of a TraceSet holding only the host-load series.
+  std::uint64_t host_load_digest = 0;
+  std::vector<trace::Task> tasks;
+};
+
+KnobRun run_with_knobs(const std::vector<trace::Machine>& park,
+                       const Workload& workload, bool record_tasks,
+                       bool record_events) {
+  SimConfig config;
+  config.horizon = 6 * util::kSecondsPerHour;
+  config.record_tasks = record_tasks;
+  config.record_events = record_events;
+  ClusterSim sim(park, config);
+  const trace::TraceSet out = sim.run(workload);
+  trace::TraceSet host_load;
+  for (const trace::HostLoadSeries& s : out.host_load()) {
+    host_load.add_host_load(s);
+  }
+  host_load.finalize();
+  return KnobRun{sim.stats(), host_load.content_digest(),
+                 {out.tasks().begin(), out.tasks().end()}};
+}
+
+void expect_same_stats(const SimStats& a, const SimStats& b) {
+  EXPECT_EQ(a.submitted, b.submitted);
+  EXPECT_EQ(a.scheduled, b.scheduled);
+  EXPECT_EQ(a.finished, b.finished);
+  EXPECT_EQ(a.failed, b.failed);
+  EXPECT_EQ(a.killed, b.killed);
+  EXPECT_EQ(a.evicted, b.evicted);
+  EXPECT_EQ(a.lost, b.lost);
+  EXPECT_EQ(a.resubmits, b.resubmits);
+  EXPECT_EQ(a.never_scheduled, b.never_scheduled);
+  EXPECT_EQ(a.running_at_horizon, b.running_at_horizon);
+  EXPECT_EQ(a.max_pending_depth, b.max_pending_depth);
+  EXPECT_EQ(a.events_processed, b.events_processed);
+  EXPECT_EQ(a.schedule_passes, b.schedule_passes);
+  EXPECT_EQ(a.wait_count, b.wait_count);
+  EXPECT_EQ(a.wait_sum_s, b.wait_sum_s);
+  for (const double q : {0.5, 0.9, 0.99}) {
+    EXPECT_EQ(a.wait_quantile(q), b.wait_quantile(q)) << "q=" << q;
+  }
+}
+
+void expect_same_tasks(const std::vector<trace::Task>& a,
+                       const std::vector<trace::Task>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].job_id, b[i].job_id) << i;
+    EXPECT_EQ(a[i].task_index, b[i].task_index) << i;
+    EXPECT_EQ(a[i].submit_time, b[i].submit_time) << i;
+    EXPECT_EQ(a[i].schedule_time, b[i].schedule_time) << i;
+    EXPECT_EQ(a[i].end_time, b[i].end_time) << i;
+    EXPECT_EQ(a[i].end_event, b[i].end_event) << i;
+    EXPECT_EQ(a[i].machine_id, b[i].machine_id) << i;
+    EXPECT_EQ(a[i].resubmits, b[i].resubmits) << i;
+  }
+}
+
+/// SimConfig's promise: the record_* knobs only choose what is kept.
+/// A generated Google workload (warm-up submits before t=0, fail fates
+/// with retries, placement constraints, preemption on) runs all four
+/// (record_tasks, record_events) ways.
+TEST(SimDeterminism, RecordKnobsNeverChangeDynamics) {
+  constexpr std::size_t kMachines = 24;
+  const gen::GoogleWorkloadModel model;
+  const std::vector<trace::Machine> park = model.make_machines(kMachines);
+  const Workload workload =
+      model.generate_sim_workload(6 * util::kSecondsPerHour, kMachines);
+  ASSERT_TRUE(std::any_of(workload.begin(), workload.end(),
+                          [](const TaskSpec& s) { return s.submit_time < 0; }));
+  ASSERT_TRUE(std::any_of(workload.begin(), workload.end(),
+                          [](const TaskSpec& s) {
+                            return s.required_attributes != 0;
+                          }));
+
+  const KnobRun full = run_with_knobs(park, workload, true, true);
+  EXPECT_GT(full.stats.evicted, 0) << "workload must exercise preemption";
+  EXPECT_GT(full.stats.failed, 0) << "workload must exercise fail fates";
+  EXPECT_GT(full.stats.resubmits, full.stats.evicted)
+      << "workload must exercise fail retries";
+  EXPECT_GT(full.stats.running_at_horizon, 0);
+  ASSERT_FALSE(full.tasks.empty());
+
+  const KnobRun tasks_only = run_with_knobs(park, workload, true, false);
+  expect_same_stats(full.stats, tasks_only.stats);
+  EXPECT_EQ(full.host_load_digest, tasks_only.host_load_digest);
+  expect_same_tasks(full.tasks, tasks_only.tasks);
+
+  for (const bool record_events : {true, false}) {
+    SCOPED_TRACE(record_events ? "events only" : "nothing recorded");
+    const KnobRun bare = run_with_knobs(park, workload, false, record_events);
+    expect_same_stats(full.stats, bare.stats);
+    EXPECT_EQ(full.host_load_digest, bare.host_load_digest);
+    EXPECT_TRUE(bare.tasks.empty());
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 // machine, preemption, fates, resubmission, and capacity invariants.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "sim/cluster_sim.hpp"
 #include "trace/validate.hpp"
 #include "util/check.hpp"
@@ -287,6 +290,36 @@ TEST(ClusterSim, RejectsBadSpecs) {
     EXPECT_THROW(sim.run({spec}), util::Error);
   }
   EXPECT_THROW(ClusterSim({}, quiet_config(100)), util::Error);
+}
+
+/// The task bank stores times in 32 bits; a spec or horizon outside that
+/// range is refused before the run instead of wrapping.
+TEST(ClusterSim, RejectsTimesBeyond32Bits) {
+  constexpr util::TimeSec kTooFar =
+      util::TimeSec{std::numeric_limits<std::int32_t>::max()} + 1;
+  {
+    ClusterSim sim(one_machine(), quiet_config(100));
+    EXPECT_THROW(sim.run({simple_task(1, 0, kTooFar)}), util::Error);
+  }
+  {
+    ClusterSim sim(one_machine(), quiet_config(100));
+    TaskSpec spec = simple_task(1, 0, 10);
+    spec.fate = TaskEventType::kFail;
+    spec.abnormal_after = kTooFar;
+    EXPECT_THROW(sim.run({spec}), util::Error);
+  }
+  {
+    ClusterSim sim(one_machine(), quiet_config(100));
+    EXPECT_THROW(sim.run({simple_task(1, -kTooFar - 1, 10)}), util::Error);
+  }
+  {
+    ClusterSim sim(one_machine(), quiet_config(kTooFar));
+    EXPECT_THROW(sim.run({simple_task(1, 0, 10)}), util::Error);
+  }
+  // The largest representable duration still runs.
+  ClusterSim sim(one_machine(), quiet_config(100));
+  sim.run({simple_task(1, 0, kTooFar - 1)});
+  EXPECT_EQ(sim.stats().running_at_horizon, 1);
 }
 
 TEST(ClusterSim, DeterministicAcrossRuns) {
