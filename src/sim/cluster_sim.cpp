@@ -552,10 +552,16 @@ struct ClusterSim::Impl {
         const std::int32_t task = cur;
         cur = tasks.next_pending[static_cast<std::size_t>(task)];
         if (failure_streak >= config.max_schedule_failures_per_pass) {
-          // Cluster is effectively full for this priority; keep FIFO
-          // order and retry on the next pass.
-          keep(task);
-          continue;
+          // Cluster is effectively full for this priority: splice the
+          // untried tail [task, tail] back as one piece, in FIFO order,
+          // and retry it on the next pass.
+          if (still_tail < 0) {
+            still_head = task;
+          } else {
+            tasks.next_pending[static_cast<std::size_t>(still_tail)] = task;
+          }
+          still_tail = pending.tail[p];
+          break;
         }
         const std::uint32_t t = static_cast<std::uint32_t>(task);
         const TaskStatic& ts = tstatic[t];

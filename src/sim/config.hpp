@@ -98,9 +98,11 @@ struct SimConfig {
   double isolation_eviction_probability = 0.45;
   /// Scheduler pass budget: after this many consecutive placement
   /// failures within one priority queue, the rest of that queue is
-  /// skipped until the next pass. Tasks are near-interchangeable in
-  /// size, so a long failure streak means the cluster is full; the cap
-  /// keeps a deep backlog from making every pass O(pending * machines).
+  /// skipped until the next pass and spliced back untouched, in O(1).
+  /// Tasks are near-interchangeable in size, so a long failure streak
+  /// means the cluster is full; the cap bounds a pass to O(tried *
+  /// machines) rather than O(pending * machines), where "tried" is the
+  /// tasks placed plus at most this many failures per priority.
   std::size_t max_schedule_failures_per_pass = 48;
   /// Placement probe budget per task. 0 = auto: clusters up to 512
   /// machines are scanned exhaustively (the seed behaviour, kept for

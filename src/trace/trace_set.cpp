@@ -98,16 +98,6 @@ void TraceSet::finalize() {
   for (std::size_t i = 0; i < host_load_.size(); ++i) {
     host_load_index_[host_load_[i].machine_id()] = i;
   }
-  job_task_range_.clear();
-  if (!tasks_.empty()) {
-    std::size_t start = 0;
-    for (std::size_t i = 1; i <= tasks_.size(); ++i) {
-      if (i == tasks_.size() || tasks_[i].job_id != tasks_[start].job_id) {
-        job_task_range_[tasks_[start].job_id] = {start, i};
-        start = i;
-      }
-    }
-  }
 
   if (duration_ == 0) {
     TimeSec last = 0;
@@ -143,12 +133,15 @@ const HostLoadSeries* TraceSet::host_load_for(std::int64_t machine_id) const {
 
 std::span<const Task> TraceSet::tasks_for_job(std::int64_t job_id) const {
   require_finalized();
-  const auto it = job_task_range_.find(job_id);
-  if (it == job_task_range_.end()) {
-    return {};
-  }
-  return std::span<const Task>(tasks_).subspan(
-      it->second.first, it->second.second - it->second.first);
+  // finalize() sorts tasks by (job_id, task_index), so a job's tasks are
+  // one contiguous run: two binary searches, no per-job index.
+  const auto first = std::partition_point(
+      tasks_.begin(), tasks_.end(),
+      [job_id](const Task& t) { return t.job_id < job_id; });
+  const auto last = std::partition_point(
+      first, tasks_.end(),
+      [job_id](const Task& t) { return t.job_id == job_id; });
+  return {first, last};
 }
 
 TraceSummary TraceSet::summary() const {

@@ -79,7 +79,8 @@ class TraceSet {
   std::optional<Machine> machine_by_id(std::int64_t machine_id) const;
   /// Host-load series for a machine id; nullptr if absent.
   const HostLoadSeries* host_load_for(std::int64_t machine_id) const;
-  /// Tasks belonging to a job (contiguous after finalize()).
+  /// Tasks belonging to a job (contiguous after finalize(); found by
+  /// binary search, O(log tasks)).
   std::span<const Task> tasks_for_job(std::int64_t job_id) const;
 
   TraceSummary summary() const;
@@ -122,9 +123,6 @@ class TraceSet {
 
   std::unordered_map<std::int64_t, std::size_t> machine_index_;
   std::unordered_map<std::int64_t, std::size_t> host_load_index_;
-  /// job_id -> [first, last) range into tasks_ after sorting.
-  std::unordered_map<std::int64_t, std::pair<std::size_t, std::size_t>>
-      job_task_range_;
 
   void require_finalized() const;
 };

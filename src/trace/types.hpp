@@ -126,31 +126,38 @@ TaskState apply_event(TaskState from, TaskEventType event);
 // Records
 // ---------------------------------------------------------------------------
 
+// Record layouts: fields run from widest to narrowest, so the only
+// padding is at the tail (TaskEvent 32 B, Task 72 B, Job 48 B; the
+// static_asserts pin them). Positional initializers would silently swap
+// same-typed fields after a reorder: build records field by field or
+// with designated initializers.
+
 /// A timestamped task event record (one row of a task_events table).
 struct TaskEvent {
   TimeSec time = 0;
   std::int64_t job_id = 0;
-  std::int32_t task_index = 0;
   std::int64_t machine_id = -1;  ///< -1 when not placed
+  std::int32_t task_index = 0;
   TaskEventType type = TaskEventType::kSubmit;
   std::uint8_t priority = 1;
 };
+static_assert(sizeof(TaskEvent) == 32, "TaskEvent layout changed");
 
 /// Final per-task record (aggregated over its event history).
 struct Task {
   std::int64_t job_id = 0;
-  std::int32_t task_index = 0;
-  std::uint8_t priority = 1;
   TimeSec submit_time = 0;
-  TimeSec schedule_time = -1;  ///< -1: never scheduled
-  TimeSec end_time = -1;       ///< -1: still active at trace end
-  TaskEventType end_event = TaskEventType::kFinish;
+  TimeSec schedule_time = -1;    ///< -1: never scheduled
+  TimeSec end_time = -1;         ///< -1: still active at trace end
   std::int64_t machine_id = -1;  ///< machine of last placement
-  std::int32_t resubmits = 0;    ///< times the task re-entered pending
-  float cpu_request = 0.0f;      ///< normalized cores requested
-  float mem_request = 0.0f;      ///< normalized memory requested
-  float cpu_usage = 0.0f;        ///< mean observed usage while running
+  std::int32_t task_index = 0;
+  std::int32_t resubmits = 0;  ///< times the task re-entered pending
+  float cpu_request = 0.0f;    ///< normalized cores requested
+  float mem_request = 0.0f;    ///< normalized memory requested
+  float cpu_usage = 0.0f;      ///< mean observed usage while running
   float mem_usage = 0.0f;
+  std::uint8_t priority = 1;
+  TaskEventType end_event = TaskEventType::kFinish;
 
   /// Execution time (SCHEDULE -> terminal); 0 if never ran.
   TimeSec run_duration() const {
@@ -162,12 +169,12 @@ struct Task {
 
   bool completed() const { return end_time >= 0; }
 };
+static_assert(sizeof(Task) == 72, "Task layout changed");
 
 /// Final per-job record.
 struct Job {
   std::int64_t job_id = 0;
   std::int64_t user_id = 0;
-  std::uint8_t priority = 1;
   TimeSec submit_time = 0;
   TimeSec end_time = -1;  ///< completion of the last task; -1 if unfinished
   std::int32_t num_tasks = 1;
@@ -177,12 +184,14 @@ struct Job {
   /// Mean memory used by the job, normalized (Cloud) or in MB (Grid —
   /// see TraceSet::memory_in_mb).
   float mem_usage = 0.0f;
+  std::uint8_t priority = 1;
 
   /// Job length: submission to completion (the paper's definition).
   TimeSec length() const { return end_time < 0 ? -1 : end_time - submit_time; }
 
   bool completed() const { return end_time >= 0; }
 };
+static_assert(sizeof(Job) == 48, "Job layout changed");
 
 /// Machine attribute bits for task placement constraints (the paper's
 /// Section V cites Sharma et al.'s study of their utilization impact;

@@ -11,7 +11,22 @@
 #include <cstdint>
 #include <random>
 
+#include "util/mutex.hpp"
+
 namespace cgc::util {
+
+namespace detail {
+
+/// Serializes Poisson draws. std::poisson_distribution calls lgamma to
+/// set up and to draw, and glibc's lgamma writes the process-global
+/// `signgam`, so two threads drawing from their own Rng still race on
+/// it. The lock orders only that write; no drawn value depends on it.
+inline Mutex& lgamma_mutex() {
+  static Mutex mutex;
+  return mutex;
+}
+
+}  // namespace detail
 
 /// Seedable PRNG wrapper around std::mt19937_64 with convenience draws.
 class Rng {
@@ -57,8 +72,10 @@ class Rng {
     return std::bernoulli_distribution(p)(engine_);
   }
 
-  /// Poisson draw with given mean.
+  /// Poisson draw with given mean. Safe to call from several threads on
+  /// distinct Rngs (see detail::lgamma_mutex).
   std::int64_t poisson(double mean) {
+    MutexLock lock(detail::lgamma_mutex());
     return std::poisson_distribution<std::int64_t>(mean)(engine_);
   }
 

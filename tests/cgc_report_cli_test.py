@@ -23,7 +23,10 @@ exactly one known leg: none, an unknown one or two are usage errors, and
 its plan leg writes a record with the common frame whose thread runs
 share one digest and fail no scenario. The trace cache has one tier:
 a sweep that rebuilds deleted hostload_*.cgcs entries writes the same
-outputs (file, crc, size) as the sweep that first built them.
+outputs (file, crc, size) as the sweep that first built them. The
+ablations that run their simulations concurrently print the same table
+rows at CGC_THREADS=1 and 4 (they write no .dat, so no digest covers
+them).
 
 Every command runs under CGC_BENCH_FAST=1 with throwaway CGC_BENCH_OUT
 and CGC_BENCH_CACHE directories, so a build that wrongly starts a sweep
@@ -131,6 +134,37 @@ def rebuilt_hostload_problems(report, env, tmp):
         return [f"cgc_report --only {cases}: outputs after rebuilding the "
                 f"host-load cache differ\n  first:   {outputs[0]}\n"
                 f"  rebuilt: {outputs[1]}"]
+    return []
+
+
+def ablation_thread_problems(report, env, tmp):
+    """Runs the concurrent-sim ablations at CGC_THREADS=1 and 4 and
+    compares their table rows (stdout lines starting with '|'); returns
+    failure lines."""
+    cases = "ablation_constraints,ablation_placement,ablation_preemption"
+    # Three tables: a header row each plus 5, 5 and 4 variant rows.
+    want_rows = 3 + 5 + 5 + 4
+    tables = {}
+    for threads in ("1", "4"):
+        proc = subprocess.run([report, "--only", cases], cwd=tmp,
+                              env=dict(env, CGC_THREADS=threads,
+                                       CGC_BENCH_OUT=os.path.join(
+                                           tmp, "ablation_out" + threads)),
+                              capture_output=True, text=True, timeout=900,
+                              check=False)
+        if proc.returncode != EXIT_OK:
+            return [f"cgc_report --only {cases} at CGC_THREADS={threads}: "
+                    f"exit {proc.returncode}\n{proc.stderr[-1500:]}"]
+        tables[threads] = [line for line in proc.stdout.splitlines()
+                           if line.startswith("|")]
+    if len(tables["1"]) != want_rows:
+        return [f"cgc_report --only {cases}: {len(tables['1'])} table rows, "
+                f"want {want_rows}"]
+    if tables["1"] != tables["4"]:
+        diff = [f"  1: {a}\n  4: {b}"
+                for a, b in zip(tables["1"], tables["4"]) if a != b]
+        return [f"cgc_report --only {cases}: table rows differ between "
+                "CGC_THREADS=1 and 4\n" + "\n".join(diff)]
     return []
 
 
@@ -310,6 +344,8 @@ def main():
         failures.extend(check_plan_record(record_path))
 
         failures.extend(rebuilt_hostload_problems(report, env, tmp))
+
+        failures.extend(ablation_thread_problems(report, env, tmp))
 
         failures.extend(torn_report_resume_problems(report, env, tmp))
 

@@ -108,11 +108,13 @@ TraceSet make_model_trace() {
     trace.add_machine(m);
   }
   for (const Task& t : trace.tasks()) {
-    trace.add_event({t.submit_time, t.job_id, t.task_index, -1,
-                     TaskEventType::kSubmit, t.priority});
+    trace.add_event({.time = t.submit_time, .job_id = t.job_id,
+                     .machine_id = -1, .task_index = t.task_index,
+                     .type = TaskEventType::kSubmit, .priority = t.priority});
     if (t.end_time >= 0) {
-      trace.add_event({t.end_time, t.job_id, t.task_index, t.machine_id,
-                       t.end_event, t.priority});
+      trace.add_event({.time = t.end_time, .job_id = t.job_id,
+                       .machine_id = t.machine_id, .task_index = t.task_index,
+                       .type = t.end_event, .priority = t.priority});
     }
   }
   std::uint64_t lcg = 0x243F6A8885A308D3ull;

@@ -58,16 +58,25 @@ TraceSet make_event_trace() {
   trace.add_machine(m);
 
   // Task 1/0: submit -> schedule -> finish.
-  trace.add_event({10, 1, 0, -1, TaskEventType::kSubmit, 2});
-  trace.add_event({12, 1, 0, 3, TaskEventType::kSchedule, 2});
-  trace.add_event({500, 1, 0, 3, TaskEventType::kFinish, 2});
+  trace.add_event({.time = 10, .job_id = 1, .machine_id = -1, .task_index = 0,
+                   .type = TaskEventType::kSubmit, .priority = 2});
+  trace.add_event({.time = 12, .job_id = 1, .machine_id = 3, .task_index = 0,
+                   .type = TaskEventType::kSchedule, .priority = 2});
+  trace.add_event({.time = 500, .job_id = 1, .machine_id = 3, .task_index = 0,
+                   .type = TaskEventType::kFinish, .priority = 2});
   // Task 2/0: submit -> schedule -> fail -> resubmit -> schedule -> finish.
-  trace.add_event({20, 2, 0, -1, TaskEventType::kSubmit, 11});
-  trace.add_event({25, 2, 0, 3, TaskEventType::kSchedule, 11});
-  trace.add_event({100, 2, 0, 3, TaskEventType::kFail, 11});
-  trace.add_event({160, 2, 0, -1, TaskEventType::kSubmit, 11});
-  trace.add_event({170, 2, 0, 3, TaskEventType::kSchedule, 11});
-  trace.add_event({900, 2, 0, 3, TaskEventType::kFinish, 11});
+  trace.add_event({.time = 20, .job_id = 2, .machine_id = -1, .task_index = 0,
+                   .type = TaskEventType::kSubmit, .priority = 11});
+  trace.add_event({.time = 25, .job_id = 2, .machine_id = 3, .task_index = 0,
+                   .type = TaskEventType::kSchedule, .priority = 11});
+  trace.add_event({.time = 100, .job_id = 2, .machine_id = 3, .task_index = 0,
+                   .type = TaskEventType::kFail, .priority = 11});
+  trace.add_event({.time = 160, .job_id = 2, .machine_id = -1, .task_index = 0,
+                   .type = TaskEventType::kSubmit, .priority = 11});
+  trace.add_event({.time = 170, .job_id = 2, .machine_id = 3, .task_index = 0,
+                   .type = TaskEventType::kSchedule, .priority = 11});
+  trace.add_event({.time = 900, .job_id = 2, .machine_id = 3, .task_index = 0,
+                   .type = TaskEventType::kFinish, .priority = 11});
 
   HostLoadSeries h(3, 0, util::kSamplePeriod);
   const float cpu[kNumBands] = {0.12f, 0.0f, 0.08f};
@@ -360,8 +369,10 @@ TEST_F(FormatsTest, WritersReportAFullDisk) {
 
 TEST_F(FormatsTest, RebuildHandlesUnfinishedTasks) {
   TraceSet trace("partial");
-  trace.add_event({10, 1, 0, -1, TaskEventType::kSubmit, 1});
-  trace.add_event({15, 1, 0, 2, TaskEventType::kSchedule, 1});
+  trace.add_event({.time = 10, .job_id = 1, .machine_id = -1, .task_index = 0,
+                   .type = TaskEventType::kSubmit, .priority = 1});
+  trace.add_event({.time = 15, .job_id = 1, .machine_id = 2, .task_index = 0,
+                   .type = TaskEventType::kSchedule, .priority = 1});
   // No terminal event: still running at trace end.
   trace.finalize();
   rebuild_tasks_and_jobs(&trace);

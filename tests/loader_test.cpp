@@ -65,12 +65,18 @@ TraceSet make_event_trace() {
   m.cpu_capacity = 0.5f;
   m.mem_capacity = 0.25f;
   trace.add_machine(m);
-  trace.add_event({10, 1, 0, -1, TaskEventType::kSubmit, 2});
-  trace.add_event({12, 1, 0, 3, TaskEventType::kSchedule, 2});
-  trace.add_event({500, 1, 0, 3, TaskEventType::kFinish, 2});
-  trace.add_event({20, 2, 0, -1, TaskEventType::kSubmit, 9});
-  trace.add_event({25, 2, 0, 3, TaskEventType::kSchedule, 9});
-  trace.add_event({900, 2, 0, 3, TaskEventType::kFinish, 9});
+  trace.add_event({.time = 10, .job_id = 1, .machine_id = -1, .task_index = 0,
+                   .type = TaskEventType::kSubmit, .priority = 2});
+  trace.add_event({.time = 12, .job_id = 1, .machine_id = 3, .task_index = 0,
+                   .type = TaskEventType::kSchedule, .priority = 2});
+  trace.add_event({.time = 500, .job_id = 1, .machine_id = 3, .task_index = 0,
+                   .type = TaskEventType::kFinish, .priority = 2});
+  trace.add_event({.time = 20, .job_id = 2, .machine_id = -1, .task_index = 0,
+                   .type = TaskEventType::kSubmit, .priority = 9});
+  trace.add_event({.time = 25, .job_id = 2, .machine_id = 3, .task_index = 0,
+                   .type = TaskEventType::kSchedule, .priority = 9});
+  trace.add_event({.time = 900, .job_id = 2, .machine_id = 3, .task_index = 0,
+                   .type = TaskEventType::kFinish, .priority = 9});
   trace.finalize();
   return trace;
 }

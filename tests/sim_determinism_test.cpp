@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "exec/parallel.hpp"
@@ -105,7 +106,7 @@ TEST(SimDeterminism, ProbedPlacementIsAlsoThreadInvariant) {
 // Record knobs
 // ---------------------------------------------------------------------------
 
-/// What one run under a (record_tasks, record_events) setting exposes.
+/// What one run under a record_* setting exposes.
 struct KnobRun {
   SimStats stats;
   /// content_digest of a TraceSet holding only the host-load series.
@@ -115,11 +116,12 @@ struct KnobRun {
 
 KnobRun run_with_knobs(const std::vector<trace::Machine>& park,
                        const Workload& workload, bool record_tasks,
-                       bool record_events) {
+                       bool record_events, bool record_host_load = true) {
   SimConfig config;
   config.horizon = 6 * util::kSecondsPerHour;
   config.record_tasks = record_tasks;
   config.record_events = record_events;
+  config.record_host_load = record_host_load;
   ClusterSim sim(park, config);
   const trace::TraceSet out = sim.run(workload);
   trace::TraceSet host_load;
@@ -147,6 +149,7 @@ void expect_same_stats(const SimStats& a, const SimStats& b) {
   EXPECT_EQ(a.schedule_passes, b.schedule_passes);
   EXPECT_EQ(a.wait_count, b.wait_count);
   EXPECT_EQ(a.wait_sum_s, b.wait_sum_s);
+  EXPECT_EQ(a.faults_injected, b.faults_injected);
   for (const double q : {0.5, 0.9, 0.99}) {
     EXPECT_EQ(a.wait_quantile(q), b.wait_quantile(q)) << "q=" << q;
   }
@@ -167,10 +170,22 @@ void expect_same_tasks(const std::vector<trace::Task>& a,
   }
 }
 
+/// Arms a fault spec for one scope and disarms it on exit, also when an
+/// assertion returns early.
+struct ScopedFaults {
+  explicit ScopedFaults(const std::string& spec) { fault::configure(spec); }
+  ~ScopedFaults() { fault::configure(""); }
+  ScopedFaults(const ScopedFaults&) = delete;
+  ScopedFaults& operator=(const ScopedFaults&) = delete;
+};
+
 /// SimConfig's promise: the record_* knobs only choose what is kept.
 /// A generated Google workload (warm-up submits before t=0, fail fates
-/// with retries, placement constraints, preemption on) runs all four
-/// (record_tasks, record_events) ways.
+/// with retries, placement constraints, preemption on) runs under every
+/// (record_tasks, record_events) pair and with record_host_load off,
+/// once plain and once with sim.machine_outage armed: outages fire in
+/// the sample tick before its host-load early return, so they must not
+/// depend on it.
 TEST(SimDeterminism, RecordKnobsNeverChangeDynamics) {
   constexpr std::size_t kMachines = 24;
   const gen::GoogleWorkloadModel model;
@@ -184,25 +199,43 @@ TEST(SimDeterminism, RecordKnobsNeverChangeDynamics) {
                             return s.required_attributes != 0;
                           }));
 
-  const KnobRun full = run_with_knobs(park, workload, true, true);
-  EXPECT_GT(full.stats.evicted, 0) << "workload must exercise preemption";
-  EXPECT_GT(full.stats.failed, 0) << "workload must exercise fail fates";
-  EXPECT_GT(full.stats.resubmits, full.stats.evicted)
-      << "workload must exercise fail retries";
-  EXPECT_GT(full.stats.running_at_horizon, 0);
-  ASSERT_FALSE(full.tasks.empty());
+  for (const std::string faults : {"", "sim.machine_outage:p=0.01,seed=7"}) {
+    SCOPED_TRACE(faults.empty() ? "no faults" : faults);
+    const ScopedFaults armed(faults);
+    const KnobRun full = run_with_knobs(park, workload, true, true);
+    EXPECT_GT(full.stats.evicted, 0) << "workload must exercise preemption";
+    EXPECT_GT(full.stats.failed, 0) << "workload must exercise fail fates";
+    EXPECT_GT(full.stats.resubmits, full.stats.evicted)
+        << "workload must exercise fail retries";
+    EXPECT_GT(full.stats.running_at_horizon, 0);
+    ASSERT_FALSE(full.tasks.empty());
+    if (!faults.empty()) {
+      ASSERT_GT(full.stats.faults_injected, 0)
+          << "outage site must fire for the test to mean anything";
+    }
 
-  const KnobRun tasks_only = run_with_knobs(park, workload, true, false);
-  expect_same_stats(full.stats, tasks_only.stats);
-  EXPECT_EQ(full.host_load_digest, tasks_only.host_load_digest);
-  expect_same_tasks(full.tasks, tasks_only.tasks);
+    const KnobRun tasks_only = run_with_knobs(park, workload, true, false);
+    expect_same_stats(full.stats, tasks_only.stats);
+    EXPECT_EQ(full.host_load_digest, tasks_only.host_load_digest);
+    expect_same_tasks(full.tasks, tasks_only.tasks);
 
-  for (const bool record_events : {true, false}) {
-    SCOPED_TRACE(record_events ? "events only" : "nothing recorded");
-    const KnobRun bare = run_with_knobs(park, workload, false, record_events);
-    expect_same_stats(full.stats, bare.stats);
-    EXPECT_EQ(full.host_load_digest, bare.host_load_digest);
-    EXPECT_TRUE(bare.tasks.empty());
+    for (const bool record_events : {true, false}) {
+      SCOPED_TRACE(record_events ? "events only" : "nothing recorded");
+      const KnobRun bare =
+          run_with_knobs(park, workload, false, record_events);
+      expect_same_stats(full.stats, bare.stats);
+      EXPECT_EQ(full.host_load_digest, bare.host_load_digest);
+      EXPECT_TRUE(bare.tasks.empty());
+    }
+
+    for (const bool record_events : {true, false}) {
+      SCOPED_TRACE(record_events ? "host load off, events on"
+                                 : "host load and events off");
+      const KnobRun lean =
+          run_with_knobs(park, workload, true, record_events, false);
+      expect_same_stats(full.stats, lean.stats);
+      expect_same_tasks(full.tasks, lean.tasks);
+    }
   }
 }
 

@@ -151,6 +151,35 @@ TEST(ClusterSim, FcfsWithinPriority) {
   EXPECT_EQ(t2[0].schedule_time, 900);  // waits for the first to finish
 }
 
+TEST(ClusterSim, OverBudgetBacklogKeepsFifoAcrossPasses) {
+  // One slot, one priority, a backlog far deeper than the pass budget:
+  // each pass places one task, fails twice and splices the untried
+  // rest back whole. Two late arrivals must queue behind that tail.
+  SimConfig config = quiet_config(7200);
+  config.preemption = false;
+  config.max_schedule_failures_per_pass = 2;
+  ClusterSim sim(one_machine(), config);
+  Workload workload;
+  for (int i = 0; i < 10; ++i) {
+    workload.push_back(simple_task(i + 1, 0, 100));
+  }
+  workload.push_back(simple_task(11, 150, 100));
+  workload.push_back(simple_task(12, 150, 100));
+  for (TaskSpec& spec : workload) {
+    spec.mem_request = 0.6f;  // one task fills the machine
+  }
+  const trace::TraceSet out = sim.run(workload);
+
+  EXPECT_EQ(sim.stats().finished, 12);
+  EXPECT_EQ(sim.stats().never_scheduled, 0);
+  EXPECT_EQ(sim.stats().max_pending_depth, 10);
+  for (std::int64_t job = 1; job <= 12; ++job) {
+    const auto t = out.tasks_for_job(job);
+    ASSERT_EQ(t.size(), 1u) << job;
+    EXPECT_EQ(t[0].schedule_time, (job - 1) * 100) << job;
+  }
+}
+
 TEST(ClusterSim, HigherPriorityPreempts) {
   SimConfig config = quiet_config(7200);
   config.preemption = true;

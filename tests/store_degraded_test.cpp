@@ -69,12 +69,13 @@ TraceSet make_trace() {
     trace.add_task(task);
   }
   for (std::size_t i = 0; i < kNumEvents; ++i) {
-    trace.add_event({static_cast<util::TimeSec>(3 * i),
-                     static_cast<std::int64_t>(i % kNumTasks), 0,
-                     static_cast<std::int64_t>(i % 16),
-                     i % 2 == 0 ? TaskEventType::kSubmit
-                                : TaskEventType::kSchedule,
-                     static_cast<std::uint8_t>(1 + i % 12)});
+    trace.add_event({.time = static_cast<util::TimeSec>(3 * i),
+                     .job_id = static_cast<std::int64_t>(i % kNumTasks),
+                     .machine_id = static_cast<std::int64_t>(i % 16),
+                     .task_index = 0,
+                     .type = i % 2 == 0 ? TaskEventType::kSubmit
+                                        : TaskEventType::kSchedule,
+                     .priority = static_cast<std::uint8_t>(1 + i % 12)});
   }
   for (std::int64_t machine_id = 0; machine_id < 16; ++machine_id) {
     Machine m;

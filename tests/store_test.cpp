@@ -70,15 +70,19 @@ TraceSet make_model_trace() {
   // Events derived from the task records (SUBMIT/SCHEDULE/terminal), so
   // every event column gets realistic, varied values.
   for (const Task& t : trace.tasks()) {
-    trace.add_event({t.submit_time, t.job_id, t.task_index, -1,
-                     TaskEventType::kSubmit, t.priority});
+    trace.add_event({.time = t.submit_time, .job_id = t.job_id,
+                     .machine_id = -1, .task_index = t.task_index,
+                     .type = TaskEventType::kSubmit, .priority = t.priority});
     if (t.schedule_time >= 0) {
-      trace.add_event({t.schedule_time, t.job_id, t.task_index, t.machine_id,
-                       TaskEventType::kSchedule, t.priority});
+      trace.add_event({.time = t.schedule_time, .job_id = t.job_id,
+                       .machine_id = t.machine_id, .task_index = t.task_index,
+                       .type = TaskEventType::kSchedule,
+                       .priority = t.priority});
     }
     if (t.end_time >= 0) {
-      trace.add_event({t.end_time, t.job_id, t.task_index, t.machine_id,
-                       t.end_event, t.priority});
+      trace.add_event({.time = t.end_time, .job_id = t.job_id,
+                       .machine_id = t.machine_id, .task_index = t.task_index,
+                       .type = t.end_event, .priority = t.priority});
     }
   }
 
@@ -261,8 +265,12 @@ TEST_F(StoreTest, OutOfRangeEventTypeIsDamage) {
   // One SCHEDULE and one event whose type byte (9) lies past the enum:
   // a bit-rotted or hostile file that still passes every CRC.
   TraceSet original("bad-type");
-  original.add_event({100, 1, 0, -1, TaskEventType::kSchedule, 3});
-  original.add_event({200, 1, 0, -1, static_cast<TaskEventType>(9), 3});
+  original.add_event({.time = 100, .job_id = 1, .machine_id = -1,
+                      .task_index = 0, .type = TaskEventType::kSchedule,
+                      .priority = 3});
+  original.add_event({.time = 200, .job_id = 1, .machine_id = -1,
+                      .task_index = 0, .type = static_cast<TaskEventType>(9),
+                      .priority = 3});
   original.set_duration(300);
   original.finalize();
   const std::string p = path("bad_type.cgcs");

@@ -55,9 +55,12 @@ TraceSet make_small_trace() {
   trace.add_task(t3);
 
   // Events deliberately added out of order: finalize() must sort.
-  trace.add_event({510, 1, 0, 7, TaskEventType::kFinish, 3});
-  trace.add_event({100, 1, 0, -1, TaskEventType::kSubmit, 3});
-  trace.add_event({110, 1, 0, 7, TaskEventType::kSchedule, 3});
+  trace.add_event({.time = 510, .job_id = 1, .machine_id = 7, .task_index = 0,
+                   .type = TaskEventType::kFinish, .priority = 3});
+  trace.add_event({.time = 100, .job_id = 1, .machine_id = -1, .task_index = 0,
+                   .type = TaskEventType::kSubmit, .priority = 3});
+  trace.add_event({.time = 110, .job_id = 1, .machine_id = 7, .task_index = 0,
+                   .type = TaskEventType::kSchedule, .priority = 3});
 
   HostLoadSeries h(7, 0, util::kSamplePeriod);
   const float cpu[kNumBands] = {0.1f, 0.05f, 0.02f};
@@ -181,7 +184,8 @@ TEST(TraceSet, QueriesBeforeFinalizeThrow) {
 
 TEST(TraceSet, DurationInferredFromEvents) {
   TraceSet trace("t");
-  trace.add_event({5000, 1, 0, -1, TaskEventType::kSubmit, 1});
+  trace.add_event({.time = 5000, .job_id = 1, .machine_id = -1, .task_index = 0,
+                   .type = TaskEventType::kSubmit, .priority = 1});
   trace.finalize();
   EXPECT_EQ(trace.duration(), 5000);
 }

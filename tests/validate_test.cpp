@@ -32,9 +32,12 @@ TraceSet valid_trace() {
   t.end_time = 400;
   trace.add_task(t);
 
-  trace.add_event({0, 1, 0, -1, TaskEventType::kSubmit, 2});
-  trace.add_event({10, 1, 0, 1, TaskEventType::kSchedule, 2});
-  trace.add_event({400, 1, 0, 1, TaskEventType::kFinish, 2});
+  trace.add_event({.time = 0, .job_id = 1, .machine_id = -1, .task_index = 0,
+                   .type = TaskEventType::kSubmit, .priority = 2});
+  trace.add_event({.time = 10, .job_id = 1, .machine_id = 1, .task_index = 0,
+                   .type = TaskEventType::kSchedule, .priority = 2});
+  trace.add_event({.time = 400, .job_id = 1, .machine_id = 1, .task_index = 0,
+                   .type = TaskEventType::kFinish, .priority = 2});
 
   HostLoadSeries h(1, 0, 300);
   const float cpu[kNumBands] = {0.2f, 0.0f, 0.0f};
@@ -54,7 +57,8 @@ TEST(Validate, CleanTracePasses) {
 TEST(Validate, IllegalEventSequenceCaught) {
   TraceSet trace("bad-events");
   // FINISH without SUBMIT/SCHEDULE.
-  trace.add_event({5, 1, 0, 1, TaskEventType::kFinish, 1});
+  trace.add_event({.time = 5, .job_id = 1, .machine_id = 1, .task_index = 0,
+                   .type = TaskEventType::kFinish, .priority = 1});
   trace.finalize();
   const auto issues = validate(trace);
   ASSERT_FALSE(issues.empty());
