@@ -30,9 +30,6 @@ std::vector<double> hourly_counts(
 CGC_BENCH("ablation_arrival", cgc::bench::CaseKind::kAblation,
           "Arrival process ablation (DESIGN.md §5)") {
   using namespace cgc;
-  bench::print_header("ablation_arrival",
-                      "Arrival process ablation (DESIGN.md §5)");
-
   const int days = bench::fast_mode() ? 10 : 30;
   const util::TimeSec horizon = days * util::kSecondsPerDay;
 

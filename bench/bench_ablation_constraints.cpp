@@ -21,9 +21,6 @@
 CGC_BENCH("ablation_constraints", cgc::bench::CaseKind::kAblation,
           "Placement-constraint ablation (extension)") {
   using namespace cgc;
-  bench::print_header("ablation_constraints",
-                      "Placement-constraint ablation (extension)");
-
   const util::TimeSec horizon =
       (bench::fast_mode() ? 3 : 8) * util::kSecondsPerDay;
   const std::size_t machines = bench::fast_mode() ? 16 : 32;

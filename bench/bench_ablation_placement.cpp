@@ -18,9 +18,6 @@
 CGC_BENCH("ablation_placement", cgc::bench::CaseKind::kAblation,
           "Placement policy ablation (DESIGN.md §5)") {
   using namespace cgc;
-  bench::print_header("ablation_placement",
-                      "Placement policy ablation (DESIGN.md §5)");
-
   const util::TimeSec horizon =
       (bench::fast_mode() ? 3 : 8) * util::kSecondsPerDay;
   const std::size_t machines = bench::fast_mode() ? 16 : 32;

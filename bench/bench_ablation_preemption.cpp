@@ -19,9 +19,6 @@
 CGC_BENCH("ablation_preemption", cgc::bench::CaseKind::kAblation,
           "Preemption ablation (DESIGN.md §5)") {
   using namespace cgc;
-  bench::print_header("ablation_preemption",
-                      "Preemption ablation (DESIGN.md §5)");
-
   const util::TimeSec horizon =
       (bench::fast_mode() ? 3 : 8) * util::kSecondsPerDay;
   const std::size_t machines = bench::fast_mode() ? 16 : 32;

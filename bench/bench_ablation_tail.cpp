@@ -17,9 +17,6 @@
 CGC_BENCH("ablation_tail", cgc::bench::CaseKind::kAblation,
           "Task-length tail ablation (DESIGN.md §5)") {
   using namespace cgc;
-  bench::print_header("ablation_tail",
-                      "Task-length tail ablation (DESIGN.md §5)");
-
   const std::size_t n = bench::fast_mode() ? 100000 : 400000;
   util::Rng rng(2012);
 

@@ -19,9 +19,6 @@
 CGC_BENCH("ext_periodicity", cgc::bench::CaseKind::kExtension,
           "Host-load periodicity, Cloud vs Grid (extension)") {
   using namespace cgc;
-  bench::print_header("ext_periodicity",
-                      "Host-load periodicity, Cloud vs Grid (extension)");
-
   const trace::TraceSet& google = bench::google_hostload();
   const trace::TraceSet& auvergrid = bench::grid_hostload("AuverGrid");
 

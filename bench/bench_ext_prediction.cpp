@@ -13,9 +13,6 @@
 CGC_BENCH("ext_prediction", cgc::bench::CaseKind::kExtension,
           "Host-load predictability, Cloud vs Grid (extension)") {
   using namespace cgc;
-  bench::print_header("ext_prediction",
-                      "Host-load predictability, Cloud vs Grid (extension)");
-
   const trace::TraceSet& google = bench::google_hostload();
   const trace::TraceSet& auvergrid = bench::grid_hostload("AuverGrid");
 

@@ -14,8 +14,6 @@
 CGC_BENCH("fig02", cgc::bench::CaseKind::kFigure,
           "Number of jobs/tasks per priority (Fig 2)") {
   using namespace cgc;
-  bench::print_header("fig02", "Number of jobs/tasks per priority (Fig 2)");
-
   const trace::TraceSet& trace = bench::google_workload(0.25);  // shared with fig04
   const analysis::PriorityHistogram hist =
       analysis::analyze_priorities(trace);

@@ -15,8 +15,6 @@
 CGC_BENCH("fig03", cgc::bench::CaseKind::kFigure,
           "CDF of job length (Fig 3)") {
   using namespace cgc;
-  bench::print_header("fig03", "CDF of job length (Fig 3)");
-
   // Pointers into the process-wide trace memo: no copies.
   std::vector<const trace::TraceSet*> traces;
   traces.push_back(&bench::google_workload(0.25));  // job-level stats are sampling-rate-invariant: share fig02/fig04's trace

@@ -17,9 +17,6 @@
 CGC_BENCH("fig04", cgc::bench::CaseKind::kFigure,
           "Mass-count disparity of task lengths (Fig 4)") {
   using namespace cgc;
-  bench::print_header(
-      "fig04", "Mass-count disparity of task lengths (Fig 4)");
-
   const trace::TraceSet& google = bench::google_workload(0.25);
   const trace::TraceSet& auvergrid = bench::grid_workload("AuverGrid");
 

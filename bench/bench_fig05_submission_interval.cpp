@@ -16,8 +16,6 @@
 CGC_BENCH("fig05", cgc::bench::CaseKind::kFigure,
           "CDF of submission interval (Fig 5)") {
   using namespace cgc;
-  bench::print_header("fig05", "CDF of submission interval (Fig 5)");
-
   // Pointers into the process-wide trace memo: no copies.
   std::vector<const trace::TraceSet*> traces;
   traces.push_back(&bench::google_workload(0.25));  // job-level stats are sampling-rate-invariant: share fig02/fig04's trace

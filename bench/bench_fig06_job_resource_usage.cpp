@@ -16,8 +16,6 @@
 CGC_BENCH("fig06", cgc::bench::CaseKind::kFigure,
           "Per-job CPU & memory usage (Fig 6)") {
   using namespace cgc;
-  bench::print_header("fig06", "Per-job CPU & memory usage (Fig 6)");
-
   // Pointers into the process-wide trace memo: no copies.
   std::vector<const trace::TraceSet*> traces;
   traces.push_back(&bench::google_workload(0.25));  // job-level stats are sampling-rate-invariant: share fig02/fig04's trace

@@ -17,8 +17,6 @@
 CGC_BENCH("fig07", cgc::bench::CaseKind::kFigure,
           "Maximum host load distribution (Fig 7)") {
   using namespace cgc;
-  bench::print_header("fig07", "Maximum host load distribution (Fig 7)");
-
   const trace::TraceSet& trace = bench::google_hostload();
   const analysis::MaxLoadDistribution dist =
       analysis::analyze_max_host_load(trace);

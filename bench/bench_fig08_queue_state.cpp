@@ -16,8 +16,6 @@
 CGC_BENCH("fig08", cgc::bench::CaseKind::kFigure,
           "Task events & queuing state (Fig 8)") {
   using namespace cgc;
-  bench::print_header("fig08", "Task events & queuing state (Fig 8)");
-
   const trace::TraceSet& trace = bench::google_hostload();
   const analysis::QueueStateReport report =
       analysis::analyze_queue_state(trace);

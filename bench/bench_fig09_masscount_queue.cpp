@@ -14,9 +14,6 @@
 CGC_BENCH("fig09", cgc::bench::CaseKind::kFigure,
           "Mass-count of unchanged queuing-state durations (Fig 9)") {
   using namespace cgc;
-  bench::print_header(
-      "fig09", "Mass-count of unchanged queuing-state durations (Fig 9)");
-
   const trace::TraceSet& trace = bench::google_hostload();
   const analysis::QueueRunMassCount result =
       analysis::analyze_queue_run_mass_count(trace);

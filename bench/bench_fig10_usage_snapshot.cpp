@@ -15,8 +15,6 @@
 CGC_BENCH("fig10", cgc::bench::CaseKind::kFigure,
           "Usage-level snapshot (Fig 10)") {
   using namespace cgc;
-  bench::print_header("fig10", "Usage-level snapshot (Fig 10)");
-
   const trace::TraceSet& trace = bench::google_hostload();
 
   struct View {

@@ -13,9 +13,6 @@
 CGC_BENCH("fig11", cgc::bench::CaseKind::kFigure,
           "Mass-count disparity of CPU usage (Fig 11)") {
   using namespace cgc;
-  bench::print_header("fig11",
-                      "Mass-count disparity of CPU usage (Fig 11)");
-
   const trace::TraceSet& trace = bench::google_hostload();
 
   const analysis::UsageMassCountReport all = analysis::analyze_usage_mass_count(

@@ -13,9 +13,6 @@
 CGC_BENCH("fig12", cgc::bench::CaseKind::kFigure,
           "Mass-count disparity of memory usage (Fig 12)") {
   using namespace cgc;
-  bench::print_header("fig12",
-                      "Mass-count disparity of memory usage (Fig 12)");
-
   const trace::TraceSet& trace = bench::google_hostload();
 
   const analysis::UsageMassCountReport all = analysis::analyze_usage_mass_count(

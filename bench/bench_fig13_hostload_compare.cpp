@@ -18,8 +18,6 @@
 CGC_BENCH("fig13", cgc::bench::CaseKind::kFigure,
           "Cloud vs Grid host load (Fig 13)") {
   using namespace cgc;
-  bench::print_header("fig13", "Cloud vs Grid host load (Fig 13)");
-
   const trace::TraceSet& google = bench::google_hostload();
   const trace::TraceSet& auvergrid = bench::grid_hostload("AuverGrid");
   const trace::TraceSet& sharcnet = bench::grid_hostload("SHARCNET");

@@ -13,8 +13,6 @@
 CGC_BENCH("tab01", cgc::bench::CaseKind::kTable,
           "Jobs submitted per hour (Table I)") {
   using namespace cgc;
-  bench::print_header("tab01", "Jobs submitted per hour (Table I)");
-
   // Pointers into the process-wide trace memo: no copies.
   std::vector<const trace::TraceSet*> traces;
   traces.push_back(&bench::google_workload(0.25));  // job-level stats are sampling-rate-invariant: share fig02/fig04's trace

@@ -16,9 +16,6 @@
 CGC_BENCH("tab02", cgc::bench::CaseKind::kTable,
           "Continuous duration of unchanged CPU usage level (Table II)") {
   using namespace cgc;
-  bench::print_header(
-      "tab02", "Continuous duration of unchanged CPU usage level (Table II)");
-
   const trace::TraceSet& trace = bench::google_hostload();
   const analysis::LevelDurationTable table = analysis::analyze_level_durations(
       trace, analysis::Metric::kCpu, trace::PriorityBand::kLow);

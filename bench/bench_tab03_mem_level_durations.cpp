@@ -16,10 +16,6 @@
 CGC_BENCH("tab03", cgc::bench::CaseKind::kTable,
           "Continuous duration of unchanged memory usage level (Table III)") {
   using namespace cgc;
-  bench::print_header(
-      "tab03",
-      "Continuous duration of unchanged memory usage level (Table III)");
-
   const trace::TraceSet& trace = bench::google_hostload();
   const analysis::LevelDurationTable mem_table =
       analysis::analyze_level_durations(trace, analysis::Metric::kMem,

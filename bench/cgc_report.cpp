@@ -110,19 +110,7 @@ using cgc::sweep::CaseOutput;
 using cgc::sweep::CaseRecord;
 using cgc::sweep::ShardSpec;
 using cgc::sweep::SweepReport;
-
-long env_long(const char* name, long fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || value[0] == '\0') {
-    return fallback;
-  }
-  try {
-    return std::stol(value);
-  } catch (const std::exception&) {
-    throw cgc::util::FatalError(std::string(name) + ": not a number: " +
-                                value);
-  }
-}
+using cgc::util::env_long;
 
 /// Case ids from the (repeatable, comma-separated) --only values.
 std::vector<std::string> split_ids(const std::vector<std::string>& values) {
@@ -380,6 +368,7 @@ struct Sweep {
                 }
               }
               cgc::obs::Span span("case:" + c->id);
+              cgc::bench::print_header(c->id, c->title);
               c->fn();
             },
             timeout_sec, [this] { return beat(); });

@@ -30,6 +30,7 @@
 #include <cstdio>
 #include <exception>
 #include <string>
+#include <vector>
 
 #include "store/reader.hpp"
 #include "store/writer.hpp"
@@ -59,6 +60,13 @@ void print_damage(const store::DamageReport& damage) {
   }
 }
 
+void print_issues(const std::vector<store::AuditIssue>& issues) {
+  for (const store::AuditIssue& issue : issues) {
+    std::printf("  %s %s: %s\n", issue.fatal ? "BAD " : "warn",
+                issue.path.c_str(), issue.what.c_str());
+  }
+}
+
 int verify(const std::string& path) {
   const store::StoreReader reader(path, store::ReadMode::kDegraded);
   const store::StoreInfo& info = reader.info();
@@ -67,10 +75,7 @@ int verify(const std::string& path) {
               static_cast<unsigned long long>(info.num_tasks),
               static_cast<unsigned long long>(info.num_events),
               info.num_chunks);
-  for (const store::ChunkMeta& chunk : reader.chunks()) {
-    reader.chunk_ok(chunk);
-  }
-  const store::DamageReport damage = reader.damage();
+  const store::DamageReport damage = reader.verify_all();
   if (damage.clean()) {
     std::printf("clean: all %zu chunks verify\n", info.num_chunks);
     return cgc::util::kExitOk;
@@ -106,10 +111,7 @@ int verify_spill_dir(const std::string& dir) {
   std::printf("%s: %llu windows, %llu clean\n", dir.c_str(),
               static_cast<unsigned long long>(audit.windows),
               static_cast<unsigned long long>(audit.windows_clean));
-  for (const stream::SpillIssue& issue : audit.issues) {
-    std::printf("  %s %s: %s\n", issue.fatal ? "BAD " : "warn",
-                issue.path.c_str(), issue.what.c_str());
-  }
+  print_issues(audit.issues);
   if (audit.clean()) {
     std::printf("clean: every window verifies against its manifest row\n");
     return cgc::util::kExitOk;
@@ -123,10 +125,7 @@ int verify_cache_dir(const std::string& dir) {
               "%zu staging files orphaned\n",
               dir.c_str(), audit.entries, audit.entries_clean,
               audit.stale_locks, audit.tmp_litter);
-  for (const sweep::CacheIssue& issue : audit.issues) {
-    std::printf("  %s %s: %s\n", issue.fatal ? "BAD " : "warn",
-                issue.path.c_str(), issue.what.c_str());
-  }
+  print_issues(audit.issues);
   if (audit.clean()) {
     std::printf("clean: every entry verifies, no litter\n");
     return cgc::util::kExitOk;

@@ -142,12 +142,6 @@ Histogram& histogram(std::string_view name) {
   return find_or_create<Histogram>(name, "histogram");
 }
 
-std::size_t num_sites() {
-  Registry& r = registry();
-  util::MutexLock lock(r.mutex);
-  return r.metrics.size();
-}
-
 void reset_metrics() {
   Registry& r = registry();
   util::MutexLock lock(r.mutex);

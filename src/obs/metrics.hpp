@@ -120,11 +120,6 @@ Counter& counter(std::string_view name);
 Gauge& gauge(std::string_view name);
 Histogram& histogram(std::string_view name);
 
-/// Number of metrics registered so far (all kinds). A disarmed run of
-/// instrumented code must leave this at zero — the cheapest possible
-/// proof that the disarmed cost is only the flag load.
-std::size_t num_sites();
-
 /// Zeroes every registered metric's values; identities survive.
 void reset_metrics();
 

@@ -78,9 +78,4 @@ void export_now();
 /// microseconds relative to the earliest recorded span.
 void write_chrome_trace(std::ostream& out);
 
-/// Number of span events currently buffered across all threads.
-/// Observability for the observability layer — and the hook tests use
-/// to assert that disarmed code records nothing.
-std::size_t span_count();
-
 }  // namespace cgc::obs

@@ -109,17 +109,6 @@ void write_chrome_trace(std::ostream& out) {
   out << "\n]}\n";
 }
 
-std::size_t span_count() {
-  BufferRegistry& r = buffer_registry();
-  util::MutexLock registry_lock(r.mutex);
-  std::size_t n = 0;
-  for (const auto& buffer : r.buffers) {
-    util::MutexLock buffer_lock(buffer->mutex);
-    n += buffer->events.size();
-  }
-  return n;
-}
-
 ScopedTimer::ScopedTimer(const char* name) : name_(name) {
   if (metrics_enabled()) {
     histogram_ = &histogram(name_);

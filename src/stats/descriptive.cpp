@@ -15,7 +15,6 @@ void RunningStats::add(double x) {
     max_ = std::max(max_, x);
   }
   ++count_;
-  sum_ += x;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(count_);
   m2_ += delta * (x - mean_);
@@ -36,7 +35,6 @@ void RunningStats::merge(const RunningStats& other) {
   mean_ += delta * nb / n;
   m2_ += other.m2_ + delta * delta * na * nb / n;
   count_ += other.count_;
-  sum_ += other.sum_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
 }
@@ -47,22 +45,11 @@ double RunningStats::variance() const {
   return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_);
 }
 
-double RunningStats::sample_variance() const {
-  return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
-}
-
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 double RunningStats::min() const { return count_ == 0 ? 0.0 : min_; }
 
 double RunningStats::max() const { return count_ == 0 ? 0.0 : max_; }
-
-double RunningStats::sum() const { return sum_; }
-
-double RunningStats::cv() const {
-  const double m = mean();
-  return m == 0.0 ? 0.0 : stddev() / m;
-}
 
 RunningStats summarize(std::span<const double> values) {
   RunningStats stats;

@@ -26,14 +26,9 @@ class RunningStats {
   double mean() const;
   /// Population variance (divides by n). Returns 0 for n < 2.
   double variance() const;
-  /// Sample variance (divides by n-1). Returns 0 for n < 2.
-  double sample_variance() const;
   double stddev() const;
   double min() const;
   double max() const;
-  double sum() const;
-  /// Coefficient of variation (stddev/mean); 0 if mean is 0.
-  double cv() const;
 
  private:
   std::size_t count_ = 0;
@@ -41,7 +36,6 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-  double sum_ = 0.0;
 };
 
 /// Computes RunningStats over a span in one pass.

@@ -37,18 +37,6 @@ std::string DamageReport::summary() const {
          std::to_string(values_defaulted) + " values defaulted";
 }
 
-// Column chunks of one events row group, in decode order.
-struct StoreReader::EventRowGroup {
-  const ChunkMeta* time = nullptr;
-  const ChunkMeta* job_id = nullptr;
-  const ChunkMeta* task_index = nullptr;
-  const ChunkMeta* machine_id = nullptr;
-  const ChunkMeta* type = nullptr;
-  const ChunkMeta* priority = nullptr;
-  std::uint64_t row_begin = 0;
-  std::uint64_t row_count = 0;
-};
-
 StoreReader::StoreReader(const std::string& path, ReadMode mode)
     : file_(path), mode_(mode) {
   if (obs::metrics_enabled()) {
@@ -309,6 +297,13 @@ DamageReport StoreReader::damage() const {
   return damage_;
 }
 
+DamageReport StoreReader::verify_all() const {
+  for (const ChunkMeta& chunk : chunks_) {
+    chunk_ok(chunk);
+  }
+  return damage();
+}
+
 std::span<const std::uint8_t> StoreReader::payload(
     const ChunkMeta& chunk) const {
   const std::size_t idx = chunk_index(chunk);
@@ -361,6 +356,74 @@ void StoreReader::decode_i64(const ChunkMeta& chunk,
                     chunk.encoding == Encoding::kDeltaVarint, out);
 }
 
+std::vector<StoreReader::RowGroup> StoreReader::row_groups(
+    SectionId section) const {
+  std::map<std::uint64_t, RowGroup> by_row;
+  for (const ChunkMeta& c : chunks_) {
+    if (c.section != section) {
+      continue;
+    }
+    const auto col = static_cast<std::size_t>(c.column);
+    CGC_CHECK_MSG(col < kNumColumnIds,
+                  bad_file(file_.path(), "chunk column id out of range"));
+    RowGroup& g = by_row[c.row_begin];
+    g.row_begin = c.row_begin;
+    g.row_count = c.row_count;
+    g.cols[col] = &c;
+  }
+  std::vector<RowGroup> out;
+  out.reserve(by_row.size());
+  for (const auto& [row, group] : by_row) {
+    out.push_back(group);
+  }
+  return out;
+}
+
+const ChunkMeta& StoreReader::need(const RowGroup& g, ColumnId col) const {
+  const ChunkMeta* c = g.cols[static_cast<std::size_t>(col)];
+  CGC_CHECK_MSG(c != nullptr && c->row_count == g.row_count,
+                bad_file(file_.path(), "row group missing a column"));
+  return *c;
+}
+
+bool StoreReader::drop_damaged(const RowGroup& g) const {
+  if (mode_ != ReadMode::kDegraded) {
+    return false;
+  }
+  bool bad = false;
+  for (const ChunkMeta* c : g.cols) {
+    // No short-circuit: the DamageReport lists every damaged chunk.
+    if (c != nullptr && !chunk_ok(*c)) {
+      bad = true;
+    }
+  }
+  if (bad) {
+    util::MutexLock lock(damage_mutex_);
+    damage_.rows_lost += g.row_count;
+  }
+  return bad;
+}
+
+void StoreReader::decode_events(const RowGroup& g,
+                                trace::TaskEvent* dst) const {
+  std::vector<std::int64_t> time, jid, tidx, mid;
+  decode_i64(need(g, ColumnId::kTime), &time);
+  decode_i64(need(g, ColumnId::kJobId), &jid);
+  decode_i64(need(g, ColumnId::kTaskIndex), &tidx);
+  decode_i64(need(g, ColumnId::kMachineId), &mid);
+  const auto type = u8_span(need(g, ColumnId::kEventType));
+  const auto prio = u8_span(need(g, ColumnId::kPriority));
+  for (std::size_t i = 0; i < g.row_count; ++i) {
+    trace::TaskEvent& e = dst[i];
+    e.time = time[i];
+    e.job_id = jid[i];
+    e.task_index = static_cast<std::int32_t>(tidx[i]);
+    e.machine_id = mid[i];
+    e.type = static_cast<trace::TaskEventType>(type[i]);
+    e.priority = prio[i];
+  }
+}
+
 namespace {
 
 /// Flattened host-load columns for reconstruction.
@@ -395,68 +458,17 @@ trace::TraceSet StoreReader::load_trace_set() const {
   // regrouped by row range and every destination struct is filled in a
   // single pass: one sweep of the section array per row group instead
   // of one per column. Groups cover disjoint row ranges, so the
-  // fan-out stays race free.
-  struct RowGroupChunks {
-    std::uint64_t row_begin = 0;
-    std::uint64_t row_count = 0;
-    const ChunkMeta* cols[kNumColumnIds] = {};
-  };
-  auto group_rows = [&](SectionId section) {
-    std::map<std::uint64_t, RowGroupChunks> by_row;
-    for (const ChunkMeta& c : chunks_) {
-      if (c.section != section) {
-        continue;
-      }
-      RowGroupChunks& g = by_row[c.row_begin];
-      g.row_begin = c.row_begin;
-      g.row_count = c.row_count;
-      g.cols[static_cast<std::size_t>(c.column)] = &c;
-    }
-    std::vector<RowGroupChunks> out;
-    out.reserve(by_row.size());
-    for (auto& [row, group] : by_row) {
-      out.push_back(group);
-    }
-    return out;
-  };
-  auto need = [&](const RowGroupChunks& g, ColumnId col) -> const ChunkMeta& {
-    const ChunkMeta* c = g.cols[static_cast<std::size_t>(col)];
-    CGC_CHECK_MSG(c != nullptr && c->row_count == g.row_count,
-                  bad_file(file_.path(), "row group missing a column"));
-    return *c;
-  };
-
-  // Degraded mode drops whole row groups: a columnar row with one
-  // damaged column is not a usable record, and group granularity keeps
-  // the surviving rows exactly as written. Lost ranges are compacted
-  // out after the parallel fill (each group writes to its own disjoint
-  // range, so dropped groups simply leave holes to erase).
+  // fan-out stays race free. Degraded mode drops damaged groups whole
+  // (drop_damaged); each leaves a hole in its own range, compacted out
+  // after the parallel fill.
   util::Mutex lost_mutex;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> lost_tasks;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> lost_events;
-  auto group_damaged = [&](const RowGroupChunks& g) {
-    if (mode_ != ReadMode::kDegraded) {
-      return false;
-    }
-    bool bad = false;
-    for (const ChunkMeta* c : g.cols) {
-      // Check every column (no short-circuit) so the DamageReport lists
-      // all damaged chunks, not just the first per group.
-      if (c != nullptr && !chunk_ok(*c)) {
-        bad = true;
-      }
-    }
-    return bad;
-  };
-  auto account_lost_rows = [&](std::uint64_t rows) {
-    util::MutexLock lock(damage_mutex_);
-    damage_.rows_lost += rows;
-  };
 
-  const std::vector<RowGroupChunks> task_groups = group_rows(SectionId::kTasks);
+  const std::vector<RowGroup> task_groups = row_groups(SectionId::kTasks);
   exec::parallel_for(0, task_groups.size(), [&](std::size_t gi) {
-    const RowGroupChunks& g = task_groups[gi];
-    if (group_damaged(g)) {
+    const RowGroup& g = task_groups[gi];
+    if (drop_damaged(g)) {
       util::MutexLock lock(lost_mutex);
       lost_tasks.emplace_back(g.row_begin, g.row_count);
       return;
@@ -494,37 +506,20 @@ trace::TraceSet StoreReader::load_trace_set() const {
     }
   }, /*grain=*/1);
 
-  const std::vector<RowGroupChunks> event_groups =
-      group_rows(SectionId::kEvents);
+  const std::vector<RowGroup> event_groups = row_groups(SectionId::kEvents);
   exec::parallel_for(0, event_groups.size(), [&](std::size_t gi) {
-    const RowGroupChunks& g = event_groups[gi];
-    if (group_damaged(g)) {
+    const RowGroup& g = event_groups[gi];
+    if (drop_damaged(g)) {
       util::MutexLock lock(lost_mutex);
       lost_events.emplace_back(g.row_begin, g.row_count);
       return;
     }
-    std::vector<std::int64_t> time, jid, tidx, mid;
-    decode_i64(need(g, ColumnId::kTime), &time);
-    decode_i64(need(g, ColumnId::kJobId), &jid);
-    decode_i64(need(g, ColumnId::kTaskIndex), &tidx);
-    decode_i64(need(g, ColumnId::kMachineId), &mid);
-    const auto type = u8_span(need(g, ColumnId::kEventType));
-    const auto prio = u8_span(need(g, ColumnId::kPriority));
-    trace::TaskEvent* dst = events.data() + g.row_begin;
-    for (std::size_t i = 0; i < g.row_count; ++i) {
-      trace::TaskEvent& e = dst[i];
-      e.time = time[i];
-      e.job_id = jid[i];
-      e.task_index = static_cast<std::int32_t>(tidx[i]);
-      e.machine_id = mid[i];
-      e.type = static_cast<trace::TaskEventType>(type[i]);
-      e.priority = prio[i];
-    }
+    decode_events(g, events.data() + g.row_begin);
   }, /*grain=*/1);
 
   // Compact the dropped row groups out of the task/event arrays,
   // highest range first so earlier offsets stay valid.
-  auto compact = [&]<typename T>(std::vector<T>* rows,
+  auto compact = []<typename T>(std::vector<T>* rows,
                                  std::vector<std::pair<std::uint64_t,
                                                        std::uint64_t>>
                                      lost) {
@@ -533,7 +528,6 @@ trace::TraceSet StoreReader::load_trace_set() const {
     for (const auto& [begin, count] : lost) {
       rows->erase(rows->begin() + static_cast<std::ptrdiff_t>(begin),
                   rows->begin() + static_cast<std::ptrdiff_t>(begin + count));
-      account_lost_rows(count);
     }
   };
   compact(&tasks, std::move(lost_tasks));
@@ -745,72 +739,24 @@ trace::TraceSet StoreReader::load_trace_set() const {
   return trace;
 }
 
-std::vector<StoreReader::EventRowGroup> StoreReader::event_row_groups()
-    const {
-  std::map<std::uint64_t, EventRowGroup> groups;  // ordered by row_begin
-  for (const ChunkMeta& c : chunks_) {
-    if (c.section != SectionId::kEvents) {
-      continue;
-    }
-    EventRowGroup& g = groups[c.row_begin];
-    g.row_begin = c.row_begin;
-    g.row_count = c.row_count;
-    switch (c.column) {
-      case ColumnId::kTime:
-        g.time = &c;
-        break;
-      case ColumnId::kJobId:
-        g.job_id = &c;
-        break;
-      case ColumnId::kTaskIndex:
-        g.task_index = &c;
-        break;
-      case ColumnId::kMachineId:
-        g.machine_id = &c;
-        break;
-      case ColumnId::kEventType:
-        g.type = &c;
-        break;
-      case ColumnId::kPriority:
-        g.priority = &c;
-        break;
-      default:
-        CGC_CHECK_MSG(false, "unknown events column in store file");
-    }
-  }
-  std::vector<EventRowGroup> out;
-  out.reserve(groups.size());
-  for (const auto& [begin, g] : groups) {
-    CGC_CHECK_MSG(g.time && g.job_id && g.task_index && g.machine_id &&
-                      g.type && g.priority,
-                  bad_file(file_.path(), "events row group missing columns"));
-    out.push_back(g);
-  }
-  return out;
-}
-
 ScanStats StoreReader::scan(
     const EventPredicate& predicate,
     const std::function<void(std::span<const trace::TaskEvent>)>& fn) const {
   obs::ScopedTimer timer("store.scan");
-  const std::vector<EventRowGroup> groups = event_row_groups();
+  const std::vector<RowGroup> groups = row_groups(SectionId::kEvents);
   ScanStats stats;
   stats.row_groups_total = groups.size();
 
   // Zone-map pushdown: a group survives only if its time and job_id
   // ranges can intersect the predicate's bounds.
-  std::vector<const EventRowGroup*> survivors;
-  for (const EventRowGroup& g : groups) {
-    if (predicate.time_min && g.time->int_max < *predicate.time_min) {
-      continue;
-    }
-    if (predicate.time_max && g.time->int_min > *predicate.time_max) {
-      continue;
-    }
-    if (predicate.job_id_min && g.job_id->int_max < *predicate.job_id_min) {
-      continue;
-    }
-    if (predicate.job_id_max && g.job_id->int_min > *predicate.job_id_max) {
+  std::vector<const RowGroup*> survivors;
+  for (const RowGroup& g : groups) {
+    const ChunkMeta& time = need(g, ColumnId::kTime);
+    const ChunkMeta& job_id = need(g, ColumnId::kJobId);
+    if ((predicate.time_min && time.int_max < *predicate.time_min) ||
+        (predicate.time_max && time.int_min > *predicate.time_max) ||
+        (predicate.job_id_min && job_id.int_max < *predicate.job_id_min) ||
+        (predicate.job_id_max && job_id.int_min > *predicate.job_id_max)) {
       continue;
     }
     survivors.push_back(&g);
@@ -822,42 +768,16 @@ ScanStats StoreReader::scan(
   std::atomic<std::size_t> decoded{0};
   std::atomic<std::size_t> matched{0};
   exec::parallel_for(0, survivors.size(), [&](std::size_t gi) {
-    const EventRowGroup& g = *survivors[gi];
-    if (mode_ == ReadMode::kDegraded) {
-      bool bad = false;
-      for (const ChunkMeta* c :
-           {g.time, g.job_id, g.task_index, g.machine_id, g.type,
-            g.priority}) {
-        if (!chunk_ok(*c)) {
-          bad = true;  // keep checking: record every damaged chunk
-        }
-      }
-      if (bad) {
-        util::MutexLock lock(damage_mutex_);
-        damage_.rows_lost += g.row_count;
-        return;
-      }
+    const RowGroup& g = *survivors[gi];
+    if (drop_damaged(g)) {
+      return;
     }
-    std::vector<std::int64_t> time, job_id, task_index, machine_id;
-    decode_i64(*g.time, &time);
-    decode_i64(*g.job_id, &job_id);
-    decode_i64(*g.task_index, &task_index);
-    decode_i64(*g.machine_id, &machine_id);
-    const auto type = u8_span(*g.type);
-    const auto priority = u8_span(*g.priority);
     std::vector<trace::TaskEvent>& out = slots[gi];
-    for (std::size_t i = 0; i < g.row_count; ++i) {
-      trace::TaskEvent e;
-      e.time = time[i];
-      e.job_id = job_id[i];
-      e.task_index = static_cast<std::int32_t>(task_index[i]);
-      e.machine_id = machine_id[i];
-      e.type = static_cast<trace::TaskEventType>(type[i]);
-      e.priority = priority[i];
-      if (predicate.matches(e)) {
-        out.push_back(e);
-      }
-    }
+    out.resize(g.row_count);
+    decode_events(g, out.data());
+    std::erase_if(out, [&predicate](const trace::TaskEvent& e) {
+      return !predicate.matches(e);
+    });
     decoded.fetch_add(g.row_count, std::memory_order_relaxed);
     matched.fetch_add(out.size(), std::memory_order_relaxed);
   }, /*grain=*/1);

@@ -68,6 +68,16 @@ struct DamageReport {
   std::string summary() const;
 };
 
+/// One finding of a directory audit over store files (a cgcd spill
+/// directory or a sweep's trace cache; see cgc_fsck --spill/--cache).
+struct AuditIssue {
+  std::string path;
+  std::string what;
+  /// Fatal: the file is unusable (unreadable store, bad manifest row,
+  /// count mismatch). Non-fatal: damaged but degradable, or litter.
+  bool fatal = false;
+};
+
 /// Summary of an open store file.
 struct StoreInfo {
   std::string system_name;
@@ -127,14 +137,16 @@ class StoreReader {
   ReadMode mode() const { return mode_; }
 
   /// Damage quarantined so far (grows as scans touch damaged chunks;
-  /// a given chunk is recorded once). Empty in strict mode.
+  /// a given chunk is recorded once). Empty in strict mode until
+  /// verify_all() runs.
   DamageReport damage() const;
 
-  /// Verifies one directory chunk (bounds + CRC, memoized) without
-  /// throwing. In degraded mode a failure quarantines the chunk; in
-  /// strict mode the next payload access will throw. cgc_fsck uses
-  /// this to sweep a whole file.
-  bool chunk_ok(const ChunkMeta& chunk) const noexcept;
+  /// Verifies every directory chunk (bounds + CRC, memoized) without
+  /// throwing and returns damage(), which then lists every damaged
+  /// chunk of the file. Damaged chunks are quarantined in either mode,
+  /// so a strict reader throws on a later access to one. cgc_fsck and
+  /// the spill and cache audits sweep whole files with this.
+  DamageReport verify_all() const;
 
   /// Zero-copy span over a raw f32 chunk (points into the mmap; valid
   /// for the reader's lifetime). CRC is verified on first access.
@@ -157,20 +169,40 @@ class StoreReader {
   /// Streams events matching `predicate` to `fn`, one span per row
   /// group, in file order. Row groups whose time/job_id zone maps fall
   /// outside the predicate are skipped without decoding; surviving
-  /// groups decode in parallel. `fn` is invoked serially. Degraded
-  /// mode skips row groups with any damaged column chunk and adds
-  /// their row_count to damage().rows_lost.
+  /// groups decode in parallel through the same row-group decoder as
+  /// load_trace_set(), under the same degraded rule. `fn` is invoked
+  /// serially.
   ScanStats scan(
       const EventPredicate& predicate,
       const std::function<void(std::span<const trace::TaskEvent>)>& fn) const;
 
  private:
-  struct EventRowGroup;
+  /// The column chunks of one tasks or events row group, by ColumnId.
+  struct RowGroup {
+    std::uint64_t row_begin = 0;
+    std::uint64_t row_count = 0;
+    const ChunkMeta* cols[kNumColumnIds] = {};
+  };
 
   std::span<const std::uint8_t> payload(const ChunkMeta& chunk) const;
   void parse_footer();
   void validate_chunks();
-  std::vector<EventRowGroup> event_row_groups() const;
+  /// The row groups of `section`, ordered by row_begin.
+  std::vector<RowGroup> row_groups(SectionId section) const;
+  /// Column `col` of `g`; throws cgc::util::Error when the group lacks
+  /// it or the chunk's row count disagrees with the group's.
+  const ChunkMeta& need(const RowGroup& g, ColumnId col) const;
+  /// The degraded rule for tasks/events row groups: true (drop the
+  /// group) when any of its chunks is damaged. Every chunk is checked,
+  /// so damage() records all of them, and the group's rows are added
+  /// to rows_lost. Always false in strict mode, where the decode
+  /// itself throws on damage.
+  bool drop_damaged(const RowGroup& g) const;
+  /// Decodes events row group `g` into dst[0, g.row_count).
+  void decode_events(const RowGroup& g, trace::TaskEvent* dst) const;
+  /// Verifies one directory chunk without throwing; a failure
+  /// quarantines it.
+  bool chunk_ok(const ChunkMeta& chunk) const noexcept;
   /// Directory index of `chunk`, or npos for a copy from outside.
   std::size_t chunk_index(const ChunkMeta& chunk) const;
   /// "" when the chunk's payload verifies (fault injection, CRC, and

@@ -249,11 +249,8 @@ SpillAudit verify_spill(const std::string& dir) {
 
     const std::string path = dir + "/" + name;
     try {
-      store::StoreReader reader(path, store::ReadMode::kDegraded);
-      for (const store::ChunkMeta& chunk : reader.chunks()) {
-        reader.chunk_ok(chunk);
-      }
-      const store::DamageReport damage = reader.damage();
+      const store::StoreReader reader(path, store::ReadMode::kDegraded);
+      const store::DamageReport damage = reader.verify_all();
       if (!damage.clean()) {
         audit.issues.push_back({path, damage.summary(), false});
       }

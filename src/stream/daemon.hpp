@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "store/reader.hpp"
 #include "stream/window.hpp"
 
 namespace cgc::stream {
@@ -84,25 +85,17 @@ bool is_known_query(const std::string& metric);
 int run_daemon(const DaemonConfig& config, std::istream& in,
                std::ostream& out, DaemonStats* stats = nullptr);
 
-/// One spill-audit finding from verify_spill.
-struct SpillIssue {
-  std::string path;
-  std::string what;
-  /// Fatal: the window is unusable (unreadable store, bad manifest
-  /// row, event-count mismatch). Non-fatal: degraded but recoverable
-  /// (quarantined chunks inside a still-readable store).
-  bool fatal = false;
-};
-
 /// Audit of a cgcd spill directory (windows.jsonl + window-*.cgcs).
 struct SpillAudit {
   std::uint64_t windows = 0;
   std::uint64_t windows_clean = 0;
-  std::vector<SpillIssue> issues;
+  /// Fatal: the window is unusable. Non-fatal: quarantined chunks
+  /// inside a still-readable store.
+  std::vector<store::AuditIssue> issues;
 
   bool clean() const { return issues.empty(); }
   bool fatal() const {
-    for (const SpillIssue& issue : issues) {
+    for (const store::AuditIssue& issue : issues) {
       if (issue.fatal) {
         return true;
       }

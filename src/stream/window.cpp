@@ -612,13 +612,4 @@ const WindowStats* SlidingWindow::find(std::int64_t index) const {
   return nullptr;
 }
 
-std::vector<const WindowStats*> SlidingWindow::open() const {
-  std::vector<const WindowStats*> out;
-  out.reserve(open_.size());
-  for (const OpenWindow& ow : open_) {
-    out.push_back(&ow.stats);
-  }
-  return out;
-}
-
 }  // namespace cgc::stream

@@ -32,7 +32,7 @@
 // The order-dependent accumulators (submission-gap Moments, the
 // job-length ExtendedP2 probe), late counts absorbed into a window, and
 // the keep_events lists stay per window. Consequence for observers: the
-// pane-fed fields of a still-open window (open(), find()) are empty
+// pane-fed fields of a still-open window (find()) are empty
 // until it closes; everything a closed window reports is complete.
 //
 // Determinism: a batch is ingested in two serial passes over its
@@ -177,9 +177,6 @@ class SlidingWindow {
   /// An open window's pane-fed fields (events, rate_bins, job_length,
   /// task_length, submit_gap) are filled in when it closes.
   const WindowStats* find(std::int64_t index) const;
-  /// Open windows, oldest first (observable mid-stream state; pane-fed
-  /// fields empty until close, as for find()).
-  std::vector<const WindowStats*> open() const;
 
   const StreamHealth& health() const { return health_; }
   std::uint64_t events_ingested() const { return events_ingested_; }

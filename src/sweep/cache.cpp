@@ -2,9 +2,10 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <thread>
 
@@ -14,6 +15,7 @@
 #include "sweep/lease.hpp"
 #include "sweep/partition.hpp"
 #include "trace/loader.hpp"
+#include "util/args.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
 
@@ -37,12 +39,13 @@ std::string config_hash_hex(std::string_view canonical_config) {
 
 namespace {
 
-double cache_wait_seconds() {
-  const char* value = std::getenv("CGC_CACHE_WAIT");
-  if (value == nullptr || value[0] == '\0') {
-    return 600.0;
+long cache_wait_seconds() {
+  const long seconds = util::env_long("CGC_CACHE_WAIT", 600);
+  if (seconds < 0) {
+    throw util::FatalError("CGC_CACHE_WAIT: must be >= 0 seconds, got " +
+                           std::to_string(seconds));
   }
-  return std::atof(value);
+  return seconds;
 }
 
 /// Loads a published entry in degraded mode. Returns false (after
@@ -93,9 +96,13 @@ CacheResult load_or_build_cgcs(
   const std::string cgcs = base + ".cgcs";
   const std::string lock_path = cgcs + ".lock";
   CacheResult result;
+  const long wait_s = cache_wait_seconds();
+  // Saturate rather than wrap: a huge wait means "wait as long as it takes".
+  constexpr std::uint64_t kNsPerS = 1'000'000'000;
+  const std::uint64_t now_ns = monotonic_now_ns();
   const std::uint64_t deadline_ns =
-      monotonic_now_ns() +
-      static_cast<std::uint64_t>(cache_wait_seconds() * 1e9);
+      now_ns + std::min(static_cast<std::uint64_t>(wait_s),
+                        (UINT64_MAX - now_ns) / kNsPerS) * kNsPerS;
   fs::create_directories(fs::path(cgcs).parent_path());
   for (;;) {
     if (try_load(cgcs, &result.trace, &result.damage)) {
@@ -137,7 +144,7 @@ CacheResult load_or_build_cgcs(
     if (monotonic_now_ns() > deadline_ns) {
       throw util::TransientError(
           "timed out waiting for cache builder lock " + lock_path +
-          " (CGC_CACHE_WAIT=" + std::to_string(cache_wait_seconds()) +
+          " (CGC_CACHE_WAIT=" + std::to_string(wait_s) +
           "s); retry the shard");
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -194,11 +201,8 @@ CacheAudit verify_cache(const std::string& dir, bool flag_live_locks) {
     }
     ++audit.entries;
     try {
-      const store::StoreReader reader(path, store::ReadMode::kDegraded);
-      for (const store::ChunkMeta& chunk : reader.chunks()) {
-        reader.chunk_ok(chunk);
-      }
-      const store::DamageReport damage = reader.damage();
+      const store::DamageReport damage =
+          store::StoreReader(path, store::ReadMode::kDegraded).verify_all();
       if (damage.clean()) {
         ++audit.entries_clean;
       } else {

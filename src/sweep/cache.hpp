@@ -59,20 +59,13 @@ struct CacheResult {
 CacheResult load_or_build_cgcs(const std::string& base,
                                const std::function<trace::TraceSet()>& build);
 
-/// One problem verify_cache() found.
-struct CacheIssue {
-  std::string path;
-  std::string what;
-  bool fatal = false;  ///< entry unusable (vs. damaged-but-degradable)
-};
-
 /// Result of a cache-directory audit (cgc_fsck --cache).
 struct CacheAudit {
   std::size_t entries = 0;        ///< .cgcs files seen
   std::size_t entries_clean = 0;  ///< ... with every chunk verifying
   std::size_t stale_locks = 0;    ///< .lock files with a dead holder
   std::size_t tmp_litter = 0;     ///< orphaned staging files
-  std::vector<CacheIssue> issues;
+  std::vector<store::AuditIssue> issues;  ///< fatal: entry unusable
 
   bool clean() const { return issues.empty(); }
 };

@@ -70,21 +70,6 @@ class HostLoadSeries {
   std::int32_t running(std::size_t i) const { return running_[i]; }
   std::int32_t pending(std::size_t i) const { return pending_[i]; }
 
-  std::span<const std::int32_t> running_counts() const { return running_; }
-  std::span<const std::int32_t> pending_counts() const { return pending_; }
-
-  // Raw per-metric columns (columnar serialization in cgc::store).
-  std::span<const float> cpu_band(PriorityBand band) const {
-    return cpu_[static_cast<std::size_t>(band)];
-  }
-  std::span<const float> mem_band(PriorityBand band) const {
-    return mem_[static_cast<std::size_t>(band)];
-  }
-  std::span<const float> mem_assigned_samples() const {
-    return mem_assigned_;
-  }
-  std::span<const float> page_cache_samples() const { return page_cache_; }
-
   /// Relative usage series (usage / capacity, clamped to [0,1]) for
   /// bands >= min_band. capacity must be positive.
   std::vector<double> cpu_relative(double capacity,

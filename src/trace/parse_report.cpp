@@ -10,17 +10,6 @@ std::string ParseReport::summary() const {
          std::to_string(records_ok) + " records parsed)";
 }
 
-void ParseReport::merge(const ParseReport& other) {
-  records_ok += other.records_ok;
-  lines_bad += other.lines_bad;
-  for (const std::string& s : other.samples) {
-    if (samples.size() >= 20) {
-      break;
-    }
-    samples.push_back(s);
-  }
-}
-
 namespace detail {
 
 void handle_bad_line(const ParseOptions& options, ParseReport* report,

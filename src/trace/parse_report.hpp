@@ -42,8 +42,6 @@ struct ParseReport {
   bool clean() const { return lines_bad == 0; }
   /// e.g. "2 bad lines skipped (5 records parsed)".
   std::string summary() const;
-  /// Folds another file's accounting into this one (multi-file reads).
-  void merge(const ParseReport& other);
 };
 
 namespace detail {

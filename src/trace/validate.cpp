@@ -127,21 +127,4 @@ std::vector<ValidationIssue> validate(const TraceSet& trace,
   return issues;
 }
 
-void validate_or_throw(const TraceSet& trace, double overload_tolerance) {
-  const auto issues = validate(trace, overload_tolerance);
-  if (issues.empty()) {
-    return;
-  }
-  std::ostringstream oss;
-  oss << "trace validation failed with " << issues.size() << " issue(s):";
-  const std::size_t shown = std::min<std::size_t>(issues.size(), 10);
-  for (std::size_t i = 0; i < shown; ++i) {
-    oss << "\n  - " << issues[i].message;
-  }
-  if (issues.size() > shown) {
-    oss << "\n  ... and " << issues.size() - shown << " more";
-  }
-  throw util::Error(oss.str());
-}
-
 }  // namespace cgc::trace

@@ -30,8 +30,4 @@ struct ValidationIssue {
 std::vector<ValidationIssue> validate(const TraceSet& trace,
                                       double overload_tolerance = 1e-3);
 
-/// Throws util::Error with a combined message if validation fails.
-void validate_or_throw(const TraceSet& trace,
-                       double overload_tolerance = 1e-3);
-
 }  // namespace cgc::trace

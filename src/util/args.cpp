@@ -1,5 +1,6 @@
 #include "util/args.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -286,6 +287,20 @@ std::string Args::usage() const {
     out << "\n" << note << "\n";
   }
   return out.str();
+}
+
+long env_long(const char* name, long fallback) {
+  const char* value = std::getenv(name);
+  if (value == nullptr || value[0] == '\0') {
+    return fallback;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const long parsed = std::strtol(value, &end, 10);
+  if (errno != 0 || end == value || *end != '\0') {
+    throw FatalError(std::string(name) + ": not a number: " + value);
+  }
+  return parsed;
 }
 
 }  // namespace cgc::util

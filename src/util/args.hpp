@@ -119,4 +119,9 @@ class Args {
   std::vector<std::string> positionals_;
 };
 
+/// Integer environment knob `name`: `fallback` when unset or empty,
+/// else its value, which must be a whole integer as for an int flag;
+/// anything else throws util::FatalError naming the variable.
+long env_long(const char* name, long fallback);
+
 }  // namespace cgc::util

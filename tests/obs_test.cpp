@@ -18,6 +18,30 @@
 namespace cgc::obs {
 namespace {
 
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+// Metrics registered so far (all kinds), counted through the export:
+// each one is a `"name": ...` entry on its own line.
+std::size_t num_sites() {
+  std::ostringstream out;
+  write_metrics_json(out);
+  return count_of(out.str(), "\n    \"");
+}
+
+// Span events buffered across all threads, counted through the export.
+std::size_t span_count() {
+  std::ostringstream out;
+  write_chrome_trace(out);
+  return count_of(out.str(), "\"ph\": \"X\"");
+}
+
 class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override { configure(false, false); }

@@ -366,7 +366,7 @@ TEST(SimStress, EvictionStormInvalidatesStaleEnds) {
   config.isolation_eviction_probability = 0.6;  // amplify churn
   ClusterSim sim(machines, config);
   const trace::TraceSet out = sim.run(workload);
-  trace::validate_or_throw(out);
+  EXPECT_TRUE(trace::validate(out).empty());
 
   const SimStats& s = sim.stats();
   EXPECT_GT(s.evicted, 500) << "storm must actually evict at scale";
@@ -415,7 +415,7 @@ TEST(SimStress, TaskLostFaultSiteShapesTerminals) {
   fault::configure("");
   EXPECT_GT(sim.stats().lost, 0);
   EXPECT_EQ(sim.stats().faults_injected, sim.stats().lost);
-  trace::validate_or_throw(out);
+  EXPECT_TRUE(trace::validate(out).empty());
 }
 
 }  // namespace

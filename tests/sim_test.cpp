@@ -89,7 +89,7 @@ TEST(ClusterSim, ProducesValidTrace) {
   }
   ClusterSim sim(machines, quiet_config(2 * util::kSecondsPerHour));
   const trace::TraceSet out = sim.run(workload);
-  trace::validate_or_throw(out);
+  EXPECT_TRUE(trace::validate(out).empty());
   EXPECT_EQ(sim.stats().submitted, 50);
 }
 
@@ -402,7 +402,7 @@ TEST_P(PlacementPolicyTest, SchedulesAllAndStaysValid) {
   const trace::TraceSet out = sim.run(workload);
   EXPECT_EQ(sim.stats().scheduled, 60);
   EXPECT_EQ(sim.stats().finished, 60);
-  trace::validate_or_throw(out);
+  EXPECT_TRUE(trace::validate(out).empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(

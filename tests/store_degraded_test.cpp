@@ -3,11 +3,13 @@
 // fault injection at multiple worker counts), and repair via rewrite.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -197,6 +199,112 @@ TEST_F(StoreDegradedTest, ScanSkipsDamagedGroupAndAccounts) {
   EXPECT_EQ(seen, kNumEvents - victim.row_count);
   EXPECT_EQ(stats.rows_decoded, kNumEvents - victim.row_count);
   EXPECT_EQ(reader.damage().rows_lost, victim.row_count);
+}
+
+/// (offset, column, reason) of every quarantined chunk, order-free.
+std::set<std::tuple<std::uint64_t, ColumnId, std::string>> quarantined(
+    const DamageReport& damage) {
+  std::set<std::tuple<std::uint64_t, ColumnId, std::string>> out;
+  for (const QuarantinedChunk& q : damage.chunks) {
+    out.emplace(q.offset, q.column, q.reason);
+  }
+  return out;
+}
+
+TEST_F(StoreDegradedTest, ScanAndLoadShareTheDegradedRule) {
+  // Two damaged event row groups, the first with two damaged chunks.
+  std::vector<ChunkMeta> victims;
+  {
+    const StoreReader reader(path_);
+    for (const ChunkMeta& c : reader.chunks()) {
+      if (c.section != SectionId::kEvents || c.payload_size == 0) {
+        continue;
+      }
+      const bool first_group = c.row_begin == 0;
+      if ((first_group && (c.column == ColumnId::kTime ||
+                           c.column == ColumnId::kJobId)) ||
+          (c.row_begin == 2 * kRowsPerChunk &&
+           c.column == ColumnId::kPriority)) {
+        victims.push_back(c);
+      }
+    }
+  }
+  ASSERT_EQ(victims.size(), 3u);
+  std::string mutated = bytes_;
+  for (const ChunkMeta& c : victims) {
+    mutated[c.offset] ^= 0x01;
+  }
+  spit(path_, mutated);
+
+  const StoreReader loader(path_, ReadMode::kDegraded);
+  const TraceSet loaded = loader.load_trace_set();
+  const StoreReader scanner(path_, ReadMode::kDegraded);
+  std::vector<TaskEvent> scanned;
+  scanner.scan(EventPredicate{}, [&scanned](std::span<const TaskEvent> b) {
+    scanned.insert(scanned.end(), b.begin(), b.end());
+  });
+
+  EXPECT_EQ(loaded.events().size(), kNumEvents - 2 * kRowsPerChunk);
+  ASSERT_EQ(scanned.size(), loaded.events().size());
+  for (std::size_t i = 0; i < scanned.size(); ++i) {
+    const TaskEvent& a = scanned[i];
+    const TaskEvent& b = loaded.events()[i];
+    EXPECT_TRUE(a.time == b.time && a.job_id == b.job_id &&
+                a.machine_id == b.machine_id &&
+                a.task_index == b.task_index && a.type == b.type &&
+                a.priority == b.priority)
+        << "event " << i;
+  }
+  const DamageReport load_damage = loader.damage();
+  const DamageReport scan_damage = scanner.damage();
+  EXPECT_EQ(load_damage.rows_lost, 2 * kRowsPerChunk);
+  EXPECT_EQ(scan_damage.rows_lost, load_damage.rows_lost);
+  EXPECT_EQ(quarantined(scan_damage), quarantined(load_damage));
+  EXPECT_EQ(scan_damage.chunks_quarantined(), victims.size());
+}
+
+TEST_F(StoreDegradedTest, VerifyAllListsEveryDamagedChunkInOneCall) {
+  // One damaged chunk per section, plus a second in one events group.
+  std::vector<ChunkMeta> victims;
+  {
+    const StoreReader reader(path_);
+    std::set<SectionId> hit;
+    for (const ChunkMeta& c : reader.chunks()) {
+      if (c.payload_size > 0 && hit.insert(c.section).second) {
+        victims.push_back(c);
+      }
+    }
+    const ChunkMeta events = *std::find_if(
+        victims.begin(), victims.end(),
+        [](const ChunkMeta& c) { return c.section == SectionId::kEvents; });
+    for (const ChunkMeta& c : reader.chunks()) {
+      if (c.section == SectionId::kEvents && c.payload_size > 0 &&
+          c.row_begin == events.row_begin && c.column != events.column) {
+        victims.push_back(c);
+        break;
+      }
+    }
+  }
+  ASSERT_EQ(victims.size(), kNumSections + 1);
+  std::string mutated = bytes_;
+  std::set<std::uint64_t> expected;
+  for (const ChunkMeta& c : victims) {
+    mutated[c.offset] ^= 0x01;
+    expected.insert(c.offset);
+  }
+  spit(path_, mutated);
+
+  for (const ReadMode mode : {ReadMode::kStrict, ReadMode::kDegraded}) {
+    const StoreReader reader(path_, mode);
+    const DamageReport damage = reader.verify_all();
+    std::set<std::uint64_t> offsets;
+    for (const QuarantinedChunk& q : damage.chunks) {
+      offsets.insert(q.offset);
+    }
+    EXPECT_EQ(offsets, expected);
+    EXPECT_EQ(damage.chunks_quarantined(), expected.size());
+    EXPECT_EQ(damage.rows_lost, 0u);  // verifying drops no rows
+  }
 }
 
 TEST_F(StoreDegradedTest, SmallSectionDamageZeroFillsNotDrops) {

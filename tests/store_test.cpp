@@ -8,10 +8,12 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gen/google_model.hpp"
 #include "store/cgcs_format.hpp"
+#include "store/encoding.hpp"
 #include "store/reader.hpp"
 #include "store/writer.hpp"
 #include "trace/trace_set.hpp"
@@ -525,6 +527,130 @@ TEST_F(StoreCorruptionTest, RejectsCorruptedChunkPayload) {
 
 TEST_F(StoreCorruptionTest, MissingFileThrows) {
   EXPECT_THROW(StoreReader(path("does_not_exist.cgcs")), util::Error);
+}
+
+void put_le(std::string* bytes, std::size_t at, std::uint64_t value,
+            std::size_t width) {
+  for (std::size_t i = 0; i < width; ++i) {
+    (*bytes)[at + i] = static_cast<char>((value >> (8 * i)) & 0xFF);
+  }
+}
+
+std::uint32_t crc_of(const std::string& bytes, std::size_t at,
+                     std::size_t size) {
+  return crc32(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(bytes.data()) + at, size));
+}
+
+// Directory entries are fixed-size and the footer's tail: section,
+// column, encoding (u8 each), then offset, payload_size, row_begin,
+// row_count (u64), int/real bounds (4 x 8 B), crc (u32) = 71 bytes.
+constexpr std::size_t kEntrySize = 71;
+constexpr std::size_t kColumnField = 1;
+constexpr std::size_t kPayloadSizeField = 11;
+constexpr std::size_t kRowCountField = 27;
+constexpr std::size_t kCrcField = 67;
+
+/// Byte offset of directory entry `index` of `num_chunks`.
+std::size_t entry_at(const std::string& bytes, std::size_t num_chunks,
+                     std::size_t index) {
+  return bytes.size() - kTrailerSize - (num_chunks - index) * kEntrySize;
+}
+
+/// Re-seals the footer CRC after a directory edit, so only the
+/// reader's checks past the footer can object.
+void reseal_footer(std::string* bytes) {
+  const std::size_t trailer_at = bytes->size() - kTrailerSize;
+  std::uint64_t footer_offset = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    footer_offset |= static_cast<std::uint64_t>(
+                         static_cast<unsigned char>((*bytes)[trailer_at + i]))
+                     << (8 * i);
+  }
+  put_le(bytes, trailer_at + 8,
+         crc_of(*bytes, footer_offset, trailer_at - footer_offset), 4);
+}
+
+/// Eight events in one row group, written to `p`; returns the directory
+/// and the file's bytes.
+std::pair<std::vector<ChunkMeta>, std::string> write_small_events(
+    const std::string& p) {
+  TraceSet original("small-events");
+  for (int i = 0; i < 8; ++i) {
+    original.add_event({.time = 100 * i, .job_id = i, .machine_id = -1,
+                        .task_index = 0, .type = TaskEventType::kSubmit,
+                        .priority = 3});
+  }
+  original.set_duration(1000);
+  original.finalize();
+  write_cgcs(original, p);
+  return {StoreReader(p).chunks(), slurp(p)};
+}
+
+/// Index of the events chunk of column `column`.
+std::size_t events_chunk(const std::vector<ChunkMeta>& chunks,
+                         ColumnId column) {
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    if (chunks[i].section == SectionId::kEvents &&
+        chunks[i].column == column) {
+      return i;
+    }
+  }
+  ADD_FAILURE() << "no events chunk for column "
+                << static_cast<int>(column);
+  return 0;
+}
+
+/// Both read paths refuse `p` in both modes, though every chunk
+/// verifies: the directory itself is inconsistent.
+void expect_load_and_scan_refuse(const std::string& p) {
+  for (const ReadMode mode : {ReadMode::kStrict, ReadMode::kDegraded}) {
+    const StoreReader reader(p, mode);
+    EXPECT_TRUE(reader.verify_all().clean());
+    EXPECT_THROW(reader.load_trace_set(), util::Error);
+    EXPECT_THROW(scan_all(reader, EventPredicate{}), util::Error);
+  }
+}
+
+TEST_F(StoreTest, ShortColumnInEventRowGroupIsRejectedByLoadAndScan) {
+  // An events row group whose time chunk claims one row fewer than its
+  // other columns, with that chunk's CRC re-sealed over the shorter
+  // payload. A scan that trusted another column's row count would read
+  // past the decoded times.
+  const std::string p = path("short_column.cgcs");
+  auto [chunks, bytes] = write_small_events(p);
+  const std::size_t index = events_chunk(chunks, ColumnId::kTime);
+  const ChunkMeta& time = chunks[index];
+  ASSERT_EQ(time.row_count, 8u);
+  // The payload prefix holding the first 7 varints.
+  const std::uint64_t rows = time.row_count - 1;
+  std::size_t prefix = 0;
+  for (std::uint64_t seen = 0; seen < rows; ++prefix) {
+    if ((static_cast<unsigned char>(bytes[time.offset + prefix]) & 0x80) ==
+        0) {
+      ++seen;
+    }
+  }
+  const std::size_t entry = entry_at(bytes, chunks.size(), index);
+  put_le(&bytes, entry + kPayloadSizeField, prefix, 8);
+  put_le(&bytes, entry + kRowCountField, rows, 8);
+  put_le(&bytes, entry + kCrcField, crc_of(bytes, time.offset, prefix), 4);
+  reseal_footer(&bytes);
+  spit(p, bytes);
+  expect_load_and_scan_refuse(p);
+}
+
+TEST_F(StoreTest, OutOfRangeColumnIdIsRejectedByLoadAndScan) {
+  // A directory entry naming a column id past the enum must be refused,
+  // not used to index the row group's per-column table.
+  const std::string p = path("bad_column.cgcs");
+  auto [chunks, bytes] = write_small_events(p);
+  const std::size_t index = events_chunk(chunks, ColumnId::kPriority);
+  put_le(&bytes, entry_at(bytes, chunks.size(), index) + kColumnField, 200,
+         1);
+  reseal_footer(&bytes);
+  spit(p, bytes);
+  expect_load_and_scan_refuse(p);
 }
 
 }  // namespace

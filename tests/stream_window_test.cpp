@@ -366,7 +366,9 @@ TEST(SlidingWindowTest, TumblingWindowLifecycleAndMetrics) {
   engine.ingest(batch);
   // Watermark is 57 - 10: window [0, 100) still open.
   EXPECT_EQ(engine.windows_closed(), 0u);
-  ASSERT_EQ(engine.open().size(), 1u);
+  ASSERT_NE(engine.find(0), nullptr);
+  EXPECT_FALSE(engine.find(0)->closed);
+  EXPECT_EQ(engine.find(1), nullptr);
 
   // An event at 115 closes window 0 (watermark 105 >= 100).
   std::vector<TaskEvent> next = {

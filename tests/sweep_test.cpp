@@ -12,12 +12,16 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "store/writer.hpp"
@@ -269,6 +273,48 @@ TEST_F(SweepTest, CacheDiscardsUnreadableEntryAndRebuilds) {
   ASSERT_EQ(rebuilt.trace.jobs().size(), 1u);
 }
 
+TEST_F(SweepTest, CacheWaitMustBeANonNegativeWholeNumber) {
+  const std::string base = path("cache/entry");
+  // Another builder holds the lock, so the caller can only wait.
+  fs::create_directories(path("cache"));
+  std::optional<Lease> builder = Lease::try_acquire(base + ".cgcs.lock");
+  ASSERT_TRUE(builder.has_value());
+  const auto never_built = []() -> trace::TraceSet {
+    ADD_FAILURE() << "built under another builder's lock";
+    return tiny_trace(1);
+  };
+  for (const char* bad : {"abc", "-1", "5s", "1.5"}) {
+    ::setenv("CGC_CACHE_WAIT", bad, 1);
+    EXPECT_THROW(load_or_build_cgcs(base, never_built), util::FatalError)
+        << "CGC_CACHE_WAIT=" << bad;
+  }
+  // Zero is a valid wait: give up at once, retryably.
+  ::setenv("CGC_CACHE_WAIT", "0", 1);
+  EXPECT_THROW(load_or_build_cgcs(base, never_built), util::TransientError);
+  ::unsetenv("CGC_CACHE_WAIT");
+}
+
+TEST_F(SweepTest, HugeCacheWaitWaitsInsteadOfTimingOut) {
+  const std::string base = path("cache/entry");
+  fs::create_directories(path("cache"));
+  std::optional<Lease> builder = Lease::try_acquire(base + ".cgcs.lock");
+  ASSERT_TRUE(builder.has_value());
+  // The largest value a long holds: seconds * 1e9 overflows 64 bits, so
+  // a wrapped deadline would already have passed.
+  ::setenv("CGC_CACHE_WAIT", "9223372036854775807", 1);
+  // The other builder gives up without publishing; the waiter takes over.
+  std::thread quitter([&builder] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    builder.reset();
+  });
+  CacheResult r;
+  EXPECT_NO_THROW(r = load_or_build_cgcs(base, [] { return tiny_trace(1); }));
+  quitter.join();
+  ::unsetenv("CGC_CACHE_WAIT");
+  EXPECT_TRUE(r.waited);
+  EXPECT_TRUE(r.built);
+}
+
 TEST_F(SweepTest, ConfigHashDistinguishesConfigs) {
   EXPECT_NE(config_hash("google_workload v1 rate=0.25 horizon=100"),
             config_hash("google_workload v1 rate=0.5 horizon=100"));
@@ -293,7 +339,7 @@ TEST_F(SweepTest, VerifyCacheFlagsLitterStaleLocksAndDamage) {
   EXPECT_EQ(audit.tmp_litter, 1u);
   EXPECT_FALSE(audit.clean());
   bool saw_fatal = false;
-  for (const CacheIssue& issue : audit.issues) {
+  for (const store::AuditIssue& issue : audit.issues) {
     saw_fatal |= issue.fatal;
   }
   EXPECT_TRUE(saw_fatal);  // the unreadable entry

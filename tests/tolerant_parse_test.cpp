@@ -184,20 +184,11 @@ TEST_F(TolerantParseTest, IoFaultPropagatesEvenWhenTolerant) {
   EXPECT_EQ(report.parse.lines_bad, 0u);
 }
 
-TEST_F(TolerantParseTest, ReportMergeAggregates) {
-  ParseReport a;
-  a.records_ok = 5;
-  a.lines_bad = 1;
-  a.samples = {"x:1: bad"};
-  ParseReport b;
-  b.records_ok = 7;
-  b.lines_bad = 2;
-  b.samples = {"y:2: bad", "y:3: bad"};
-  a.merge(b);
-  EXPECT_EQ(a.records_ok, 12u);
-  EXPECT_EQ(a.lines_bad, 3u);
-  EXPECT_EQ(a.samples.size(), 3u);
-  EXPECT_NE(a.summary().find("3 bad lines"), std::string::npos);
+TEST_F(TolerantParseTest, ReportSummaryCountsLines) {
+  ParseReport report;
+  report.records_ok = 12;
+  report.lines_bad = 3;
+  EXPECT_EQ(report.summary(), "3 bad lines skipped (12 records parsed)");
 }
 
 }  // namespace
