@@ -29,10 +29,10 @@ using trace::PriorityBand;
 using trace::TaskEventType;
 using trace::TimeSec;
 
-/// Auto probe mode: clusters up to this size keep the seed's exhaustive
-/// scan; larger ones switch to hashed probing.
+/// Clusters up to this size keep the seed's exhaustive scan; larger
+/// ones switch to hashed probing.
 constexpr std::size_t kAutoFullScanMax = 512;
-/// Auto probe mode: probes per placement on large clusters. With ~33
+/// Probes per placement on large clusters. With ~33
 /// running tasks per machine and near-interchangeable task sizes, 96
 /// power-of-d probes make a no-fit verdict overwhelmingly reliable.
 constexpr std::size_t kAutoProbes = 96;
@@ -127,13 +127,7 @@ struct ClusterSim::Impl {
       });
     }
 
-    const std::size_t limit = config.placement_probe_limit;
-    if (limit == 0) {
-      probe_limit =
-          machines.size() <= kAutoFullScanMax ? 0 : kAutoProbes;
-    } else {
-      probe_limit = limit >= machines.size() ? 0 : limit;
-    }
+    probe_limit = machines.size() <= kAutoFullScanMax ? 0 : kAutoProbes;
   }
 
   /// One pass over the submit times (see SubmitScan). Refuses a run

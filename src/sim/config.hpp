@@ -43,7 +43,11 @@ struct SimConfig {
   /// Tasks still running at the horizon stay open (end_time = -1),
   /// matching trace-boundary truncation. Must be positive.
   util::TimeSec horizon = util::kSecondsPerMonth;
-  /// Machine-selection policy (see PlacementPolicy).
+  /// Machine-selection policy (see PlacementPolicy). Parks of up to 512
+  /// machines are scanned exhaustively (the seed behaviour); larger ones
+  /// probe 96 candidates counter-hashed from (seed, task, schedule
+  /// pass), so placement is O(probes) and deterministic at any
+  /// CGC_THREADS.
   PlacementPolicy placement = PlacementPolicy::kBalanced;
   /// Allow high-priority tasks to evict lower-priority ones (both
   /// capacity eviction when nothing fits, and isolation eviction below).
@@ -104,15 +108,6 @@ struct SimConfig {
   /// machines) rather than O(pending * machines), where "tried" is the
   /// tasks placed plus at most this many failures per priority.
   std::size_t max_schedule_failures_per_pass = 48;
-  /// Placement probe budget per task. 0 = auto: clusters up to 512
-  /// machines are scanned exhaustively (the seed behaviour, kept for
-  /// small ablation runs); larger clusters are probed at ~96 hashed
-  /// candidates (power-of-d-choices) so placement is O(probes), not
-  /// O(machines). Any other value forces that many probes; a value >=
-  /// the machine count forces a full scan. Probe sequences are
-  /// counter-hashed from (seed, task, schedule-pass number), so they
-  /// are deterministic at any CGC_THREADS.
-  std::size_t placement_probe_limit = 0;
   /// Record the full task-event stream (disable to save memory on very
   /// large runs). With the counter-based RNG, toggling any record_*
   /// knob never changes the simulated dynamics — only what is kept.

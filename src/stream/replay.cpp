@@ -3,53 +3,20 @@
 #include <algorithm>
 #include <array>
 #include <istream>
+#include <limits>
 
 #include "exec/parallel.hpp"
 #include "stream/shutdown.hpp"
+#include "trace/google_format.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"
-#include "util/error.hpp"
 
 namespace cgc::stream {
 
 namespace {
 
-constexpr std::int64_t kMicrosPerSecond = 1'000'000;
 /// Batch size synthesize_events drains replay_trace with.
 constexpr std::size_t kDrainBatch = 8192;
-
-/// clusterdata event code → TaskEventType; nullopt for unknown codes.
-bool event_from_code(std::int64_t code, trace::TaskEventType* out) {
-  switch (code) {
-    case 0:
-      *out = trace::TaskEventType::kSubmit;
-      return true;
-    case 1:
-      *out = trace::TaskEventType::kSchedule;
-      return true;
-    case 2:
-      *out = trace::TaskEventType::kEvict;
-      return true;
-    case 3:
-      *out = trace::TaskEventType::kFail;
-      return true;
-    case 4:
-      *out = trace::TaskEventType::kFinish;
-      return true;
-    case 5:
-      *out = trace::TaskEventType::kKill;
-      return true;
-    case 6:
-      *out = trace::TaskEventType::kLost;
-      return true;
-    case 7:
-    case 8:  // UPDATE_PENDING / UPDATE_RUNNING
-      *out = trace::TaskEventType::kUpdate;
-      return true;
-    default:
-      return false;
-  }
-}
 
 /// One replayed event of a task-only trace: its time and the index of
 /// its task record. Each key array holds one lifecycle step (SUBMIT,
@@ -197,25 +164,8 @@ bool parse_google_event_line(std::string_view line,
   CGC_CHECK(event != nullptr);
   static thread_local std::vector<std::string_view> fields;
   util::split_fields(line, ',', &fields);
-  if (fields.size() < 9) {
-    return false;
-  }
   try {
-    trace::TaskEvent e;
-    e.time = util::parse_int(fields[0]) / kMicrosPerSecond;
-    e.job_id = util::parse_int(fields[2]);
-    e.task_index = static_cast<std::int32_t>(util::parse_int(fields[3]));
-    e.machine_id = fields[4].empty() ? -1 : util::parse_int(fields[4]);
-    if (!event_from_code(util::parse_int(fields[5]), &e.type)) {
-      return false;
-    }
-    const std::int64_t file_priority = util::parse_int(fields[8]);
-    if (file_priority < 0 || file_priority >= trace::kNumPriorities) {
-      return false;
-    }
-    e.priority = static_cast<std::uint8_t>(file_priority + 1);
-    *event = e;
-    return true;
+    return trace::decode_task_event(fields, event);
   } catch (const util::Error&) {
     return false;
   }
@@ -224,21 +174,20 @@ bool parse_google_event_line(std::string_view line,
 std::uint64_t read_event_stream(std::istream& in, std::size_t batch_size,
                                 const BatchSink& sink, StreamHealth* health) {
   CGC_CHECK(batch_size > 0);
+  // The loader's record loop and task_events decoder, tolerant with no
+  // cap: a malformed row is counted, never fatal.
+  trace::ParseOptions options;
+  options.tolerant = true;
+  options.max_bad_lines = std::numeric_limits<std::size_t>::max();
+  options.max_recorded = 0;
+  trace::ParseReport report;
+  trace::RecordLoop rows(in, "-", util::Split::kComma, options, &report);
   std::uint64_t delivered = 0;
   std::vector<trace::TaskEvent> batch;
   batch.reserve(batch_size);
-  std::string line;
-  while (!shutdown_requested() && std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    trace::TaskEvent event;
-    if (!parse_google_event_line(line, &event)) {
-      if (health != nullptr) {
-        ++health->parse_bad_lines;
-      }
-      continue;
-    }
+  trace::TaskEvent event;
+  while (!shutdown_requested() &&
+         rows.next(trace::decode_task_event, &event)) {
     batch.push_back(event);
     if (batch.size() >= batch_size) {
       sink(batch);
@@ -249,6 +198,9 @@ std::uint64_t read_event_stream(std::istream& in, std::size_t batch_size,
   if (!batch.empty()) {
     sink(batch);
     delivered += batch.size();
+  }
+  if (health != nullptr) {
+    health->parse_bad_lines += report.lines_bad;
   }
   return delivered;
 }

@@ -9,9 +9,11 @@
 //     of every task record into time order batch by batch (generator
 //     workloads carry tasks but no event rows), never holding the whole
 //     event stream;
-//   * a pipe of Google clusterdata task_events rows on stdin — parsed
-//     line by line, malformed rows counted into StreamHealth and never
-//     fatal.
+//   * a pipe of Google clusterdata task_events rows on stdin — read by
+//     the trace loader's record loop and task_events decoder
+//     (trace/parse_report.hpp), so CRLF endings and '#'/';' lines are
+//     handled as in a file; malformed rows are counted into StreamHealth
+//     and never fatal.
 #pragma once
 
 #include <cstdint>
@@ -57,14 +59,16 @@ std::vector<trace::TaskEvent> synthesize_events(const trace::TraceSet& trace);
 
 /// Parses one Google clusterdata task_events row (13 columns: time in
 /// microseconds, event codes 0-8, file priorities 0-11 shifted to the
-/// paper's 1-12). Returns false and leaves *event unspecified on a
-/// malformed row. Never throws.
+/// paper's 1-12) with trace::decode_task_event. Returns false and leaves
+/// *event unspecified on a malformed row. Never throws.
 bool parse_google_event_line(std::string_view line, trace::TaskEvent* event);
 
 /// Streams Google-format task-event rows from `in` (typically a pipe),
-/// delivering batches of up to `batch_size` events to `sink`. Malformed
-/// rows are skipped and counted into health->parse_bad_lines (never
-/// fatal — the daemon's degraded-ingest contract). Stops early (after
+/// delivering batches of up to `batch_size` events to `sink`. Lines
+/// follow the trace readers' rules: a trailing '\r' is stripped, blank,
+/// '#' and ';' lines are skipped. Malformed rows are skipped and counted
+/// into health->parse_bad_lines (never fatal — the daemon's
+/// degraded-ingest contract). Stops early (after
 /// delivering the partial batch) once shutdown_requested() is up, so a
 /// SIGTERM'd daemon can spill the open window and exit. Returns the
 /// number of events delivered.

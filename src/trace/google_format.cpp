@@ -4,7 +4,6 @@
 #include <map>
 #include <unordered_map>
 
-#include "fault/fault.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"
 #include "util/log.hpp"
@@ -13,52 +12,19 @@ namespace cgc::trace {
 
 namespace {
 
-/// clusterdata event code <-> TaskEventType.
-int event_code(TaskEventType e) {
-  switch (e) {
-    case TaskEventType::kSubmit:
-      return 0;
-    case TaskEventType::kSchedule:
-      return 1;
-    case TaskEventType::kEvict:
-      return 2;
-    case TaskEventType::kFail:
-      return 3;
-    case TaskEventType::kFinish:
-      return 4;
-    case TaskEventType::kKill:
-      return 5;
-    case TaskEventType::kLost:
-      return 6;
-    case TaskEventType::kUpdate:
-      return 7;
-  }
-  return -1;
-}
+// TaskEventType's values are the clusterdata event codes 0-7, so the
+// enum is the code table: the writer emits static_cast<int>(type).
+static_assert(static_cast<int>(TaskEventType::kUpdate) == 7 &&
+              kNumTaskEventTypes == 8);
 
+/// clusterdata event code -> TaskEventType. Code 8 (UPDATE_RUNNING)
+/// reads as kUpdate, like 7 (UPDATE_PENDING).
 TaskEventType event_from_code(std::int64_t code) {
-  switch (code) {
-    case 0:
-      return TaskEventType::kSubmit;
-    case 1:
-      return TaskEventType::kSchedule;
-    case 2:
-      return TaskEventType::kEvict;
-    case 3:
-      return TaskEventType::kFail;
-    case 4:
-      return TaskEventType::kFinish;
-    case 5:
-      return TaskEventType::kKill;
-    case 6:
-      return TaskEventType::kLost;
-    case 7:
-    case 8:  // UPDATE_PENDING / UPDATE_RUNNING both map to kUpdate
-      return TaskEventType::kUpdate;
-    default:
-      CGC_CHECK_MSG(false, "unknown task event code " + std::to_string(code));
-      return TaskEventType::kSubmit;
+  if (code < 0 || code > 8) {
+    throw util::DataError("unknown task event code " + std::to_string(code));
   }
+  return code == 8 ? TaskEventType::kUpdate
+                   : static_cast<TaskEventType>(code);
 }
 
 constexpr std::int64_t kMicrosPerSecond = 1'000'000;
@@ -78,7 +44,7 @@ void write_task_events(const TraceSet& trace, const std::string& path) {
     row[2] = std::to_string(e.job_id);
     row[3] = std::to_string(e.task_index);
     row[4] = e.machine_id < 0 ? std::string() : std::to_string(e.machine_id);
-    row[5] = std::to_string(event_code(e.type));
+    row[5] = std::to_string(static_cast<int>(e.type));
     row[8] = std::to_string(static_cast<int>(e.priority) - 1);
     out.write_record(row);
   }
@@ -130,139 +96,109 @@ void write_google_trace(const TraceSet& trace, const std::string& directory) {
   write_host_usage(trace, directory + "/host_usage.csv");
 }
 
+bool decode_task_event(Fields f, TaskEvent* event) {
+  if (f.size() < 9) {
+    throw util::DataError("task_events row too short (truncated record?)");
+  }
+  event->time = util::parse_int(f[0]) / kMicrosPerSecond;
+  event->job_id = util::parse_int(f[2]);
+  event->task_index = static_cast<std::int32_t>(util::parse_int(f[3]));
+  event->machine_id = f[4].empty() ? -1 : util::parse_int(f[4]);
+  event->type = event_from_code(util::parse_int(f[5]));
+  const std::int64_t file_priority = util::parse_int(f[8]);
+  if (file_priority < 0 || file_priority >= kNumPriorities) {
+    throw util::DataError("priority out of range");
+  }
+  event->priority = static_cast<std::uint8_t>(file_priority + 1);
+  return true;
+}
+
 namespace {
+
+/// machine_events row decoder: only ADD events carry the capacities we
+/// keep, so any other event decodes to no record.
+bool decode_machine(Fields f, Machine* m) {
+  if (f.size() < 6) {
+    throw util::DataError("machine_events row too short (truncated record?)");
+  }
+  if (util::parse_int(f[2]) != 0) {
+    return false;
+  }
+  *m = Machine{};
+  m->machine_id = util::parse_int(f[1]);
+  if (!f[3].empty()) {
+    m->attributes = static_cast<std::uint8_t>(util::parse_int(f[3]));
+  }
+  m->cpu_capacity = static_cast<float>(util::parse_double(f[4]));
+  m->mem_capacity = static_cast<float>(util::parse_double(f[5]));
+  return true;
+}
+
+/// One host_usage row, parsed whole before it touches any series.
+struct HostSample {
+  std::int64_t machine_id = 0;
+  TimeSec time = 0;
+  float cpu[kNumBands] = {};
+  float mem[kNumBands] = {};
+  float mem_assigned = 0.0f;
+  float page_cache = 0.0f;
+  std::int32_t running = 0;
+  std::int32_t pending = 0;
+};
+
+bool decode_host_sample(Fields f, HostSample* s) {
+  if (f.size() < 12) {
+    throw util::DataError("host_usage row too short (truncated record?)");
+  }
+  s->machine_id = util::parse_int(f[0]);
+  s->time = util::parse_int(f[1]);
+  for (std::size_t b = 0; b < kNumBands; ++b) {
+    s->cpu[b] = static_cast<float>(util::parse_double(f[2 + b]));
+  }
+  for (std::size_t b = 0; b < kNumBands; ++b) {
+    s->mem[b] = static_cast<float>(util::parse_double(f[5 + b]));
+  }
+  s->mem_assigned = static_cast<float>(util::parse_double(f[8]));
+  s->page_cache = static_cast<float>(util::parse_double(f[9]));
+  s->running = static_cast<std::int32_t>(util::parse_int(f[10]));
+  s->pending = static_cast<std::int32_t>(util::parse_int(f[11]));
+  return true;
+}
 
 void read_task_events(const std::string& path, TraceSet* trace,
                       const ParseOptions& options, ParseReport* report) {
-  util::CsvReader in(path);
-  while (in.next_record()) {
-    if (fault::armed()) {
-      // I/O failures are not a property of the record, so they bypass
-      // tolerant accounting and propagate even in tolerant mode.
-      fault::maybe_throw("io.read", in.line_number(),
-                         fault::ErrorKind::kTransient);
-    }
-    try {
-      if (fault::armed()) {
-        fault::maybe_throw("trace.parse_line", in.line_number());
-      }
-      const auto& f = in.fields();
-      CGC_CHECK_MSG(f.size() >= 9,
-                    "task_events row too short (truncated record?)");
-      TaskEvent e;
-      e.time = util::parse_int(f[0]) / kMicrosPerSecond;
-      e.job_id = util::parse_int(f[2]);
-      e.task_index = static_cast<std::int32_t>(util::parse_int(f[3]));
-      e.machine_id = f[4].empty() ? -1 : util::parse_int(f[4]);
-      e.type = event_from_code(util::parse_int(f[5]));
-      const std::int64_t file_priority = util::parse_int(f[8]);
-      CGC_CHECK_MSG(file_priority >= 0 && file_priority < kNumPriorities,
-                    "priority out of range");
-      e.priority = static_cast<std::uint8_t>(file_priority + 1);
-      trace->add_event(e);
-      if (report != nullptr) {
-        ++report->records_ok;
-      }
-    } catch (const util::TransientError&) {
-      throw;  // an I/O-class failure, not a bad record
-    } catch (const util::Error& e) {
-      detail::handle_bad_line(options, report, path, in.line_number(),
-                              e.what());
-    }
+  RecordLoop rows(path, util::Split::kComma, options, report);
+  TaskEvent event;
+  while (rows.next(decode_task_event, &event)) {
+    trace->add_event(event);
   }
 }
 
 void read_machine_events(const std::string& path, TraceSet* trace,
                          const ParseOptions& options, ParseReport* report) {
-  util::CsvReader in(path);
-  while (in.next_record()) {
-    if (fault::armed()) {
-      fault::maybe_throw("io.read", in.line_number(),
-                         fault::ErrorKind::kTransient);
-    }
-    try {
-      if (fault::armed()) {
-        fault::maybe_throw("trace.parse_line", in.line_number());
-      }
-      const auto& f = in.fields();
-      CGC_CHECK_MSG(f.size() >= 6,
-                    "machine_events row too short (truncated record?)");
-      if (util::parse_int(f[2]) != 0) {
-        continue;  // only ADD events carry capacities we need
-      }
-      Machine m;
-      m.machine_id = util::parse_int(f[1]);
-      if (!f[3].empty()) {
-        m.attributes = static_cast<std::uint8_t>(util::parse_int(f[3]));
-      }
-      m.cpu_capacity = static_cast<float>(util::parse_double(f[4]));
-      m.mem_capacity = static_cast<float>(util::parse_double(f[5]));
-      trace->add_machine(m);
-      if (report != nullptr) {
-        ++report->records_ok;
-      }
-    } catch (const util::TransientError&) {
-      throw;  // an I/O-class failure, not a bad record
-    } catch (const util::Error& e) {
-      detail::handle_bad_line(options, report, path, in.line_number(),
-                              e.what());
-    }
+  RecordLoop rows(path, util::Split::kComma, options, report);
+  Machine machine;
+  while (rows.next(decode_machine, &machine)) {
+    trace->add_machine(machine);
   }
 }
 
 void read_host_usage(const std::string& path, TraceSet* trace,
                      const ParseOptions& options, ParseReport* report) {
-  util::CsvReader in(path);
+  RecordLoop rows(path, util::Split::kComma, options, report);
   // Ordered by machine id: finalize() never reorders host-load series,
   // so the emission loop below fixes their order in the TraceSet — an
   // unordered map here would leak hash-iteration order into digests.
   std::map<std::int64_t, HostLoadSeries> series;
-  while (in.next_record()) {
-    if (fault::armed()) {
-      fault::maybe_throw("io.read", in.line_number(),
-                         fault::ErrorKind::kTransient);
-    }
-    try {
-      if (fault::armed()) {
-        fault::maybe_throw("trace.parse_line", in.line_number());
-      }
-      const auto& f = in.fields();
-      CGC_CHECK_MSG(f.size() >= 12,
-                    "host_usage row too short (truncated record?)");
-      // Parse every field before touching `series` so a malformed record
-      // skipped in tolerant mode leaves no half-built entry behind.
-      const std::int64_t machine_id = util::parse_int(f[0]);
-      const TimeSec time = util::parse_int(f[1]);
-      const float cpu[kNumBands] = {
-          static_cast<float>(util::parse_double(f[2])),
-          static_cast<float>(util::parse_double(f[3])),
-          static_cast<float>(util::parse_double(f[4]))};
-      const float mem[kNumBands] = {
-          static_cast<float>(util::parse_double(f[5])),
-          static_cast<float>(util::parse_double(f[6])),
-          static_cast<float>(util::parse_double(f[7]))};
-      const float mem_assigned =
-          static_cast<float>(util::parse_double(f[8]));
-      const float page_cache = static_cast<float>(util::parse_double(f[9]));
-      const std::int32_t running =
-          static_cast<std::int32_t>(util::parse_int(f[10]));
-      const std::int32_t pending =
-          static_cast<std::int32_t>(util::parse_int(f[11]));
-      auto [it, inserted] = series.try_emplace(
-          machine_id, machine_id, time, util::kSamplePeriod);
-      it->second.append(cpu, mem, mem_assigned, page_cache, running, pending);
-      if (report != nullptr) {
-        ++report->records_ok;
-      }
-    } catch (const util::TransientError&) {
-      throw;  // an I/O-class failure, not a bad record
-    } catch (const util::Error& e) {
-      detail::handle_bad_line(options, report, path, in.line_number(),
-                              e.what());
-    }
+  HostSample s;
+  while (rows.next(decode_host_sample, &s)) {
+    auto [it, inserted] = series.try_emplace(s.machine_id, s.machine_id,
+                                             s.time, util::kSamplePeriod);
+    it->second.append(s.cpu, s.mem, s.mem_assigned, s.page_cache, s.running,
+                      s.pending);
   }
-  for (auto& [id, s] : series) {
-    trace->add_host_load(std::move(s));
+  for (auto& [id, h] : series) {
+    trace->add_host_load(std::move(h));
   }
 }
 

@@ -31,6 +31,12 @@
 
 namespace cgc::trace {
 
+/// The task_events row decoder: fills `*event` from one clusterdata
+/// task_events record (at least 9 fields) and returns true. Throws
+/// util::DataError on a malformed row, leaving `*event` unspecified.
+/// The loader's task_events reader and cgcd's pipe both decode with it.
+bool decode_task_event(Fields fields, TaskEvent* event);
+
 namespace detail {
 /// Reads the three tables back from `directory`; load_trace
 /// (trace/loader.hpp), the one way to read a trace, calls it. Tasks and

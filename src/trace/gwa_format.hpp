@@ -11,17 +11,17 @@
 
 #include <string>
 
-#include "trace/parse_report.hpp"
+#include "trace/swf_format.hpp"
 #include "trace/trace_set.hpp"
 
 namespace cgc::trace {
 
 namespace detail {
-/// The GWA parser behind load_trace (trace/loader.hpp), which is the
-/// one way to read a trace.
-TraceSet read_gwa_impl(const std::string& path,
-                       const std::string& system_name,
-                       const ParseOptions& options, ParseReport* report);
+/// GWA as a job table for read_job_table: no user id, used memory is
+/// the job's total, and a status other than 1 is a FAIL.
+inline constexpr JobTableFormat kGwaTable = {
+    11, "GWA row needs >= 11 fields (truncated record?)", false, false,
+    TaskEventType::kFail};
 }  // namespace detail
 
 /// Writes jobs of `trace` in GWA layout. Throws util::TransientError

@@ -12,6 +12,7 @@
 #include "trace/gwa_format.hpp"
 #include "trace/swf_format.hpp"
 #include "util/check.hpp"
+#include "util/csv.hpp"
 
 namespace cgc::trace {
 
@@ -54,29 +55,14 @@ bool has_cgcs_magic(const std::string& path) {
          std::string_view(magic, sizeof magic) == store::kMagic;
 }
 
-/// Counts whitespace-separated fields on the first non-comment line.
-/// SWF and GWA are both headerless whitespace tables, so the field
-/// count is the only cheap discriminator: SWF is exactly 18 fields,
-/// GWA is 11+ (the standard defines 29; our writer emits 11).
+/// Counts whitespace-separated fields on the first record, read by the
+/// readers' own line rules. SWF and GWA are both headerless whitespace
+/// tables, so the field count is the only cheap discriminator: SWF is
+/// exactly 18 fields, GWA is 11+ (the standard defines 29; our writer
+/// emits 11).
 std::size_t sniff_field_count(const std::string& path) {
-  std::ifstream in(path);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') {
-      line.pop_back();
-    }
-    if (line.empty() || line[0] == ';' || line[0] == '#') {
-      continue;
-    }
-    std::istringstream fields(line);
-    std::string field;
-    std::size_t n = 0;
-    while (fields >> field) {
-      ++n;
-    }
-    return n;
-  }
-  return 0;
+  util::CsvReader in(path, util::Split::kWhitespace);
+  return in.next_record() ? in.fields().size() : 0;
 }
 
 std::string lower_extension(const std::string& path) {
@@ -149,11 +135,13 @@ TraceSet load_trace(const std::string& path, const LoadOptions& options,
       return detail::read_google_trace_impl(path, name_or("google-trace"),
                                             parse_options, &out.parse);
     case TraceFormat::kSwf:
-      return detail::read_swf_impl(path, name_or("swf-trace"), parse_options,
-                                   &out.parse);
+      return detail::read_job_table(path, name_or("swf-trace"),
+                                    detail::kSwfTable, parse_options,
+                                    &out.parse);
     case TraceFormat::kGwa:
-      return detail::read_gwa_impl(path, name_or("gwa-trace"), parse_options,
-                                   &out.parse);
+      return detail::read_job_table(path, name_or("gwa-trace"),
+                                    detail::kGwaTable, parse_options,
+                                    &out.parse);
     case TraceFormat::kCgcs: {
       if (options.on_damage == OnDamage::kQuarantine) {
         return store::read_cgcs_degraded(path, &out.damage);

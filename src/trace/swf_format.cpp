@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "fault/fault.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"
 #include "util/file.hpp"
@@ -11,113 +10,81 @@ namespace cgc::trace {
 
 namespace {
 
-/// SWF fields are whitespace-separated with arbitrary spacing; reuse the
-/// line splitting logic with normalization.
-std::vector<std::string_view> split_ws(std::string_view line,
-                                       std::vector<std::string_view>* buf) {
-  buf->clear();
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) {
-      ++i;
-    }
-    if (i >= line.size()) {
-      break;
-    }
-    const std::size_t start = i;
-    while (i < line.size() && line[i] != ' ' && line[i] != '\t') {
-      ++i;
-    }
-    buf->push_back(line.substr(start, i - start));
+/// One job-table row: the job and the single parallel task it becomes.
+struct JobRow {
+  Job job;
+  Task task;
+};
+
+bool decode_job_row(Fields f, const detail::JobTableFormat& format,
+                    JobRow* row) {
+  if (f.size() < format.min_fields) {
+    throw util::DataError(format.too_short);
   }
-  return *buf;
+  const std::int64_t job_number = util::parse_int(f[0]);
+  const std::int64_t submit = util::parse_int(f[1]);
+  const std::int64_t wait = util::parse_int(f[2]);
+  const double run_time = util::parse_double(f[3]);
+  const std::int64_t procs = util::parse_int(f[4]);
+  const double used_mem_kb = util::parse_double(f[6]);
+  const std::int64_t status = util::parse_int(f[10]);
+
+  Job& job = row->job;
+  job = Job{};
+  job.job_id = job_number;
+  if (format.has_user) {
+    const std::int64_t user = util::parse_int(f[11]);
+    job.user_id = user < 0 ? 0 : user;
+  }
+  job.priority = 1;  // neither table has Google-style priorities
+  job.submit_time = submit;
+  const bool has_runtime = run_time >= 0.0;
+  const TimeSec wait_s = wait < 0 ? 0 : wait;
+  job.end_time = has_runtime
+                     ? submit + wait_s + static_cast<TimeSec>(run_time)
+                     : -1;
+  job.num_tasks = 1;
+  job.cpu_parallelism = procs > 0 ? static_cast<float>(procs) : 1.0f;
+  const double job_mem_kb = format.memory_per_processor
+                                ? used_mem_kb * job.cpu_parallelism
+                                : used_mem_kb;
+  job.mem_usage =
+      used_mem_kb > 0.0 ? static_cast<float>(job_mem_kb / 1024.0) : 0.0f;
+
+  Task& task = row->task;
+  task = Task{};
+  task.job_id = job_number;
+  task.task_index = 0;
+  task.priority = 1;
+  task.submit_time = submit;
+  task.schedule_time = has_runtime ? submit + wait_s : -1;
+  task.end_time = job.end_time;
+  // Status 1 = completed OK; anything else failed or was cancelled.
+  task.end_event = status == 1 ? TaskEventType::kFinish : format.not_ok_end;
+  task.cpu_request = job.cpu_parallelism;
+  task.cpu_usage = job.cpu_parallelism;
+  task.mem_usage = job.mem_usage;
+  return true;
 }
 
 }  // namespace
 
-TraceSet detail::read_swf_impl(const std::string& path,
-                               const std::string& system_name,
-                               const ParseOptions& options,
-                               ParseReport* report) {
-  std::ifstream in(path);
-  CGC_CHECK_MSG(in.good(), "cannot open SWF file: " + path);
+TraceSet detail::read_job_table(const std::string& path,
+                                const std::string& system_name,
+                                const JobTableFormat& format,
+                                const ParseOptions& options,
+                                ParseReport* report) {
   TraceSet trace(system_name);
   trace.set_memory_in_mb(true);
-
-  std::string line;
-  std::vector<std::string_view> fields;
-  std::size_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (fault::armed()) {
-      // I/O failures are not a property of the record, so they bypass
-      // tolerant accounting and propagate even in tolerant mode.
-      fault::maybe_throw("io.read", line_number, fault::ErrorKind::kTransient);
-    }
-    if (!line.empty() && line.back() == '\r') {
-      line.pop_back();
-    }
-    if (line.empty() || line.front() == ';' || line.front() == '#') {
-      continue;
-    }
-    split_ws(line, &fields);
-    try {
-      if (fault::armed()) {
-        fault::maybe_throw("trace.parse_line", line_number);
-      }
-      CGC_CHECK_MSG(fields.size() >= 18,
-                    "SWF row needs 18 fields (truncated record?)");
-      const std::int64_t job_number = util::parse_int(fields[0]);
-      const std::int64_t submit = util::parse_int(fields[1]);
-      const std::int64_t wait = util::parse_int(fields[2]);
-      const double run_time = util::parse_double(fields[3]);
-      const std::int64_t procs = util::parse_int(fields[4]);
-      const double used_mem_kb = util::parse_double(fields[6]);
-      const std::int64_t status = util::parse_int(fields[10]);
-      const std::int64_t user = util::parse_int(fields[11]);
-
-      Job job;
-      job.job_id = job_number;
-      job.user_id = user < 0 ? 0 : user;
-      job.priority = 1;  // SWF has no Google-style priority
-      job.submit_time = submit;
-      const bool has_runtime = run_time >= 0.0;
-      const TimeSec wait_s = wait < 0 ? 0 : wait;
-      job.end_time = has_runtime
-                         ? submit + wait_s + static_cast<TimeSec>(run_time)
-                         : -1;
-      job.num_tasks = 1;
-      job.cpu_parallelism = procs > 0 ? static_cast<float>(procs) : 1.0f;
-      job.mem_usage = used_mem_kb > 0.0
-                          ? static_cast<float>(used_mem_kb *
-                                               job.cpu_parallelism / 1024.0)
-                          : 0.0f;
-      trace.add_job(job);
-
-      Task task;
-      task.job_id = job_number;
-      task.task_index = 0;
-      task.priority = 1;
-      task.submit_time = submit;
-      task.schedule_time = has_runtime ? submit + wait_s : -1;
-      task.end_time = job.end_time;
-      // SWF status 1 = completed OK; 0/5 = failed/cancelled.
-      task.end_event =
-          status == 1 ? TaskEventType::kFinish : TaskEventType::kKill;
-      task.cpu_request = job.cpu_parallelism;
-      task.cpu_usage = job.cpu_parallelism;
-      task.mem_usage = job.mem_usage;
-      trace.add_task(task);
-      if (report != nullptr) {
-        ++report->records_ok;
-      }
-    } catch (const util::TransientError&) {
-      throw;  // an I/O-class failure, not a bad record
-    } catch (const util::Error& e) {
-      detail::handle_bad_line(options, report, path, line_number, e.what());
-    }
+  RecordLoop rows(path, util::Split::kWhitespace, options, report);
+  const auto decode = [&format](Fields f, JobRow* row) {
+    return decode_job_row(f, format, row);
+  };
+  JobRow row;
+  while (rows.next(decode, &row)) {
+    trace.add_job(row.job);
+    trace.add_task(row.task);
   }
-  CGC_CHECK_MSG(!in.bad(), "I/O error while reading " + path);
   trace.finalize();
   return trace;
 }

@@ -24,11 +24,30 @@
 namespace cgc::trace {
 
 namespace detail {
-/// The SWF parser behind load_trace (trace/loader.hpp), which is the
-/// one way to read a trace.
-TraceSet read_swf_impl(const std::string& path,
-                       const std::string& system_name,
-                       const ParseOptions& options, ParseReport* report);
+
+/// What sets the whitespace job tables apart: GWA's first 11 fields
+/// follow SWF's layout, so one row decoder reads both (kSwfTable here,
+/// kGwaTable in trace/gwa_format.hpp).
+struct JobTableFormat {
+  std::size_t min_fields;
+  const char* too_short;  ///< the error for a row with fewer fields
+  bool has_user;          ///< field 12 holds the user id
+  /// Used memory (field 7) is KB per processor, not the job's total KB.
+  bool memory_per_processor;
+  TaskEventType not_ok_end;  ///< end event for a status other than 1
+};
+
+inline constexpr JobTableFormat kSwfTable = {
+    18, "SWF row needs 18 fields (truncated record?)", true, true,
+    TaskEventType::kKill};
+
+/// The SWF/GWA parser behind load_trace (trace/loader.hpp), which is
+/// the one way to read a trace.
+TraceSet read_job_table(const std::string& path,
+                        const std::string& system_name,
+                        const JobTableFormat& format,
+                        const ParseOptions& options, ParseReport* report);
+
 }  // namespace detail
 
 /// Writes jobs of `trace` as SWF (fields we do not track are -1).

@@ -23,33 +23,54 @@ void split_fields(std::string_view line, char sep,
   }
 }
 
-std::int64_t parse_int(std::string_view field) {
-  std::int64_t value = 0;
+void split_whitespace(std::string_view line,
+                      std::vector<std::string_view>* out) {
+  out->clear();
+  std::size_t start = line.find_first_not_of(" \t");
+  while (start != std::string_view::npos) {
+    const std::size_t end = line.find_first_of(" \t", start);
+    out->push_back(line.substr(start, end - start));
+    start = line.find_first_not_of(" \t", end);
+  }
+}
+
+namespace {
+
+/// The whole of `field` as a number of type T; DataError otherwise.
+template <typename T>
+T parse_number(std::string_view field, const char* kind) {
+  T value{};
   const auto [ptr, ec] =
       std::from_chars(field.data(), field.data() + field.size(), value);
-  CGC_CHECK_MSG(ec == std::errc() && ptr == field.data() + field.size(),
-                "bad integer field: '" + std::string(field) + "'");
+  if (ec != std::errc() || ptr != field.data() + field.size()) {
+    throw DataError(std::string("bad ") + kind + " field: '" +
+                    std::string(field) + "'");
+  }
   return value;
 }
 
+}  // namespace
+
+std::int64_t parse_int(std::string_view field) {
+  return parse_number<std::int64_t>(field, "integer");
+}
+
 double parse_double(std::string_view field) {
-  double value = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(field.data(), field.data() + field.size(), value);
-  CGC_CHECK_MSG(ec == std::errc() && ptr == field.data() + field.size(),
-                "bad double field: '" + std::string(field) + "'");
-  return value;
+  return parse_number<double>(field, "double");
 }
 
 void throw_parse_error(const std::string& path, std::size_t line_number,
                        const std::string& what) {
-  throw Error(path + ":" + std::to_string(line_number) + ": " + what);
+  throw DataError(path + ":" + std::to_string(line_number) + ": " + what);
 }
 
-CsvReader::CsvReader(const std::string& path, char sep)
-    : path_(path), in_(path), sep_(sep) {
-  CGC_CHECK_MSG(in_.good(), "cannot open file for reading: " + path);
+CsvReader::CsvReader(const std::string& path, Split split)
+    : path_(path), file_(path), in_(file_), split_(split) {
+  CGC_CHECK_MSG(file_.good(), "cannot open file for reading: " + path);
 }
+
+CsvReader::CsvReader(std::istream& in, std::string name, Split split)
+    : path_(std::move(name)), in_(in), split_(split) {}
 
 bool CsvReader::next_record() {
   while (std::getline(in_, line_)) {
@@ -60,7 +81,11 @@ bool CsvReader::next_record() {
     if (line_.empty() || line_.front() == '#' || line_.front() == ';') {
       continue;
     }
-    split_fields(line_, sep_, &fields_);
+    if (split_ == Split::kComma) {
+      split_fields(line_, ',', &fields_);
+    } else {
+      split_whitespace(line_, &fields_);
+    }
     return true;
   }
   // getline() failing can mean clean EOF or a stream error; only the

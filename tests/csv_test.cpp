@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "util/check.hpp"
 #include "util/csv.hpp"
@@ -51,6 +52,17 @@ TEST(SplitFields, SingleField) {
   split_fields("lonely", ',', &fields);
   ASSERT_EQ(fields.size(), 1u);
   EXPECT_EQ(fields[0], "lonely");
+}
+
+TEST(SplitWhitespace, RunsOfBlanksSeparateFields) {
+  std::vector<std::string_view> fields;
+  split_whitespace("  1 \t 2\t\t3  ", &fields);
+  ASSERT_EQ(fields.size(), 3u);
+  EXPECT_EQ(fields[0], "1");
+  EXPECT_EQ(fields[1], "2");
+  EXPECT_EQ(fields[2], "3");
+  split_whitespace(" \t ", &fields);
+  EXPECT_TRUE(fields.empty());
 }
 
 TEST(ParseInt, ValidAndInvalid) {
@@ -112,6 +124,27 @@ TEST_F(CsvTest, HandlesCrLf) {
   EXPECT_EQ(reader.fields()[1], "b");
   ASSERT_TRUE(reader.next_record());
   EXPECT_EQ(reader.fields()[1], "d");
+}
+
+TEST(CsvReaderStream, ReadsAStreamByTheFileRules) {
+  std::istringstream in("# c\r\n1 2\r\n; c\n\n3\t 4\n");
+  CsvReader reader(in, "-", Split::kWhitespace);
+  EXPECT_EQ(reader.path(), "-");
+  ASSERT_TRUE(reader.next_record());
+  ASSERT_EQ(reader.fields().size(), 2u);
+  EXPECT_EQ(reader.fields()[1], "2");
+  EXPECT_EQ(reader.line_number(), 2u);
+  ASSERT_TRUE(reader.next_record());
+  ASSERT_EQ(reader.fields().size(), 2u);
+  EXPECT_EQ(reader.fields()[0], "3");
+  EXPECT_EQ(reader.line_number(), 5u);
+  EXPECT_FALSE(reader.next_record());
+}
+
+TEST(ParseErrors, AreDataErrors) {
+  EXPECT_THROW(parse_int("x"), DataError);
+  EXPECT_THROW(parse_double("x"), DataError);
+  EXPECT_THROW(throw_parse_error("t.csv", 1, "bad"), DataError);
 }
 
 TEST_F(CsvTest, MissingFileThrows) {

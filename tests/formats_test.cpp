@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <utility>
 
 #include "trace/google_format.hpp"
 #include "trace/gwa_format.hpp"
@@ -343,6 +344,48 @@ TEST_F(FormatsTest, GwaTruncatedFinalRecordReportsLine) {
     const std::string what = e.what();
     EXPECT_NE(what.find(":2:"), std::string::npos) << what;
     EXPECT_NE(what.find("truncated"), std::string::npos) << what;
+  }
+}
+
+/// Strict-loads `path` as `format` and expects a DataError whose
+/// message is "<path>:<line>: <reason>", with no source internals.
+void expect_row_error(const std::string& path, TraceFormat format,
+                      const std::string& where, const std::string& reason) {
+  try {
+    load(path, format, "bad");
+    ADD_FAILURE() << "expected a DataError for " << where;
+  } catch (const util::DataError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(where + ": " + reason), std::string::npos) << what;
+    EXPECT_EQ(what.find("CGC_CHECK failed"), std::string::npos) << what;
+    EXPECT_EQ(what.find(".cpp:"), std::string::npos) << what;
+  }
+}
+
+TEST_F(FormatsTest, StrictRowErrorsNameOnlyPathLineAndReason) {
+  const std::string gwf = path("bad.gwf");
+  std::ofstream(gwf) << "7 0 10 100 1 -1 -1 1 -1 -1 1\n"
+                     << "8 5 10 x 1 -1 -1 1 -1 -1 1\n";
+  expect_row_error(gwf, TraceFormat::kGwa, gwf + ":2",
+                   "bad double field: 'x'");
+
+  const std::string swf = path("bad.swf");
+  std::ofstream(swf) << "; header\n"
+                     << "1 0 30 3600 4 -1 1024 4 -1 -1 1 zz -1 -1 1 -1 -1 -1\n";
+  expect_row_error(swf, TraceFormat::kSwf, swf + ":2",
+                   "bad integer field: 'zz'");
+
+  const std::string dir = path("bad_google");
+  std::filesystem::create_directories(dir);
+  const std::string events = dir + "/task_events.csv";
+  const std::pair<const char*, const char*> rows[] = {
+      {"1000000,,1,0,,x,,0,1\n", "bad integer field: 'x'"},
+      {"1000000,,1,0,,9,,0,1\n", "unknown task event code 9"},
+      {"1000000,,1,0,,0,,0,12\n", "priority out of range"},
+      {"1000000,,1,0\n", "task_events row too short (truncated record?)"}};
+  for (const auto& [row, reason] : rows) {
+    std::ofstream(events) << "0,,1,0,,0,,0,1\n" << row;
+    expect_row_error(dir, TraceFormat::kGoogleCsv, events + ":2", reason);
   }
 }
 

@@ -53,9 +53,9 @@ Workload contended_workload() {
   return workload;
 }
 
-std::vector<trace::Machine> contended_park() {
+std::vector<trace::Machine> contended_park(int size = 48) {
   std::vector<trace::Machine> machines;
-  for (int i = 0; i < 48; ++i) {
+  for (int i = 0; i < size; ++i) {
     trace::Machine m;
     m.machine_id = i + 1;
     m.cpu_capacity = i % 3 == 0 ? 0.5f : 1.0f;
@@ -87,15 +87,14 @@ TEST(SimDeterminism, BitIdenticalAcrossThreadCounts) {
 }
 
 TEST(SimDeterminism, ProbedPlacementIsAlsoThreadInvariant) {
-  // Force the probed-placement path (the large-cluster mode) at a small
-  // scale and check the contract holds there too.
+  // Parks above 512 machines take the probed-placement path (the
+  // large-cluster mode); check the contract holds there too.
   auto run = [](std::size_t threads) {
     util::ThreadPool pool(threads);
     exec::ScopedPool scoped(&pool);
     SimConfig config;
     config.horizon = util::kSecondsPerDay;
-    config.placement_probe_limit = 8;
-    ClusterSim sim(contended_park(), config);
+    ClusterSim sim(contended_park(600), config);
     const trace::TraceSet out = sim.run(contended_workload());
     return out.content_digest();
   };

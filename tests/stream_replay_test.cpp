@@ -3,13 +3,16 @@
 // hand-built trace with same-second lifecycles, negative times, tasks
 // never scheduled or never ended — in batches of exactly batch_size;
 // an event-bearing trace replays its own event log without a copy; a
-// requested shutdown ends either replay at the next batch; and the
-// stream is identical at 1 and 4 workers.
+// requested shutdown ends either replay at the next batch; the stream
+// is identical at 1 and 4 workers; and the task_events pipe reads CRLF
+// lines like LF lines.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <sstream>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -260,6 +263,43 @@ TEST(ReplayTraceTest, StreamIsIdenticalAtOneAndFourWorkers) {
   ASSERT_FALSE(a.events.empty());
   expect_same_stream(a.events, b.events);
   EXPECT_EQ(a.batch_sizes, b.batch_sizes);
+}
+
+/// The task_events pipe reads lines by the trace readers' rules: the
+/// same rows with LF and with CRLF endings, behind '#' and ';' header
+/// lines, give the same events and no bad lines.
+TEST(ReadEventStreamTest, CrLfLinesReadLikeLfLines) {
+  const std::vector<std::string> lines = {
+      "# task_events", "; swf-style comment", "0,,1001,0,,0,,,1",
+      "1000000,,1001,0,42,1,,,1", "5000000,,1001,0,42,4,,,1"};
+  const auto read = [&lines](const char* ending, stream::StreamHealth* health) {
+    std::string text;
+    for (const std::string& line : lines) {
+      text += line + ending;
+    }
+    std::istringstream in(text);
+    std::vector<TaskEvent> events;
+    stream::read_event_stream(
+        in, 2,
+        [&events](std::span<const TaskEvent> batch) {
+          events.insert(events.end(), batch.begin(), batch.end());
+        },
+        health);
+    return events;
+  };
+  stream::clear_shutdown();
+  stream::StreamHealth lf_health;
+  stream::StreamHealth crlf_health;
+  const std::vector<TaskEvent> lf = read("\n", &lf_health);
+  const std::vector<TaskEvent> crlf = read("\r\n", &crlf_health);
+  ASSERT_EQ(lf.size(), 3u);
+  EXPECT_EQ(lf[1].type, TaskEventType::kSchedule);
+  EXPECT_EQ(lf[1].machine_id, 42);
+  EXPECT_EQ(lf[2].time, 5);
+  EXPECT_EQ(lf[2].priority, 2);
+  expect_same_stream(crlf, lf);
+  EXPECT_EQ(lf_health.parse_bad_lines, 0u);
+  EXPECT_EQ(crlf_health.parse_bad_lines, 0u);
 }
 
 }  // namespace

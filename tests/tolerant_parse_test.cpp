@@ -182,6 +182,12 @@ TEST_F(TolerantParseTest, IoFaultPropagatesEvenWhenTolerant) {
   EXPECT_THROW(load_trace(p, tolerant(TraceFormat::kSwf), &report),
                util::TransientError);
   EXPECT_EQ(report.parse.lines_bad, 0u);
+  // Keys are physical line numbers: the skipped header on line 1 is
+  // read too, so a fault keyed to it ends the read before any record.
+  fault::configure("io.read:once=1");
+  EXPECT_THROW(load_trace(p, tolerant(TraceFormat::kSwf), &report),
+               util::TransientError);
+  EXPECT_EQ(report.parse.records_ok, 0u);
 }
 
 TEST_F(TolerantParseTest, ReportSummaryCountsLines) {
