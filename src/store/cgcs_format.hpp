@@ -9,7 +9,7 @@
 //                   u32 reserved (0)
 //   [chunk payloads ...]  each 8-byte aligned, back to back
 //   [footer]        directory: trace metadata, host-load series
-//                   directory, chunk directory (see writer.cpp)
+//                   directory, chunk directory (see store/schema.hpp)
 //   [trailer 16 B]  u64 footer_offset | u32 footer_crc32 | magic "SGCE"
 //
 // Data is split into five row sections (jobs, tasks, events, machines,
@@ -20,6 +20,10 @@
 // delta+varint; other integers use zigzag varint; floats and byte
 // columns are raw little-endian arrays, which the mmap reader exposes
 // as zero-copy spans.
+//
+// Which columns each section holds, in which order and with which
+// encoding, is the column schema in store/schema.hpp — the one place
+// the layout lives; the writer and the reader are both driven by it.
 //
 // Versioning rules: format_version bumps on any layout change a v(N-1)
 // reader cannot parse; readers reject files with a different major
@@ -54,9 +58,9 @@ inline constexpr std::size_t kNumSections = 5;
 
 std::string_view section_name(SectionId s);
 
-/// Column ids are scoped per section; values are stable on-disk ids.
+/// Column ids are stable on-disk ids; a section may reuse another's id
+/// for the same field (store/schema.hpp lists each section's columns).
 enum class ColumnId : std::uint8_t {
-  // kJobs
   kJobId = 0,
   kUserId = 1,
   kPriority = 2,
@@ -65,7 +69,6 @@ enum class ColumnId : std::uint8_t {
   kNumTasks = 5,
   kCpuParallelism = 6,
   kMemUsage = 7,
-  // kTasks (reuses kJobId/kPriority/kSubmitTime/kEndTime/kMemUsage)
   kTaskIndex = 8,
   kScheduleTime = 9,
   kEndEvent = 10,
@@ -74,15 +77,12 @@ enum class ColumnId : std::uint8_t {
   kCpuRequest = 13,
   kMemRequest = 14,
   kCpuUsage = 15,
-  // kEvents (reuses kJobId/kTaskIndex/kMachineId/kPriority)
   kTime = 16,
   kEventType = 17,
-  // kMachines (reuses kMachineId)
   kCpuCapacity = 18,
   kMemCapacity = 19,
   kPageCacheCapacity = 20,
   kAttributes = 21,
-  // kHostLoad
   kCpuLow = 22,
   kCpuMid = 23,
   kCpuHigh = 24,

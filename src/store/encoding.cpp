@@ -42,8 +42,12 @@ void decode_i64_column(std::span<const std::uint8_t> bytes, std::size_t count,
       value = 0;
       int shift = 0;
       while (true) {
-        CGC_CHECK_MSG(p < end, "truncated varint in column payload");
-        CGC_CHECK_MSG(shift < 64, "overlong varint in column payload");
+        if (p == end) {
+          throw util::DataError("truncated varint in column payload");
+        }
+        if (shift >= 64) {
+          throw util::DataError("overlong varint in column payload");
+        }
         const std::uint8_t byte = *p++;
         value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
         if ((byte & 0x80) == 0) {
@@ -59,8 +63,9 @@ void decode_i64_column(std::span<const std::uint8_t> bytes, std::size_t count,
     dst[i] = v;
     prev = v;
   }
-  CGC_CHECK_MSG(p == end,
-                "column payload has trailing bytes after last row");
+  if (p != end) {
+    throw util::DataError("column payload has trailing bytes after last row");
+  }
 }
 
 namespace {
@@ -135,8 +140,9 @@ void BufferWriter::put_string(std::string_view s) {
 }
 
 void BufferReader::require(std::size_t n) const {
-  CGC_CHECK_MSG(pos_ + n <= bytes_.size(),
-                "footer truncated: read past end of directory");
+  if (n > bytes_.size() - pos_) {
+    throw util::DataError("footer truncated: read past end of directory");
+  }
 }
 
 std::uint8_t BufferReader::get_u8() {

@@ -7,7 +7,7 @@
 // protected by CRC-32 (the ubiquitous reflected 0xEDB88320 polynomial).
 // BufferWriter/BufferReader serialize the footer directory with
 // bounds-checked reads so a truncated or corrupted file surfaces as a
-// clean cgc::util::Error, never as out-of-bounds access.
+// clean cgc::util::DataError, never as out-of-bounds access.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +44,8 @@ void encode_i64_column(std::span<const std::int64_t> values, bool delta,
                        std::vector<std::uint8_t>* out);
 
 /// Decodes exactly `count` values produced by encode_i64_column; throws
-/// cgc::util::Error if `bytes` is malformed or too short.
+/// cgc::util::DataError (the reason only) if `bytes` is malformed or
+/// too short.
 void decode_i64_column(std::span<const std::uint8_t> bytes, std::size_t count,
                        bool delta, std::vector<std::int64_t>* out);
 
@@ -77,8 +78,8 @@ class BufferWriter {
 };
 
 /// Bounds-checked little-endian reader over a footer byte range. Every
-/// read past the end throws cgc::util::Error (clean rejection of short
-/// or corrupted footers).
+/// read past the end throws cgc::util::DataError (clean rejection of
+/// short or corrupted footers).
 class BufferReader {
  public:
   explicit BufferReader(std::span<const std::uint8_t> bytes)

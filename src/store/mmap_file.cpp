@@ -20,16 +20,23 @@ namespace {
 void read_whole_file(const std::string& path,
                      std::vector<std::uint8_t>* out) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
-  CGC_CHECK_MSG(f != nullptr, "cannot open store file: " + path);
+  if (f == nullptr) {
+    throw util::DataError("cannot open store file: " + path);
+  }
   std::fseek(f, 0, SEEK_END);
   const long size = std::ftell(f);
   std::fseek(f, 0, SEEK_SET);
-  CGC_CHECK_MSG(size >= 0, "cannot stat store file: " + path);
+  if (size < 0) {
+    std::fclose(f);
+    throw util::DataError("cannot stat store file: " + path);
+  }
   out->resize(static_cast<std::size_t>(size));
   const std::size_t got =
       out->empty() ? 0 : std::fread(out->data(), 1, out->size(), f);
   std::fclose(f);
-  CGC_CHECK_MSG(got == out->size(), "short read on store file: " + path);
+  if (got != out->size()) {
+    throw util::DataError("short read on store file: " + path);
+  }
 }
 
 }  // namespace
@@ -37,7 +44,9 @@ void read_whole_file(const std::string& path,
 MmapFile::MmapFile(const std::string& path) : path_(path) {
 #ifdef CGC_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
-  CGC_CHECK_MSG(fd >= 0, "cannot open store file: " + path);
+  if (fd < 0) {
+    throw util::DataError("cannot open store file: " + path);
+  }
   struct stat st {};
   const bool statted = ::fstat(fd, &st) == 0;
   if (statted && st.st_size > 0) {

@@ -17,8 +17,9 @@ namespace cgc::store {
 
 class MmapFile {
  public:
-  /// Maps `path`; throws cgc::util::Error when the file cannot be
-  /// opened. Empty files are valid (data() is an empty span).
+  /// Maps `path`; throws cgc::util::DataError naming the path when the
+  /// file cannot be opened or read. Empty files are valid (data() is an
+  /// empty span).
   explicit MmapFile(const std::string& path);
   ~MmapFile();
 

@@ -4,13 +4,16 @@
 #include <bit>
 #include <cstring>
 #include <map>
+#include <tuple>
+#include <type_traits>
 
+#include "exec/parallel.hpp"
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "store/encoding.hpp"
+#include "store/schema.hpp"
 #include "util/check.hpp"
-#include "exec/parallel.hpp"
 
 namespace cgc::store {
 
@@ -20,13 +23,76 @@ static_assert(std::endian::native == std::endian::little,
 namespace {
 
 using trace::HostLoadSeries;
-using trace::kNumBands;
-using trace::PriorityBand;
 
 constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
 
 std::string bad_file(const std::string& path, const std::string& why) {
   return "not a valid CGCS file (" + why + "): " + path;
+}
+
+/// Footer checks throw the bare reason; the constructor adds the path.
+void require(bool ok, const std::string& why) {
+  if (!ok) {
+    throw util::DataError(why);
+  }
+}
+
+/// One chunk's values in the schema's stored type: decoded integers, or
+/// a zero-copy span into the mapping for raw encodings.
+template <typename Col>
+struct ColumnValues {
+  using T = typename Col::stored;
+  ColumnValues(const StoreReader& reader, const ChunkMeta& chunk) {
+    if constexpr (Col::encoding == Encoding::kRawF32) {
+      values = reader.f32_span(chunk);
+    } else if constexpr (Col::encoding == Encoding::kRawU8) {
+      values = reader.u8_span(chunk);
+    } else {
+      reader.decode_i64(chunk, &values);
+    }
+  }
+  /// Stores value i into its field of `row`.
+  template <typename Row>
+  void put(Row& row, std::size_t i) const {
+    Col::field::of(row) = static_cast<typename Col::field::type>(values[i]);
+  }
+
+  std::conditional_t<std::is_same_v<T, std::int64_t>,
+                     std::vector<std::int64_t>, std::span<const T>>
+      values;
+};
+
+/// Writes chunk `c` into its rows of `dst` when it holds column `Col`:
+/// record fields for the row sections, the series' sample columns for
+/// host load.
+template <typename Col, typename Dst>
+void scatter_column(const StoreReader& reader, const ChunkMeta& c, Dst& dst) {
+  if (Col::id != c.column) {
+    return;
+  }
+  const ColumnValues<Col> col(reader, c);
+  if constexpr (std::is_same_v<Dst, schema::HostLoadRows<HostLoadSeries>>) {
+    std::size_t i = 0;
+    dst.for_each_slice(
+        c.row_begin, c.row_begin + c.row_count,
+        [&](HostLoadSeries& series, std::size_t first, std::size_t count) {
+          for (auto& sample : Col::field::of(series).subspan(first, count)) {
+            sample = static_cast<typename Col::field::type>(col.values[i++]);
+          }
+        });
+  } else {
+    for (std::size_t i = 0; i < c.row_count; ++i) {
+      col.put(dst[c.row_begin + i], i);
+    }
+  }
+}
+
+/// Writes chunk `c`, one of section `Section`'s, into `dst`.
+template <typename Section, typename Dst>
+void scatter(const StoreReader& reader, const ChunkMeta& c, Dst& dst) {
+  Section::apply([&](auto... column) {
+    (scatter_column<decltype(column)>(reader, c, dst), ...);
+  });
 }
 
 }  // namespace
@@ -45,7 +111,11 @@ StoreReader::StoreReader(const std::string& path, ReadMode mode)
     files_opened.add(1);
     bytes_mapped.add(file_.data().size());
   }
-  parse_footer();
+  try {
+    parse_footer();
+  } catch (const util::DataError& e) {
+    throw util::DataError(bad_file(path, e.what()));
+  }
   std::vector<std::atomic<bool>> flags(chunks_.size());
   payload_checked_ = std::move(flags);
   std::vector<std::atomic<bool>> bad(chunks_.size());
@@ -57,36 +127,32 @@ StoreReader::~StoreReader() = default;
 
 void StoreReader::parse_footer() {
   const auto data = file_.data();
-  const std::string& path = file_.path();
-  CGC_CHECK_MSG(data.size() >= kHeaderSize + kTrailerSize,
-                bad_file(path, "file shorter than header + trailer"));
-  CGC_CHECK_MSG(std::memcmp(data.data(), kMagic.data(), 4) == 0,
-                bad_file(path, "bad magic"));
+  require(data.size() >= kHeaderSize + kTrailerSize,
+          "file shorter than header + trailer");
+  require(std::memcmp(data.data(), kMagic.data(), 4) == 0, "bad magic");
   BufferReader header(data.subspan(4, kHeaderSize - 4));
   const std::uint32_t version = header.get_u32();
-  CGC_CHECK_MSG(version == kFormatVersion,
-                bad_file(path, "unsupported format version " +
-                                   std::to_string(version)));
-  CGC_CHECK_MSG(
+  require(version == kFormatVersion,
+          "unsupported format version " + std::to_string(version));
+  require(
       std::memcmp(data.data() + data.size() - 4, kEndMagic.data(), 4) == 0,
-      bad_file(path, "bad end magic (truncated file?)"));
+      "bad end magic (truncated file?)");
 
   BufferReader trailer(
       data.subspan(data.size() - kTrailerSize, kTrailerSize - 4));
   const std::uint64_t footer_offset = trailer.get_u64();
   const std::uint32_t footer_crc = trailer.get_u32();
-  CGC_CHECK_MSG(footer_offset >= kHeaderSize &&
-                    footer_offset <= data.size() - kTrailerSize,
-                bad_file(path, "footer offset out of bounds"));
+  require(footer_offset >= kHeaderSize &&
+              footer_offset <= data.size() - kTrailerSize,
+          "footer offset out of bounds");
   const auto footer_bytes = data.subspan(
       footer_offset, data.size() - kTrailerSize - footer_offset);
-  CGC_CHECK_MSG(crc32(footer_bytes) == footer_crc,
-                bad_file(path, "footer CRC mismatch"));
+  require(crc32(footer_bytes) == footer_crc, "footer CRC mismatch");
 
   BufferReader footer(footer_bytes);
   const std::uint32_t footer_version = footer.get_u32();
-  CGC_CHECK_MSG(footer_version == kFormatVersion,
-                bad_file(path, "footer/header version disagreement"));
+  require(footer_version == kFormatVersion,
+          "footer/header version disagreement");
   info_.system_name = footer.get_string();
   info_.duration = footer.get_i64();
   info_.memory_in_mb = footer.get_u8() != 0;
@@ -96,8 +162,20 @@ void StoreReader::parse_footer() {
   info_.num_machines = footer.get_u64();
   info_.num_hostload_samples = footer.get_u64();
   info_.file_size = data.size();
+  // Each section has an integer or byte column, so every row takes at
+  // least one payload byte: no row count can exceed the file size.
+  for (const std::uint64_t rows :
+       {info_.num_jobs, info_.num_tasks, info_.num_events,
+        info_.num_machines, info_.num_hostload_samples}) {
+    require(rows <= data.size(), "section row count exceeds the file size");
+  }
 
+  // Directory counts are bounded by the bytes left to hold their
+  // entries (32 B per series, 71 B per chunk) before anything is sized
+  // from them.
   const std::uint64_t num_series = footer.get_u64();
+  require(num_series <= footer.remaining() / 32,
+          "series directory longer than the footer");
   info_.num_hostload_series = num_series;
   series_.reserve(num_series);
   std::uint64_t sample_total = 0;
@@ -107,25 +185,28 @@ void StoreReader::parse_footer() {
     s.start = footer.get_i64();
     s.period = footer.get_i64();
     s.samples = footer.get_u64();
-    CGC_CHECK_MSG(s.period > 0, bad_file(path, "non-positive series period"));
+    require(s.period > 0, "non-positive series period");
+    require(s.samples <= info_.num_hostload_samples - sample_total,
+            "series directory disagrees with sample count");
     sample_total += s.samples;
     series_.push_back(s);
   }
-  CGC_CHECK_MSG(sample_total == info_.num_hostload_samples,
-                bad_file(path, "series directory disagrees with sample count"));
+  require(sample_total == info_.num_hostload_samples,
+          "series directory disagrees with sample count");
 
   const std::uint32_t num_chunks = footer.get_u32();
+  require(num_chunks <= footer.remaining() / 71,
+          "chunk directory longer than the footer");
   chunks_.reserve(num_chunks);
   for (std::uint32_t i = 0; i < num_chunks; ++i) {
     ChunkMeta c;
     const std::uint8_t section = footer.get_u8();
-    CGC_CHECK_MSG(section < kNumSections,
-                  bad_file(path, "chunk section id out of range"));
+    require(section < kNumSections, "chunk section id out of range");
     c.section = static_cast<SectionId>(section);
     c.column = static_cast<ColumnId>(footer.get_u8());
     const std::uint8_t encoding = footer.get_u8();
-    CGC_CHECK_MSG(encoding <= static_cast<std::uint8_t>(Encoding::kDeltaVarint),
-                  bad_file(path, "chunk encoding out of range"));
+    require(encoding <= static_cast<std::uint8_t>(Encoding::kDeltaVarint),
+            "chunk encoding out of range");
     c.encoding = static_cast<Encoding>(encoding);
     c.offset = footer.get_u64();
     c.payload_size = footer.get_u64();
@@ -138,43 +219,31 @@ void StoreReader::parse_footer() {
     c.crc = footer.get_u32();
     chunks_.push_back(c);
   }
-  CGC_CHECK_MSG(footer.exhausted(),
-                bad_file(path, "footer has trailing bytes"));
+  require(footer.exhausted(), "footer has trailing bytes");
   info_.num_chunks = chunks_.size();
   footer_offset_ = footer_offset;
 }
 
 void StoreReader::validate_chunks() {
   const std::string& path = file_.path();
-  for (std::size_t i = 0; i < chunks_.size(); ++i) {
-    const ChunkMeta& c = chunks_[i];
-    std::uint64_t section_rows = 0;
-    switch (c.section) {
-      case SectionId::kJobs:
-        section_rows = info_.num_jobs;
-        break;
-      case SectionId::kTasks:
-        section_rows = info_.num_tasks;
-        break;
-      case SectionId::kEvents:
-        section_rows = info_.num_events;
-        break;
-      case SectionId::kMachines:
-        section_rows = info_.num_machines;
-        break;
-      case SectionId::kHostLoad:
-        section_rows = info_.num_hostload_samples;
-        break;
-    }
+  const std::uint64_t rows_of[kNumSections] = {
+      info_.num_jobs, info_.num_tasks, info_.num_events, info_.num_machines,
+      info_.num_hostload_samples};
+  for (const ChunkMeta& c : chunks_) {
+    const std::uint64_t section_rows =
+        rows_of[static_cast<std::size_t>(c.section)];
     std::string reason;
     // Payloads must live in [header, footer).
-    if (c.offset < kHeaderSize ||
-        c.offset + c.payload_size > footer_offset_) {
+    if (c.offset < kHeaderSize || c.offset > footer_offset_ ||
+        c.payload_size > footer_offset_ - c.offset) {
       reason = "chunk payload out of bounds";
-    } else if (c.row_begin + c.row_count > section_rows) {
+    } else if (c.row_count > section_rows ||
+               c.row_begin > section_rows - c.row_count) {
       reason = "chunk rows exceed section size";
     } else if (c.encoding == Encoding::kRawF32) {
-      if (c.payload_size != c.row_count * sizeof(float)) {
+      // Divide rather than multiply: row_count comes from the file.
+      if (c.payload_size % sizeof(float) != 0 ||
+          c.payload_size / sizeof(float) != c.row_count) {
         reason = "raw f32 chunk payload size mismatch";
       } else if (c.offset % alignof(float) != 0) {
         reason = "raw f32 chunk misaligned";
@@ -182,6 +251,9 @@ void StoreReader::validate_chunks() {
     } else if (c.encoding == Encoding::kRawU8 &&
                c.payload_size != c.row_count) {
       reason = "raw u8 chunk payload size mismatch";
+    } else if (c.payload_size < c.row_count) {
+      // A varint takes at least one byte per row.
+      reason = "varint chunk payload shorter than its rows";
     }
     if (reason.empty()) {
       continue;
@@ -230,8 +302,7 @@ std::string StoreReader::verify_payload(const ChunkMeta& chunk) const {
   // A task event type decodes straight into trace::TaskEventType, which
   // indexes fixed per-type tables downstream: a byte past the enum is
   // damage, the same as a CRC failure.
-  if ((chunk.column == ColumnId::kEventType ||
-       chunk.column == ColumnId::kEndEvent) &&
+  if (schema::column_spec(chunk.section, chunk.column).event_type &&
       chunk.encoding == Encoding::kRawU8 &&
       std::any_of(span.begin(), span.end(), [](std::uint8_t type) {
         return type >= trace::kNumTaskEventTypes;
@@ -324,6 +395,7 @@ std::span<const std::uint8_t> StoreReader::payload(
 }
 
 std::span<const float> StoreReader::f32_span(const ChunkMeta& chunk) const {
+  // cgc-lint: allow(input-check) caller precondition, not file input
   CGC_CHECK_MSG(chunk.encoding == Encoding::kRawF32,
                 "f32_span() on a non-raw-f32 chunk");
   const auto bytes = payload(chunk);
@@ -332,6 +404,7 @@ std::span<const float> StoreReader::f32_span(const ChunkMeta& chunk) const {
 
 std::span<const std::uint8_t> StoreReader::u8_span(
     const ChunkMeta& chunk) const {
+  // cgc-lint: allow(input-check) caller precondition, not file input
   CGC_CHECK_MSG(chunk.encoding == Encoding::kRawU8,
                 "u8_span() on a non-raw-u8 chunk");
   return payload(chunk);
@@ -339,21 +412,41 @@ std::span<const std::uint8_t> StoreReader::u8_span(
 
 void StoreReader::decode_i64(const ChunkMeta& chunk,
                              std::vector<std::int64_t>* out) const {
+  // cgc-lint: allow(input-check) caller precondition, not file input
   CGC_CHECK_MSG(chunk.encoding == Encoding::kVarint ||
                     chunk.encoding == Encoding::kDeltaVarint,
                 "decode_i64() on a non-integer chunk");
-  if (obs::metrics_enabled()) {
+  const bool metrics = obs::metrics_enabled();
+  const std::uint64_t start = metrics ? obs::now_ns() : 0;
+  const auto bytes = payload(chunk);
+  try {
+    decode_i64_column(bytes, chunk.row_count,
+                      chunk.encoding == Encoding::kDeltaVarint, out);
+  } catch (const util::DataError& e) {
+    throw util::DataError(bad_file(file_.path(), e.what()));
+  }
+  if (metrics) {
     static obs::Counter& decoded = obs::counter("store.chunks_decoded");
     static obs::Histogram& decode_ns = obs::histogram("store.decode_ns");
     decoded.add(1);
-    const std::uint64_t start = obs::now_ns();
-    decode_i64_column(payload(chunk), chunk.row_count,
-                      chunk.encoding == Encoding::kDeltaVarint, out);
     decode_ns.observe(obs::now_ns() - start);
-    return;
   }
-  decode_i64_column(payload(chunk), chunk.row_count,
-                    chunk.encoding == Encoding::kDeltaVarint, out);
+}
+
+void StoreReader::require_in_schema(const ChunkMeta& c) const {
+  const schema::ColumnSpec spec = schema::column_spec(c.section, c.column);
+  const std::string where = "column " +
+                            std::to_string(static_cast<int>(c.column)) +
+                            " of section " +
+                            std::string(section_name(c.section));
+  if (!spec.listed) {
+    throw util::DataError(
+        bad_file(file_.path(), where + " is not in the schema"));
+  }
+  if (spec.encoding != c.encoding) {
+    throw util::DataError(bad_file(
+        file_.path(), where + " has an encoding the schema does not give it"));
+  }
 }
 
 std::vector<StoreReader::RowGroup> StoreReader::row_groups(
@@ -363,13 +456,11 @@ std::vector<StoreReader::RowGroup> StoreReader::row_groups(
     if (c.section != section) {
       continue;
     }
-    const auto col = static_cast<std::size_t>(c.column);
-    CGC_CHECK_MSG(col < kNumColumnIds,
-                  bad_file(file_.path(), "chunk column id out of range"));
+    require_in_schema(c);
     RowGroup& g = by_row[c.row_begin];
     g.row_begin = c.row_begin;
     g.row_count = c.row_count;
-    g.cols[col] = &c;
+    g.cols[static_cast<std::size_t>(c.column)] = &c;
   }
   std::vector<RowGroup> out;
   out.reserve(by_row.size());
@@ -381,8 +472,10 @@ std::vector<StoreReader::RowGroup> StoreReader::row_groups(
 
 const ChunkMeta& StoreReader::need(const RowGroup& g, ColumnId col) const {
   const ChunkMeta* c = g.cols[static_cast<std::size_t>(col)];
-  CGC_CHECK_MSG(c != nullptr && c->row_count == g.row_count,
-                bad_file(file_.path(), "row group missing a column"));
+  if (c == nullptr || c->row_count != g.row_count) {
+    throw util::DataError(
+        bad_file(file_.path(), "row group missing a column"));
+  }
   return *c;
 }
 
@@ -404,39 +497,23 @@ bool StoreReader::drop_damaged(const RowGroup& g) const {
   return bad;
 }
 
-void StoreReader::decode_events(const RowGroup& g,
-                                trace::TaskEvent* dst) const {
-  std::vector<std::int64_t> time, jid, tidx, mid;
-  decode_i64(need(g, ColumnId::kTime), &time);
-  decode_i64(need(g, ColumnId::kJobId), &jid);
-  decode_i64(need(g, ColumnId::kTaskIndex), &tidx);
-  decode_i64(need(g, ColumnId::kMachineId), &mid);
-  const auto type = u8_span(need(g, ColumnId::kEventType));
-  const auto prio = u8_span(need(g, ColumnId::kPriority));
-  for (std::size_t i = 0; i < g.row_count; ++i) {
-    trace::TaskEvent& e = dst[i];
-    e.time = time[i];
-    e.job_id = jid[i];
-    e.task_index = static_cast<std::int32_t>(tidx[i]);
-    e.machine_id = mid[i];
-    e.type = static_cast<trace::TaskEventType>(type[i]);
-    e.priority = prio[i];
-  }
+template <typename Section>
+void StoreReader::decode_rows(const RowGroup& g,
+                              typename Section::row* dst) const {
+  Section::apply([&](auto... column) {
+    // Braced initialization decodes the columns in schema order.
+    const std::tuple columns{ColumnValues<decltype(column)>(
+        *this, need(g, decltype(column)::id))...};
+    std::apply(
+        [&](const auto&... col) {
+          for (std::size_t i = 0; i < g.row_count; ++i) {
+            auto& row = dst[i];
+            (col.put(row, i), ...);
+          }
+        },
+        columns);
+  });
 }
-
-namespace {
-
-/// Flattened host-load columns for reconstruction.
-struct HostLoadFlat {
-  std::vector<float> cpu[kNumBands];
-  std::vector<float> mem[kNumBands];
-  std::vector<float> mem_assigned;
-  std::vector<float> page_cache;
-  std::vector<std::int32_t> running;
-  std::vector<std::int32_t> pending;
-};
-
-}  // namespace
 
 trace::TraceSet StoreReader::load_trace_set() const {
   obs::ScopedTimer timer("store.load_trace_set");
@@ -444,15 +521,12 @@ trace::TraceSet StoreReader::load_trace_set() const {
   std::vector<trace::Task> tasks(info_.num_tasks);
   std::vector<trace::TaskEvent> events(info_.num_events);
   std::vector<trace::Machine> machines(info_.num_machines);
-  HostLoadFlat hl;
-  for (std::size_t b = 0; b < kNumBands; ++b) {
-    hl.cpu[b].resize(info_.num_hostload_samples);
-    hl.mem[b].resize(info_.num_hostload_samples);
-  }
-  hl.mem_assigned.resize(info_.num_hostload_samples);
-  hl.page_cache.resize(info_.num_hostload_samples);
-  hl.running.resize(info_.num_hostload_samples);
-  hl.pending.resize(info_.num_hostload_samples);
+  std::vector<HostLoadSeries> host_load(series_.size());
+  exec::parallel_for(0, series_.size(), [&](std::size_t si) {
+    const SeriesMeta& meta = series_[si];
+    host_load[si] = HostLoadSeries(meta.machine_id, meta.start, meta.period);
+    host_load[si].resize(meta.samples);
+  }, /*grain=*/1);
 
   // Tasks and events dominate the row count, so their chunks are
   // regrouped by row range and every destination struct is filled in a
@@ -461,68 +535,23 @@ trace::TraceSet StoreReader::load_trace_set() const {
   // fan-out stays race free. Degraded mode drops damaged groups whole
   // (drop_damaged); each leaves a hole in its own range, compacted out
   // after the parallel fill.
-  util::Mutex lost_mutex;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> lost_tasks;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> lost_events;
-
-  const std::vector<RowGroup> task_groups = row_groups(SectionId::kTasks);
-  exec::parallel_for(0, task_groups.size(), [&](std::size_t gi) {
-    const RowGroup& g = task_groups[gi];
-    if (drop_damaged(g)) {
-      util::MutexLock lock(lost_mutex);
-      lost_tasks.emplace_back(g.row_begin, g.row_count);
-      return;
-    }
-    std::vector<std::int64_t> jid, tidx, submit, sched, end_t, mid, resub;
-    decode_i64(need(g, ColumnId::kJobId), &jid);
-    decode_i64(need(g, ColumnId::kTaskIndex), &tidx);
-    decode_i64(need(g, ColumnId::kSubmitTime), &submit);
-    decode_i64(need(g, ColumnId::kScheduleTime), &sched);
-    decode_i64(need(g, ColumnId::kEndTime), &end_t);
-    decode_i64(need(g, ColumnId::kMachineId), &mid);
-    decode_i64(need(g, ColumnId::kResubmits), &resub);
-    const auto prio = u8_span(need(g, ColumnId::kPriority));
-    const auto end_ev = u8_span(need(g, ColumnId::kEndEvent));
-    const auto cpu_req = f32_span(need(g, ColumnId::kCpuRequest));
-    const auto mem_req = f32_span(need(g, ColumnId::kMemRequest));
-    const auto cpu_use = f32_span(need(g, ColumnId::kCpuUsage));
-    const auto mem_use = f32_span(need(g, ColumnId::kMemUsage));
-    trace::Task* dst = tasks.data() + g.row_begin;
-    for (std::size_t i = 0; i < g.row_count; ++i) {
-      trace::Task& t = dst[i];
-      t.job_id = jid[i];
-      t.task_index = static_cast<std::int32_t>(tidx[i]);
-      t.priority = prio[i];
-      t.submit_time = submit[i];
-      t.schedule_time = sched[i];
-      t.end_time = end_t[i];
-      t.end_event = static_cast<trace::TaskEventType>(end_ev[i]);
-      t.machine_id = mid[i];
-      t.resubmits = static_cast<std::int32_t>(resub[i]);
-      t.cpu_request = cpu_req[i];
-      t.mem_request = mem_req[i];
-      t.cpu_usage = cpu_use[i];
-      t.mem_usage = mem_use[i];
-    }
-  }, /*grain=*/1);
-
-  const std::vector<RowGroup> event_groups = row_groups(SectionId::kEvents);
-  exec::parallel_for(0, event_groups.size(), [&](std::size_t gi) {
-    const RowGroup& g = event_groups[gi];
-    if (drop_damaged(g)) {
-      util::MutexLock lock(lost_mutex);
-      lost_events.emplace_back(g.row_begin, g.row_count);
-      return;
-    }
-    decode_events(g, events.data() + g.row_begin);
-  }, /*grain=*/1);
-
-  // Compact the dropped row groups out of the task/event arrays,
-  // highest range first so earlier offsets stay valid.
-  auto compact = []<typename T>(std::vector<T>* rows,
-                                 std::vector<std::pair<std::uint64_t,
-                                                       std::uint64_t>>
-                                     lost) {
+  const auto decode_section = [this]<typename Section>(
+                                  Section, std::vector<typename Section::row>*
+                                               rows) {
+    const std::vector<RowGroup> groups = row_groups(Section::id);
+    util::Mutex lost_mutex;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> lost;
+    exec::parallel_for(0, groups.size(), [&](std::size_t gi) {
+      const RowGroup& g = groups[gi];
+      if (drop_damaged(g)) {
+        util::MutexLock lock(lost_mutex);
+        lost.emplace_back(g.row_begin, g.row_count);
+        return;
+      }
+      decode_rows<Section>(g, rows->data() + g.row_begin);
+    }, /*grain=*/1);
+    // Compact the dropped row groups out, highest range first so
+    // earlier offsets stay valid.
     std::sort(lost.begin(), lost.end(),
               [](const auto& a, const auto& b) { return a.first > b.first; });
     for (const auto& [begin, count] : lost) {
@@ -530,201 +559,34 @@ trace::TraceSet StoreReader::load_trace_set() const {
                   rows->begin() + static_cast<std::ptrdiff_t>(begin + count));
     }
   };
-  compact(&tasks, std::move(lost_tasks));
-  compact(&events, std::move(lost_events));
+  decode_section(schema::Tasks{}, &tasks);
+  decode_section(schema::Events{}, &events);
 
-  // The remaining sections are small (jobs, machines) or already land
-  // in flat per-column arrays (host load), so they decode chunk-wise.
-  // A damaged chunk here loses one column of a row range, not the whole
-  // record: degraded mode leaves those values zero-filled and accounts
-  // them, which keeps the host-load series time grids intact.
+  // The remaining sections are small (jobs, machines) or columnar
+  // already (host load, straight into the series' sample columns), so
+  // they decode chunk-wise. A damaged chunk here loses one column of a
+  // row range, not the whole record: degraded mode leaves those values
+  // at their defaults and accounts them, which keeps the host-load
+  // series time grids intact.
+  schema::HostLoadRows host_rows{std::span(host_load)};
   exec::parallel_for(0, chunks_.size(), [&](std::size_t ci) {
     const ChunkMeta& c = chunks_[ci];
     if (c.section == SectionId::kTasks || c.section == SectionId::kEvents) {
       return;
     }
+    require_in_schema(c);
     if (mode_ == ReadMode::kDegraded && !chunk_ok(c)) {
       util::MutexLock lock(damage_mutex_);
       damage_.values_defaulted += c.row_count;
       return;
     }
-    const std::size_t lo = c.row_begin;
-    std::vector<std::int64_t> ints;
-    if (c.encoding == Encoding::kVarint ||
-        c.encoding == Encoding::kDeltaVarint) {
-      decode_i64(c, &ints);
+    if (c.section == SectionId::kJobs) {
+      scatter<schema::Jobs>(*this, c, jobs);
+    } else if (c.section == SectionId::kMachines) {
+      scatter<schema::Machines>(*this, c, machines);
+    } else {
+      scatter<schema::HostLoad>(*this, c, host_rows);
     }
-    auto f32 = [&] { return f32_span(c); };
-    auto u8 = [&] { return u8_span(c); };
-    switch (c.section) {
-      case SectionId::kTasks:
-      case SectionId::kEvents:
-        break;  // handled by the fused row-group passes above
-      case SectionId::kJobs:
-        switch (c.column) {
-          case ColumnId::kJobId:
-            for (std::size_t i = 0; i < ints.size(); ++i) {
-              jobs[lo + i].job_id = ints[i];
-            }
-            break;
-          case ColumnId::kUserId:
-            for (std::size_t i = 0; i < ints.size(); ++i) {
-              jobs[lo + i].user_id = ints[i];
-            }
-            break;
-          case ColumnId::kPriority: {
-            const auto s = u8();
-            for (std::size_t i = 0; i < s.size(); ++i) {
-              jobs[lo + i].priority = s[i];
-            }
-            break;
-          }
-          case ColumnId::kSubmitTime:
-            for (std::size_t i = 0; i < ints.size(); ++i) {
-              jobs[lo + i].submit_time = ints[i];
-            }
-            break;
-          case ColumnId::kEndTime:
-            for (std::size_t i = 0; i < ints.size(); ++i) {
-              jobs[lo + i].end_time = ints[i];
-            }
-            break;
-          case ColumnId::kNumTasks:
-            for (std::size_t i = 0; i < ints.size(); ++i) {
-              jobs[lo + i].num_tasks = static_cast<std::int32_t>(ints[i]);
-            }
-            break;
-          case ColumnId::kCpuParallelism: {
-            const auto s = f32();
-            for (std::size_t i = 0; i < s.size(); ++i) {
-              jobs[lo + i].cpu_parallelism = s[i];
-            }
-            break;
-          }
-          case ColumnId::kMemUsage: {
-            const auto s = f32();
-            for (std::size_t i = 0; i < s.size(); ++i) {
-              jobs[lo + i].mem_usage = s[i];
-            }
-            break;
-          }
-          default:
-            CGC_CHECK_MSG(false, "unknown jobs column in store file");
-        }
-        break;
-      case SectionId::kMachines:
-        switch (c.column) {
-          case ColumnId::kMachineId:
-            for (std::size_t i = 0; i < ints.size(); ++i) {
-              machines[lo + i].machine_id = ints[i];
-            }
-            break;
-          case ColumnId::kCpuCapacity: {
-            const auto s = f32();
-            for (std::size_t i = 0; i < s.size(); ++i) {
-              machines[lo + i].cpu_capacity = s[i];
-            }
-            break;
-          }
-          case ColumnId::kMemCapacity: {
-            const auto s = f32();
-            for (std::size_t i = 0; i < s.size(); ++i) {
-              machines[lo + i].mem_capacity = s[i];
-            }
-            break;
-          }
-          case ColumnId::kPageCacheCapacity: {
-            const auto s = f32();
-            for (std::size_t i = 0; i < s.size(); ++i) {
-              machines[lo + i].page_cache_capacity = s[i];
-            }
-            break;
-          }
-          case ColumnId::kAttributes: {
-            const auto s = u8();
-            for (std::size_t i = 0; i < s.size(); ++i) {
-              machines[lo + i].attributes = s[i];
-            }
-            break;
-          }
-          default:
-            CGC_CHECK_MSG(false, "unknown machines column in store file");
-        }
-        break;
-      case SectionId::kHostLoad: {
-        auto copy_f32 = [&](std::vector<float>* dst) {
-          const auto s = f32();
-          std::copy(s.begin(), s.end(), dst->begin() + lo);
-        };
-        auto copy_i32 = [&](std::vector<std::int32_t>* dst) {
-          for (std::size_t i = 0; i < ints.size(); ++i) {
-            (*dst)[lo + i] = static_cast<std::int32_t>(ints[i]);
-          }
-        };
-        switch (c.column) {
-          case ColumnId::kCpuLow:
-            copy_f32(&hl.cpu[0]);
-            break;
-          case ColumnId::kCpuMid:
-            copy_f32(&hl.cpu[1]);
-            break;
-          case ColumnId::kCpuHigh:
-            copy_f32(&hl.cpu[2]);
-            break;
-          case ColumnId::kMemLow:
-            copy_f32(&hl.mem[0]);
-            break;
-          case ColumnId::kMemMid:
-            copy_f32(&hl.mem[1]);
-            break;
-          case ColumnId::kMemHigh:
-            copy_f32(&hl.mem[2]);
-            break;
-          case ColumnId::kMemAssigned:
-            copy_f32(&hl.mem_assigned);
-            break;
-          case ColumnId::kPageCache:
-            copy_f32(&hl.page_cache);
-            break;
-          case ColumnId::kRunning:
-            copy_i32(&hl.running);
-            break;
-          case ColumnId::kPending:
-            copy_i32(&hl.pending);
-            break;
-          default:
-            CGC_CHECK_MSG(false, "unknown host-load column in store file");
-        }
-        break;
-      }
-    }
-  }, /*grain=*/1);
-
-  // Rebuild the per-machine series from the flat columns; each series
-  // owns a disjoint sample range, so this also fans out cleanly.
-  std::vector<std::size_t> series_offset(series_.size() + 1, 0);
-  for (std::size_t i = 0; i < series_.size(); ++i) {
-    series_offset[i + 1] = series_offset[i] + series_[i].samples;
-  }
-  std::vector<HostLoadSeries> host_load(series_.size());
-  exec::parallel_for(0, series_.size(), [&](std::size_t si) {
-    const SeriesMeta& meta = series_[si];
-    HostLoadSeries series(meta.machine_id, meta.start, meta.period);
-    const std::size_t base = series_offset[si];
-    const std::size_t n = meta.samples;
-    const std::span<const float> cpu[kNumBands] = {
-        std::span(hl.cpu[0]).subspan(base, n),
-        std::span(hl.cpu[1]).subspan(base, n),
-        std::span(hl.cpu[2]).subspan(base, n)};
-    const std::span<const float> mem[kNumBands] = {
-        std::span(hl.mem[0]).subspan(base, n),
-        std::span(hl.mem[1]).subspan(base, n),
-        std::span(hl.mem[2]).subspan(base, n)};
-    series.append_samples(cpu, mem, std::span(hl.mem_assigned).subspan(base, n),
-                          std::span(hl.page_cache).subspan(base, n),
-                          std::span(hl.running).subspan(base, n),
-                          std::span(hl.pending).subspan(base, n));
-    host_load[si] = std::move(series);
   }, /*grain=*/1);
 
   trace::TraceSet trace(info_.system_name);
@@ -774,7 +636,7 @@ ScanStats StoreReader::scan(
     }
     std::vector<trace::TaskEvent>& out = slots[gi];
     out.resize(g.row_count);
-    decode_events(g, out.data());
+    decode_rows<schema::Events>(g, out.data());
     std::erase_if(out, [&predicate](const trace::TaskEvent& e) {
       return !predicate.matches(e);
     });

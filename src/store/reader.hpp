@@ -119,11 +119,11 @@ struct ScanStats {
 
 class StoreReader {
  public:
-  /// Opens and validates `path`; throws cgc::util::Error on a missing
-  /// or structurally damaged file (header/trailer/footer). In strict
-  /// mode chunk-level damage also throws (cgc::util::DataError), on
-  /// first access; in degraded mode it is quarantined and accounted in
-  /// damage().
+  /// Opens and validates `path`; throws cgc::util::DataError naming the
+  /// reason and the path on a missing or structurally damaged file
+  /// (header/trailer/footer). In strict mode chunk-level damage also
+  /// throws (cgc::util::DataError), on first access; in degraded mode
+  /// it is quarantined and accounted in damage().
   explicit StoreReader(const std::string& path,
                        ReadMode mode = ReadMode::kStrict);
   ~StoreReader();
@@ -187,10 +187,14 @@ class StoreReader {
   std::span<const std::uint8_t> payload(const ChunkMeta& chunk) const;
   void parse_footer();
   void validate_chunks();
-  /// The row groups of `section`, ordered by row_begin.
+  /// Throws cgc::util::DataError unless the schema (store/schema.hpp)
+  /// lists `chunk`'s column for its section with `chunk`'s encoding.
+  void require_in_schema(const ChunkMeta& chunk) const;
+  /// The row groups of `section`, ordered by row_begin; refuses a chunk
+  /// the schema does not list (require_in_schema).
   std::vector<RowGroup> row_groups(SectionId section) const;
-  /// Column `col` of `g`; throws cgc::util::Error when the group lacks
-  /// it or the chunk's row count disagrees with the group's.
+  /// Column `col` of `g`; throws cgc::util::DataError when the group
+  /// lacks it or the chunk's row count disagrees with the group's.
   const ChunkMeta& need(const RowGroup& g, ColumnId col) const;
   /// The degraded rule for tasks/events row groups: true (drop the
   /// group) when any of its chunks is damaged. Every chunk is checked,
@@ -198,8 +202,11 @@ class StoreReader {
   /// to rows_lost. Always false in strict mode, where the decode
   /// itself throws on damage.
   bool drop_damaged(const RowGroup& g) const;
-  /// Decodes events row group `g` into dst[0, g.row_count).
-  void decode_events(const RowGroup& g, trace::TaskEvent* dst) const;
+  /// Decodes row group `g` of schema section `Section` (tasks or
+  /// events) into dst[0, g.row_count): every column's chunk is decoded
+  /// once, then one pass over the rows fills each record.
+  template <typename Section>
+  void decode_rows(const RowGroup& g, typename Section::row* dst) const;
   /// Verifies one directory chunk without throwing; a failure
   /// quarantines it.
   bool chunk_ok(const ChunkMeta& chunk) const noexcept;

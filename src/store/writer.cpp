@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <fstream>
-#include <functional>
-#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "store/encoding.hpp"
+#include "store/schema.hpp"
 #include "util/check.hpp"
+#include "util/file.hpp"
 
 namespace cgc::store {
 
@@ -21,12 +21,37 @@ namespace {
 using trace::HostLoadSeries;
 using trace::TraceSet;
 
+/// Appends column `Col` of rows [lo, hi) to `out`.
+template <typename Col, typename Row>
+void gather(std::span<const Row> rows, std::size_t lo, std::size_t hi,
+            std::vector<typename Col::stored>* out) {
+  for (std::size_t i = lo; i < hi; ++i) {
+    out->push_back(
+        static_cast<typename Col::stored>(Col::field::of(rows[i])));
+  }
+}
+
+template <typename Col>
+void gather(const schema::HostLoadRows<const HostLoadSeries>& rows,
+            std::size_t lo, std::size_t hi,
+            std::vector<typename Col::stored>* out) {
+  rows.for_each_slice(lo, hi, [&](const HostLoadSeries& series,
+                                  std::size_t first, std::size_t count) {
+    const auto samples = Col::field::of(series).subspan(first, count);
+    out->insert(out->end(), samples.begin(), samples.end());
+  });
+}
+
 /// Serializes chunks sequentially and accumulates the directory.
 class FileBuilder {
  public:
   FileBuilder(const std::string& path, ChunkOptions chunk_options)
-      : out_(path, std::ios::binary), chunk_options_(chunk_options) {
-    CGC_CHECK_MSG(out_.good(), "cannot open store file for writing: " + path);
+      : path_(path),
+        out_(path, std::ios::binary),
+        chunk_options_(chunk_options) {
+    if (!out_.good()) {
+      util::close_or_throw(out_, path_);
+    }
     // Header: magic | version | flags | reserved. Everything goes
     // through write_bytes so offset_ tracks the true file position.
     write_bytes({reinterpret_cast<const std::uint8_t*>(kMagic.data()), 4});
@@ -37,73 +62,53 @@ class FileBuilder {
     write_bytes(header.bytes());
   }
 
-  /// Integer column: one chunk per row group, zigzag varint, optionally
-  /// delta-encoded. `get(i)` returns row i's value.
-  void add_i64_column(SectionId section, ColumnId column, std::size_t rows,
-                      bool delta,
-                      const std::function<std::int64_t(std::size_t)>& get) {
-    std::vector<std::int64_t> scratch;
+  /// Writes every column of `Section` over `rows`, in schema order.
+  template <typename Section, typename Rows>
+  void add_section(const Rows& rows) {
+    Section::apply([&](auto... column) {
+      (add_column<decltype(column)>(Section::id, rows), ...);
+    });
+  }
+
+  /// One chunk per row group of column `Col`: gathered, zone-mapped,
+  /// encoded as the schema says, and appended.
+  template <typename Col, typename Rows>
+  void add_column(SectionId section, const Rows& rows) {
+    using T = typename Col::stored;
+    std::vector<T> scratch;
     std::vector<std::uint8_t> payload;
-    for_each_row_group(rows, [&](std::size_t lo, std::size_t hi) {
+    const std::size_t n = rows.size();
+    for (std::size_t lo = 0; lo < n; lo += chunk_options_.rows_per_chunk) {
+      const std::size_t hi = std::min(n, lo + chunk_options_.rows_per_chunk);
       scratch.clear();
       scratch.reserve(hi - lo);
-      for (std::size_t i = lo; i < hi; ++i) {
-        scratch.push_back(get(i));
+      gather<Col>(rows, lo, hi, &scratch);
+      ChunkMeta meta;
+      meta.section = section;
+      meta.column = Col::id;
+      meta.encoding = Col::encoding;
+      meta.row_begin = lo;
+      meta.row_count = hi - lo;
+      for (const T v : scratch) {
+        if constexpr (std::is_same_v<T, float>) {
+          meta.real_min = std::min(meta.real_min, static_cast<double>(v));
+          meta.real_max = std::max(meta.real_max, static_cast<double>(v));
+        } else {
+          meta.int_min = std::min<std::int64_t>(meta.int_min, v);
+          meta.int_max = std::max<std::int64_t>(meta.int_max, v);
+        }
       }
-      payload.clear();
-      encode_i64_column(scratch, delta, &payload);
-      ChunkMeta meta = base_meta(section, column,
-                                 delta ? Encoding::kDeltaVarint
-                                       : Encoding::kVarint,
-                                 lo, hi - lo);
-      for (const std::int64_t v : scratch) {
-        meta.int_min = std::min(meta.int_min, v);
-        meta.int_max = std::max(meta.int_max, v);
+      if constexpr (std::is_same_v<T, std::int64_t>) {
+        payload.clear();
+        encode_i64_column(scratch, Col::encoding == Encoding::kDeltaVarint,
+                          &payload);
+        append_chunk(meta, payload);
+      } else {
+        append_chunk(meta, {reinterpret_cast<const std::uint8_t*>(
+                                scratch.data()),
+                            scratch.size() * sizeof(T)});
       }
-      append_chunk(meta, payload);
-    });
-  }
-
-  /// Raw float column; the reader exposes these chunks zero-copy.
-  void add_f32_column(SectionId section, ColumnId column, std::size_t rows,
-                      const std::function<float(std::size_t)>& get) {
-    std::vector<float> scratch;
-    for_each_row_group(rows, [&](std::size_t lo, std::size_t hi) {
-      scratch.clear();
-      scratch.reserve(hi - lo);
-      for (std::size_t i = lo; i < hi; ++i) {
-        scratch.push_back(get(i));
-      }
-      ChunkMeta meta =
-          base_meta(section, column, Encoding::kRawF32, lo, hi - lo);
-      for (const float v : scratch) {
-        meta.real_min = std::min(meta.real_min, static_cast<double>(v));
-        meta.real_max = std::max(meta.real_max, static_cast<double>(v));
-      }
-      append_chunk(meta,
-                   {reinterpret_cast<const std::uint8_t*>(scratch.data()),
-                    scratch.size() * sizeof(float)});
-    });
-  }
-
-  /// Raw byte column (enums, priorities, attribute masks).
-  void add_u8_column(SectionId section, ColumnId column, std::size_t rows,
-                     const std::function<std::uint8_t(std::size_t)>& get) {
-    std::vector<std::uint8_t> scratch;
-    for_each_row_group(rows, [&](std::size_t lo, std::size_t hi) {
-      scratch.clear();
-      scratch.reserve(hi - lo);
-      for (std::size_t i = lo; i < hi; ++i) {
-        scratch.push_back(get(i));
-      }
-      ChunkMeta meta =
-          base_meta(section, column, Encoding::kRawU8, lo, hi - lo);
-      for (const std::uint8_t v : scratch) {
-        meta.int_min = std::min<std::int64_t>(meta.int_min, v);
-        meta.int_max = std::max<std::int64_t>(meta.int_max, v);
-      }
-      append_chunk(meta, scratch);
-    });
+    }
   }
 
   /// Writes the footer + trailer. Call exactly once, last.
@@ -152,31 +157,10 @@ class FileBuilder {
     write_bytes(trailer.bytes());
     write_bytes(
         {reinterpret_cast<const std::uint8_t*>(kEndMagic.data()), 4});
-    out_.flush();
-    CGC_CHECK_MSG(out_.good(), "I/O error writing store file");
+    util::close_or_throw(out_, path_);
   }
 
  private:
-  void for_each_row_group(
-      std::size_t rows,
-      const std::function<void(std::size_t, std::size_t)>& fn) {
-    const std::size_t group = chunk_options_.rows_per_chunk;
-    for (std::size_t lo = 0; lo < rows; lo += group) {
-      fn(lo, std::min(rows, lo + group));
-    }
-  }
-
-  ChunkMeta base_meta(SectionId section, ColumnId column, Encoding encoding,
-                      std::size_t row_begin, std::size_t row_count) {
-    ChunkMeta meta;
-    meta.section = section;
-    meta.column = column;
-    meta.encoding = encoding;
-    meta.row_begin = row_begin;
-    meta.row_count = row_count;
-    return meta;
-  }
-
   void append_chunk(ChunkMeta meta, std::span<const std::uint8_t> payload) {
     // Pad so every chunk starts 8-byte aligned (raw f32 spans need it).
     static constexpr std::uint8_t kZeros[kChunkAlignment] = {};
@@ -197,73 +181,12 @@ class FileBuilder {
     offset_ += bytes.size();
   }
 
+  std::string path_;
   std::ofstream out_;
   ChunkOptions chunk_options_;
   std::uint64_t offset_ = 0;
   std::vector<ChunkMeta> chunks_;
 };
-
-/// Forward-only cursor over the flattened host-load sample index:
-/// flat row i lives in series `series_idx` at sample `sample_idx`.
-/// Column gathers visit rows strictly in order, so advancing is O(1)
-/// amortized with no per-row search.
-class HostLoadCursor {
- public:
-  explicit HostLoadCursor(std::span<const HostLoadSeries> series)
-      : series_(series) {
-    skip_empty();
-  }
-
-  /// Moves to flat row `target` (>= current position).
-  void advance_to(std::size_t target) {
-    while (flat_ < target) {
-      ++flat_;
-      ++sample_;
-      if (sample_ >= series_[series_idx_].size()) {
-        ++series_idx_;
-        sample_ = 0;
-        skip_empty();
-      }
-    }
-  }
-
-  const HostLoadSeries& series() const { return series_[series_idx_]; }
-  std::size_t sample() const { return sample_; }
-
- private:
-  void skip_empty() {
-    while (series_idx_ < series_.size() && series_[series_idx_].empty()) {
-      ++series_idx_;
-    }
-  }
-
-  std::span<const HostLoadSeries> series_;
-  std::size_t series_idx_ = 0;
-  std::size_t sample_ = 0;
-  std::size_t flat_ = 0;
-};
-
-/// Makes a float getter over the flattened host-load rows using
-/// `metric(series, sample_index)`.
-std::function<float(std::size_t)> hostload_f32(
-    std::span<const HostLoadSeries> series,
-    std::function<float(const HostLoadSeries&, std::size_t)> metric) {
-  auto cursor = std::make_shared<HostLoadCursor>(series);
-  return [cursor, metric = std::move(metric)](std::size_t i) {
-    cursor->advance_to(i);
-    return metric(cursor->series(), cursor->sample());
-  };
-}
-
-std::function<std::int64_t(std::size_t)> hostload_i64(
-    std::span<const HostLoadSeries> series,
-    std::function<std::int64_t(const HostLoadSeries&, std::size_t)> metric) {
-  auto cursor = std::make_shared<HostLoadCursor>(series);
-  return [cursor, metric = std::move(metric)](std::size_t i) {
-    cursor->advance_to(i);
-    return metric(cursor->series(), cursor->sample());
-  };
-}
 
 }  // namespace
 
@@ -272,145 +195,13 @@ void write_cgcs(const trace::TraceSet& trace, const std::string& path,
   CGC_CHECK_MSG(options.chunks.rows_per_chunk > 0,
                 "rows_per_chunk must be positive");
   FileBuilder file(path, options.chunks);
-
-  // -- jobs -----------------------------------------------------------------
-  const auto jobs = trace.jobs();
-  const std::size_t nj = jobs.size();
-  file.add_i64_column(SectionId::kJobs, ColumnId::kJobId, nj, false,
-                      [&](std::size_t i) { return jobs[i].job_id; });
-  file.add_i64_column(SectionId::kJobs, ColumnId::kUserId, nj, false,
-                      [&](std::size_t i) { return jobs[i].user_id; });
-  file.add_u8_column(SectionId::kJobs, ColumnId::kPriority, nj,
-                     [&](std::size_t i) { return jobs[i].priority; });
-  // Jobs are sorted by submit time after finalize(): delta-encode.
-  file.add_i64_column(SectionId::kJobs, ColumnId::kSubmitTime, nj, true,
-                      [&](std::size_t i) { return jobs[i].submit_time; });
-  file.add_i64_column(SectionId::kJobs, ColumnId::kEndTime, nj, false,
-                      [&](std::size_t i) { return jobs[i].end_time; });
-  file.add_i64_column(SectionId::kJobs, ColumnId::kNumTasks, nj, false,
-                      [&](std::size_t i) { return jobs[i].num_tasks; });
-  file.add_f32_column(SectionId::kJobs, ColumnId::kCpuParallelism, nj,
-                      [&](std::size_t i) { return jobs[i].cpu_parallelism; });
-  file.add_f32_column(SectionId::kJobs, ColumnId::kMemUsage, nj,
-                      [&](std::size_t i) { return jobs[i].mem_usage; });
-
-  // -- tasks ----------------------------------------------------------------
-  const auto tasks = trace.tasks();
-  const std::size_t nt = tasks.size();
-  // Tasks are sorted by (job_id, task_index) after finalize().
-  file.add_i64_column(SectionId::kTasks, ColumnId::kJobId, nt, true,
-                      [&](std::size_t i) { return tasks[i].job_id; });
-  file.add_i64_column(SectionId::kTasks, ColumnId::kTaskIndex, nt, false,
-                      [&](std::size_t i) { return tasks[i].task_index; });
-  file.add_u8_column(SectionId::kTasks, ColumnId::kPriority, nt,
-                     [&](std::size_t i) { return tasks[i].priority; });
-  file.add_i64_column(SectionId::kTasks, ColumnId::kSubmitTime, nt, false,
-                      [&](std::size_t i) { return tasks[i].submit_time; });
-  file.add_i64_column(SectionId::kTasks, ColumnId::kScheduleTime, nt, false,
-                      [&](std::size_t i) { return tasks[i].schedule_time; });
-  file.add_i64_column(SectionId::kTasks, ColumnId::kEndTime, nt, false,
-                      [&](std::size_t i) { return tasks[i].end_time; });
-  file.add_u8_column(
-      SectionId::kTasks, ColumnId::kEndEvent, nt, [&](std::size_t i) {
-        return static_cast<std::uint8_t>(tasks[i].end_event);
-      });
-  file.add_i64_column(SectionId::kTasks, ColumnId::kMachineId, nt, false,
-                      [&](std::size_t i) { return tasks[i].machine_id; });
-  file.add_i64_column(SectionId::kTasks, ColumnId::kResubmits, nt, false,
-                      [&](std::size_t i) { return tasks[i].resubmits; });
-  file.add_f32_column(SectionId::kTasks, ColumnId::kCpuRequest, nt,
-                      [&](std::size_t i) { return tasks[i].cpu_request; });
-  file.add_f32_column(SectionId::kTasks, ColumnId::kMemRequest, nt,
-                      [&](std::size_t i) { return tasks[i].mem_request; });
-  file.add_f32_column(SectionId::kTasks, ColumnId::kCpuUsage, nt,
-                      [&](std::size_t i) { return tasks[i].cpu_usage; });
-  file.add_f32_column(SectionId::kTasks, ColumnId::kMemUsage, nt,
-                      [&](std::size_t i) { return tasks[i].mem_usage; });
-
-  // -- events ---------------------------------------------------------------
-  const auto events = trace.events();
-  const std::size_t ne = events.size();
-  // Events are time-sorted after finalize(): delta-encode the clock.
-  file.add_i64_column(SectionId::kEvents, ColumnId::kTime, ne, true,
-                      [&](std::size_t i) { return events[i].time; });
-  file.add_i64_column(SectionId::kEvents, ColumnId::kJobId, ne, false,
-                      [&](std::size_t i) { return events[i].job_id; });
-  file.add_i64_column(SectionId::kEvents, ColumnId::kTaskIndex, ne, false,
-                      [&](std::size_t i) { return events[i].task_index; });
-  file.add_i64_column(SectionId::kEvents, ColumnId::kMachineId, ne, false,
-                      [&](std::size_t i) { return events[i].machine_id; });
-  file.add_u8_column(
-      SectionId::kEvents, ColumnId::kEventType, ne, [&](std::size_t i) {
-        return static_cast<std::uint8_t>(events[i].type);
-      });
-  file.add_u8_column(SectionId::kEvents, ColumnId::kPriority, ne,
-                     [&](std::size_t i) { return events[i].priority; });
-
-  // -- machines -------------------------------------------------------------
-  const auto machines = trace.machines();
-  const std::size_t nm = machines.size();
-  file.add_i64_column(SectionId::kMachines, ColumnId::kMachineId, nm, false,
-                      [&](std::size_t i) { return machines[i].machine_id; });
-  file.add_f32_column(SectionId::kMachines, ColumnId::kCpuCapacity, nm,
-                      [&](std::size_t i) { return machines[i].cpu_capacity; });
-  file.add_f32_column(SectionId::kMachines, ColumnId::kMemCapacity, nm,
-                      [&](std::size_t i) { return machines[i].mem_capacity; });
-  file.add_f32_column(
-      SectionId::kMachines, ColumnId::kPageCacheCapacity, nm,
-      [&](std::size_t i) { return machines[i].page_cache_capacity; });
-  file.add_u8_column(SectionId::kMachines, ColumnId::kAttributes, nm,
-                     [&](std::size_t i) { return machines[i].attributes; });
-
-  // -- host load (flattened series-major) -----------------------------------
-  const auto host_load = trace.host_load();
-  std::size_t ns = 0;
-  for (const HostLoadSeries& h : host_load) {
-    ns += h.size();
-  }
-  using trace::PriorityBand;
-  const struct {
-    ColumnId column;
-    PriorityBand band;
-    bool is_cpu;
-  } band_columns[] = {
-      {ColumnId::kCpuLow, PriorityBand::kLow, true},
-      {ColumnId::kCpuMid, PriorityBand::kMid, true},
-      {ColumnId::kCpuHigh, PriorityBand::kHigh, true},
-      {ColumnId::kMemLow, PriorityBand::kLow, false},
-      {ColumnId::kMemMid, PriorityBand::kMid, false},
-      {ColumnId::kMemHigh, PriorityBand::kHigh, false},
-  };
-  for (const auto& bc : band_columns) {
-    file.add_f32_column(
-        SectionId::kHostLoad, bc.column, ns,
-        hostload_f32(host_load,
-                     [band = bc.band, is_cpu = bc.is_cpu](
-                         const HostLoadSeries& h, std::size_t i) {
-                       return is_cpu ? h.cpu(band, i) : h.mem(band, i);
-                     }));
-  }
-  file.add_f32_column(SectionId::kHostLoad, ColumnId::kMemAssigned, ns,
-                      hostload_f32(host_load,
-                                   [](const HostLoadSeries& h, std::size_t i) {
-                                     return h.mem_assigned(i);
-                                   }));
-  file.add_f32_column(SectionId::kHostLoad, ColumnId::kPageCache, ns,
-                      hostload_f32(host_load,
-                                   [](const HostLoadSeries& h, std::size_t i) {
-                                     return h.page_cache(i);
-                                   }));
-  file.add_i64_column(SectionId::kHostLoad, ColumnId::kRunning, ns, false,
-                      hostload_i64(host_load,
-                                   [](const HostLoadSeries& h, std::size_t i) {
-                                     return h.running(i);
-                                   }));
-  file.add_i64_column(SectionId::kHostLoad, ColumnId::kPending, ns, false,
-                      hostload_i64(host_load,
-                                   [](const HostLoadSeries& h, std::size_t i) {
-                                     return h.pending(i);
-                                   }));
-
-  file.finish(trace, ns);
+  file.add_section<schema::Jobs>(trace.jobs());
+  file.add_section<schema::Tasks>(trace.tasks());
+  file.add_section<schema::Events>(trace.events());
+  file.add_section<schema::Machines>(trace.machines());
+  const schema::HostLoadRows host_load(trace.host_load());
+  file.add_section<schema::HostLoad>(host_load);
+  file.finish(trace, host_load.size());
 }
 
 }  // namespace cgc::store

@@ -159,18 +159,6 @@ std::vector<trace::TaskEvent> synthesize_events(
   return events;
 }
 
-bool parse_google_event_line(std::string_view line,
-                             trace::TaskEvent* event) {
-  CGC_CHECK(event != nullptr);
-  static thread_local std::vector<std::string_view> fields;
-  util::split_fields(line, ',', &fields);
-  try {
-    return trace::decode_task_event(fields, event);
-  } catch (const util::Error&) {
-    return false;
-  }
-}
-
 std::uint64_t read_event_stream(std::istream& in, std::size_t batch_size,
                                 const BatchSink& sink, StreamHealth* health) {
   CGC_CHECK(batch_size > 0);

@@ -20,7 +20,6 @@
 #include <functional>
 #include <iosfwd>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "stream/window.hpp"
@@ -56,12 +55,6 @@ std::uint64_t replay_trace(const trace::TraceSet& trace,
 /// The whole of replay_trace's stream as one vector (for callers that
 /// need it materialized, such as tests and the traced benchmark leg).
 std::vector<trace::TaskEvent> synthesize_events(const trace::TraceSet& trace);
-
-/// Parses one Google clusterdata task_events row (13 columns: time in
-/// microseconds, event codes 0-8, file priorities 0-11 shifted to the
-/// paper's 1-12) with trace::decode_task_event. Returns false and leaves
-/// *event unspecified on a malformed row. Never throws.
-bool parse_google_event_line(std::string_view line, trace::TaskEvent* event);
 
 /// Streams Google-format task-event rows from `in` (typically a pipe),
 /// delivering batches of up to `batch_size` events to `sink`. Lines

@@ -304,8 +304,9 @@ TraceSet detail::read_google_trace_impl(const std::string& directory,
   const std::string machine_events_path = directory + "/machine_events.csv";
   const std::string host_usage_path = directory + "/host_usage.csv";
 
-  CGC_CHECK_MSG(std::filesystem::exists(task_events_path),
-                "missing " + task_events_path);
+  if (!std::filesystem::exists(task_events_path)) {
+    throw util::DataError("missing " + task_events_path);
+  }
   read_task_events(task_events_path, &trace, options, report);
   if (std::filesystem::exists(machine_events_path)) {
     read_machine_events(machine_events_path, &trace, options, report);

@@ -10,7 +10,9 @@ namespace cgc::trace {
 
 void write_gwa(const TraceSet& trace, const std::string& path) {
   std::ofstream out(path);
-  CGC_CHECK_MSG(out.good(), "cannot open GWA file for writing: " + path);
+  if (!out.good()) {
+    throw util::TransientError("cannot open GWA file for writing: " + path);
+  }
   out << "; GWA written by cgc (" << trace.system_name() << ")\n";
   for (const Job& j : trace.jobs()) {
     const TimeSec run = j.completed() ? j.length() : -1;

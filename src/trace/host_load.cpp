@@ -35,27 +35,15 @@ void HostLoadSeries::reserve(std::size_t n) {
   pending_.reserve(n);
 }
 
-void HostLoadSeries::append_samples(
-    const std::span<const float> cpu_by_band[kNumBands],
-    const std::span<const float> mem_by_band[kNumBands],
-    std::span<const float> mem_assigned, std::span<const float> page_cache,
-    std::span<const std::int32_t> running,
-    std::span<const std::int32_t> pending) {
-  const std::size_t n = mem_assigned.size();
-  CGC_CHECK_MSG(page_cache.size() == n && running.size() == n &&
-                    pending.size() == n,
-                "host-load sample columns must have equal lengths");
+void HostLoadSeries::resize(std::size_t n) {
   for (std::size_t b = 0; b < kNumBands; ++b) {
-    CGC_CHECK_MSG(cpu_by_band[b].size() == n && mem_by_band[b].size() == n,
-                  "host-load sample columns must have equal lengths");
-    cpu_[b].insert(cpu_[b].end(), cpu_by_band[b].begin(), cpu_by_band[b].end());
-    mem_[b].insert(mem_[b].end(), mem_by_band[b].begin(), mem_by_band[b].end());
+    cpu_[b].resize(n);
+    mem_[b].resize(n);
   }
-  mem_assigned_.insert(mem_assigned_.end(), mem_assigned.begin(),
-                       mem_assigned.end());
-  page_cache_.insert(page_cache_.end(), page_cache.begin(), page_cache.end());
-  running_.insert(running_.end(), running.begin(), running.end());
-  pending_.insert(pending_.end(), pending.begin(), pending.end());
+  mem_assigned_.resize(n);
+  page_cache_.resize(n);
+  running_.resize(n);
+  pending_.resize(n);
 }
 
 float HostLoadSeries::cpu_total(std::size_t i) const {

@@ -33,14 +33,8 @@ class HostLoadSeries {
   /// `n` samples never reallocates.
   void reserve(std::size_t n);
 
-  /// Appends a block of samples from parallel columns, all of the same
-  /// length (bulk path for columnar deserialization).
-  void append_samples(const std::span<const float> cpu_by_band[kNumBands],
-                      const std::span<const float> mem_by_band[kNumBands],
-                      std::span<const float> mem_assigned,
-                      std::span<const float> page_cache,
-                      std::span<const std::int32_t> running,
-                      std::span<const std::int32_t> pending);
+  /// Resizes every column to `n` samples; new samples are zero.
+  void resize(std::size_t n);
 
   std::int64_t machine_id() const { return machine_id_; }
   TimeSec start() const { return start_; }
@@ -69,6 +63,29 @@ class HostLoadSeries {
   float page_cache(std::size_t i) const { return page_cache_[i]; }
   std::int32_t running(std::size_t i) const { return running_[i]; }
   std::int32_t pending(std::size_t i) const { return pending_[i]; }
+
+  /// Whole sample columns as spans (columnar access: the CGCS store
+  /// writes and reads host load through these).
+  std::span<const float> cpu_samples(PriorityBand band) const {
+    return cpu_[static_cast<std::size_t>(band)];
+  }
+  std::span<float> cpu_samples(PriorityBand band) {
+    return cpu_[static_cast<std::size_t>(band)];
+  }
+  std::span<const float> mem_samples(PriorityBand band) const {
+    return mem_[static_cast<std::size_t>(band)];
+  }
+  std::span<float> mem_samples(PriorityBand band) {
+    return mem_[static_cast<std::size_t>(band)];
+  }
+  std::span<const float> mem_assigned_samples() const { return mem_assigned_; }
+  std::span<float> mem_assigned_samples() { return mem_assigned_; }
+  std::span<const float> page_cache_samples() const { return page_cache_; }
+  std::span<float> page_cache_samples() { return page_cache_; }
+  std::span<const std::int32_t> running_samples() const { return running_; }
+  std::span<std::int32_t> running_samples() { return running_; }
+  std::span<const std::int32_t> pending_samples() const { return pending_; }
+  std::span<std::int32_t> pending_samples() { return pending_; }
 
   /// Relative usage series (usage / capacity, clamped to [0,1]) for
   /// bands >= min_band. capacity must be positive.

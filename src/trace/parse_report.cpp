@@ -38,6 +38,7 @@ void RecordLoop::bad_line(const std::string& what) {
   if (!options_.tolerant) {
     util::throw_parse_error(path, line_number, what);
   }
+  // cgc-lint: allow(input-check) caller contract: tolerant options come with a report
   CGC_CHECK_MSG(report_ != nullptr,
                 "tolerant parsing needs a ParseReport to account into");
   ++report_->lines_bad;

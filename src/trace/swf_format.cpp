@@ -91,7 +91,9 @@ TraceSet detail::read_job_table(const std::string& path,
 
 void write_swf(const TraceSet& trace, const std::string& path) {
   std::ofstream out(path);
-  CGC_CHECK_MSG(out.good(), "cannot open SWF file for writing: " + path);
+  if (!out.good()) {
+    throw util::TransientError("cannot open SWF file for writing: " + path);
+  }
   out << "; SWF written by cgc (" << trace.system_name() << ")\n";
   out << "; UnixStartTime: 0\n";
   for (const Job& j : trace.jobs()) {

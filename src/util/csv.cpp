@@ -66,7 +66,9 @@ void throw_parse_error(const std::string& path, std::size_t line_number,
 
 CsvReader::CsvReader(const std::string& path, Split split)
     : path_(path), file_(path), in_(file_), split_(split) {
-  CGC_CHECK_MSG(file_.good(), "cannot open file for reading: " + path);
+  if (!file_.good()) {
+    throw DataError("cannot open file for reading: " + path);
+  }
 }
 
 CsvReader::CsvReader(std::istream& in, std::string name, Split split)
@@ -90,13 +92,17 @@ bool CsvReader::next_record() {
   }
   // getline() failing can mean clean EOF or a stream error; only the
   // former may end the file silently.
-  CGC_CHECK_MSG(!in_.bad(), "I/O error while reading " + path_);
+  if (in_.bad()) {
+    throw TransientError("I/O error while reading " + path_);
+  }
   return false;
 }
 
 CsvWriter::CsvWriter(const std::string& path, char sep)
     : path_(path), out_(path), sep_(sep) {
-  CGC_CHECK_MSG(out_.good(), "cannot open file for writing: " + path);
+  if (!out_.good()) {
+    throw TransientError("cannot open file for writing: " + path);
+  }
 }
 
 void CsvWriter::write_record(const std::vector<std::string>& values) {

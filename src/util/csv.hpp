@@ -50,7 +50,8 @@ enum class Split { kComma, kWhitespace };
 ///   while (r.next_record()) { use r.fields(); }
 class CsvReader {
  public:
-  /// Opens `path` for reading; throws Error if it cannot be opened.
+  /// Opens `path` for reading; throws DataError naming the path if it
+  /// cannot be opened.
   explicit CsvReader(const std::string& path, Split split = Split::kComma);
 
   /// Reads from `in` (a pipe, say), which must outlive the reader;
@@ -59,7 +60,8 @@ class CsvReader {
 
   /// Advances to the next non-empty, non-comment record. A trailing
   /// '\r' is stripped first; lines starting with '#' or ';' are skipped
-  /// (SWF/GWA headers use ';').
+  /// (SWF/GWA headers use ';'). A stream error (say, EISDIR when the
+  /// path is a directory) throws TransientError naming the path.
   bool next_record();
 
   /// Fields of the current record; valid until the next next_record().
@@ -85,7 +87,8 @@ class CsvReader {
 /// Buffered CSV writer.
 class CsvWriter {
  public:
-  /// Opens `path` for writing; throws Error if it cannot be created.
+  /// Opens `path` for writing; throws TransientError if it cannot be
+  /// created.
   explicit CsvWriter(const std::string& path, char sep = ',');
 
   /// Writes one record; values are written verbatim.

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <utility>
 
+#include "store/writer.hpp"
 #include "trace/google_format.hpp"
 #include "trace/gwa_format.hpp"
 #include "trace/loader.hpp"
@@ -389,6 +390,35 @@ TEST_F(FormatsTest, StrictRowErrorsNameOnlyPathLineAndReason) {
   }
 }
 
+/// Loading `path` as `format` throws `Expected` naming `path`, with no
+/// assertion text or source location.
+template <typename Expected>
+void expect_load_error(const std::string& path, TraceFormat format) {
+  try {
+    load(path, format, "x");
+    ADD_FAILURE() << path << ": loaded";
+  } catch (const Expected& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find(path), std::string::npos) << message;
+    EXPECT_EQ(message.find("CGC_CHECK failed"), std::string::npos) << message;
+    EXPECT_EQ(message.find(".cpp:"), std::string::npos) << message;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << path << ": wrong error class: " << e.what();
+  }
+}
+
+TEST_F(FormatsTest, UnreadableInputsNameThePath) {
+  // A directory without task_events.csv, and a file that is not there:
+  // bad input, so a DataError.
+  const std::string empty = path("empty_dir");
+  std::filesystem::create_directories(empty);
+  expect_load_error<util::DataError>(empty, TraceFormat::kAuto);
+  expect_load_error<util::DataError>(path("absent.swf"), TraceFormat::kSwf);
+  // A directory read as a file opens, then fails the first read with
+  // EISDIR: a stream error, which is an I/O-class TransientError.
+  expect_load_error<util::TransientError>(empty, TraceFormat::kSwf);
+}
+
 TEST_F(FormatsTest, WritersReportAFullDisk) {
   // /dev/full accepts the open and fails every write with ENOSPC: each
   // writer must throw instead of leaving a truncated file behind.
@@ -408,6 +438,7 @@ TEST_F(FormatsTest, WritersReportAFullDisk) {
   EXPECT_THROW(write_host_usage(trace, full), util::TransientError);
   EXPECT_THROW(write_swf(jobs, full), util::TransientError);
   EXPECT_THROW(write_gwa(jobs, full), util::TransientError);
+  EXPECT_THROW(store::write_cgcs(trace, full), util::TransientError);
 }
 
 TEST_F(FormatsTest, RebuildHandlesUnfinishedTasks) {

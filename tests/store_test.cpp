@@ -218,9 +218,8 @@ TEST_F(StoreTest, RoundTripsWithTinyChunks) {
   expect_equal_traces(original, reader.load_trace_set());
 }
 
-TEST_F(StoreTest, RoundTripsEmptyHostLoadGridTrace) {
-  // Grid archives (SWF/GWA) have jobs and tasks only; machines,
-  // events, and host-load stay empty and memory lands in MB.
+/// A grid-archive trace: jobs and tasks only, memory in MB.
+TraceSet make_grid_trace() {
   TraceSet original("grid-das2");
   original.set_memory_in_mb(true);
   Job j;
@@ -239,7 +238,41 @@ TEST_F(StoreTest, RoundTripsEmptyHostLoadGridTrace) {
   original.add_task(t);
   original.set_duration(86400);
   original.finalize();
+  return original;
+}
 
+/// make_grid_trace() with host load: series of 13, 0, 5 and 1 samples,
+/// so 7-row groups straddle series and step over an empty one.
+TraceSet make_grid_hostload_trace() {
+  TraceSet trace = make_grid_trace();
+  std::int32_t v = 0;
+  std::int64_t machine_id = 3;
+  for (const int samples : {13, 0, 5, 1}) {
+    HostLoadSeries h(machine_id++, /*start=*/0, /*period=*/300);
+    for (int i = 0; i < samples; ++i, ++v) {
+      const float cpu[kNumBands] = {0.01f * v, 0.02f * v, 0.03f * v};
+      const float mem[kNumBands] = {0.5f * v, 0.25f, 0.125f * v};
+      h.append(cpu, mem, 64.0f * v, 8.0f, v % 4, -v);
+    }
+    trace.add_host_load(std::move(h));
+  }
+  trace.finalize();
+  return trace;
+}
+
+TEST_F(StoreTest, RoundTripsGridHostLoadAcrossRowGroups) {
+  const TraceSet original = make_grid_hostload_trace();
+  const std::string p = path("grid_hostload.cgcs");
+  WriteOptions options;
+  options.chunks.rows_per_chunk = 7;
+  write_cgcs(original, p, options);
+  expect_equal_traces(original, read_cgcs(p));
+}
+
+TEST_F(StoreTest, RoundTripsEmptyHostLoadGridTrace) {
+  // Grid archives (SWF/GWA) have jobs and tasks only; machines,
+  // events, and host-load stay empty and memory lands in MB.
+  const TraceSet original = make_grid_trace();
   const std::string p = path("grid.cgcs");
   write_cgcs(original, p);
   const TraceSet loaded = read_cgcs(p);
@@ -547,6 +580,7 @@ std::uint32_t crc_of(const std::string& bytes, std::size_t at,
 // row_count (u64), int/real bounds (4 x 8 B), crc (u32) = 71 bytes.
 constexpr std::size_t kEntrySize = 71;
 constexpr std::size_t kColumnField = 1;
+constexpr std::size_t kEncodingField = 2;
 constexpr std::size_t kPayloadSizeField = 11;
 constexpr std::size_t kRowCountField = 27;
 constexpr std::size_t kCrcField = 67;
@@ -557,16 +591,23 @@ std::size_t entry_at(const std::string& bytes, std::size_t num_chunks,
   return bytes.size() - kTrailerSize - (num_chunks - index) * kEntrySize;
 }
 
+/// The little-endian integer of `width` bytes at `at`.
+std::uint64_t read_le(const std::string& bytes, std::size_t at,
+                      std::size_t width) {
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < width; ++i) {
+    value |= static_cast<std::uint64_t>(
+                 static_cast<unsigned char>(bytes[at + i]))
+             << (8 * i);
+  }
+  return value;
+}
+
 /// Re-seals the footer CRC after a directory edit, so only the
 /// reader's checks past the footer can object.
 void reseal_footer(std::string* bytes) {
   const std::size_t trailer_at = bytes->size() - kTrailerSize;
-  std::uint64_t footer_offset = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    footer_offset |= static_cast<std::uint64_t>(
-                         static_cast<unsigned char>((*bytes)[trailer_at + i]))
-                     << (8 * i);
-  }
+  const std::uint64_t footer_offset = read_le(*bytes, trailer_at, 8);
   put_le(bytes, trailer_at + 8,
          crc_of(*bytes, footer_offset, trailer_at - footer_offset), 4);
 }
@@ -587,16 +628,15 @@ std::pair<std::vector<ChunkMeta>, std::string> write_small_events(
   return {StoreReader(p).chunks(), slurp(p)};
 }
 
-/// Index of the events chunk of column `column`.
-std::size_t events_chunk(const std::vector<ChunkMeta>& chunks,
-                         ColumnId column) {
+/// Index of the first chunk of `column` in `section`.
+std::size_t chunk_of(const std::vector<ChunkMeta>& chunks, SectionId section,
+                     ColumnId column) {
   for (std::size_t i = 0; i < chunks.size(); ++i) {
-    if (chunks[i].section == SectionId::kEvents &&
-        chunks[i].column == column) {
+    if (chunks[i].section == section && chunks[i].column == column) {
       return i;
     }
   }
-  ADD_FAILURE() << "no events chunk for column "
+  ADD_FAILURE() << "no " << section_name(section) << " chunk for column "
                 << static_cast<int>(column);
   return 0;
 }
@@ -619,7 +659,8 @@ TEST_F(StoreTest, ShortColumnInEventRowGroupIsRejectedByLoadAndScan) {
   // past the decoded times.
   const std::string p = path("short_column.cgcs");
   auto [chunks, bytes] = write_small_events(p);
-  const std::size_t index = events_chunk(chunks, ColumnId::kTime);
+  const std::size_t index =
+      chunk_of(chunks, SectionId::kEvents, ColumnId::kTime);
   const ChunkMeta& time = chunks[index];
   ASSERT_EQ(time.row_count, 8u);
   // The payload prefix holding the first 7 varints.
@@ -645,12 +686,178 @@ TEST_F(StoreTest, OutOfRangeColumnIdIsRejectedByLoadAndScan) {
   // not used to index the row group's per-column table.
   const std::string p = path("bad_column.cgcs");
   auto [chunks, bytes] = write_small_events(p);
-  const std::size_t index = events_chunk(chunks, ColumnId::kPriority);
+  const std::size_t index =
+      chunk_of(chunks, SectionId::kEvents, ColumnId::kPriority);
   put_le(&bytes, entry_at(bytes, chunks.size(), index) + kColumnField, 200,
          1);
   reseal_footer(&bytes);
   spit(p, bytes);
   expect_load_and_scan_refuse(p);
+}
+
+/// `fn` throws util::DataError whose message is the reason and the path
+/// only: no assertion text, no source location.
+template <typename Fn>
+void expect_clean_data_error(Fn&& fn, const std::string& what) {
+  try {
+    fn();
+    ADD_FAILURE() << what << ": expected util::DataError";
+  } catch (const util::DataError& e) {
+    const std::string message = e.what();
+    EXPECT_EQ(message.find("CGC_CHECK failed"), std::string::npos)
+        << what << ": " << message;
+    EXPECT_EQ(message.find(".cpp:"), std::string::npos)
+        << what << ": " << message;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": not a util::DataError: " << e.what();
+  }
+}
+
+/// Rewrites directory entry `index` of the file at `p` with `edit`, then
+/// re-seals the footer CRC.
+template <typename Edit>
+void edit_entry(const std::string& p, std::size_t index, Edit&& edit) {
+  const std::size_t num_chunks = StoreReader(p).chunks().size();
+  std::string bytes = slurp(p);
+  edit(&bytes, entry_at(bytes, num_chunks, index));
+  reseal_footer(&bytes);
+  spit(p, bytes);
+}
+
+TEST_F(StoreTest, BadInputIsADataErrorNamingOnlyReasonAndPath) {
+  const std::string good = path("good.cgcs");
+  write_cgcs(make_model_trace(), good);
+  const std::string bytes = slurp(good);
+
+  // Structural damage: refused when the file is opened.
+  const std::string truncated = path("truncated.cgcs");
+  spit(truncated, bytes.substr(0, bytes.size() - 100));
+  expect_clean_data_error([&] { StoreReader reader(truncated); },
+                          "truncated");
+  std::string mutated = bytes;
+  mutated[0] = 'X';
+  const std::string bad_magic = path("bad_magic.cgcs");
+  spit(bad_magic, mutated);
+  expect_clean_data_error([&] { StoreReader reader(bad_magic); },
+                          "bad magic");
+  mutated = bytes;
+  mutated[mutated.size() - kTrailerSize - 4] ^= 0x40;
+  const std::string footer_crc = path("footer_crc.cgcs");
+  spit(footer_crc, mutated);
+  expect_clean_data_error([&] { StoreReader reader(footer_crc); },
+                          "footer CRC");
+
+  // A footer row count no file of this size can hold: refused before
+  // anything is sized from it.
+  mutated = bytes;
+  const std::size_t footer_at = static_cast<std::size_t>(
+      read_le(mutated, mutated.size() - kTrailerSize, 8));
+  const std::size_t name_size = read_le(mutated, footer_at + 4, 4);
+  // version, name, duration, memory_in_mb, jobs, tasks, then events.
+  put_le(&mutated, footer_at + 4 + 4 + name_size + 8 + 1 + 8 + 8,
+         std::uint64_t{1} << 40, 8);
+  reseal_footer(&mutated);
+  const std::string huge_count = path("huge_count.cgcs");
+  spit(huge_count, mutated);
+  for (const ReadMode mode : {ReadMode::kStrict, ReadMode::kDegraded}) {
+    expect_clean_data_error([&] { StoreReader reader(huge_count, mode); },
+                            "huge event count");
+  }
+
+  // A resealed u8 chunk relabelled as varint verifies (its CRC covers
+  // the payload, not the encoding) but is not what the schema says.
+  const auto relabel_varint = [](std::string* b, std::size_t entry) {
+    put_le(b, entry + kEncodingField,
+           static_cast<std::uint8_t>(Encoding::kVarint), 1);
+  };
+  const std::string events = path("events_varint.cgcs");
+  const auto event_chunks = write_small_events(events).first;
+  edit_entry(events,
+             chunk_of(event_chunks, SectionId::kEvents, ColumnId::kPriority),
+             relabel_varint);
+  const std::string jobs = path("jobs_varint.cgcs");
+  spit(jobs, bytes);
+  edit_entry(jobs,
+             chunk_of(StoreReader(good).chunks(), SectionId::kJobs,
+                      ColumnId::kPriority),
+             relabel_varint);
+  for (const ReadMode mode : {ReadMode::kStrict, ReadMode::kDegraded}) {
+    const StoreReader event_reader(events, mode);
+    EXPECT_TRUE(event_reader.verify_all().clean());
+    expect_clean_data_error([&] { event_reader.load_trace_set(); },
+                            "events kPriority as varint, load");
+    expect_clean_data_error(
+        [&] { scan_all(event_reader, EventPredicate{}); },
+        "events kPriority as varint, scan");
+    const StoreReader job_reader(jobs, mode);
+    expect_clean_data_error([&] { job_reader.load_trace_set(); },
+                            "jobs kPriority as varint, load");
+  }
+}
+
+TEST_F(StoreTest, ColumnOutsideItsSectionSchemaIsRefused) {
+  // Column ids that exist, but not in this section: a host-load column
+  // in events and an event-type column in jobs. A reader that ignored
+  // them would leave a field at its default without a word.
+  const auto relabel = [](ColumnId column) {
+    return [column](std::string* b, std::size_t entry) {
+      put_le(b, entry + kColumnField, static_cast<std::uint8_t>(column), 1);
+    };
+  };
+  const std::string events = path("events_cpu_low.cgcs");
+  const auto event_chunks = write_small_events(events).first;
+  edit_entry(events,
+             chunk_of(event_chunks, SectionId::kEvents, ColumnId::kPriority),
+             relabel(ColumnId::kCpuLow));
+  const std::string jobs = path("jobs_event_type.cgcs");
+  write_cgcs(make_model_trace(), jobs);
+  edit_entry(jobs,
+             chunk_of(StoreReader(jobs).chunks(), SectionId::kJobs,
+                      ColumnId::kPriority),
+             relabel(ColumnId::kEventType));
+  for (const ReadMode mode : {ReadMode::kStrict, ReadMode::kDegraded}) {
+    const StoreReader event_reader(events, mode);
+    expect_clean_data_error([&] { event_reader.load_trace_set(); },
+                            "host-load column in events, load");
+    expect_clean_data_error(
+        [&] { scan_all(event_reader, EventPredicate{}); },
+        "host-load column in events, scan");
+    const StoreReader job_reader(jobs, mode);
+    expect_clean_data_error([&] { job_reader.load_trace_set(); },
+                            "event-type column in jobs, load");
+  }
+}
+
+TEST_F(StoreTest, FileBytesArePinned) {
+  // The exact bytes write_cgcs makes of fixed traces — chunk order,
+  // encodings, zone maps and footer — at the default row group size and
+  // at 7 rows, which cuts every section into many row groups and makes
+  // host-load groups straddle series. The CRC-32s and sizes were
+  // recorded from the writer that spelled out every column by hand.
+  struct Pin {
+    const char* name;
+    TraceSet trace;
+    std::size_t rows_per_chunk;
+    std::uint32_t crc;
+    std::size_t size;
+  };
+  const Pin pins[] = {
+      {"model", make_model_trace(), ChunkOptions{}.rows_per_chunk,
+       1837886675u, 1253819},
+      {"model_tiny", make_model_trace(), 7, 4201131645u, 8960646},
+      {"grid", make_grid_hostload_trace(), ChunkOptions{}.rows_per_chunk,
+       654602973u, 3290},
+      {"grid_tiny", make_grid_hostload_trace(), 7, 2891487337u, 4776},
+  };
+  for (const Pin& pin : pins) {
+    const std::string p = path(std::string(pin.name) + ".cgcs");
+    WriteOptions options;
+    options.chunks.rows_per_chunk = pin.rows_per_chunk;
+    write_cgcs(pin.trace, p, options);
+    const std::string bytes = slurp(p);
+    EXPECT_EQ(crc_of(bytes, 0, bytes.size()), pin.crc) << pin.name;
+    EXPECT_EQ(bytes.size(), pin.size) << pin.name;
+  }
 }
 
 }  // namespace

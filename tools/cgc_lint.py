@@ -14,6 +14,7 @@ lint-time errors:
                        <-> DESIGN.md <-> at least one test, both ways
   exit-taxonomy        exit codes outside 0..3, raw `throw std::...`
   doc-coverage         public members of enforced headers documented
+  input-check          CGC_CHECK in a trace/store input reader
 
 Findings print as `path:line: [check] message` and exit 1; a clean run
 exits 0; usage errors exit 2 (matching the repo's own taxonomy).
@@ -44,6 +45,7 @@ ALL_CHECKS = (
     "site-registry",
     "exit-taxonomy",
     "doc-coverage",
+    "input-check",
 )
 
 # Directories whose code may register fault/metric sites. tools/ and
@@ -388,6 +390,43 @@ def check_exit_taxonomy(files, cache, findings):
 
 
 # --------------------------------------------------------------------
+# input-check
+# --------------------------------------------------------------------
+
+# The files that read trace and store input (relative to --root).
+INPUT_READER_GLOBS = (
+    "src/store/reader.cpp",
+    "src/store/encoding.cpp",
+    "src/store/mmap_file.cpp",
+    "src/trace/*_format.cpp",
+    "src/trace/parse_report.cpp",
+    "src/util/csv.cpp",
+)
+CGC_CHECK_RE = re.compile(r"\bCGC_CHECK(?:_MSG)?\s*\(")
+
+
+def check_input_check(root, files, cache, findings):
+    """A bad input file is a util::DataError carrying the reason and the
+    path; CGC_CHECK would report it as an assertion with the expression
+    and a source location. In the input readers every CGC_CHECK must be
+    marked as a program invariant with an allow()."""
+    readers = {p.resolve() for g in INPUT_READER_GLOBS for p in root.glob(g)}
+    for path in files:
+        if path.resolve() not in readers:
+            continue
+        for lineno, line in enumerate(cache.lines(path), 1):
+            code = line.split("//", 1)[0]
+            if CGC_CHECK_RE.search(code) and \
+                    not code.lstrip().startswith("#"):
+                findings.append(Finding(
+                    path, lineno, "input-check",
+                    "CGC_CHECK in an input reader — throw "
+                    "util::DataError with the reason and the path for "
+                    "bad input, or mark a program invariant with "
+                    "`// cgc-lint: allow(input-check) <why>`"))
+
+
+# --------------------------------------------------------------------
 # doc-coverage (ported from the retired check_sim_doc_coverage.py, now
 # generalized to any header directory)
 # --------------------------------------------------------------------
@@ -570,6 +609,8 @@ def main(argv):
         check_site_registry(root, cache, findings)
     if "exit-taxonomy" in checks:
         check_exit_taxonomy(files, cache, findings)
+    if "input-check" in checks:
+        check_input_check(root, files, cache, findings)
     if "doc-coverage" in checks:
         check_doc_coverage(root, paths, explicit_paths and checks == ["doc-coverage"],
                            cache, findings)
