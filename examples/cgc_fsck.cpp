@@ -1,7 +1,9 @@
 // cgc_fsck: validate and repair CGCS columnar store files.
 //
-// Verify walks the whole chunk directory (bounds + CRC-32 per chunk)
-// and prints a damage report without materializing the trace. Repair
+// Verify walks the whole chunk directory (bounds + CRC-32 per chunk,
+// and the column schema and row-group shape the load refuses to read
+// past) and prints a damage report without materializing the trace,
+// naming every quarantined or refused chunk. Repair
 // performs a degraded read — dropping damaged tasks/events row groups,
 // zero-filling damaged small-section columns — and rewrites a clean
 // file from the surviving rows, so a partially corrupted archive
@@ -47,17 +49,21 @@ using namespace cgc;
 
 void print_damage(const store::DamageReport& damage) {
   std::printf("damage: %s\n", damage.summary().c_str());
-  for (const store::QuarantinedChunk& q : damage.chunks) {
-    std::printf(
-        "  quarantined %s/%u rows [%llu, %llu) bytes [%llu, %llu): %s\n",
-        std::string(store::section_name(q.section)).c_str(),
-        static_cast<unsigned>(q.column),
-        static_cast<unsigned long long>(q.row_begin),
-        static_cast<unsigned long long>(q.row_begin + q.row_count),
-        static_cast<unsigned long long>(q.offset),
-        static_cast<unsigned long long>(q.offset + q.payload_size),
-        q.reason.c_str());
-  }
+  const auto print = [](const char* what,
+                        const std::vector<store::QuarantinedChunk>& list) {
+    for (const store::QuarantinedChunk& q : list) {
+      std::printf("  %s %s/%u rows [%llu, %llu) bytes [%llu, %llu): %s\n",
+                  what, std::string(store::section_name(q.section)).c_str(),
+                  static_cast<unsigned>(q.column),
+                  static_cast<unsigned long long>(q.row_begin),
+                  static_cast<unsigned long long>(q.row_begin + q.row_count),
+                  static_cast<unsigned long long>(q.offset),
+                  static_cast<unsigned long long>(q.offset + q.payload_size),
+                  q.reason.c_str());
+    }
+  };
+  print("quarantined", damage.chunks);
+  print("refused", damage.refused);
 }
 
 void print_issues(const std::vector<store::AuditIssue>& issues) {

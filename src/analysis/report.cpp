@@ -6,6 +6,7 @@
 
 #include "util/check.hpp"
 #include "util/csv.hpp"
+#include "util/file.hpp"
 
 namespace cgc::analysis {
 
@@ -37,7 +38,6 @@ void Figure::write_dat(const std::string& directory) const {
     const std::string path =
         directory + "/" + id + "_" + sanitize_name(s.name) + ".dat";
     std::ofstream out(path);
-    CGC_CHECK_MSG(out.good(), "cannot write " + path);
     out << "# " << title << " — " << s.name << '\n';
     out << "#";
     for (const std::string& c : s.column_names) {
@@ -53,6 +53,7 @@ void Figure::write_dat(const std::string& directory) const {
       }
       out << '\n';
     }
+    util::close_or_throw(out, path);
   }
 }
 

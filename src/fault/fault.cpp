@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "util/check.hpp"
+#include "util/hash.hpp"
 #include "util/mutex.hpp"
 
 namespace cgc::fault {
@@ -32,23 +33,6 @@ struct Config {
 
 util::Mutex g_mutex;
 std::unique_ptr<const Config> g_config CGC_GUARDED_BY(g_mutex);
-
-/// splitmix64 — a strong 64-bit mixer; the p= trigger hashes
-/// (seed, site, key) through it and compares against p * 2^64.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const char c : s) {
-    h = (h ^ static_cast<std::uint8_t>(c)) * 0x100000001B3ULL;
-  }
-  return h;
-}
 
 [[noreturn]] void bad_spec(const std::string& spec, const std::string& why) {
   throw util::FatalError("malformed CGC_FAULT_SPEC (" + why + "): " + spec);
@@ -169,8 +153,11 @@ bool site_fires(const Site& site, std::uint64_t key) {
     return true;
   }
   if (site.probability > 0.0) {
+    // A pure hash of (seed, site, key), so the trigger is independent
+    // of call order.
     const std::uint64_t h =
-        mix64(site.seed ^ fnv1a(site.name) ^ mix64(key));
+        util::splitmix64(site.seed ^ util::fnv1a(site.name) ^
+                         util::splitmix64(key));
     // Top 53 bits -> uniform double in [0, 1).
     const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
     return u < site.probability;

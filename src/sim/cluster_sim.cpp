@@ -10,7 +10,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <map>
 #include <utility>
 
 #include "exec/parallel.hpp"
@@ -19,6 +18,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/sim_rng.hpp"
 #include "sim/state_banks.hpp"
+#include "trace/lifecycle.hpp"
 #include "util/check.hpp"
 
 namespace cgc::sim {
@@ -224,7 +224,8 @@ struct ClusterSim::Impl {
   /// The i-th probe candidate for this placement's hashed probe
   /// sequence (power-of-d-choices over the machine park).
   std::size_t probe_at(std::uint64_t base, std::size_t i) const {
-    return static_cast<std::size_t>(rng::mix(base + i) % machines.size());
+    return static_cast<std::size_t>(rng::splitmix64(base + i) %
+                                    machines.size());
   }
 
   /// Hashed base of the probe sequence: stable in (seed, task, pass),
@@ -940,42 +941,8 @@ trace::TraceSet ClusterSim::run(const Workload& workload,
     }
   }
 
-  // Aggregate jobs from tasks.
   if (config_.record_tasks) {
-    // Ordered by job id: the emission loop below feeds add_job()
-    // directly, so iteration order reaches the output arrays.
-    std::map<std::int64_t, trace::Job> jobs;
-    std::map<std::int64_t, double> job_cpu_seconds;
-    for (const trace::Task& t : impl.out.tasks()) {
-      auto [it, inserted] = jobs.try_emplace(t.job_id);
-      trace::Job& j = it->second;
-      if (inserted) {
-        j.job_id = t.job_id;
-        j.priority = t.priority;
-        j.submit_time = t.submit_time;
-        j.end_time = t.end_time;
-        j.num_tasks = 1;
-        j.mem_usage = t.mem_usage;
-      } else {
-        j.submit_time = std::min(j.submit_time, t.submit_time);
-        if (j.end_time >= 0) {
-          j.end_time = t.end_time < 0 ? -1 : std::max(j.end_time, t.end_time);
-        }
-        ++j.num_tasks;
-        j.mem_usage += t.mem_usage;
-      }
-      job_cpu_seconds[t.job_id] += static_cast<double>(t.run_duration());
-    }
-    for (auto& [id, job] : jobs) {
-      // Formula (4): one processor-equivalent per task; parallelism is
-      // the mean number of concurrently running tasks.
-      const trace::TimeSec length = job.length();
-      job.cpu_parallelism =
-          length > 0 ? static_cast<float>(job_cpu_seconds[id] /
-                                          static_cast<double>(length))
-                     : 1.0f;
-      impl.out.add_job(job);
-    }
+    impl.out.adopt_jobs(trace::roll_up_jobs(impl.out.tasks()));
   }
 
   impl.out.finalize();

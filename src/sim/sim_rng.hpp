@@ -21,30 +21,25 @@
 #include <cmath>
 #include <cstdint>
 
+#include "util/hash.hpp"
+
 namespace cgc::sim::rng {
 
-/// splitmix64 finalizer: the avalanche permutation used to turn a
-/// counter into 64 independent-looking bits.
-constexpr std::uint64_t mix(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
+using util::splitmix64;
 
-/// Hash of (seed, salt, key): one mix chain per argument. `salt`
+/// Hash of (seed, salt, key): one splitmix64 chain per argument. `salt`
 /// namespaces the draw site so different decisions about the same
 /// entity are independent.
 constexpr std::uint64_t hash(std::uint64_t seed, std::uint64_t salt,
                              std::uint64_t key) {
-  return mix(mix(seed ^ salt) ^ key);
+  return splitmix64(splitmix64(seed ^ salt) ^ key);
 }
 
 /// Hash of (seed, salt, key1, key2) for two-dimensional keys such as
 /// (task, sample_index) or (task, attempt).
 constexpr std::uint64_t hash2(std::uint64_t seed, std::uint64_t salt,
                               std::uint64_t k1, std::uint64_t k2) {
-  return mix(mix(mix(seed ^ salt) ^ k1) ^ k2);
+  return splitmix64(splitmix64(splitmix64(seed ^ salt) ^ k1) ^ k2);
 }
 
 /// Uniform double in (0, 1): never exactly 0, so it is safe under log().

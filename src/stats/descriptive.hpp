@@ -29,6 +29,8 @@ class RunningStats {
   double stddev() const;
   double min() const;
   double max() const;
+  /// Sum of squared deviations from the mean (Welford's M2 state).
+  double m2() const { return m2_; }
 
  private:
   std::size_t count_ = 0;

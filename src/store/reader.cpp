@@ -30,6 +30,25 @@ std::string bad_file(const std::string& path, const std::string& why) {
   return "not a valid CGCS file (" + why + "): " + path;
 }
 
+/// `chunk`, set aside for `reason`.
+QuarantinedChunk finding(const ChunkMeta& chunk, std::string reason) {
+  QuarantinedChunk q;
+  q.section = chunk.section;
+  q.column = chunk.column;
+  q.offset = chunk.offset;
+  q.payload_size = chunk.payload_size;
+  q.row_begin = chunk.row_begin;
+  q.row_count = chunk.row_count;
+  q.reason = std::move(reason);
+  return q;
+}
+
+/// "column <id> of section <name>", the way load errors name a column.
+std::string column_name(SectionId section, ColumnId column) {
+  return "column " + std::to_string(static_cast<int>(column)) +
+         " of section " + std::string(section_name(section));
+}
+
 /// Footer checks throw the bare reason; the constructor adds the path.
 void require(bool ok, const std::string& why) {
   if (!ok) {
@@ -100,7 +119,10 @@ void scatter(const StoreReader& reader, const ChunkMeta& c, Dst& dst) {
 std::string DamageReport::summary() const {
   return std::to_string(chunks.size()) + " chunks quarantined, " +
          std::to_string(rows_lost) + " rows lost, " +
-         std::to_string(values_defaulted) + " values defaulted";
+         std::to_string(values_defaulted) + " values defaulted" +
+         (refused.empty() ? ""
+                          : ", " + std::to_string(refused.size()) +
+                                " refused");
 }
 
 StoreReader::StoreReader(const std::string& path, ReadMode mode)
@@ -121,6 +143,7 @@ StoreReader::StoreReader(const std::string& path, ReadMode mode)
   std::vector<std::atomic<bool>> bad(chunks_.size());
   chunk_bad_ = std::move(bad);
   validate_chunks();
+  index_row_groups();
 }
 
 StoreReader::~StoreReader() = default;
@@ -338,15 +361,7 @@ void StoreReader::quarantine(const ChunkMeta& chunk,
         obs::counter("store.chunks_quarantined");
     quarantined.add(1);
   }
-  QuarantinedChunk q;
-  q.section = chunk.section;
-  q.column = chunk.column;
-  q.offset = chunk.offset;
-  q.payload_size = chunk.payload_size;
-  q.row_begin = chunk.row_begin;
-  q.row_count = chunk.row_count;
-  q.reason = reason;
-  damage_.chunks.push_back(std::move(q));
+  damage_.chunks.push_back(finding(chunk, reason));
 }
 
 bool StoreReader::chunk_ok(const ChunkMeta& chunk) const noexcept {
@@ -372,7 +387,9 @@ DamageReport StoreReader::verify_all() const {
   for (const ChunkMeta& chunk : chunks_) {
     chunk_ok(chunk);
   }
-  return damage();
+  DamageReport report = damage();
+  report.refused = refused_;
+  return report;
 }
 
 std::span<const std::uint8_t> StoreReader::payload(
@@ -433,50 +450,53 @@ void StoreReader::decode_i64(const ChunkMeta& chunk,
   }
 }
 
-void StoreReader::require_in_schema(const ChunkMeta& c) const {
-  const schema::ColumnSpec spec = schema::column_spec(c.section, c.column);
-  const std::string where = "column " +
-                            std::to_string(static_cast<int>(c.column)) +
-                            " of section " +
-                            std::string(section_name(c.section));
-  if (!spec.listed) {
-    throw util::DataError(
-        bad_file(file_.path(), where + " is not in the schema"));
-  }
-  if (spec.encoding != c.encoding) {
-    throw util::DataError(bad_file(
-        file_.path(), where + " has an encoding the schema does not give it"));
-  }
-}
-
-std::vector<StoreReader::RowGroup> StoreReader::row_groups(
-    SectionId section) const {
-  std::map<std::uint64_t, RowGroup> by_row;
+void StoreReader::index_row_groups() {
+  std::map<std::uint64_t, RowGroup> by_row[2];  // tasks, events
   for (const ChunkMeta& c : chunks_) {
-    if (c.section != section) {
+    const schema::ColumnSpec spec = schema::column_spec(c.section, c.column);
+    const std::string name = column_name(c.section, c.column);
+    if (!spec.listed) {
+      refused_.push_back(finding(c, name + " is not in the schema"));
       continue;
     }
-    require_in_schema(c);
-    RowGroup& g = by_row[c.row_begin];
-    g.row_begin = c.row_begin;
-    g.row_count = c.row_count;
-    g.cols[static_cast<std::size_t>(c.column)] = &c;
+    if (spec.encoding != c.encoding) {
+      refused_.push_back(
+          finding(c, name + " has an encoding the schema does not give it"));
+    }
+    if (c.section == SectionId::kTasks || c.section == SectionId::kEvents) {
+      RowGroup& g = by_row[c.section == SectionId::kEvents][c.row_begin];
+      g.row_begin = c.row_begin;
+      g.row_count = std::max(g.row_count, c.row_count);
+      g.cols[static_cast<std::size_t>(c.column)] = &c;
+    }
   }
-  std::vector<RowGroup> out;
-  out.reserve(by_row.size());
-  for (const auto& [row, group] : by_row) {
-    out.push_back(group);
-  }
-  return out;
+  const auto check = [this]<typename Section>(
+                         Section, const std::map<std::uint64_t, RowGroup>& in,
+                         std::vector<RowGroup>* out) {
+    for (const auto& [row, g] : in) {
+      for (const ColumnId id : Section::ids) {
+        const ChunkMeta* c = g.cols[static_cast<std::size_t>(id)];
+        if (c == nullptr || c->row_count != g.row_count) {
+          const ChunkMeta missing{.section = Section::id, .column = id,
+                                  .row_begin = g.row_begin};
+          refused_.push_back(finding(
+              c != nullptr ? *c : missing,
+              column_name(Section::id, id) + " does not span the " +
+                  std::to_string(g.row_count) + "-row group at row " +
+                  std::to_string(g.row_begin)));
+        }
+      }
+      out->push_back(g);
+    }
+  };
+  check(schema::Tasks{}, by_row[0], &task_groups_);
+  check(schema::Events{}, by_row[1], &event_groups_);
 }
 
-const ChunkMeta& StoreReader::need(const RowGroup& g, ColumnId col) const {
-  const ChunkMeta* c = g.cols[static_cast<std::size_t>(col)];
-  if (c == nullptr || c->row_count != g.row_count) {
-    throw util::DataError(
-        bad_file(file_.path(), "row group missing a column"));
+void StoreReader::require_loadable() const {
+  if (!refused_.empty()) {
+    throw util::DataError(bad_file(file_.path(), refused_.front().reason));
   }
-  return *c;
 }
 
 bool StoreReader::drop_damaged(const RowGroup& g) const {
@@ -503,7 +523,7 @@ void StoreReader::decode_rows(const RowGroup& g,
   Section::apply([&](auto... column) {
     // Braced initialization decodes the columns in schema order.
     const std::tuple columns{ColumnValues<decltype(column)>(
-        *this, need(g, decltype(column)::id))...};
+        *this, g.col(decltype(column)::id))...};
     std::apply(
         [&](const auto&... col) {
           for (std::size_t i = 0; i < g.row_count; ++i) {
@@ -517,6 +537,7 @@ void StoreReader::decode_rows(const RowGroup& g,
 
 trace::TraceSet StoreReader::load_trace_set() const {
   obs::ScopedTimer timer("store.load_trace_set");
+  require_loadable();
   std::vector<trace::Job> jobs(info_.num_jobs);
   std::vector<trace::Task> tasks(info_.num_tasks);
   std::vector<trace::TaskEvent> events(info_.num_events);
@@ -538,7 +559,7 @@ trace::TraceSet StoreReader::load_trace_set() const {
   const auto decode_section = [this]<typename Section>(
                                   Section, std::vector<typename Section::row>*
                                                rows) {
-    const std::vector<RowGroup> groups = row_groups(Section::id);
+    const std::vector<RowGroup>& groups = row_groups(Section::id);
     util::Mutex lost_mutex;
     std::vector<std::pair<std::uint64_t, std::uint64_t>> lost;
     exec::parallel_for(0, groups.size(), [&](std::size_t gi) {
@@ -574,7 +595,6 @@ trace::TraceSet StoreReader::load_trace_set() const {
     if (c.section == SectionId::kTasks || c.section == SectionId::kEvents) {
       return;
     }
-    require_in_schema(c);
     if (mode_ == ReadMode::kDegraded && !chunk_ok(c)) {
       util::MutexLock lock(damage_mutex_);
       damage_.values_defaulted += c.row_count;
@@ -605,7 +625,8 @@ ScanStats StoreReader::scan(
     const EventPredicate& predicate,
     const std::function<void(std::span<const trace::TaskEvent>)>& fn) const {
   obs::ScopedTimer timer("store.scan");
-  const std::vector<RowGroup> groups = row_groups(SectionId::kEvents);
+  require_loadable();
+  const std::vector<RowGroup>& groups = row_groups(SectionId::kEvents);
   ScanStats stats;
   stats.row_groups_total = groups.size();
 
@@ -613,8 +634,8 @@ ScanStats StoreReader::scan(
   // ranges can intersect the predicate's bounds.
   std::vector<const RowGroup*> survivors;
   for (const RowGroup& g : groups) {
-    const ChunkMeta& time = need(g, ColumnId::kTime);
-    const ChunkMeta& job_id = need(g, ColumnId::kJobId);
+    const ChunkMeta& time = g.col(ColumnId::kTime);
+    const ChunkMeta& job_id = g.col(ColumnId::kJobId);
     if ((predicate.time_min && time.int_max < *predicate.time_min) ||
         (predicate.time_max && time.int_min > *predicate.time_max) ||
         (predicate.job_id_min && job_id.int_max < *predicate.job_id_min) ||

@@ -55,16 +55,18 @@ struct QuarantinedChunk {
 /// What a degraded read lost. rows_lost counts tasks/events rows whose
 /// row group was dropped; values_defaulted counts rows of small-section
 /// columns (jobs/machines/host-load) that were zero-filled because
-/// their chunk was quarantined.
+/// their chunk was quarantined. `refused` lists the chunks the load
+/// refuses in either mode (index_row_groups); only verify_all() fills it.
 struct DamageReport {
   std::vector<QuarantinedChunk> chunks;
+  std::vector<QuarantinedChunk> refused;
   std::uint64_t rows_lost = 0;
   std::uint64_t values_defaulted = 0;
 
-  bool clean() const { return chunks.empty(); }
+  bool clean() const { return chunks.empty() && refused.empty(); }
   std::size_t chunks_quarantined() const { return chunks.size(); }
   /// One-line human summary, e.g. "3 chunks quarantined, 131072 rows
-  /// lost, 0 values defaulted".
+  /// lost, 0 values defaulted" (plus ", 1 refused" when any is).
   std::string summary() const;
 };
 
@@ -143,9 +145,10 @@ class StoreReader {
 
   /// Verifies every directory chunk (bounds + CRC, memoized) without
   /// throwing and returns damage(), which then lists every damaged
-  /// chunk of the file. Damaged chunks are quarantined in either mode,
-  /// so a strict reader throws on a later access to one. cgc_fsck and
-  /// the spill and cache audits sweep whole files with this.
+  /// chunk of the file, and `refused` with the load's reasons. Damaged
+  /// chunks are quarantined in either mode, so a strict reader throws
+  /// on a later access to one. cgc_fsck and the spill and cache audits
+  /// sweep whole files with this.
   DamageReport verify_all() const;
 
   /// Zero-copy span over a raw f32 chunk (points into the mmap; valid
@@ -182,20 +185,27 @@ class StoreReader {
     std::uint64_t row_begin = 0;
     std::uint64_t row_count = 0;
     const ChunkMeta* cols[kNumColumnIds] = {};
+    /// Column `id`'s chunk; every schema column is present once
+    /// index_row_groups() found nothing to refuse.
+    const ChunkMeta& col(ColumnId id) const {
+      return *cols[static_cast<std::size_t>(id)];
+    }
   };
 
   std::span<const std::uint8_t> payload(const ChunkMeta& chunk) const;
   void parse_footer();
   void validate_chunks();
-  /// Throws cgc::util::DataError unless the schema (store/schema.hpp)
-  /// lists `chunk`'s column for its section with `chunk`'s encoding.
-  void require_in_schema(const ChunkMeta& chunk) const;
-  /// The row groups of `section`, ordered by row_begin; refuses a chunk
-  /// the schema does not list (require_in_schema).
-  std::vector<RowGroup> row_groups(SectionId section) const;
-  /// Column `col` of `g`; throws cgc::util::DataError when the group
-  /// lacks it or the chunk's row count disagrees with the group's.
-  const ChunkMeta& need(const RowGroup& g, ColumnId col) const;
+  /// Builds the row groups and applies the load's structural rule once,
+  /// at open: each chunk is a column the schema (store/schema.hpp) gives
+  /// its section, with its encoding, and each tasks/events row group
+  /// holds every column at the group's row count. Fills refused_.
+  void index_row_groups();
+  /// Throws cgc::util::DataError with refused_'s first reason.
+  void require_loadable() const;
+  /// The row groups of `section` (tasks or events), by row_begin.
+  const std::vector<RowGroup>& row_groups(SectionId section) const {
+    return section == SectionId::kTasks ? task_groups_ : event_groups_;
+  }
   /// The degraded rule for tasks/events row groups: true (drop the
   /// group) when any of its chunks is damaged. Every chunk is checked,
   /// so damage() records all of them, and the group's rows are added
@@ -231,6 +241,9 @@ class StoreReader {
   };
   std::vector<SeriesMeta> series_;
   std::vector<ChunkMeta> chunks_;
+  std::vector<RowGroup> task_groups_;
+  std::vector<RowGroup> event_groups_;
+  std::vector<QuarantinedChunk> refused_;
   /// One flag per chunk: payload verified. First access verifies;
   /// races are benign (both sides compute the same answer).
   mutable std::vector<std::atomic<bool>> payload_checked_;

@@ -87,6 +87,8 @@ template <SectionId S, typename Row, typename... Cols>
 struct Section {
   static constexpr SectionId id = S;
   using row = Row;
+  /// The column ids, in file order.
+  static constexpr ColumnId ids[] = {Cols::id...};
   /// Calls fn(Cols{}...) with the whole column list, in file order.
   template <typename Fn>
   static constexpr void apply(Fn&& fn) {

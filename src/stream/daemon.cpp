@@ -16,6 +16,8 @@
 #include "stream/shutdown.hpp"
 #include "trace/loader.hpp"
 #include "util/check.hpp"
+#include "util/file.hpp"
+#include "util/hash.hpp"
 #include "util/json.hpp"
 #include "util/time_util.hpp"
 
@@ -28,21 +30,13 @@ constexpr const char* kKnownQueries[] = {
     "host_load",    "queue",    "noise",    "all",
 };
 
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 void write_health_json(std::ostream& out, const StreamHealth& health) {
   out << "{\"late_dropped\": " << health.late_dropped
       << ", \"late_absorbed\": " << health.late_absorbed
       << ", \"faults_dropped\": " << health.faults_dropped
       << ", \"faults_duplicated\": " << health.faults_duplicated
       << ", \"parse_bad_lines\": " << health.parse_bad_lines
+      << ", \"rows_lost\": " << health.rows_lost
       << ", \"lossy\": " << (health.lossy() ? "true" : "false") << "}";
 }
 
@@ -69,12 +63,12 @@ int run_daemon(const DaemonConfig& config, std::istream& in,
   SlidingWindow engine(window_config);
 
   std::ofstream spill_jsonl;
+  const std::string jsonl_path = config.spill_dir + "/windows.jsonl";
   std::uint64_t windows_spilled = 0;
   if (!config.spill_dir.empty()) {
     std::filesystem::create_directories(config.spill_dir);
-    const std::string jsonl_path = config.spill_dir + "/windows.jsonl";
+    // A failed open or write surfaces at close_or_throw() below.
     spill_jsonl.open(jsonl_path, std::ios::trunc);
-    CGC_CHECK_MSG(spill_jsonl.is_open(), "cannot open " + jsonl_path);
     engine.set_spill([&](const WindowStats& ws,
                          std::span<const trace::TaskEvent> events) {
       char name[40];
@@ -92,7 +86,7 @@ int run_daemon(const DaemonConfig& config, std::istream& in,
       ws.append_state(&state);
       char digest[24];
       std::snprintf(digest, sizeof(digest), "%016llx",
-                    static_cast<unsigned long long>(fnv1a(state)));
+                    static_cast<unsigned long long>(util::fnv1a(state)));
       spill_jsonl << "{\"index\": " << ws.index << ", \"start\": " << ws.start
                   << ", \"end\": " << ws.end
                   << ", \"events\": " << ws.events.total()
@@ -155,11 +149,15 @@ int run_daemon(const DaemonConfig& config, std::istream& in,
     const trace::TraceSet loaded =
         trace::load_trace(config.input, load_options, &report);
     io_health.parse_bad_lines += report.parse.lines_bad;
+    io_health.rows_lost += report.damage.rows_lost;
     replay(loaded);
   } else {
     CGC_CHECK_MSG(false, "no input: give a trace path, \"-\", or generate");
   }
   engine.flush();
+  if (!config.spill_dir.empty()) {
+    util::close_or_throw(spill_jsonl, jsonl_path);
+  }
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
           .count();

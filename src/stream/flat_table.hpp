@@ -21,21 +21,16 @@
 #include <utility>
 #include <vector>
 
+#include "util/hash.hpp"
+
 namespace cgc::stream {
 
-/// Final mix of a 64-bit key (the splitmix64 finalizer): every input
+/// Hash of an integer key: the splitmix64 finalizer, so every input
 /// bit reaches the low bits the table masks with.
-inline std::uint64_t mix_key(std::uint64_t x) {
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-/// Hash of an integer key.
 struct IntKeyHash {
   /// Mixed 64-bit hash of `key`.
   std::uint64_t operator()(std::int64_t key) const {
-    return mix_key(static_cast<std::uint64_t>(key));
+    return util::mix64(static_cast<std::uint64_t>(key));
   }
 };
 

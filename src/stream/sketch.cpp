@@ -183,37 +183,6 @@ void StreamingEcdf::append_state(std::string* out) const {
 }
 
 // ---------------------------------------------------------------------------
-// Moments
-// ---------------------------------------------------------------------------
-
-void Moments::add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double Moments::variance() const {
-  return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_);
-}
-
-double Moments::stddev() const { return std::sqrt(variance()); }
-
-void Moments::append_state(std::string* out) const {
-  append_pod(out, count_);
-  append_pod(out, mean_);
-  append_pod(out, m2_);
-  append_pod(out, min_);
-  append_pod(out, max_);
-}
-
-// ---------------------------------------------------------------------------
 // CounterBank
 // ---------------------------------------------------------------------------
 

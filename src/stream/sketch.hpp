@@ -14,9 +14,10 @@
 //      order-invariantly — integer bucket adds commute and associate,
 //      so any merge tree over any slice permutation yields bit-identical
 //      state. SlidingWindow adds up pane summaries this way. The
-//      floating-point kernels (Moments, ExtendedP2) have no merge: their
-//      state depends on sample order, so the engine feeds each window's
-//      copy directly, in arrival order.
+//      floating-point kernels (ExtendedP2 here, and the windows' Welford
+//      stats::RunningStats) are not merged: their state depends on
+//      sample order, so the engine feeds each window's copy directly,
+//      in arrival order.
 //   3. Accuracy is bounded and documented: StreamingEcdf quantiles are
 //      within relative error α of the exact sample quantile (log-γ
 //      buckets, DDSketch-style, stats/bucketing.hpp); ExtendedP2 is a
@@ -93,33 +94,6 @@ class StreamingEcdf {
   double max_ = 0.0;
   std::int32_t base_ = 0;
   std::vector<std::uint64_t> counts_;
-};
-
-// ---------------------------------------------------------------------------
-// Moments — windowed mean/variance (Welford update).
-// ---------------------------------------------------------------------------
-
-/// Count, mean, variance, min, max in O(1) space.
-class Moments {
- public:
-  void add(double x);
-
-  std::uint64_t count() const { return count_; }
-  double mean() const { return mean_; }
-  /// Population variance; 0 with fewer than two samples.
-  double variance() const;
-  double stddev() const;
-  double min() const { return count_ == 0 ? 0.0 : min_; }
-  double max() const { return count_ == 0 ? 0.0 : max_; }
-
-  void append_state(std::string* out) const;
-
- private:
-  std::uint64_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
+#include "util/hash.hpp"
 
 namespace cgc::stream {
 
@@ -21,10 +22,6 @@ template <typename T>
 void append_pod(std::string* out, const T& value) {
   const char* bytes = reinterpret_cast<const char*>(&value);
   out->append(bytes, sizeof(T));
-}
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  return mix_key(x + 0x9e3779b97f4a7c15ULL);
 }
 
 /// JSON fragment for one StreamingEcdf: summary quantiles plus plot
@@ -51,6 +48,7 @@ void write_sketch_json(std::ostream& out, const StreamingEcdf& sketch,
 }  // namespace
 
 std::uint64_t event_fault_key(const trace::TaskEvent& event) {
+  using util::splitmix64;
   std::uint64_t h = splitmix64(static_cast<std::uint64_t>(event.time));
   h = splitmix64(h ^ static_cast<std::uint64_t>(event.job_id));
   h = splitmix64(h ^ static_cast<std::uint32_t>(event.task_index));
@@ -65,6 +63,7 @@ void StreamHealth::merge(const StreamHealth& other) {
   faults_dropped += other.faults_dropped;
   faults_duplicated += other.faults_duplicated;
   parse_bad_lines += other.parse_bad_lines;
+  rows_lost += other.rows_lost;
 }
 
 // ---------------------------------------------------------------------------
@@ -128,7 +127,11 @@ void WindowStats::append_state(std::string* out) const {
   job_length.append_state(out);
   task_length.append_state(out);
   submit_gap.append_state(out);
-  submit_gap_moments.append_state(out);
+  append_pod(out, static_cast<std::uint64_t>(submit_gap_moments.count()));
+  append_pod(out, submit_gap_moments.mean());
+  append_pod(out, submit_gap_moments.m2());
+  append_pod(out, submit_gap_moments.min());
+  append_pod(out, submit_gap_moments.max());
   job_length_probe.append_state(out);
   host_load.append_state(out);
   append_pod(out, static_cast<std::uint64_t>(rate_bins.size()));

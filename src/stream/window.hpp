@@ -6,7 +6,7 @@
 //   * priority mix (Fig 2)            — CounterBank of SUBMITs
 //   * job-length CDF (Fig 3)          — StreamingEcdf of job lengths
 //   * task-length CDF (Fig 4's count half)
-//   * submission-interval CDF (Fig 5) — StreamingEcdf + Moments of gaps
+//   * submission-interval CDF (Fig 5) — StreamingEcdf + RunningStats of gaps
 //   * per-host load (Fig 8b/13)       — StreamingEcdf of running tasks
 //     per machine, snapshotted at window close
 //   * queue state (Fig 8)             — pending/running gauges + event
@@ -29,7 +29,7 @@
 // task-length and submission-gap ECDFs — and a closing window adds up
 // its span panes. Every one of those merges is an exact integer add,
 // so a closed window is bit-identical to feeding each window directly.
-// The order-dependent accumulators (submission-gap Moments, the
+// The order-dependent accumulators (submission-gap RunningStats, the
 // job-length ExtendedP2 probe), late counts absorbed into a window, and
 // the keep_events lists stay per window. Consequence for observers: the
 // pane-fed fields of a still-open window (find()) are empty
@@ -52,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "stats/descriptive.hpp"
 #include "stream/flat_table.hpp"
 #include "stream/sketch.hpp"
 #include "trace/types.hpp"
@@ -95,12 +96,13 @@ struct StreamHealth {
   std::uint64_t faults_dropped = 0;  ///< events dropped by fault injection
   std::uint64_t faults_duplicated = 0;  ///< events doubled by injection
   std::uint64_t parse_bad_lines = 0;    ///< malformed pipe-input lines
+  std::uint64_t rows_lost = 0;  ///< input-store rows in damaged row groups
 
   /// True when the stream lost or fabricated data (absorbed-late events
   /// are reassigned, not lost, and so do not make the stream lossy).
   bool lossy() const {
     return late_dropped != 0 || faults_dropped != 0 ||
-           faults_duplicated != 0 || parse_bad_lines != 0;
+           faults_duplicated != 0 || parse_bad_lines != 0 || rows_lost != 0;
   }
   void merge(const StreamHealth& other);
 };
@@ -120,7 +122,7 @@ struct WindowStats {
   StreamingEcdf task_length;
   /// Gaps (s) between consecutive job submissions landing here.
   StreamingEcdf submit_gap;
-  Moments submit_gap_moments;
+  stats::RunningStats submit_gap_moments;
   /// Cheap probe quantiles of job length (the extended-P² idiom).
   ExtendedP2 job_length_probe;
   /// Running tasks per machine at window close.
@@ -202,8 +204,9 @@ class SlidingWindow {
   };
   struct TaskKeyHash {
     std::uint64_t operator()(const TaskKey& key) const {
-      return mix_key(static_cast<std::uint64_t>(key.job_id) ^
-                     mix_key(static_cast<std::uint32_t>(key.task_index)));
+      const auto index = static_cast<std::uint32_t>(key.task_index);
+      return util::mix64(static_cast<std::uint64_t>(key.job_id) ^
+                         util::mix64(index));
     }
   };
   struct TaskRun {

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "util/check.hpp"
+#include "util/hash.hpp"
 
 namespace cgc::sweep {
 
@@ -26,17 +27,9 @@ ShardSpec parse_shard_spec(const std::string& spec) {
 }
 
 std::uint64_t stable_case_hash(std::string_view case_id) {
-  std::uint64_t h = 14695981039346656037ULL;  // FNV-1a offset basis
-  for (const char c : case_id) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;  // FNV prime
-  }
-  // splitmix64 finalizer: diffuses the low-entropy tail of short ids so
+  // splitmix64 diffuses the low-entropy tail of short ids so
   // `mod total` sees all 64 bits.
-  h += 0x9e3779b97f4a7c15ULL;
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-  return h ^ (h >> 31);
+  return util::splitmix64(util::fnv1a(case_id));
 }
 
 int shard_of(std::string_view case_id, int total) {

@@ -2,9 +2,8 @@
 
 #include <filesystem>
 #include <map>
-#include <unordered_map>
 
-#include "util/check.hpp"
+#include "trace/lifecycle.hpp"
 #include "util/csv.hpp"
 #include "util/log.hpp"
 
@@ -204,97 +203,6 @@ void read_host_usage(const std::string& path, TraceSet* trace,
 
 }  // namespace
 
-void rebuild_tasks_and_jobs(TraceSet* trace) {
-  // Tracks the live instance of each (job, task_index).
-  struct Open {
-    TaskState state = TaskState::kUnsubmitted;
-    Task record;
-  };
-  std::unordered_map<std::int64_t, std::unordered_map<std::int32_t, Open>>
-      open;
-
-  for (const TaskEvent& e : trace->events()) {
-    Open& o = open[e.job_id][e.task_index];
-    switch (e.type) {
-      case TaskEventType::kSubmit:
-        if (o.state == TaskState::kDead) {
-          ++o.record.resubmits;
-        } else {
-          o.record = Task{};
-          o.record.job_id = e.job_id;
-          o.record.task_index = e.task_index;
-          o.record.submit_time = e.time;
-        }
-        o.record.priority = e.priority;
-        o.state = TaskState::kPending;
-        break;
-      case TaskEventType::kSchedule:
-        if (o.state != TaskState::kPending) {
-          CGC_LOG(kWarn) << "SCHEDULE for non-pending task " << e.job_id << "/"
-                         << e.task_index << "; skipping";
-          break;
-        }
-        if (o.record.schedule_time < 0) {
-          o.record.schedule_time = e.time;
-        }
-        o.record.machine_id = e.machine_id;
-        o.state = TaskState::kRunning;
-        break;
-      case TaskEventType::kEvict:
-      case TaskEventType::kFail:
-      case TaskEventType::kFinish:
-      case TaskEventType::kKill:
-      case TaskEventType::kLost:
-        if (o.state != TaskState::kRunning && o.state != TaskState::kPending) {
-          CGC_LOG(kWarn) << "terminal event for idle task " << e.job_id << "/"
-                         << e.task_index << "; skipping";
-          break;
-        }
-        o.record.end_time = e.time;
-        o.record.end_event = e.type;
-        o.state = TaskState::kDead;
-        break;
-      case TaskEventType::kUpdate:
-        break;
-    }
-  }
-
-  // cgc-lint: allow(unordered-iteration) finalize() sorts tasks by the
-  // unique (job_id, task_index) key, so emission order cannot survive.
-  for (auto& [job_id, tasks] : open) {
-    for (auto& [index, o] : tasks) {
-      trace->add_task(o.record);
-    }
-  }
-
-  // Aggregate jobs from their tasks.
-  std::unordered_map<std::int64_t, Job> jobs;
-  for (const Task& t : trace->tasks()) {
-    auto [it, inserted] = jobs.try_emplace(t.job_id);
-    Job& j = it->second;
-    if (inserted) {
-      j.job_id = t.job_id;
-      j.priority = t.priority;
-      j.submit_time = t.submit_time;
-      j.end_time = t.end_time;
-      j.num_tasks = 1;
-    } else {
-      j.submit_time = std::min(j.submit_time, t.submit_time);
-      // A job completes when its last task does; any unfinished task
-      // leaves the job unfinished.
-      if (j.end_time >= 0) {
-        j.end_time = t.end_time < 0 ? -1 : std::max(j.end_time, t.end_time);
-      }
-      ++j.num_tasks;
-    }
-  }
-  // cgc-lint: allow(unordered-iteration) finalize() sorts jobs by the
-  // unique (submit_time, job_id) key, so emission order cannot survive.
-  for (const auto& [id, job] : jobs) {
-    trace->add_job(job);
-  }
-}
-
 TraceSet detail::read_google_trace_impl(const std::string& directory,
                                         const std::string& system_name,
                                         const ParseOptions& options,
@@ -314,8 +222,16 @@ TraceSet detail::read_google_trace_impl(const std::string& directory,
   if (std::filesystem::exists(host_usage_path)) {
     read_host_usage(host_usage_path, &trace, options, report);
   }
-  trace.finalize();  // sort events before reconstruction
-  rebuild_tasks_and_jobs(&trace);
+  trace.finalize();  // sort events by time before the replay
+  std::vector<RefusedEvent> refused;
+  trace.adopt_tasks(replay_tasks(trace.events(), &refused));
+  trace.adopt_jobs(roll_up_jobs(trace.tasks()));
+  if (!refused.empty()) {
+    CGC_LOG(kWarn) << "skipped " << refused.size()
+                   << " task event(s) illegal in their task's state, first "
+                   << event_name(refused[0].event.type) << " in "
+                   << state_name(refused[0].state);
+  }
   trace.finalize();
   return trace;
 }

@@ -40,11 +40,11 @@ bool decode_task_event(Fields fields, TaskEvent* event);
 namespace detail {
 /// Reads the three tables back from `directory`; load_trace
 /// (trace/loader.hpp), the one way to read a trace, calls it. Tasks and
-/// jobs are reconstructed from the event stream via the task state
-/// machine: each terminal event closes a task record; jobs aggregate
-/// their tasks. Files that are absent are skipped (a workload-only
-/// directory may have no host_usage.csv); `report` aggregates tolerant
-/// damage across the three tables.
+/// jobs are rebuilt from the events (replay_tasks, then roll_up_jobs;
+/// trace/lifecycle.hpp), with one warning counting the events the
+/// transition table refused. Files that are absent are skipped (a
+/// workload-only directory may have no host_usage.csv); `report`
+/// aggregates tolerant damage across the three tables.
 TraceSet read_google_trace_impl(const std::string& directory,
                                 const std::string& system_name,
                                 const ParseOptions& options,
@@ -67,10 +67,5 @@ void write_host_usage(const TraceSet& trace, const std::string& path);
 /// Convenience: writes all three tables into `directory` as
 /// task_events.csv, machine_events.csv, host_usage.csv.
 void write_google_trace(const TraceSet& trace, const std::string& directory);
-
-/// Reconstructs per-task and per-job records from an event stream.
-/// Exposed separately so tests can exercise the state-machine
-/// reconstruction logic directly. Events must be time-sorted.
-void rebuild_tasks_and_jobs(TraceSet* trace);
 
 }  // namespace cgc::trace

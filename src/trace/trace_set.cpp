@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "util/check.hpp"
+#include "util/hash.hpp"
 
 namespace cgc::trace {
 
@@ -68,14 +69,9 @@ void TraceSet::finalize() {
   if (!std::is_sorted(events_.begin(), events_.end(), event_less)) {
     std::stable_sort(events_.begin(), events_.end(), event_less);
   }
-  const auto task_less = [](const Task& a, const Task& b) {
-    if (a.job_id != b.job_id) {
-      return a.job_id < b.job_id;
-    }
-    return a.task_index < b.task_index;
-  };
-  if (!std::is_sorted(tasks_.begin(), tasks_.end(), task_less)) {
-    std::sort(tasks_.begin(), tasks_.end(), task_less);
+  const auto task_order = [](const Task& t) { return task_key(t); };
+  if (!std::ranges::is_sorted(tasks_, {}, task_order)) {
+    std::ranges::sort(tasks_, {}, task_order);
   }
   // Tie-break on job_id so the order is deterministic regardless of
   // insertion order (round-trips through the columnar store reproduce
@@ -198,11 +194,11 @@ namespace {
 /// FNV-1a over 64-bit words; every field is widened to a word first so
 /// the digest depends only on logical content, never on struct padding.
 struct Digest {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::uint64_t h = util::kFnvOffsetBasis;
 
   void word(std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
-      h = (h ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
+      h = util::fnv1a_byte(h, static_cast<std::uint8_t>(v >> (8 * i)));
     }
   }
   void i64(std::int64_t v) { word(static_cast<std::uint64_t>(v)); }

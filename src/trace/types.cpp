@@ -38,35 +38,4 @@ std::string_view state_name(TaskState s) {
   return "?";
 }
 
-TaskState apply_event(TaskState from, TaskEventType event) {
-  switch (event) {
-    case TaskEventType::kSubmit:
-      CGC_CHECK_MSG(from == TaskState::kUnsubmitted || from == TaskState::kDead,
-                    "SUBMIT only legal from UNSUBMITTED or DEAD");
-      return TaskState::kPending;
-    case TaskEventType::kSchedule:
-      CGC_CHECK_MSG(from == TaskState::kPending,
-                    "SCHEDULE only legal from PENDING");
-      return TaskState::kRunning;
-    case TaskEventType::kEvict:
-    case TaskEventType::kFail:
-    case TaskEventType::kFinish:
-    case TaskEventType::kKill:
-      CGC_CHECK_MSG(from == TaskState::kRunning,
-                    "terminal event only legal from RUNNING");
-      return TaskState::kDead;
-    case TaskEventType::kLost:
-      // LOST can strike a pending task (missing input) or a running one.
-      CGC_CHECK_MSG(from == TaskState::kRunning || from == TaskState::kPending,
-                    "LOST only legal from PENDING or RUNNING");
-      return TaskState::kDead;
-    case TaskEventType::kUpdate:
-      CGC_CHECK_MSG(from == TaskState::kPending || from == TaskState::kRunning,
-                    "UPDATE only legal from PENDING or RUNNING");
-      return from;
-  }
-  CGC_CHECK_MSG(false, "unknown event");
-  return from;
-}
-
 }  // namespace cgc::trace

@@ -14,7 +14,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
+#include <utility>
 
 #include "util/check.hpp"
 #include "util/time_util.hpp"
@@ -103,24 +105,29 @@ enum class TaskState : std::uint8_t {
 
 std::string_view state_name(TaskState s);
 
-/// Legal state transition check for the task state machine.
-constexpr bool is_legal_transition(TaskState from, TaskState to) {
-  switch (from) {
-    case TaskState::kUnsubmitted:
-      return to == TaskState::kPending;
-    case TaskState::kPending:
-      return to == TaskState::kRunning || to == TaskState::kDead;
-    case TaskState::kRunning:
-      return to == TaskState::kDead || to == TaskState::kPending;
-    case TaskState::kDead:
-      return to == TaskState::kPending;  // resubmission
-  }
-  return false;
+/// The task state machine as one transition table: the state a task
+/// enters when `event` fires in state `from`, or nullopt when the event
+/// is illegal there. Never throws. Terminal events from PENDING follow
+/// the state diagram of the clusterdata-2011 schema (Reiss, Wilkes and
+/// Hellerstein, "Google cluster-usage traces: format + schema", Fig. 2):
+/// FAIL, KILL and LOST can end a task that never ran, while EVICT and
+/// FINISH need a RUNNING task. The simulator emits every terminal event
+/// from RUNNING.
+constexpr std::optional<TaskState> next_state(TaskState from,
+                                              TaskEventType event) {
+  constexpr std::uint8_t P = 1, R = 2, D = 3, X = 0xff;  // X: illegal
+  constexpr std::uint8_t kNext[4][kNumTaskEventTypes] = {
+      // SUBMIT SCHEDULE EVICT FAIL FINISH KILL LOST UPDATE
+      {P, X, X, X, X, X, X, X},  // UNSUBMITTED
+      {X, R, X, D, X, D, D, P},  // PENDING
+      {X, X, D, D, D, D, D, R},  // RUNNING
+      {P, X, X, X, X, X, X, X},  // DEAD: resubmission
+  };
+  const std::uint8_t next = kNext[static_cast<std::size_t>(from)]
+                                 [static_cast<std::size_t>(event)];
+  return next == X ? std::nullopt
+                   : std::optional(static_cast<TaskState>(next));
 }
-
-/// State the task enters after `event` fires in state `from`; throws on
-/// an illegal combination.
-TaskState apply_event(TaskState from, TaskEventType event);
 
 // ---------------------------------------------------------------------------
 // Records
@@ -170,6 +177,12 @@ struct Task {
   bool completed() const { return end_time >= 0; }
 };
 static_assert(sizeof(Task) == 72, "Task layout changed");
+
+/// A task's identity, (job_id, task_index), of a Task or a TaskEvent.
+/// finalize() keeps tasks in this order.
+constexpr std::pair<std::int64_t, std::int32_t> task_key(const auto& record) {
+  return {record.job_id, record.task_index};
+}
 
 /// Final per-job record.
 struct Job {

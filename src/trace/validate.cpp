@@ -1,39 +1,28 @@
 #include "trace/validate.hpp"
 
-#include <limits>
-#include <map>
+#include <algorithm>
 #include <sstream>
 
-#include "util/check.hpp"
+#include "trace/lifecycle.hpp"
 
 namespace cgc::trace {
 
 namespace {
 
 void check_events(const TraceSet& trace, std::vector<ValidationIssue>* out) {
-  TimeSec prev = std::numeric_limits<TimeSec>::min();
-  std::map<std::pair<std::int64_t, std::int32_t>, TaskState> state;
-  for (const TaskEvent& e : trace.events()) {
-    if (e.time < prev) {
-      out->push_back({"events not sorted by time"});
-      return;
-    }
-    prev = e.time;
-    auto key = std::make_pair(e.job_id, e.task_index);
-    auto it = state.find(key);
-    const TaskState current =
-        it == state.end() ? TaskState::kUnsubmitted : it->second;
-    try {
-      state[key] = apply_event(current, e.type);
-    } catch (const util::Error& err) {
-      std::ostringstream oss;
-      oss << "illegal event " << event_name(e.type) << " for task "
-          << e.job_id << "/" << e.task_index << " in state "
-          << state_name(current) << " at t=" << e.time;
-      out->push_back({oss.str()});
-      // Resynchronize so one bad task doesn't cascade.
-      state[key] = TaskState::kDead;
-    }
+  const std::span<const TaskEvent> events = trace.events();
+  if (!std::ranges::is_sorted(events, {}, &TaskEvent::time)) {
+    out->push_back({"events not sorted by time"});
+    return;
+  }
+  std::vector<RefusedEvent> refused;
+  replay_tasks(events, &refused);
+  for (const RefusedEvent& r : refused) {
+    std::ostringstream oss;
+    oss << "illegal event " << event_name(r.event.type) << " for task "
+        << r.event.job_id << "/" << r.event.task_index << " in state "
+        << state_name(r.state) << " at t=" << r.event.time;
+    out->push_back({oss.str()});
   }
 }
 

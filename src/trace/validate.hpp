@@ -18,7 +18,8 @@ struct ValidationIssue {
 
 /// Checks:
 ///  - events are time-ordered and every per-task event sequence follows
-///    the legal state machine,
+///    the transition table (next_state, replayed by replay_tasks; an
+///    illegal event is reported and skipped),
 ///  - task times are ordered (submit <= schedule <= end),
 ///  - job windows cover their tasks' windows,
 ///  - priorities are in [1, 12],

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <random>
 
+#include "util/hash.hpp"
 #include "util/mutex.hpp"
 
 namespace cgc::util {
@@ -82,13 +83,7 @@ class Rng {
   /// Derive an independent stream; deterministic given this Rng's state.
   /// Uses splitmix-style mixing of a fresh 64-bit draw.
   Rng split() {
-    std::uint64_t z = engine_();
-    z ^= z >> 30;
-    z *= 0xbf58476d1ce4e5b9ULL;
-    z ^= z >> 27;
-    z *= 0x94d049bb133111ebULL;
-    z ^= z >> 31;
-    return Rng(z);
+    return Rng(mix64(engine_()));
   }
 
  private:

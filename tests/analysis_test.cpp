@@ -62,6 +62,35 @@ TEST(Report, WriteDatProducesFiles) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Report, WriteDatReportsAFullDisk) {
+  // /dev/full accepts the open and fails every write with ENOSPC.
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full is absent";
+  }
+  Figure fig;
+  fig.id = "full01";
+  fig.title = "Full";
+  Series s;
+  s.name = "curve";
+  s.column_names = {"x"};
+  s.add_row({1.0});
+  fig.series.push_back(std::move(s));
+
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("cgc_report_full_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const auto target = dir / "full01_curve.dat";
+  std::filesystem::create_symlink("/dev/full", target);
+  try {
+    fig.write_dat(dir.string());
+    ADD_FAILURE() << "write_dat to a full disk did not throw";
+  } catch (const util::TransientError& e) {
+    EXPECT_NE(std::string(e.what()).find(target.string()), std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(PriorityAnalyzer, CountsMatchTraceTotals) {
   const PriorityHistogram hist = analyze_priorities(google_trace());
   std::int64_t job_total = 0;

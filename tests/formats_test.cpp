@@ -4,13 +4,19 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <tuple>
 #include <utility>
 
+#include "gen/google_model.hpp"
+#include "sim/cluster_sim.hpp"
 #include "store/writer.hpp"
 #include "trace/google_format.hpp"
 #include "trace/gwa_format.hpp"
+#include "trace/lifecycle.hpp"
 #include "trace/loader.hpp"
 #include "trace/swf_format.hpp"
+#include "trace/validate.hpp"
 #include "util/check.hpp"
 
 namespace cgc::trace {
@@ -441,20 +447,204 @@ TEST_F(FormatsTest, WritersReportAFullDisk) {
   EXPECT_THROW(store::write_cgcs(trace, full), util::TransientError);
 }
 
-TEST_F(FormatsTest, RebuildHandlesUnfinishedTasks) {
-  TraceSet trace("partial");
-  trace.add_event({.time = 10, .job_id = 1, .machine_id = -1, .task_index = 0,
-                   .type = TaskEventType::kSubmit, .priority = 1});
-  trace.add_event({.time = 15, .job_id = 1, .machine_id = 2, .task_index = 0,
-                   .type = TaskEventType::kSchedule, .priority = 1});
+TEST_F(FormatsTest, ReplayLeavesUnfinishedTasksOpen) {
+  const std::vector<TaskEvent> events = {
+      {.time = 10, .job_id = 1, .machine_id = -1, .task_index = 0,
+       .type = TaskEventType::kSubmit, .priority = 1},
+      {.time = 15, .job_id = 1, .machine_id = 2, .task_index = 0,
+       .type = TaskEventType::kSchedule, .priority = 1}};
   // No terminal event: still running at trace end.
-  trace.finalize();
-  rebuild_tasks_and_jobs(&trace);
-  trace.finalize();
-  ASSERT_EQ(trace.tasks().size(), 1u);
-  EXPECT_EQ(trace.tasks()[0].end_time, -1);
-  ASSERT_EQ(trace.jobs().size(), 1u);
-  EXPECT_FALSE(trace.jobs()[0].completed());
+  const std::vector<Task> tasks = replay_tasks(events);
+  ASSERT_EQ(tasks.size(), 1u);
+  EXPECT_EQ(tasks[0].end_time, -1);
+  const std::vector<Job> jobs = roll_up_jobs(tasks);
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_FALSE(jobs[0].completed());
+}
+
+TEST_F(FormatsTest, ReplayFollowsTheSimulatorsRecordRules) {
+  const auto ev = [](TimeSec time, TaskEventType type, std::int64_t machine) {
+    return TaskEvent{.time = time, .job_id = 7, .machine_id = machine,
+                     .task_index = 0, .type = type, .priority = 3};
+  };
+  // Evicted, rescheduled elsewhere, failed, resubmitted and still
+  // pending at trace end.
+  const std::vector<TaskEvent> events = {
+      ev(-50, TaskEventType::kSubmit, -1), ev(-40, TaskEventType::kSchedule, 1),
+      ev(10, TaskEventType::kEvict, 1),    ev(20, TaskEventType::kSubmit, -1),
+      ev(30, TaskEventType::kSchedule, 2), ev(90, TaskEventType::kFail, 2),
+      ev(95, TaskEventType::kSubmit, -1)};
+  const std::vector<Task> tasks = replay_tasks(events);
+  ASSERT_EQ(tasks.size(), 1u);
+  EXPECT_EQ(tasks[0].submit_time, -50);
+  EXPECT_EQ(tasks[0].schedule_time, -40);  // the first SCHEDULE, before t=0
+  EXPECT_EQ(tasks[0].machine_id, 2);       // the last SCHEDULE's machine
+  EXPECT_EQ(tasks[0].end_time, -1);        // the resubmission cleared it
+  EXPECT_EQ(tasks[0].end_event, TaskEventType::kFail);
+  EXPECT_EQ(tasks[0].resubmits, 2);
+}
+
+TEST_F(FormatsTest, ReplaySkipsAndReportsRefusedEvents) {
+  const std::vector<TaskEvent> events = {
+      // 1/0: FINISH before any SUBMIT, then a normal life.
+      {.time = 1, .job_id = 1, .task_index = 0, .type = TaskEventType::kFinish},
+      {.time = 2, .job_id = 1, .task_index = 0, .type = TaskEventType::kSubmit},
+      {.time = 3, .job_id = 1, .machine_id = 4, .task_index = 0,
+       .type = TaskEventType::kSchedule},
+      {.time = 9, .job_id = 1, .machine_id = 4, .task_index = 0,
+       .type = TaskEventType::kFinish},
+      // 1/1: killed while pending; a later EVICT is refused.
+      {.time = 4, .job_id = 1, .task_index = 1, .type = TaskEventType::kSubmit},
+      {.time = 5, .job_id = 1, .task_index = 1, .type = TaskEventType::kKill},
+      {.time = 6, .job_id = 1, .task_index = 1, .type = TaskEventType::kEvict},
+      // 2/0: only a refused SCHEDULE, so no record.
+      {.time = 7, .job_id = 2, .task_index = 0,
+       .type = TaskEventType::kSchedule}};
+  std::vector<RefusedEvent> refused;
+  const std::vector<Task> tasks = replay_tasks(events, &refused);
+  ASSERT_EQ(tasks.size(), 2u);
+  EXPECT_EQ(tasks[0].submit_time, 2);
+  EXPECT_EQ(tasks[0].end_time, 9);
+  EXPECT_EQ(tasks[1].schedule_time, -1);
+  EXPECT_EQ(tasks[1].end_time, 5);
+  EXPECT_EQ(tasks[1].end_event, TaskEventType::kKill);
+  ASSERT_EQ(refused.size(), 3u);
+  EXPECT_EQ(refused[0].state, TaskState::kUnsubmitted);
+  EXPECT_EQ(refused[1].event.type, TaskEventType::kEvict);
+  EXPECT_EQ(refused[1].state, TaskState::kDead);
+  EXPECT_EQ(refused[2].event.job_id, 2);
+}
+
+TEST_F(FormatsTest, RollUpAppliesFormulaFourInAnyInputOrder) {
+  // Job 5: two tasks running 100 s each over a 100 s job -> 2.0.
+  Task a;
+  a.job_id = 5;
+  a.task_index = 1;
+  a.priority = 4;
+  a.submit_time = 10;
+  a.schedule_time = 10;
+  a.end_time = 110;
+  Task b = a;
+  b.task_index = 0;
+  b.priority = 9;
+  Task c;  // job 3, unfinished
+  c.job_id = 3;
+  c.submit_time = 50;
+  const std::vector<Task> tasks = {a, c, b};
+  const std::vector<Job> jobs = roll_up_jobs(tasks);
+  ASSERT_EQ(jobs.size(), 2u);
+  EXPECT_EQ(jobs[0].job_id, 3);
+  EXPECT_FALSE(jobs[0].completed());
+  EXPECT_EQ(jobs[0].cpu_parallelism, 1.0f);
+  EXPECT_EQ(jobs[1].job_id, 5);
+  EXPECT_EQ(jobs[1].num_tasks, 2);
+  EXPECT_EQ(jobs[1].priority, 9);  // task 0's
+  EXPECT_EQ(jobs[1].length(), 100);
+  EXPECT_EQ(jobs[1].cpu_parallelism, 2.0f);
+}
+
+/// The trace `trace_convert generate google <dir> 1` writes: a 1-day,
+/// 16-machine Google simulation, with `warmup_days` of submissions
+/// before t=0.
+TraceSet simulate_google_day(double warmup_days) {
+  gen::GoogleModelConfig config;
+  config.warmup_days = warmup_days;
+  const gen::GoogleWorkloadModel model(config);
+  sim::SimConfig sim_config;
+  sim_config.horizon = util::kSecondsPerDay;
+  sim::ClusterSim sim(model.make_machines(16), sim_config);
+  return sim.run(model.generate_sim_workload(sim_config.horizon, 16),
+                 "google");
+}
+
+/// The task fields task_events carry.
+auto event_fields(const Task& t) {
+  return std::tuple(t.job_id, t.task_index, t.submit_time, t.schedule_time,
+                    t.end_time, t.end_event, t.machine_id, t.priority,
+                    t.resubmits);
+}
+
+/// True when `written` and `read` differ only because the task's last
+/// resubmission falls past the horizon: the simulator counted it (and,
+/// after a FAIL, cleared end_time), but no SUBMIT event records it.
+bool resubmit_past_horizon(const Task& written, const Task& read) {
+  Task expected = read;
+  ++expected.resubmits;
+  if (read.end_event == TaskEventType::kFail && written.end_time == -1) {
+    expected.end_time = -1;
+  }
+  return event_fields(expected) == event_fields(written);
+}
+
+TEST_F(FormatsTest, SimulatedGoogleTraceReadsBackAsWritten) {
+  const TraceSet written = simulate_google_day(0.0);
+  const std::string dir = path("sim_day");
+  write_google_trace(written, dir);
+  const TraceSet read = load(dir, TraceFormat::kGoogleCsv, "google");
+  EXPECT_TRUE(validate(written).empty());
+  EXPECT_TRUE(validate(read).empty());
+
+  // Task rows: the CSV carries no requests or usage, so compare the
+  // event-borne fields.
+  ASSERT_EQ(read.tasks().size(), written.tasks().size());
+  std::map<std::int64_t, int> jobs_with_late_resubmit;
+  for (std::size_t i = 0; i < read.tasks().size(); ++i) {
+    const Task& w = written.tasks()[i];
+    const Task& r = read.tasks()[i];
+    if (event_fields(r) == event_fields(w)) {
+      continue;
+    }
+    EXPECT_TRUE(resubmit_past_horizon(w, r))
+        << "task " << w.job_id << "/" << w.task_index << ": written (submit "
+        << w.submit_time << ", schedule " << w.schedule_time << ", end "
+        << w.end_time << " " << event_name(w.end_event) << ", machine "
+        << w.machine_id << ", resubmits " << w.resubmits << "), read ("
+        << r.submit_time << ", " << r.schedule_time << ", " << r.end_time
+        << " " << event_name(r.end_event) << ", " << r.machine_id << ", "
+        << r.resubmits << ")";
+    ++jobs_with_late_resubmit[w.job_id];
+  }
+  // The exception is rare: a resubmission lands past the horizon only
+  // when its task fails or is evicted in the last minutes.
+  EXPECT_LE(jobs_with_late_resubmit.size(), 8u);
+
+  ASSERT_EQ(read.jobs().size(), written.jobs().size());
+  for (const Job& w : written.jobs()) {
+    if (jobs_with_late_resubmit.count(w.job_id) != 0) {
+      continue;
+    }
+    const Job& r = job(read, w.job_id);
+    EXPECT_EQ(r.submit_time, w.submit_time) << "job " << w.job_id;
+    EXPECT_EQ(r.end_time, w.end_time) << "job " << w.job_id;
+    EXPECT_EQ(r.num_tasks, w.num_tasks) << "job " << w.job_id;
+    EXPECT_EQ(r.priority, w.priority) << "job " << w.job_id;
+    EXPECT_EQ(r.cpu_parallelism, w.cpu_parallelism) << "job " << w.job_id;
+  }
+}
+
+TEST_F(FormatsTest, WarmUpTraceReadsBackValidWithFirstScheduleTimes) {
+  const TraceSet written = simulate_google_day(4.0);
+  const std::string dir = path("sim_day_warm");
+  write_google_trace(written, dir);
+  const TraceSet read = load(dir, TraceFormat::kGoogleCsv, "google");
+  const std::vector<ValidationIssue> issues = validate(read);
+  EXPECT_TRUE(issues.empty()) << issues.size() << " issue(s), first: "
+                              << issues.front().message;
+
+  std::map<std::pair<std::int64_t, std::int32_t>, TimeSec> first_schedule;
+  for (const TaskEvent& e : read.events()) {
+    if (e.type == TaskEventType::kSchedule) {
+      first_schedule.try_emplace(task_key(e), e.time);
+    }
+  }
+  std::size_t scheduled_before_zero = 0;
+  for (const Task& t : read.tasks()) {
+    const auto it = first_schedule.find(task_key(t));
+    EXPECT_EQ(t.schedule_time, it == first_schedule.end() ? -1 : it->second)
+        << "task " << t.job_id << "/" << t.task_index;
+    scheduled_before_zero += t.schedule_time < 0 ? 1 : 0;
+  }
+  EXPECT_GT(scheduled_before_zero, 0u);
 }
 
 }  // namespace

@@ -641,14 +641,31 @@ std::size_t chunk_of(const std::vector<ChunkMeta>& chunks, SectionId section,
   return 0;
 }
 
-/// Both read paths refuse `p` in both modes, though every chunk
-/// verifies: the directory itself is inconsistent.
+/// Both read paths refuse `p` in both modes, though every chunk's
+/// payload verifies: the directory itself is inconsistent. verify_all()
+/// reports the refusal with the load's reason, quarantines nothing, and
+/// the load refuses the file whether or not it ran first.
 void expect_load_and_scan_refuse(const std::string& p) {
   for (const ReadMode mode : {ReadMode::kStrict, ReadMode::kDegraded}) {
-    const StoreReader reader(p, mode);
-    EXPECT_TRUE(reader.verify_all().clean());
-    EXPECT_THROW(reader.load_trace_set(), util::Error);
-    EXPECT_THROW(scan_all(reader, EventPredicate{}), util::Error);
+    for (const bool verify_first : {false, true}) {
+      const StoreReader reader(p, mode);
+      if (verify_first) {
+        const DamageReport damage = reader.verify_all();
+        EXPECT_FALSE(damage.clean());
+        EXPECT_TRUE(damage.chunks.empty());
+        ASSERT_FALSE(damage.refused.empty());
+        try {
+          reader.load_trace_set();
+          ADD_FAILURE() << "load accepted " << p;
+        } catch (const util::DataError& e) {
+          EXPECT_NE(std::string(e.what()).find(damage.refused[0].reason),
+                    std::string::npos)
+              << e.what();
+        }
+      }
+      EXPECT_THROW(reader.load_trace_set(), util::Error);
+      EXPECT_THROW(scan_all(reader, EventPredicate{}), util::Error);
+    }
   }
 }
 
@@ -783,7 +800,10 @@ TEST_F(StoreTest, BadInputIsADataErrorNamingOnlyReasonAndPath) {
              relabel_varint);
   for (const ReadMode mode : {ReadMode::kStrict, ReadMode::kDegraded}) {
     const StoreReader event_reader(events, mode);
-    EXPECT_TRUE(event_reader.verify_all().clean());
+    const DamageReport damage = event_reader.verify_all();
+    EXPECT_TRUE(damage.chunks.empty());
+    ASSERT_EQ(damage.refused.size(), 1u);
+    EXPECT_EQ(damage.refused[0].column, ColumnId::kPriority);
     expect_clean_data_error([&] { event_reader.load_trace_set(); },
                             "events kPriority as varint, load");
     expect_clean_data_error(

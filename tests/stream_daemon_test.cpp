@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "store/reader.hpp"
+#include "store/writer.hpp"
 #include "stream/daemon.hpp"
 #include "stream/shutdown.hpp"
 #include "util/check.hpp"
@@ -188,6 +190,74 @@ TEST_F(StreamDaemonTest, VerifySpillFlagsManifestCountMismatch) {
   const SpillAudit audit = verify_spill(spill_dir());
   EXPECT_FALSE(audit.clean());
   EXPECT_TRUE(audit.fatal());
+}
+
+TEST_F(StreamDaemonTest, SpillManifestReportsAFullDisk) {
+  // /dev/full accepts the open and fails every write with ENOSPC.
+  if (!fs::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full is absent";
+  }
+  fs::create_directories(spill_dir());
+  const std::string manifest = spill_dir() + "/windows.jsonl";
+  fs::create_symlink("/dev/full", manifest);
+  DaemonConfig config;
+  config.generate = true;
+  config.generate_days = 0.1;
+  config.spill_dir = spill_dir();
+  std::istringstream in;
+  std::ostringstream out;
+  try {
+    run_daemon(config, in, out);
+    ADD_FAILURE() << "a manifest on a full disk did not throw";
+  } catch (const util::TransientError& e) {
+    EXPECT_NE(std::string(e.what()).find(manifest), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(StreamDaemonTest, DamagedStoreInputIsLossy) {
+  // 256 SUBMITs in four 64-row event groups; one group's time chunk
+  // fails its CRC, so a degraded load drops that group's rows.
+  trace::TraceSet trace("damaged-input");
+  for (int i = 0; i < 256; ++i) {
+    trace.add_event({.time = 60 * i, .job_id = i, .machine_id = -1,
+                     .task_index = 0, .type = trace::TaskEventType::kSubmit,
+                     .priority = 3});
+  }
+  trace.finalize();
+  const std::string path = (dir_ / "damaged.cgcs").string();
+  store::WriteOptions options;
+  options.chunks.rows_per_chunk = 64;
+  store::write_cgcs(trace, path, options);
+  std::uint64_t flip_at = 0;
+  const store::StoreReader clean(path);
+  for (const store::ChunkMeta& c : clean.chunks()) {
+    if (c.section == store::SectionId::kEvents &&
+        c.column == store::ColumnId::kTime && c.row_begin == 64) {
+      flip_at = c.offset;
+    }
+  }
+  ASSERT_GT(flip_at, 0u);
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(static_cast<std::streamoff>(flip_at));
+    const char byte = static_cast<char>(f.get());
+    f.seekp(static_cast<std::streamoff>(flip_at));
+    f.put(static_cast<char>(byte ^ 0x01));
+  }
+
+  DaemonConfig config;
+  config.input = path;
+  std::istringstream in;
+  std::ostringstream out;
+  DaemonStats stats;
+  EXPECT_EQ(run_daemon(config, in, out, &stats), util::kExitFailure);
+  EXPECT_TRUE(stats.health.lossy());
+  EXPECT_EQ(stats.health.rows_lost, 64u);
+  EXPECT_EQ(stats.events, 192u);
+  EXPECT_NE(out.str().find("\"rows_lost\": 64"), std::string::npos)
+      << out.str();
+  EXPECT_NE(out.str().find("\"lossy\": true"), std::string::npos);
 }
 
 TEST_F(StreamDaemonTest, VerifySpillThrowsWithoutManifest) {

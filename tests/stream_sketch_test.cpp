@@ -19,7 +19,6 @@ namespace {
 
 using stream::CounterBank;
 using stream::ExtendedP2;
-using stream::Moments;
 using stream::StreamingEcdf;
 
 std::vector<double> heavy_tailed_sample(std::size_t n, std::uint64_t seed) {
@@ -113,19 +112,6 @@ TEST(StreamingEcdfTest, PlotPointsAreAMonotoneCdf) {
     EXPECT_GE(points[i].second, points[i - 1].second);
   }
   EXPECT_DOUBLE_EQ(points.back().second, 1.0);
-}
-
-TEST(MomentsTest, MatchesExactMoments) {
-  const std::vector<double> xs = heavy_tailed_sample(6000, 43);
-  Moments whole;
-  for (const double x : xs) {
-    whole.add(x);
-  }
-  const stats::RunningStats exact = stats::summarize(xs);
-  EXPECT_NEAR(whole.mean(), exact.mean(), 1e-9 * exact.mean());
-  EXPECT_NEAR(whole.variance(), exact.variance(), 1e-6 * exact.variance());
-  EXPECT_DOUBLE_EQ(whole.min(), *std::min_element(xs.begin(), xs.end()));
-  EXPECT_DOUBLE_EQ(whole.max(), *std::max_element(xs.begin(), xs.end()));
 }
 
 TEST(CounterBankTest, CountsAndDerivedTotals) {

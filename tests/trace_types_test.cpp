@@ -50,50 +50,64 @@ TEST(Events, Names) {
 
 TEST(StateMachine, PaperFigureOneTransitions) {
   // unsubmitted -> pending -> running -> dead -> pending (resubmit)
-  TaskState s = TaskState::kUnsubmitted;
-  s = apply_event(s, TaskEventType::kSubmit);
-  EXPECT_EQ(s, TaskState::kPending);
-  s = apply_event(s, TaskEventType::kSchedule);
-  EXPECT_EQ(s, TaskState::kRunning);
-  s = apply_event(s, TaskEventType::kFail);
-  EXPECT_EQ(s, TaskState::kDead);
-  s = apply_event(s, TaskEventType::kSubmit);  // resubmission
-  EXPECT_EQ(s, TaskState::kPending);
+  EXPECT_EQ(next_state(TaskState::kUnsubmitted, TaskEventType::kSubmit),
+            TaskState::kPending);
+  EXPECT_EQ(next_state(TaskState::kPending, TaskEventType::kSchedule),
+            TaskState::kRunning);
+  EXPECT_EQ(next_state(TaskState::kRunning, TaskEventType::kFail),
+            TaskState::kDead);
+  EXPECT_EQ(next_state(TaskState::kDead, TaskEventType::kSubmit),
+            TaskState::kPending);  // resubmission
+}
+
+TEST(StateMachine, EveryTerminalEventLeavesRunning) {
+  for (const TaskEventType e :
+       {TaskEventType::kEvict, TaskEventType::kFail, TaskEventType::kFinish,
+        TaskEventType::kKill, TaskEventType::kLost}) {
+    EXPECT_EQ(next_state(TaskState::kRunning, e), TaskState::kDead)
+        << event_name(e);
+  }
 }
 
 TEST(StateMachine, UpdateKeepsState) {
-  EXPECT_EQ(apply_event(TaskState::kPending, TaskEventType::kUpdate),
+  EXPECT_EQ(next_state(TaskState::kPending, TaskEventType::kUpdate),
             TaskState::kPending);
-  EXPECT_EQ(apply_event(TaskState::kRunning, TaskEventType::kUpdate),
+  EXPECT_EQ(next_state(TaskState::kRunning, TaskEventType::kUpdate),
             TaskState::kRunning);
 }
 
-TEST(StateMachine, LostCanStrikePendingTasks) {
-  EXPECT_EQ(apply_event(TaskState::kPending, TaskEventType::kLost),
+TEST(StateMachine, FailKillAndLostCanEndPendingTasks) {
+  EXPECT_EQ(next_state(TaskState::kPending, TaskEventType::kLost),
+            TaskState::kDead);
+  EXPECT_EQ(next_state(TaskState::kPending, TaskEventType::kKill),
+            TaskState::kDead);
+  EXPECT_EQ(next_state(TaskState::kPending, TaskEventType::kFail),
             TaskState::kDead);
 }
 
-TEST(StateMachine, IllegalTransitionsThrow) {
-  EXPECT_THROW(apply_event(TaskState::kUnsubmitted, TaskEventType::kSchedule),
-               util::Error);
-  EXPECT_THROW(apply_event(TaskState::kPending, TaskEventType::kFinish),
-               util::Error);
-  EXPECT_THROW(apply_event(TaskState::kDead, TaskEventType::kSchedule),
-               util::Error);
-  EXPECT_THROW(apply_event(TaskState::kRunning, TaskEventType::kSubmit),
-               util::Error);
-  EXPECT_THROW(apply_event(TaskState::kDead, TaskEventType::kKill),
-               util::Error);
-}
-
-TEST(StateMachine, LegalTransitionTable) {
-  EXPECT_TRUE(is_legal_transition(TaskState::kUnsubmitted, TaskState::kPending));
-  EXPECT_TRUE(is_legal_transition(TaskState::kPending, TaskState::kRunning));
-  EXPECT_TRUE(is_legal_transition(TaskState::kPending, TaskState::kDead));
-  EXPECT_TRUE(is_legal_transition(TaskState::kRunning, TaskState::kDead));
-  EXPECT_TRUE(is_legal_transition(TaskState::kDead, TaskState::kPending));
-  EXPECT_FALSE(is_legal_transition(TaskState::kUnsubmitted, TaskState::kRunning));
-  EXPECT_FALSE(is_legal_transition(TaskState::kDead, TaskState::kRunning));
+TEST(StateMachine, IllegalTransitionsAreRefused) {
+  constexpr std::optional<TaskState> kRefused;
+  EXPECT_EQ(next_state(TaskState::kUnsubmitted, TaskEventType::kSchedule),
+            kRefused);
+  EXPECT_EQ(next_state(TaskState::kPending, TaskEventType::kFinish),
+            kRefused);
+  EXPECT_EQ(next_state(TaskState::kPending, TaskEventType::kEvict), kRefused);
+  EXPECT_EQ(next_state(TaskState::kDead, TaskEventType::kSchedule), kRefused);
+  EXPECT_EQ(next_state(TaskState::kRunning, TaskEventType::kSubmit),
+            kRefused);
+  EXPECT_EQ(next_state(TaskState::kDead, TaskEventType::kKill), kRefused);
+  EXPECT_EQ(next_state(TaskState::kUnsubmitted, TaskEventType::kUpdate),
+            kRefused);
+  // No event takes a running task back to pending, nor any task back
+  // to unsubmitted.
+  for (std::size_t e = 0; e < kNumTaskEventTypes; ++e) {
+    const auto event = static_cast<TaskEventType>(e);
+    EXPECT_NE(next_state(TaskState::kRunning, event), TaskState::kPending);
+    for (const TaskState s : {TaskState::kPending, TaskState::kRunning,
+                              TaskState::kDead}) {
+      EXPECT_NE(next_state(s, event), TaskState::kUnsubmitted);
+    }
+  }
 }
 
 TEST(TaskRecord, RunDuration) {
