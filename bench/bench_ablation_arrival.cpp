@@ -4,8 +4,6 @@
 // the arrival model. This ablation sweeps the modulation components —
 // plain Poisson, +diurnal, +bursts, +dips — and reports the realized
 // Jain fairness and peak-to-mean ratio of hourly submissions.
-#include <cstdio>
-
 #include "common.hpp"
 #include "registry.hpp"
 #include "gen/arrival.hpp"
@@ -84,8 +82,8 @@ CGC_BENCH("ablation_arrival", cgc::bench::CaseKind::kAblation,
                    util::cell(s.max() / s.mean(), 3),
                    util::cell(s.min(), 3)});
   }
-  std::printf("%s\n", table.render().c_str());
-  std::printf("expected: fairness collapses from ~1.0 (Poisson, the Cloud "
+  bench::print("%s\n", table.render().c_str());
+  bench::print("expected: fairness collapses from ~1.0 (Poisson, the Cloud "
               "regime of\nTable I) toward the 0.04-0.5 Grid regime as "
               "diurnal modulation and\nlognormal bursts are layered in.\n");
 }

@@ -7,7 +7,6 @@
 // utilization significantly." This ablation sweeps the constrained-task
 // fraction and reports scheduling delay, pending depth, and eviction
 // pressure.
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -67,8 +66,8 @@ CGC_BENCH("ablation_constraints", cgc::bench::CaseKind::kAblation,
   for (const std::vector<std::string>& row : rows) {
     table.add_row(row);
   }
-  std::printf("%s\n", table.render().c_str());
-  std::printf(
+  bench::print("%s\n", table.render().c_str());
+  bench::print(
       "expected: waits and backlog grow with the constrained fraction —\n"
       "constrained tasks can only use the subset of machines offering\n"
       "their attribute (density %.0f%%), so effective capacity shrinks\n"

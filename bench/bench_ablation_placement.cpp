@@ -4,7 +4,6 @@
 // to balance demand across machines. This ablation runs the same Google
 // workload under every placement policy and compares balance (stddev of
 // per-machine mean CPU), eviction pressure, and pending backlog.
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -70,8 +69,8 @@ CGC_BENCH("ablation_placement", cgc::bench::CaseKind::kAblation,
   for (const std::vector<std::string>& row : rows) {
     table.add_row(row);
   }
-  std::printf("%s\n", table.render().c_str());
-  std::printf(
+  bench::print("%s\n", table.render().c_str());
+  bench::print(
       "expected: balanced/worst-fit spread load (small cross-machine "
       "stddev);\nfirst-fit/best-fit pack it (large stddev, more eviction "
       "hot-spots).\n");

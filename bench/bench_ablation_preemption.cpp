@@ -4,7 +4,6 @@
 // This ablation runs the Google workload with preemption on/off and at
 // different requeue delays, reporting the eviction rate, high-priority
 // waiting time, and abnormal mix.
-#include <cstdio>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -84,8 +83,8 @@ CGC_BENCH("ablation_preemption", cgc::bench::CaseKind::kAblation,
   for (const std::vector<std::string>& row : rows) {
     table.add_row(row);
   }
-  std::printf("%s\n", table.render().c_str());
-  std::printf("expected: preemption trades low-priority evictions for "
+  bench::print("%s\n", table.render().c_str());
+  bench::print("expected: preemption trades low-priority evictions for "
               "near-zero\nhigh-priority waiting (the paper's 'high "
               "priority tasks can preempt').\n");
 }

@@ -5,8 +5,6 @@
 // lognormal+bounded-Pareto mixture against a lognormal-only model and a
 // tail-free truncation, reporting the joint ratio, mean, and the host
 // concurrency each would imply.
-#include <cstdio>
-
 #include "common.hpp"
 #include "registry.hpp"
 #include "stats/distributions.hpp"
@@ -67,8 +65,8 @@ CGC_BENCH("ablation_tail", cgc::bench::CaseKind::kAblation,
          util::cell_pct(static_cast<double>(under_1h) /
                         static_cast<double>(n))});
   }
-  std::printf("%s\n", table.render().c_str());
-  std::printf("expected: without the Pareto tail the joint ratio decays "
+  bench::print("%s\n", table.render().c_str());
+  bench::print("expected: without the Pareto tail the joint ratio decays "
               "toward\n~25/75 and the mean collapses to minutes — the "
               "paper's 6/94 @ 5.6 h\nrequires the heavy-tailed mixture.\n");
 }

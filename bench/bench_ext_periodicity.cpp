@@ -45,7 +45,7 @@ CGC_BENCH("ext_periodicity", cgc::bench::CaseKind::kExtension,
                    util::cell_pct(r.fraction_periodic),
                    util::cell(r.median_period_hours, 3),
                    util::cell(r.mean_strength, 2)});
-    r.acf_figure.write_dat(bench::out_dir());
+    bench::write_dat(r.acf_figure);
     return r;
   };
 
@@ -60,7 +60,7 @@ CGC_BENCH("ext_periodicity", cgc::bench::CaseKind::kExtension,
       grid_idle = r;
     }
   }
-  std::printf("%s\n", table.render().c_str());
+  bench::print("%s\n", table.render().c_str());
 
   // Diurnal prominence of the mean ACF: the 24-hour value above the
   // deepest trough before it. This separates a genuine daily cycle from
@@ -79,11 +79,11 @@ CGC_BENCH("ext_periodicity", cgc::bench::CaseKind::kExtension,
   const double grid_prom = diurnal_prominence(grid_sat);
   const double grid_idle_prom = diurnal_prominence(grid_idle);
 
-  std::printf("  Cloud hosts aperiodic (persistence, not cycles): %s "
+  bench::print("  Cloud hosts aperiodic (persistence, not cycles): %s "
               "(%.0f%% periodic, diurnal prominence %.3f)\n",
               cloud_cpu.fraction_periodic <= 0.25 ? "HOLDS" : "VIOLATED",
               cloud_cpu.fraction_periodic * 100.0, cloud_prom);
-  std::printf("  Grid diurnal prominence exceeds Cloud's: %s "
+  bench::print("  Grid diurnal prominence exceeds Cloud's: %s "
               "(%.3f/%.3f vs %.3f)\n",
               std::max(grid_prom, grid_idle_prom) > cloud_prom ? "HOLDS"
                                                                : "VIOLATED",

@@ -4,8 +4,6 @@
 // cluster's host load because of its higher noise and more unstable
 // state" — evaluated with the cgc::predict suite (the paper's stated
 // future-work direction).
-#include <cstdio>
-
 #include "common.hpp"
 #include "registry.hpp"
 #include "predict/evaluation.hpp"
@@ -20,7 +18,7 @@ CGC_BENCH("ext_prediction", cgc::bench::CaseKind::kExtension,
       predict::evaluate_standard_suite(google, analysis::Metric::kCpu);
   const auto grid_cpu =
       predict::evaluate_standard_suite(auvergrid, analysis::Metric::kCpu);
-  std::printf("%s\n",
+  bench::print("%s\n",
               predict::render_comparison("google", google_cpu, "AuverGrid",
                                          grid_cpu)
                   .c_str());
@@ -29,7 +27,7 @@ CGC_BENCH("ext_prediction", cgc::bench::CaseKind::kExtension,
       predict::evaluate_standard_suite(google, analysis::Metric::kMem);
   const auto grid_mem =
       predict::evaluate_standard_suite(auvergrid, analysis::Metric::kMem);
-  std::printf("%s\n",
+  bench::print("%s\n",
               predict::render_comparison("google(mem)", google_mem,
                                          "AuverGrid(mem)", grid_mem)
                   .c_str());
@@ -50,7 +48,7 @@ CGC_BENCH("ext_prediction", cgc::bench::CaseKind::kExtension,
                           "(paper: future work)", gb.predictor);
   bench::print_comparison("best Grid predictor", "(paper: future work)",
                           ab.predictor);
-  std::printf("\n  Cloud CPU harder to predict than Grid CPU "
+  bench::print("\n  Cloud CPU harder to predict than Grid CPU "
               "(last-value MAE): %s (%.3f vs %.3f)\n",
               google_cpu[0].mae > grid_cpu[0].mae ? "HOLDS" : "VIOLATED",
               google_cpu[0].mae, grid_cpu[0].mae);

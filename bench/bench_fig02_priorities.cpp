@@ -3,8 +3,6 @@
 // Paper reference values (job counts, labeled bars of Fig 2a):
 //   p1 16e4, p2 11.3e4, p3 17e4, p4 13e4, p5 0.9e4, p6 4e4, p7 4.7e4;
 // priorities cluster into low (1-4), mid (5-8), high (9-12).
-#include <cstdio>
-
 #include "analysis/workload_analyzers.hpp"
 #include "common.hpp"
 #include "registry.hpp"
@@ -38,7 +36,7 @@ CGC_BENCH("fig02", cgc::bench::CaseKind::kFigure,
                             static_cast<std::size_t>(p)] /
                         weight_total)});
   }
-  std::printf("%s\n", table.render().c_str());
+  bench::print("%s\n", table.render().c_str());
 
   const double low_share =
       static_cast<double>(hist.jobs_in_band(trace::PriorityBand::kLow)) /
@@ -56,6 +54,6 @@ CGC_BENCH("fig02", cgc::bench::CaseKind::kFigure,
   bench::print_comparison("high band (9-12) job share", "small (~1%)",
                           util::cell_pct(high_share));
 
-  hist.to_figure().write_dat(bench::out_dir());
+  bench::write_dat(hist.to_figure());
   bench::print_series_note("fig02_priority_counts.dat");
 }

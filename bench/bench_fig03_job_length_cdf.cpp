@@ -3,7 +3,6 @@
 //
 // Paper claims: over 80% of Google jobs are shorter than 1000 s, while
 // most Grid jobs exceed 2000 s.
-#include <cstdio>
 #include <vector>
 
 #include "analysis/workload_analyzers.hpp"
@@ -34,7 +33,7 @@ CGC_BENCH("fig03", cgc::bench::CaseKind::kFigure,
                    util::cell_pct(stats::fraction_below(lengths, 2000.0)),
                    util::cell_pct(stats::fraction_below(lengths, 10000.0))});
   }
-  std::printf("%s\n", table.render().c_str());
+  bench::print("%s\n", table.render().c_str());
 
   const auto google_lengths = traces[0]->job_lengths();
   bench::print_comparison(
@@ -49,6 +48,6 @@ CGC_BENCH("fig03", cgc::bench::CaseKind::kFigure,
       "Grid jobs over 2000 s (mean across systems)", "most (>50%)",
       util::cell_pct(grids_over_2000 / static_cast<double>(traces.size() - 1)));
 
-  analysis::analyze_job_length_cdf(traces).write_dat(bench::out_dir());
+  bench::write_dat(analysis::analyze_job_length_cdf(traces));
   bench::print_series_note("fig03_<system>.dat, one CDF per system");
 }

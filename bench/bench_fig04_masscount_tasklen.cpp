@@ -6,8 +6,6 @@
 //              mean 5.6 h, max 29 d
 //   AuverGrid: joint ratio 24/76, mm-distance 0.82 d,
 //              mean 7.2 h, max 18 d
-#include <cstdio>
-
 #include "analysis/workload_analyzers.hpp"
 #include "common.hpp"
 #include "registry.hpp"
@@ -28,7 +26,7 @@ CGC_BENCH("fig04", cgc::bench::CaseKind::kFigure,
   using gen::paper::kAuverGridTaskJointRatioMass;
   using gen::paper::kGoogleTaskJointRatioMass;
 
-  std::printf("Google tasks (n=%zu):\n", g.result.n);
+  bench::print("Google tasks (n=%zu):\n", g.result.n);
   bench::print_comparison("  joint ratio (mass side)",
                           kGoogleTaskJointRatioMass,
                           g.result.joint_ratio_mass, 2);
@@ -38,7 +36,7 @@ CGC_BENCH("fig04", cgc::bench::CaseKind::kFigure,
   bench::print_comparison("  mean task length (h)", 5.6, g.mean / 3600.0);
   bench::print_comparison("  max task length (d)", 29.0, g.max / 86400.0);
 
-  std::printf("\nAuverGrid tasks (n=%zu):\n", a.result.n);
+  bench::print("\nAuverGrid tasks (n=%zu):\n", a.result.n);
   bench::print_comparison("  joint ratio (mass side)",
                           kAuverGridTaskJointRatioMass,
                           a.result.joint_ratio_mass, 2);
@@ -48,13 +46,13 @@ CGC_BENCH("fig04", cgc::bench::CaseKind::kFigure,
   bench::print_comparison("  mean task length (h)", 7.2, a.mean / 3600.0);
   bench::print_comparison("  max task length (d)", 18.0, a.max / 86400.0);
 
-  std::printf("\nShape check: Google is far more Pareto-principled than "
+  bench::print("\nShape check: Google is far more Pareto-principled than "
               "AuverGrid: %s\n",
               g.result.joint_ratio_mass < a.result.joint_ratio_mass
                   ? "HOLDS"
                   : "VIOLATED");
 
-  g.figure.write_dat(bench::out_dir());
-  a.figure.write_dat(bench::out_dir());
+  bench::write_dat(g.figure);
+  bench::write_dat(a.figure);
   bench::print_series_note("fig04_google_*.dat / fig04_auvergrid_*.dat");
 }

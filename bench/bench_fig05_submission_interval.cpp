@@ -4,7 +4,6 @@
 // Paper claim: Google's intervals are much shorter — the Google CDF
 // saturates within seconds while Grid CDFs stretch to thousands of
 // seconds.
-#include <cstdio>
 #include <vector>
 
 #include "analysis/workload_analyzers.hpp"
@@ -35,7 +34,7 @@ CGC_BENCH("fig05", cgc::bench::CaseKind::kFigure,
                    util::cell(summary.mean(), 4),
                    util::cell_pct(stats::fraction_below(intervals, 60.0))});
   }
-  std::printf("%s\n", table.render().c_str());
+  bench::print("%s\n", table.render().c_str());
 
   const auto google_intervals = traces[0]->submission_intervals();
   bench::print_comparison("Google mean interval (s)",
@@ -60,7 +59,6 @@ CGC_BENCH("fig05", cgc::bench::CaseKind::kFigure,
         return std::string("yes");
       }());
 
-  analysis::analyze_submission_interval_cdf(traces)
-      .write_dat(bench::out_dir());
+  bench::write_dat(analysis::analyze_submission_interval_cdf(traces));
   bench::print_series_note("fig05_<system>.dat");
 }

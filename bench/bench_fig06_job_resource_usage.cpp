@@ -4,7 +4,6 @@
 //
 // Paper claims: Google jobs mostly need at most one processor and use
 // little memory; Grid jobs are parallel and memory-heavier.
-#include <cstdio>
 #include <vector>
 
 #include "analysis/workload_analyzers.hpp"
@@ -32,7 +31,7 @@ CGC_BENCH("fig06", cgc::bench::CaseKind::kFigure,
                        util::cell_pct(stats::fraction_below(cpu, 1.0001)),
                        util::cell_pct(stats::fraction_below(cpu, 4.0001))});
   }
-  std::printf("%s\n", cpu_table.render().c_str());
+  bench::print("%s\n", cpu_table.render().c_str());
 
   util::AsciiTable mem_table({"system", "median mem (MB)", "P(<200MB)",
                               "P(<1000MB)"});
@@ -46,7 +45,7 @@ CGC_BENCH("fig06", cgc::bench::CaseKind::kFigure,
                        util::cell_pct(stats::fraction_below(mem, 200.0)),
                        util::cell_pct(stats::fraction_below(mem, 1000.0))});
   }
-  std::printf("%s\n", mem_table.render().c_str());
+  bench::print("%s\n", mem_table.render().c_str());
 
   const auto google_cpu = traces[0]->job_cpu_usage();
   bench::print_comparison("Google jobs needing <= 1 processor",
@@ -60,9 +59,8 @@ CGC_BENCH("fig06", cgc::bench::CaseKind::kFigure,
       stats::median(google_mem) < stats::median(sharcnet_mem) ? "yes"
                                                               : "NO");
 
-  analysis::analyze_job_cpu_usage_cdf(traces).write_dat(bench::out_dir());
+  bench::write_dat(analysis::analyze_job_cpu_usage_cdf(traces));
   const double caps[] = {32.0, 64.0};
-  analysis::analyze_job_mem_usage_cdf(traces, caps)
-      .write_dat(bench::out_dir());
+  bench::write_dat(analysis::analyze_job_mem_usage_cdf(traces, caps));
   bench::print_series_note("fig06a_*.dat / fig06b_*.dat");
 }

@@ -6,8 +6,6 @@
 // (>80%/70% for the low/middle CPU classes); max consumed memory sits
 // around 80% of capacity; assigned memory around 90%; page cache is
 // bimodal.
-#include <cstdio>
-
 #include "analysis/hostload_analyzers.hpp"
 #include "common.hpp"
 #include "registry.hpp"
@@ -46,7 +44,7 @@ CGC_BENCH("fig07", cgc::bench::CaseKind::kFigure,
                util::cell_pct(static_cast<double>(saturated) /
                               static_cast<double>(g.max_loads.size()))});
         }
-        std::printf("%s\n", table.render().c_str());
+        bench::print("%s\n", table.render().c_str());
       };
 
   summarize_groups("CPU usage (Fig 7a)", dist.cpu);
@@ -93,7 +91,7 @@ CGC_BENCH("fig07", cgc::bench::CaseKind::kFigure,
                           2);
 
   for (const analysis::Figure& f : dist.to_figures()) {
-    f.write_dat(bench::out_dir());
+    bench::write_dat(f);
   }
   bench::print_series_note("fig07a..d_cap_*.dat (PDF per capacity group)");
 }

@@ -4,8 +4,6 @@
 // Paper reference values: the running queue climbs to ~40 and stays
 // stable; the pending queue is ~0 outside bootstrap; 59.2% of the 44M
 // completion events are abnormal, of which ~50% FAIL and ~30.7% KILL.
-#include <cstdio>
-
 #include "analysis/hostload_analyzers.hpp"
 #include "common.hpp"
 #include "registry.hpp"
@@ -20,7 +18,7 @@ CGC_BENCH("fig08", cgc::bench::CaseKind::kFigure,
   const analysis::QueueStateReport report =
       analysis::analyze_queue_state(trace);
 
-  std::printf("example machine: %lld\n\n",
+  bench::print("example machine: %lld\n\n",
               static_cast<long long>(report.machine_id));
 
   // Steady-state running count on the example machine (last third).
@@ -52,7 +50,7 @@ CGC_BENCH("fig08", cgc::bench::CaseKind::kFigure,
   bench::print_comparison("LOST share of abnormal", "~0.04",
                           util::cell(report.lost_share_of_abnormal, 3));
 
-  report.queue_figure.write_dat(bench::out_dir());
-  report.events_figure.write_dat(bench::out_dir());
+  bench::write_dat(report.queue_figure);
+  bench::write_dat(report.events_figure);
   bench::print_series_note("fig08a_task_events.dat / fig08b_queue_state.dat");
 }

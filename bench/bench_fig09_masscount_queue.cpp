@@ -36,9 +36,9 @@ CGC_BENCH("fig09", cgc::bench::CaseKind::kFigure,
                                     b.mass_count.joint_ratio_count),
                    util::cell(b.mass_count.mm_distance, 4)});
   }
-  std::printf("%s\n", table.render().c_str());
+  bench::print("%s\n", table.render().c_str());
 
-  std::printf("paper (Fig 9): [10,19] 11/89 @972min, [20,29] 12/88 @845min,"
+  bench::print("paper (Fig 9): [10,19] 11/89 @972min, [20,29] 12/88 @845min,"
               "\n              [30,39] 13/87 @820min, [40,49] 16/84 @370min\n\n");
 
   // Shape checks: skewed (Pareto-ish) buckets, short runs dominate.
@@ -48,9 +48,9 @@ CGC_BENCH("fig09", cgc::bench::CaseKind::kFigure,
       skewed = false;
     }
   }
-  std::printf("  all populated buckets are mass-count skewed: %s\n",
+  bench::print("  all populated buckets are mass-count skewed: %s\n",
               skewed ? "HOLDS" : "VIOLATED");
 
-  result.figure.write_dat(bench::out_dir());
+  bench::write_dat(result.figure);
   bench::print_series_note("fig09_running_*.dat");
 }

@@ -5,8 +5,6 @@
 // Paper claims: CPU is mostly idle (levels 0-1) outside the busy window
 // (days 21-25); memory sits high; the high-priority view is much lighter
 // than the all-tasks view.
-#include <cstdio>
-
 #include "analysis/hostload_analyzers.hpp"
 #include "common.hpp"
 #include "registry.hpp"
@@ -51,11 +49,11 @@ CGC_BENCH("fig10", cgc::bench::CaseKind::kFigure,
                    util::cell_pct(occupancy[2] / total),
                    util::cell_pct(occupancy[3] / total),
                    util::cell_pct(occupancy[4] / total)});
-    std::printf("%s\n", table.render().c_str());
-    fig.write_dat(bench::out_dir());
+    bench::print("%s\n", table.render().c_str());
+    bench::write_dat(fig);
   }
 
-  std::printf("paper (Fig 10): CPU mostly levels 0-1 outside days 21-25;\n"
+  bench::print("paper (Fig 10): CPU mostly levels 0-1 outside days 21-25;\n"
               "memory mostly levels 2-3; high-priority views much lighter.\n");
   bench::print_series_note("fig10_<metric>_<band>_levels.dat "
                            "(time_day machine level)");

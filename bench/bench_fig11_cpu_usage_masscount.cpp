@@ -3,8 +3,6 @@
 //
 // Paper reference values: all tasks joint ratio 40/60, mm-distance 13%,
 // mean CPU load ~35%; high-priority 38/62, mm-distance 13%, ~20%.
-#include <cstdio>
-
 #include "analysis/hostload_analyzers.hpp"
 #include "common.hpp"
 #include "registry.hpp"
@@ -17,7 +15,7 @@ CGC_BENCH("fig11", cgc::bench::CaseKind::kFigure,
 
   const analysis::UsageMassCountReport all = analysis::analyze_usage_mass_count(
       trace, analysis::Metric::kCpu, trace::PriorityBand::kLow);
-  std::printf("all tasks (Fig 11a):\n");
+  bench::print("all tasks (Fig 11a):\n");
   bench::print_comparison("  joint ratio (mass side)", 40.0,
                           all.result.joint_ratio_mass, 3);
   bench::print_comparison("  mm-distance (%)", 13.0,
@@ -29,17 +27,17 @@ CGC_BENCH("fig11", cgc::bench::CaseKind::kFigure,
   const analysis::UsageMassCountReport high =
       analysis::analyze_usage_mass_count(trace, analysis::Metric::kCpu,
                                          trace::PriorityBand::kHigh);
-  std::printf("\nhigh-priority tasks (Fig 11b):\n");
+  bench::print("\nhigh-priority tasks (Fig 11b):\n");
   bench::print_comparison("  joint ratio (mass side)", 38.0,
                           high.result.joint_ratio_mass, 3);
   bench::print_comparison("  mean CPU usage",
                           gen::paper::kCpuMeanUsageHighPriority,
                           high.mean_usage, 3);
 
-  std::printf("\n  high-priority load below all-task load: %s\n",
+  bench::print("\n  high-priority load below all-task load: %s\n",
               high.mean_usage < all.mean_usage ? "HOLDS" : "VIOLATED");
 
-  all.figure.write_dat(bench::out_dir());
-  high.figure.write_dat(bench::out_dir());
+  bench::write_dat(all.figure);
+  bench::write_dat(high.figure);
   bench::print_series_note("fig11a/fig11b mass_count.dat");
 }

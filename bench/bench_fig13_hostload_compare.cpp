@@ -7,7 +7,6 @@
 //   Google    CPU noise (min/mean/max): 0.00024 / 0.028  / 0.081
 //   Cloud noise ~ 20x Grid noise on average; Grid CPU > Grid memory;
 //   Google memory > Google CPU; Google load far less autocorrelated.
-#include <cstdio>
 #include <vector>
 
 #include "analysis/hostload_analyzers.hpp"
@@ -25,7 +24,7 @@ CGC_BENCH("fig13", cgc::bench::CaseKind::kFigure,
 
   const analysis::HostLoadComparison comparison =
       analysis::analyze_hostload_comparison(traces);
-  std::printf("%s\n", comparison.render().c_str());
+  bench::print("%s\n", comparison.render().c_str());
 
   bench::print_comparison("Google mean CPU noise",
                           gen::paper::kGoogleNoiseMean,
@@ -39,13 +38,13 @@ CGC_BENCH("fig13", cgc::bench::CaseKind::kFigure,
 
   const auto& g = comparison.systems[0];
   const auto& a = comparison.systems[1];
-  std::printf("\n  Google: memory > CPU usage: %s (%.0f%% vs %.0f%%)\n",
+  bench::print("\n  Google: memory > CPU usage: %s (%.0f%% vs %.0f%%)\n",
               g.mean_mem_usage > g.mean_cpu_usage ? "HOLDS" : "VIOLATED",
               g.mean_mem_usage * 100.0, g.mean_cpu_usage * 100.0);
-  std::printf("  Grid: CPU > memory usage: %s (%.0f%% vs %.0f%%)\n",
+  bench::print("  Grid: CPU > memory usage: %s (%.0f%% vs %.0f%%)\n",
               a.mean_cpu_usage > a.mean_mem_usage ? "HOLDS" : "VIOLATED",
               a.mean_cpu_usage * 100.0, a.mean_mem_usage * 100.0);
-  std::printf("  Google less autocorrelated than both grids: %s "
+  bench::print("  Google less autocorrelated than both grids: %s "
               "(%.3f vs %.3f/%.3f)\n",
               g.mean_autocorrelation <
                       comparison.systems[1].mean_autocorrelation &&
@@ -58,7 +57,7 @@ CGC_BENCH("fig13", cgc::bench::CaseKind::kFigure,
               comparison.systems[2].mean_autocorrelation);
 
   for (const auto& s : comparison.systems) {
-    s.series_figure.write_dat(bench::out_dir());
+    bench::write_dat(s.series_figure);
   }
   bench::print_series_note(
       "fig13_<system>_host_load.dat (time_day cpu mem; plot the [0,30], "

@@ -26,10 +26,10 @@ CGC_BENCH("tab01", cgc::bench::CaseKind::kTable,
     const trace::TraceSet& t = *tp;
     rows.push_back(analysis::analyze_submission_stats(t));
   }
-  std::printf("%s\n",
+  bench::print("%s\n",
               analysis::render_submission_table(rows).c_str());
 
-  std::printf("paper-vs-measured (avg per hour | fairness):\n");
+  bench::print("paper-vs-measured (avg per hour | fairness):\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& paper_row = gen::paper::kTableI[i];
     char paper[64], measured[64];
@@ -47,7 +47,7 @@ CGC_BENCH("tab01", cgc::bench::CaseKind::kTable,
       fairness_gap = false;
     }
   }
-  std::printf("\n  Google fairness exceeds every Grid system: %s\n",
+  bench::print("\n  Google fairness exceeds every Grid system: %s\n",
               fairness_gap ? "HOLDS" : "VIOLATED");
   bool rate_gap = true;
   for (std::size_t i = 1; i < rows.size(); ++i) {
@@ -55,6 +55,6 @@ CGC_BENCH("tab01", cgc::bench::CaseKind::kTable,
       rate_gap = false;
     }
   }
-  std::printf("  Google submission rate exceeds every Grid system: %s\n",
+  bench::print("  Google submission rate exceeds every Grid system: %s\n",
               rate_gap ? "HOLDS" : "VIOLATED");
 }

@@ -6,8 +6,6 @@
 //   avg (min)     6        6         6         6        5
 //   joint ratio 26/74    28/72     30/70     30/70    27/73
 //   mm-dist(min)  49       25        18        19       24
-#include <cstdio>
-
 #include "analysis/hostload_analyzers.hpp"
 #include "common.hpp"
 #include "registry.hpp"
@@ -19,9 +17,9 @@ CGC_BENCH("tab02", cgc::bench::CaseKind::kTable,
   const trace::TraceSet& trace = bench::google_hostload();
   const analysis::LevelDurationTable table = analysis::analyze_level_durations(
       trace, analysis::Metric::kCpu, trace::PriorityBand::kLow);
-  std::printf("%s\n", table.render().c_str());
+  bench::print("%s\n", table.render().c_str());
 
-  std::printf("paper (Table II): avg 5-6 min per level; joint ratios "
+  bench::print("paper (Table II): avg 5-6 min per level; joint ratios "
               "26/74..30/70; mm-dist 18-49 min\n\n");
 
   double avg = 0.0;
@@ -41,6 +39,6 @@ CGC_BENCH("tab02", cgc::bench::CaseKind::kTable,
     const analysis::LevelDurationTable view =
         analysis::analyze_level_durations(trace, analysis::Metric::kCpu,
                                           band);
-    std::printf("%s\n", view.render().c_str());
+    bench::print("%s\n", view.render().c_str());
   }
 }

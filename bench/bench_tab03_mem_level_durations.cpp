@@ -6,8 +6,6 @@
 //   avg (min)     6        9        10        10       10
 //   joint ratio 20/80    23/77     26/74     23/77    18/82
 //   mm-dist(min) 119       83        63        95      351
-#include <cstdio>
-
 #include "analysis/hostload_analyzers.hpp"
 #include "common.hpp"
 #include "registry.hpp"
@@ -20,9 +18,9 @@ CGC_BENCH("tab03", cgc::bench::CaseKind::kTable,
   const analysis::LevelDurationTable mem_table =
       analysis::analyze_level_durations(trace, analysis::Metric::kMem,
                                         trace::PriorityBand::kLow);
-  std::printf("%s\n", mem_table.render().c_str());
+  bench::print("%s\n", mem_table.render().c_str());
 
-  std::printf("paper (Table III): avg 6-10 min per level; joint ratios "
+  bench::print("paper (Table III): avg 6-10 min per level; joint ratios "
               "18/82..26/74; mm-dist 63-351 min\n\n");
 
   double mem_avg = 0.0;
@@ -47,7 +45,7 @@ CGC_BENCH("tab03", cgc::bench::CaseKind::kTable,
   bench::print_comparison("mean unchanged-memory-level duration (min)",
                           "6-10",
                           util::cell(mem_n > 0 ? mem_avg / mem_n : 0.0, 3));
-  std::printf("\n  CPU level flips faster than memory level: %s "
+  bench::print("\n  CPU level flips faster than memory level: %s "
               "(cpu %.1f min vs mem %.1f min)\n",
               cpu_avg / cpu_n < mem_avg / mem_n ? "HOLDS" : "VIOLATED",
               cpu_avg / cpu_n, mem_avg / mem_n);

@@ -2,10 +2,11 @@
 // sharded across many.
 //
 // Runs every registered bench case (all paper figures/tables plus the
-// ablations and extensions) sequentially over the shared in-memory
-// trace cache — each standard trace is built exactly once per process
-// — and the kernels inside each pipeline fan out across the cgc::exec
-// pool. `--only <id>` runs one case: this is the one way to run a paper
+// ablations and extensions) over the shared in-memory trace cache —
+// each standard trace is built exactly once per process — with up to
+// CGC_THREADS cases at once, while the kernels inside each pipeline fan
+// out across the cgc::exec pool. Each case's stdout block and report
+// record come out whole and in registry order, as a serial sweep's do. `--only <id>` runs one case: this is the one way to run a paper
 // figure or table. Emits the .dat series plus a machine-readable
 // $CGC_BENCH_OUT/report.json.
 //
@@ -30,22 +31,21 @@
 // Flags, environment knobs and exit codes: `cgc_report --help`.
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <filesystem>
-#include <functional>
+#include <future>
 #include <limits>
 #include <map>
 #include <memory>
-#include <mutex>
+#include <new>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
@@ -64,6 +64,8 @@
 #include "util/check.hpp"
 #include "util/error.hpp"
 #include "util/file.hpp"
+#include "util/mutex.hpp"
+#include "util/thread_pool.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -160,54 +162,17 @@ void maybe_kill_worker(std::size_t case_index, int phase) {
   }
 }
 
-/// The sweep's own bookkeeping files — never case outputs, never
-/// snapshot/diff material, never resume-quarantine candidates.
-bool is_sweep_bookkeeping(const std::string& rel) {
-  return rel == "report.json" || rel == "report.json.tmp" ||
-         rel == "worker.lease" || rel == "worker.log" ||
-         rel == "supervisor.json" ||
-         rel.rfind("quarantine/", 0) == 0 ||
-         rel.rfind("shards/", 0) == 0;
-}
-
-/// (size, mtime) per regular file under `dir`, keyed by path relative
-/// to `dir`. Diffing two snapshots attributes output files to a case.
-std::map<std::string, std::pair<std::uintmax_t, std::filesystem::file_time_type>>
-dir_snapshot(const std::string& dir) {
-  namespace fs = std::filesystem;
-  std::map<std::string, std::pair<std::uintmax_t, fs::file_time_type>> snap;
-  if (!fs::exists(dir)) {
-    return snap;
-  }
-  for (const fs::directory_entry& e : fs::recursive_directory_iterator(dir)) {
-    if (e.is_regular_file()) {
-      const std::string rel = fs::relative(e.path(), dir).string();
-      if (!is_sweep_bookkeeping(rel)) {
-        snap[rel] = {e.file_size(), e.last_write_time()};
-      }
-    }
-  }
-  return snap;
-}
-
-/// Files new or changed between two snapshots, hashed for the report.
-std::vector<CaseOutput> diff_outputs(
-    const std::map<std::string,
-                   std::pair<std::uintmax_t,
-                             std::filesystem::file_time_type>>& before,
-    const std::map<std::string,
-                   std::pair<std::uintmax_t,
-                             std::filesystem::file_time_type>>& after,
-    const std::string& dir) {
+/// The files a case wrote, each once and sorted by name, hashed for
+/// its report record.
+std::vector<CaseOutput> hash_outputs(std::vector<std::string> files,
+                                     const std::string& dir) {
+  std::sort(files.begin(), files.end());
+  files.erase(std::unique(files.begin(), files.end()), files.end());
   std::vector<CaseOutput> outputs;
-  for (const auto& [file, stat] : after) {
-    const auto it = before.find(file);
-    if (it != before.end() && it->second == stat) {
-      continue;
-    }
+  for (std::string& file : files) {
     CaseOutput o;
-    o.file = file;
-    if (cgc::sweep::file_crc32(dir + "/" + file, &o.crc, &o.size)) {
+    o.file = std::move(file);
+    if (cgc::sweep::file_crc32(dir + "/" + o.file, &o.crc, &o.size)) {
       outputs.push_back(std::move(o));
     }
   }
@@ -228,78 +193,62 @@ bool outputs_match(const CaseRecord& record, const std::string& dir) {
   return true;
 }
 
-enum class BoundedResult { kFinished, kTimeout, kHeartbeatLost };
+using Clock = std::chrono::steady_clock;
 
-/// Runs `fn` on a worker thread, waiting at most `timeout_sec` (0 = no
-/// limit) and invoking `tick` roughly twice a second while waiting (the
-/// lease heartbeat). Returns kTimeout / kHeartbeatLost with the stuck
-/// thread left detached — the caller must flush state and _Exit,
-/// because the thread cannot be killed safely and may be wedged inside
-/// the shared exec pool. A `tick` returning false means the worker lost
-/// its lease and must stop touching the checkpoint dir.
-BoundedResult run_bounded(const std::function<void()>& fn, long timeout_sec,
-                          const std::function<bool()>& tick) {
-  struct Shared {
-    std::mutex m;
-    std::condition_variable cv;
-    bool finished = false;
-    std::exception_ptr error;
-  };
-  auto shared = std::make_shared<Shared>();
-  std::thread worker([fn, shared] {
-    try {
-      fn();
-    } catch (...) {
-      shared->error = std::current_exception();
-    }
-    {
-      std::lock_guard lock(shared->m);
-      shared->finished = true;
-    }
-    shared->cv.notify_all();
-  });
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(timeout_sec);
-  {
-    std::unique_lock lock(shared->m);
-    while (!shared->finished) {
-      shared->cv.wait_for(lock, std::chrono::milliseconds(500),
-                          [&shared] { return shared->finished; });
-      if (shared->finished) {
-        break;
-      }
-      if (tick) {
-        lock.unlock();
-        const bool alive = tick();
-        lock.lock();
-        if (!alive) {
-          worker.detach();
-          return BoundedResult::kHeartbeatLost;
-        }
-      }
-      if (timeout_sec > 0 && std::chrono::steady_clock::now() >= deadline) {
-        worker.detach();
-        return BoundedResult::kTimeout;
-      }
-    }
-  }
-  worker.join();
-  if (shared->error) {
-    std::rethrow_exception(shared->error);
-  }
-  return BoundedResult::kFinished;
+double seconds_since(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+/// One case of the sweep. The scheduler (Sweep::run) fills the first
+/// fields; the pool task running the case writes `record` and `log`
+/// until it reports itself done, after which only the scheduler touches
+/// them.
+struct Slot {
+  const BenchCase* c = nullptr;
+  bool resumed = false;  ///< satisfied by --resume: runs no task
+  Clock::time_point started;
+  std::future<void> task;
+  CaseRecord record;
+  cgc::bench::CaseLog log;
+};
+
 struct Sweep {
-  std::vector<const BenchCase*> cases;
+  std::vector<Slot> slots;  ///< registry order
   SweepReport report;
   std::string report_path;
   std::string out_dir;
   long retry_max = 3;
   long backoff_ms = 100;
   long timeout_sec = 0;
+  std::size_t max_in_flight = 1;  ///< CGC_THREADS
   std::optional<cgc::sweep::Lease> lease;  ///< held for the whole sweep
   std::uint64_t heartbeat_progress = 0;
+  Clock::time_point sweep_start;
+
+  /// What case tasks tell the scheduler; guarded by `mutex`.
+  struct Progress {
+    bool done = false;
+    bool out_of_memory = false;
+    int attempt = 1;
+    Clock::time_point attempt_start;  ///< the watchdog's clock
+  };
+  cgc::util::Mutex mutex;
+  cgc::util::CondVar changed;  ///< a case finished
+  std::vector<Progress> progress CGC_GUARDED_BY(mutex);
+
+  Sweep() = default;
+  Sweep(const Sweep&) = delete;
+  Sweep& operator=(const Sweep&) = delete;
+
+  /// A sweep left by an exception still waits for its running cases:
+  /// their tasks use this object.
+  ~Sweep() {
+    for (Slot& s : slots) {
+      if (s.task.valid()) {
+        s.task.wait();
+      }
+    }
+  }
 
   void flush(bool complete, double total_seconds) {
     const cgc::bench::IoHealth health = cgc::bench::io_health();
@@ -322,8 +271,8 @@ struct Sweep {
   }
 
   [[noreturn]] void die_checkpointed(const char* why) {
-    // The case thread (if any) is stuck and cannot be joined; running
-    // destructors under it would race. The checkpoint is on disk —
+    // Case tasks may be stuck and cannot be joined; running
+    // destructors under them would race. The checkpoint is on disk —
     // leave via _Exit and let --resume/the supervisor pick up from
     // here. _Exit skips atexit, so flush observability output first.
     std::fprintf(stderr, "cgc_report: %s\n", why);
@@ -331,64 +280,55 @@ struct Sweep {
     std::_Exit(cgc::util::kExitFailure);
   }
 
-  /// Runs one case with retry + watchdog + heartbeat; appends its
-  /// record and checkpoints the report. _Exit(1)s on a watchdog trip
-  /// or a lost lease.
-  void run_case(std::size_t index, const BenchCase* c, double elapsed) {
-    CaseRecord r;
+  /// One attempt loop of case `index`, as a task on the exec pool:
+  /// retries transient errors with capped exponential backoff and fills
+  /// the slot's record and log. Returns true when the case ran out of
+  /// memory, which ends the sweep instead of being retried.
+  bool run_case(std::size_t index) {
+    Slot& slot = slots[index];
+    const BenchCase* c = slot.c;
+    CaseRecord& r = slot.record;
     r.id = c->id;
     r.kind = cgc::bench::kind_name(c->kind);
     r.title = c->title;
-
-    maybe_kill_worker(index, 0);
-    if (!beat()) {
-      die_checkpointed("worker lease lost; stopping before next case");
-    }
-    const auto before = dir_snapshot(out_dir);
-    const auto start = std::chrono::steady_clock::now();
+    const cgc::bench::CaseScope scope(&slot.log);
+    const auto start = Clock::now();
     const double cpu_before = process_cpu_seconds();
+    bool out_of_memory = false;
     long backoff = backoff_ms;
     for (int attempt = 1; attempt <= retry_max; ++attempt) {
       r.attempts = attempt;
+      {
+        cgc::util::MutexLock lock(mutex);
+        progress[index].attempt = attempt;
+        progress[index].attempt_start = Clock::now();
+      }
       try {
-        const BoundedResult bounded = run_bounded(
-            [this, index, c, attempt] {
-              if (cgc::fault::armed()) {
-                // Keyed by (case, attempt) so every=/once= triggers can
-                // target a specific attempt deterministically.
-                cgc::fault::maybe_throw(
-                    "report.case",
-                    (static_cast<std::uint64_t>(index) << 8) |
-                        static_cast<std::uint64_t>(attempt),
-                    cgc::fault::ErrorKind::kTransient);
-                if (cgc::fault::inject("report.case_stall", index)) {
-                  // Sleep past any watchdog budget to exercise it.
-                  std::this_thread::sleep_for(std::chrono::seconds(
-                      timeout_sec > 0 ? timeout_sec * 2 : 3600));
-                }
-              }
-              cgc::obs::Span span("case:" + c->id);
-              cgc::bench::print_header(c->id, c->title);
-              c->fn();
-            },
-            timeout_sec, [this] { return beat(); });
-        if (bounded == BoundedResult::kHeartbeatLost) {
-          flush(false, elapsed);
-          die_checkpointed("worker lease lost mid-case; stopping");
+        if (cgc::fault::armed()) {
+          // Keyed by (case, attempt) so every=/once= triggers can
+          // target a specific attempt deterministically.
+          cgc::fault::maybe_throw(
+              "report.case",
+              (static_cast<std::uint64_t>(index) << 8) |
+                  static_cast<std::uint64_t>(attempt),
+              cgc::fault::ErrorKind::kTransient);
+          if (cgc::fault::inject("report.case_stall", index)) {
+            // Sleep past any watchdog budget to exercise it.
+            std::this_thread::sleep_for(std::chrono::seconds(
+                timeout_sec > 0 ? timeout_sec * 2 : 3600));
+          }
         }
-        if (bounded == BoundedResult::kTimeout) {
-          r.seconds = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-          r.ok = false;
-          r.error = "watchdog: exceeded CGC_CASE_TIMEOUT=" +
-                    std::to_string(timeout_sec) + "s";
-          std::fprintf(stderr, "%s: %s\n", c->id.c_str(), r.error.c_str());
-          report.cases.push_back(std::move(r));
-          flush(false, elapsed + r.seconds);
-          die_checkpointed("case watchdog tripped");
-        }
+        cgc::obs::Span span("case:" + c->id);
+        cgc::bench::print_header(c->id, c->title);
+        c->fn();
         r.ok = true;
+        break;
+      } catch (const std::bad_alloc&) {
+        // The machine, not the case: a retry would fail the same way.
+        out_of_memory = true;
+        r.error = "out of memory (std::bad_alloc)";
+        std::fprintf(stderr, "%s failed: %s\n", c->id.c_str(),
+                     r.error.c_str());
         break;
       } catch (const cgc::util::TransientError& e) {
         r.error = e.what();
@@ -408,22 +348,169 @@ struct Sweep {
         break;
       }
     }
-    r.seconds = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
+    r.seconds = seconds_since(start);
     r.perf.wall_s = r.seconds;
     r.perf.cpu_s = process_cpu_seconds() - cpu_before;
     r.perf.max_rss_kb = peak_rss_kb();
     if (r.ok) {
       r.error.clear();
-      r.outputs = diff_outputs(before, dir_snapshot(out_dir), out_dir);
+      r.outputs = hash_outputs(std::move(slot.log.files), out_dir);
     }
+    return out_of_memory;
+  }
+
+  /// Starts case `index` as a task on the exec pool. Cases share the
+  /// pool's workers with the kernels they fan out: a case's parallel
+  /// regions take whichever workers other cases leave idle, and no
+  /// thread beyond the pool's allocates (each allocating thread costs
+  /// a malloc arena, and the arenas' free space counts in peak RSS).
+  void admit(std::size_t index) {
+    maybe_kill_worker(index, 0);
+    if (!beat()) {
+      die_checkpointed("worker lease lost; stopping before next case");
+    }
+    Slot& slot = slots[index];
+    slot.started = Clock::now();
+    {
+      // The watchdog's clock runs from here while the task waits for a
+      // worker.
+      cgc::util::MutexLock lock(mutex);
+      progress[index].attempt_start = slot.started;
+    }
+    slot.task = cgc::util::ThreadPool::shared().submit([this, index] {
+      bool out_of_memory = true;  // all run_case can throw is bad_alloc
+      try {
+        out_of_memory = run_case(index);
+      } catch (...) {
+      }
+      {
+        cgc::util::MutexLock lock(mutex);
+        progress[index].done = true;
+        progress[index].out_of_memory = out_of_memory;
+      }
+      changed.notify_all();
+    });
+  }
+
+  /// Prints case `index`'s stdout block and checkpoints its record.
+  void stamp(std::size_t index) {
+    Slot& slot = slots[index];
+    std::printf("\n[%zu/%zu] %s\n", index + 1, slots.size(),
+                slot.c->id.c_str());
+    if (slot.resumed) {
+      std::printf("resumed: outputs verified, skipping\n");
+      report.cases.push_back(std::move(slot.record));
+      return;
+    }
+    slot.task.wait();
+    std::fputs(slot.log.stdout_block.c_str(), stdout);
     // The quarantine window: outputs are on disk, the report stamp is
     // not. A kill here is exactly what --resume's stale-checkpoint
     // quarantine exists for.
     maybe_kill_worker(index, 1);
+    report.cases.push_back(std::move(slot.record));
+    flush(false, seconds_since(sweep_start));
+  }
+
+  /// Checkpoints a watchdog failure for the stuck case `index` and
+  /// exits: its task cannot be stopped.
+  [[noreturn]] void trip_watchdog(std::size_t index, int attempt) {
+    const Slot& slot = slots[index];
+    CaseRecord r;
+    r.id = slot.c->id;
+    r.kind = cgc::bench::kind_name(slot.c->kind);
+    r.title = slot.c->title;
+    r.attempts = attempt;
+    r.seconds = seconds_since(slot.started);
+    r.error = "watchdog: exceeded CGC_CASE_TIMEOUT=" +
+              std::to_string(timeout_sec) + "s";
+    std::fprintf(stderr, "%s: %s\n", r.id.c_str(), r.error.c_str());
     report.cases.push_back(std::move(r));
-    flush(false, elapsed + r.seconds);
+    flush(false, seconds_since(sweep_start));
+    die_checkpointed("case watchdog tripped");
+  }
+
+  /// Runs the sweep: cases start in registry order, up to
+  /// max_in_flight at once, and their records are stamped in registry
+  /// order as the finished prefix grows, so report.json is always a
+  /// checkpoint --resume understands. Out of memory in a case stops
+  /// admission, lets running cases finish, and throws FatalError naming
+  /// the case.
+  void run() {
+    const std::size_t n = slots.size();
+    {
+      cgc::util::MutexLock lock(mutex);
+      progress.assign(n, Progress{});
+    }
+    std::vector<bool> reaped(n, false);  // seen done by this loop
+    std::size_t next = 0;     // first case not yet started
+    std::size_t stamped = 0;  // first case not yet stamped
+    std::size_t in_flight = 0;
+    std::optional<std::size_t> out_of_memory;
+    for (;;) {
+      // Resumed cases run nothing and take no place.
+      while (!out_of_memory.has_value() && next < n &&
+             (slots[next].resumed || in_flight < max_in_flight)) {
+        if (!slots[next].resumed) {
+          admit(next);
+          ++in_flight;
+        }
+        ++next;
+      }
+      while (stamped < next && (slots[stamped].resumed || reaped[stamped])) {
+        stamp(stamped++);
+      }
+      if (out_of_memory.has_value() && stamped == next) {
+        throw cgc::util::FatalError(slots[*out_of_memory].c->id +
+                                    ": out of memory (std::bad_alloc)");
+      }
+      if (stamped == n) {
+        return;
+      }
+      // Wait for a case to finish; every half second without one, beat
+      // the heartbeat and run the watchdog.
+      const auto deadline = Clock::now() + std::chrono::milliseconds(500);
+      bool finished = false;
+      std::optional<std::pair<std::size_t, int>> stuck;
+      {
+        cgc::util::MutexLock lock(mutex);
+        for (;;) {
+          for (std::size_t i = stamped; i < next; ++i) {
+            if (slots[i].resumed || reaped[i] || !progress[i].done) {
+              continue;
+            }
+            reaped[i] = true;
+            --in_flight;
+            finished = true;
+            if (progress[i].out_of_memory && !out_of_memory.has_value()) {
+              out_of_memory = i;
+            }
+          }
+          if (finished || !changed.wait_until(mutex, deadline)) {
+            break;
+          }
+        }
+        for (std::size_t i = stamped;
+             !finished && timeout_sec > 0 && i < next && !stuck.has_value();
+             ++i) {
+          if (!slots[i].resumed && !reaped[i] &&
+              Clock::now() - progress[i].attempt_start >=
+                  std::chrono::seconds(timeout_sec)) {
+            stuck = {i, progress[i].attempt};
+          }
+        }
+      }
+      if (finished) {
+        continue;
+      }
+      if (!beat()) {
+        flush(false, seconds_since(sweep_start));
+        die_checkpointed("worker lease lost mid-case; stopping");
+      }
+      if (stuck.has_value()) {
+        trip_watchdog(stuck->first, stuck->second);
+      }
+    }
   }
 };
 
@@ -574,7 +661,8 @@ int run(int argc, char** argv) {
   args.add_int("spawn", 0, "supervise an N-shard sweep end to end");
   args.add_usage_note(
       "Environment: CGC_BENCH_FAST, CGC_BENCH_CACHE, CGC_BENCH_OUT and\n"
-      "CGC_THREADS (see bench/common.hpp), plus:\n"
+      "CGC_THREADS (see bench/common.hpp; CGC_THREADS also bounds how many\n"
+      "cases run at once, and 1 runs them one by one), plus:\n"
       "  CGC_RETRY_MAX=N         attempts per case on transient errors (3)\n"
       "  CGC_RETRY_BACKOFF_MS=N  first backoff, doubling, capped at 2000 "
       "(100)\n"
@@ -678,7 +766,7 @@ int run(int argc, char** argv) {
   }
 
   Sweep sweep;
-  sweep.cases = cases;
+  sweep.max_in_flight = cgc::exec::num_workers();
   sweep.out_dir = cgc::bench::out_dir();
   sweep.report_path = sweep.out_dir + "/report.json";
   sweep.retry_max = std::max(1L, env_long("CGC_RETRY_MAX", 3));
@@ -773,27 +861,20 @@ int run(int argc, char** argv) {
                   ? ""
                   : (" [faults: " + sweep.report.fault_spec + "]").c_str());
 
-  const auto sweep_start = std::chrono::steady_clock::now();
+  sweep.slots.resize(cases.size());
   for (std::size_t i = 0; i < cases.size(); ++i) {
-    const BenchCase* c = cases[i];
-    std::printf("\n[%zu/%zu] %s\n", i + 1, cases.size(), c->id.c_str());
-    const auto it = previous.find(c->id);
+    Slot& slot = sweep.slots[i];
+    slot.c = cases[i];
+    const auto it = previous.find(slot.c->id);
     if (it != previous.end()) {
-      CaseRecord r = it->second;
-      r.resumed = true;
-      std::printf("resumed: outputs verified, skipping\n");
-      sweep.report.cases.push_back(std::move(r));
-      continue;
+      slot.resumed = true;
+      slot.record = std::move(it->second);
+      slot.record.resumed = true;
     }
-    const double elapsed = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - sweep_start)
-                               .count();
-    sweep.run_case(i, c, elapsed);
   }
-  const double total_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    sweep_start)
-          .count();
+  sweep.sweep_start = Clock::now();
+  sweep.run();
+  const double total_seconds = seconds_since(sweep.sweep_start);
 
   std::printf("\n================ sweep summary ================\n");
   for (std::size_t i = carried; i < sweep.report.cases.size(); ++i) {
@@ -827,7 +908,13 @@ int run(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   try {
-    return run(argc, argv);
+    try {
+      return run(argc, argv);
+    } catch (const std::bad_alloc&) {
+      // Out of memory outside a case (a case's names the case): a fatal
+      // environment error, which a supervisor does not respawn.
+      throw cgc::util::FatalError("out of memory (std::bad_alloc)");
+    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     // A DataError escaping the run is the shard ledger refusing a

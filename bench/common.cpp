@@ -1,11 +1,10 @@
 #include "common.hpp"
 
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
-#include <map>
-#include <memory>
 #include <mutex>
 
 #include "analysis/report.hpp"
@@ -13,6 +12,7 @@
 #include "sweep/cache.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
+#include "util/memo.hpp"
 #include "util/table.hpp"
 
 namespace cgc::bench {
@@ -60,22 +60,17 @@ std::string scale_key() {
 
 /// Process-wide trace memo: each standard trace is built once and
 /// shared by reference across every case in the process (the win that
-/// makes cgc_report beat one-binary-per-figure wall clock). unique_ptr
-/// slots keep references stable across map rehashes.
+/// makes cgc_report beat one-binary-per-figure wall clock). Concurrent
+/// cases wait on one key's build without blocking other keys'.
 const trace::TraceSet& memoized(
     const std::string& key,
     const std::function<trace::TraceSet()>& build) {
-  static std::mutex mutex;
-  static std::map<std::string, std::unique_ptr<trace::TraceSet>> cache;
-  std::unique_lock lock(mutex);
-  auto& slot = cache[key];
-  if (!slot) {
-    // Build outside the lock would allow duplicate work on races; the
-    // sweep is sequential, so holding it keeps the logic simple.
-    slot = std::make_unique<trace::TraceSet>(build());
-  }
-  return *slot;
+  static util::Memo<trace::TraceSet> memo;
+  return memo.get(key, build);
 }
+
+/// The calling thread's CaseScope log (nullptr outside a case).
+thread_local CaseLog* t_case_log = nullptr;
 
 }  // namespace
 
@@ -175,21 +170,60 @@ const trace::TraceSet& grid_hostload(const std::string& name) {
   });
 }
 
-void print_header(const std::string& id, const std::string& title) {
-  std::printf("\n================================================================\n");
-  std::printf("%s — %s\n", id.c_str(), title.c_str());
-  if (fast_mode()) {
-    std::printf("scale: fast (unset CGC_BENCH_FAST for a full run)\n");
-  } else {
-    std::printf("scale: full (set CGC_BENCH_FAST=1 for a quick run)\n");
+CaseScope::CaseScope(CaseLog* log) : previous_(t_case_log) {
+  t_case_log = log;
+}
+
+CaseScope::~CaseScope() { t_case_log = previous_; }
+
+void print(const char* format, ...) {
+  std::va_list args;
+  va_start(args, format);
+  if (t_case_log == nullptr) {
+    std::vprintf(format, args);
+    va_end(args);
+    return;
   }
-  std::printf("================================================================\n");
+  std::va_list measure;
+  va_copy(measure, args);
+  const int n = std::vsnprintf(nullptr, 0, format, measure);
+  va_end(measure);
+  if (n > 0) {
+    std::string& block = t_case_log->stdout_block;
+    const std::size_t at = block.size();
+    // vsnprintf writes n characters plus a NUL; resize past it, then
+    // drop the NUL.
+    block.resize(at + static_cast<std::size_t>(n) + 1);
+    std::vsnprintf(block.data() + at, static_cast<std::size_t>(n) + 1, format,
+                   args);
+    block.pop_back();
+  }
+  va_end(args);
+}
+
+void write_dat(const analysis::Figure& figure) {
+  std::vector<std::string> written = figure.write_dat(out_dir());
+  if (t_case_log != nullptr) {
+    t_case_log->files.insert(t_case_log->files.end(), written.begin(),
+                             written.end());
+  }
+}
+
+void print_header(const std::string& id, const std::string& title) {
+  print("\n================================================================\n");
+  print("%s — %s\n", id.c_str(), title.c_str());
+  if (fast_mode()) {
+    print("scale: fast (unset CGC_BENCH_FAST for a full run)\n");
+  } else {
+    print("scale: full (set CGC_BENCH_FAST=1 for a quick run)\n");
+  }
+  print("================================================================\n");
 }
 
 void print_comparison(const std::string& metric, const std::string& paper,
                       const std::string& measured) {
-  std::printf("  %-46s paper: %-14s measured: %s\n", metric.c_str(),
-              paper.c_str(), measured.c_str());
+  print("  %-46s paper: %-14s measured: %s\n", metric.c_str(), paper.c_str(),
+        measured.c_str());
 }
 
 void print_comparison(const std::string& metric, double paper,
@@ -199,8 +233,8 @@ void print_comparison(const std::string& metric, double paper,
 }
 
 void print_series_note(const std::string& dat_hint) {
-  std::printf("\n  plot series written under %s/ (%s)\n", out_dir().c_str(),
-              dat_hint.c_str());
+  print("\n  plot series written under %s/ (%s)\n", out_dir().c_str(),
+        dat_hint.c_str());
 }
 
 namespace {

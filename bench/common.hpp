@@ -9,16 +9,24 @@
 //   CGC_BENCH_FAST=1      quarter-scale run (smoke-testing the harness)
 //   CGC_BENCH_CACHE=DIR   host-load trace cache (default ./bench_cache)
 //   CGC_BENCH_OUT=DIR     .dat output directory (default ./bench_out)
-//   CGC_THREADS=N         worker count for parallel kernels (cgc::exec)
+//   CGC_THREADS=N         worker count for parallel kernels (cgc::exec),
+//                         and how many cases cgc_report runs at once
 //
 // Trace accessors return references into a process-wide memo: within
 // one cgc_report process each standard trace is built exactly once, no
-// matter how many cases consume it.
+// matter how many cases consume it, even when cases run concurrently.
+//
+// Cases print through print() and write their series through
+// write_dat(), never std::printf or Figure::write_dat directly: cgc_report
+// runs cases concurrently and needs each case's stdout block and output
+// files to itself (CaseLog).
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "analysis/report.hpp"
 #include "gen/google_model.hpp"
 #include "gen/grid_model.hpp"
 #include "sim/config.hpp"
@@ -73,6 +81,38 @@ const trace::TraceSet& grid_hostload(const std::string& name);
 
 /// Finds a preset by system name; throws on unknown names.
 gen::GridSystemPreset preset_by_name(const std::string& name);
+
+/// What one running case printed and wrote.
+struct CaseLog {
+  /// Everything the case printed, banner included.
+  std::string stdout_block;
+  /// The output files it wrote, relative to out_dir(), in write order.
+  std::vector<std::string> files;
+};
+
+/// Routes print() and write_dat() on the calling thread into `log`
+/// while alive, so concurrent cases keep their output apart. Outside a
+/// scope both act directly: print() on stdout, write_dat() records
+/// nothing. A case prints and writes from its own thread only, never
+/// from inside a parallel region.
+class CaseScope {
+ public:
+  explicit CaseScope(CaseLog* log);
+  ~CaseScope();
+  CaseScope(const CaseScope&) = delete;
+  CaseScope& operator=(const CaseScope&) = delete;
+
+ private:
+  CaseLog* previous_;
+};
+
+/// printf for case output: into the current CaseScope's stdout block,
+/// or to stdout outside one.
+[[gnu::format(printf, 1, 2)]] void print(const char* format, ...);
+
+/// Writes `figure`'s .dat files under out_dir() and records them as
+/// outputs of the current CaseScope's case.
+void write_dat(const analysis::Figure& figure);
 
 /// Prints the bench banner.
 void print_header(const std::string& id, const std::string& title);

@@ -32,11 +32,13 @@ std::string sanitize_name(const std::string& name) {
   return out.empty() ? "series" : out;
 }
 
-void Figure::write_dat(const std::string& directory) const {
+std::vector<std::string> Figure::write_dat(
+    const std::string& directory) const {
   std::filesystem::create_directories(directory);
+  std::vector<std::string> written;
   for (const Series& s : series) {
-    const std::string path =
-        directory + "/" + id + "_" + sanitize_name(s.name) + ".dat";
+    written.push_back(id + "_" + sanitize_name(s.name) + ".dat");
+    const std::string path = directory + "/" + written.back();
     std::ofstream out(path);
     out << "# " << title << " — " << s.name << '\n';
     out << "#";
@@ -55,6 +57,7 @@ void Figure::write_dat(const std::string& directory) const {
     }
     util::close_or_throw(out, path);
   }
+  return written;
 }
 
 }  // namespace cgc::analysis

@@ -30,7 +30,8 @@ struct Figure {
 
   /// Writes one .dat file per series into `directory`
   /// (<id>_<series>.dat, '#'-commented header), creating it if needed.
-  void write_dat(const std::string& directory) const;
+  /// Returns the file names written, relative to `directory`.
+  std::vector<std::string> write_dat(const std::string& directory) const;
 };
 
 /// Sanitizes a series/system name into a filename fragment.

@@ -561,7 +561,12 @@ struct ClusterSim::Impl {
         const std::uint32_t t = static_cast<std::uint32_t>(task);
         const TaskStatic& ts = tstatic[t];
         int machine = pick_machine(t, ts);
+        ++stats.placement_searches;
+        if (machine < 0) {
+          ++stats.placement_failures;
+        }
         if (machine < 0 && config.preemption) {
+          ++stats.eviction_searches;
           machine = find_evictable(t, ts);
           if (machine >= 0) {
             evict_for(now, static_cast<std::size_t>(machine), ts);

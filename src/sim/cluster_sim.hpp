@@ -63,6 +63,13 @@ struct SimStats {
   std::int64_t events_processed = 0;
   /// Scheduler passes run (each scans the 12 priority FIFOs once).
   std::int64_t schedule_passes = 0;
+  /// Placement searches: one per pending task a pass tries to place.
+  std::int64_t placement_searches = 0;
+  /// Placement searches that found no machine with room.
+  std::int64_t placement_failures = 0;
+  /// Searches for a machine where evicting lower-priority tasks makes
+  /// room (preemption on, after a failed placement search).
+  std::int64_t eviction_searches = 0;
   /// Fault-site firings (sim.task_lost + sim.machine_outage); 0 unless
   /// CGC_FAULT_SPEC armed a sim.* site.
   std::int64_t faults_injected = 0;

@@ -88,11 +88,18 @@ void write_host_usage(const TraceSet& trace, const std::string& path) {
   out.close();
 }
 
+void write_trace_window(const TraceSet& trace, const std::string& path) {
+  util::CsvWriter out(path);
+  out.write_record({std::to_string(trace.duration() * kMicrosPerSecond)});
+  out.close();
+}
+
 void write_google_trace(const TraceSet& trace, const std::string& directory) {
   std::filesystem::create_directories(directory);
   write_task_events(trace, directory + "/task_events.csv");
   write_machine_events(trace, directory + "/machine_events.csv");
   write_host_usage(trace, directory + "/host_usage.csv");
+  write_trace_window(trace, directory + "/trace_window.csv");
 }
 
 bool decode_task_event(Fields f, TaskEvent* event) {
@@ -164,6 +171,18 @@ bool decode_host_sample(Fields f, HostSample* s) {
   return true;
 }
 
+/// trace_window row decoder: the window length, whole seconds.
+bool decode_window(Fields f, TimeSec* duration) {
+  if (f.empty()) {
+    throw util::DataError("trace_window row is empty");
+  }
+  *duration = util::parse_int(f[0]) / kMicrosPerSecond;
+  if (*duration <= 0) {
+    throw util::DataError("trace window must be positive");
+  }
+  return true;
+}
+
 void read_task_events(const std::string& path, TraceSet* trace,
                       const ParseOptions& options, ParseReport* report) {
   RecordLoop rows(path, util::Split::kComma, options, report);
@@ -201,6 +220,15 @@ void read_host_usage(const std::string& path, TraceSet* trace,
   }
 }
 
+void read_trace_window(const std::string& path, TraceSet* trace,
+                       const ParseOptions& options, ParseReport* report) {
+  RecordLoop rows(path, util::Split::kComma, options, report);
+  TimeSec duration = 0;
+  if (rows.next(decode_window, &duration)) {
+    trace->set_duration(duration);
+  }
+}
+
 }  // namespace
 
 TraceSet detail::read_google_trace_impl(const std::string& directory,
@@ -211,6 +239,7 @@ TraceSet detail::read_google_trace_impl(const std::string& directory,
   const std::string task_events_path = directory + "/task_events.csv";
   const std::string machine_events_path = directory + "/machine_events.csv";
   const std::string host_usage_path = directory + "/host_usage.csv";
+  const std::string window_path = directory + "/trace_window.csv";
 
   if (!std::filesystem::exists(task_events_path)) {
     throw util::DataError("missing " + task_events_path);
@@ -221,6 +250,9 @@ TraceSet detail::read_google_trace_impl(const std::string& directory,
   }
   if (std::filesystem::exists(host_usage_path)) {
     read_host_usage(host_usage_path, &trace, options, report);
+  }
+  if (std::filesystem::exists(window_path)) {
+    read_trace_window(window_path, &trace, options, report);
   }
   trace.finalize();  // sort events by time before the replay
   std::vector<RefusedEvent> refused;

@@ -19,6 +19,14 @@
 //     machine_id, time(s), cpu_low, cpu_mid, cpu_high, mem_low, mem_mid,
 //     mem_high, mem_assigned, page_cache, running_tasks, pending_tasks
 //
+// and a one-row table of our own for the trace window, which no event
+// records (the last event falls short of the window's end):
+//
+//   trace_window (1 column): window length(us)
+//
+// A directory without trace_window.csv (a real trace) takes its window
+// from its last event or job end, as TraceSet::finalize() does.
+//
 // Event codes follow the clusterdata format: 0 SUBMIT, 1 SCHEDULE,
 // 2 EVICT, 3 FAIL, 4 FINISH, 5 KILL, 6 LOST, 7/8 UPDATE. Priorities in
 // the file are 0-11 and are shifted to the paper's 1-12 in memory.
@@ -38,13 +46,13 @@ namespace cgc::trace {
 bool decode_task_event(Fields fields, TaskEvent* event);
 
 namespace detail {
-/// Reads the three tables back from `directory`; load_trace
+/// Reads the tables back from `directory`; load_trace
 /// (trace/loader.hpp), the one way to read a trace, calls it. Tasks and
 /// jobs are rebuilt from the events (replay_tasks, then roll_up_jobs;
 /// trace/lifecycle.hpp), with one warning counting the events the
 /// transition table refused. Files that are absent are skipped (a
 /// workload-only directory may have no host_usage.csv); `report`
-/// aggregates tolerant damage across the three tables.
+/// aggregates tolerant damage across the tables.
 TraceSet read_google_trace_impl(const std::string& directory,
                                 const std::string& system_name,
                                 const ParseOptions& options,
@@ -64,8 +72,12 @@ void write_machine_events(const TraceSet& trace, const std::string& path);
 /// Writes trace.host_load() in the host_usage layout.
 void write_host_usage(const TraceSet& trace, const std::string& path);
 
-/// Convenience: writes all three tables into `directory` as
-/// task_events.csv, machine_events.csv, host_usage.csv.
+/// Writes trace.duration() in the trace_window layout.
+void write_trace_window(const TraceSet& trace, const std::string& path);
+
+/// Convenience: writes all four tables into `directory` as
+/// task_events.csv, machine_events.csv, host_usage.csv and
+/// trace_window.csv.
 void write_google_trace(const TraceSet& trace, const std::string& directory);
 
 }  // namespace cgc::trace

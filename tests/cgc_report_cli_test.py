@@ -28,15 +28,28 @@ ablations that run their simulations concurrently print the same table
 rows at CGC_THREADS=1 and 4 (they write no .dat, so no digest covers
 them).
 
+cgc_report runs up to CGC_THREADS cases at once: a sweep at
+CGC_THREADS=1 and one at 4 write the same .dat files, the same
+report.json outputs per case, and the same stdout once timing lines are
+dropped; a sweep at 4 killed in a mid-sweep case's quarantine window
+resumes to the clean run's .dat files. Out of memory in a case (the
+child's address space capped) exits 3 naming the case, so a supervisor
+does not respawn it.
+
 Every command runs under CGC_BENCH_FAST=1 with throwaway CGC_BENCH_OUT
 and CGC_BENCH_CACHE directories, so a build that wrongly starts a sweep
 stays at smoke-test scale and then fails its exit-code check.
 """
 
+import difflib
 import glob
+import hashlib
 import json
 import os
+import re
+import resource
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -55,6 +68,20 @@ CASE_IDS = [
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
+EXIT_FATAL = 3
+
+# Lines of cgc_report's stdout that vary run to run: the banner's thread
+# count and the summary's per-case and total seconds.
+TIMING_LINE = re.compile(r"worker threads|^\s+\S+\s+\d+\.\d+ s\b")
+
+# sweep.worker_kill key of fig12 (case index 10) in phase 1, after its
+# outputs are written and before its record is stamped: key = index << 1
+# | phase.
+MID_SWEEP_KILL = "sweep.worker_kill:once=21"
+
+# Address-space cap for the out-of-memory leg: room to start, not to
+# simulate the full-scale Google host-load month fig07 needs.
+OOM_AS_LIMIT_BYTES = 250_000 * 1024
 
 # The head of a shard 1/2 checkpoint of `cgc_plan --matrix small` as the
 # line-format writer sealed it (one row kept; the seal is recomputed).
@@ -165,6 +192,118 @@ def ablation_thread_problems(report, env, tmp):
                 for a, b in zip(tables["1"], tables["4"]) if a != b]
         return [f"cgc_report --only {cases}: table rows differ between "
                 "CGC_THREADS=1 and 4\n" + "\n".join(diff)]
+    return []
+
+
+def dat_digests(out):
+    """sha256 of every top-level .dat file in `out`, by name."""
+    digests = {}
+    for path in sorted(glob.glob(os.path.join(out, "*.dat"))):
+        with open(path, "rb") as f:
+            digests[os.path.basename(path)] = hashlib.sha256(
+                f.read()).hexdigest()
+    return digests
+
+
+def first_difference(a, b):
+    """The first few lines of a unified diff of two line lists."""
+    return "\n".join(list(difflib.unified_diff(a, b, lineterm=""))[:12])
+
+
+def concurrent_sweep_problems(report, env, tmp):
+    """Runs the fast sweep at CGC_THREADS=1 and 4, compares them, then
+    kills a sweep at 4 in a mid-sweep case and resumes it; returns
+    failure lines."""
+    runs = {}
+    for threads in ("1", "4"):
+        out = os.path.join(tmp, "threads_out" + threads)
+        proc = subprocess.run([report], cwd=tmp,
+                              env=dict(env, CGC_THREADS=threads,
+                                       CGC_BENCH_OUT=out),
+                              capture_output=True, text=True, timeout=900,
+                              check=False)
+        if proc.returncode != EXIT_OK:
+            return [f"cgc_report at CGC_THREADS={threads}: exit "
+                    f"{proc.returncode}\n{proc.stderr[-1500:]}"]
+        with open(os.path.join(out, "report.json")) as f:
+            outputs = [(c["id"], c["outputs"]) for c in json.load(f)["cases"]]
+        stdout = [line for line in proc.stdout.replace(out, "<out>")
+                  .splitlines() if not TIMING_LINE.search(line)]
+        runs[threads] = {".dat sha256s": dat_digests(out),
+                         "report.json outputs": outputs, "stdout": stdout}
+    problems = []
+    for what, one in runs["1"].items():
+        four = runs["4"][what]
+        if one != four:
+            shown = (first_difference(one, four) if what == "stdout"
+                     else f"  1: {one}\n  4: {four}")
+            problems.append(f"cgc_report: {what} differ between "
+                            f"CGC_THREADS=1 and 4\n{shown}")
+    written = set(runs["4"][".dat sha256s"])
+    attributed = {o["file"] for _, outputs in runs["4"]["report.json outputs"]
+                  for o in outputs}
+    if not written or attributed != written:
+        problems.append("cgc_report: report.json outputs name "
+                        f"{sorted(attributed)}, the sweep wrote "
+                        f"{sorted(written)}")
+
+    out = os.path.join(tmp, "killed_out")
+    run_env = dict(env, CGC_THREADS="4", CGC_BENCH_OUT=out)
+    label = f"cgc_report at CGC_THREADS=4 under {MID_SWEEP_KILL}"
+    proc = subprocess.run([report], cwd=tmp,
+                          env=dict(run_env, CGC_FAULT_SPEC=MID_SWEEP_KILL),
+                          capture_output=True, text=True, timeout=900,
+                          check=False)
+    if proc.returncode != -signal.SIGKILL:
+        return problems + [f"{label}: exit {proc.returncode}, want SIGKILL"
+                           f"\n{proc.stderr[-1500:]}"]
+    proc = subprocess.run([report, "--resume"], cwd=tmp, env=run_env,
+                          capture_output=True, text=True, timeout=900,
+                          check=False)
+    if proc.returncode != EXIT_OK:
+        return problems + [f"{label}, then --resume: exit {proc.returncode}"
+                           f"\n{proc.stderr[-1500:]}"]
+    if dat_digests(out) != runs["4"][".dat sha256s"]:
+        problems.append(f"{label}, then --resume: .dat files differ from the "
+                        "clean run's")
+    return problems
+
+
+def is_sanitized(exe):
+    """True for a sanitizer build, whose shadow memory needs far more
+    address space than the out-of-memory leg's cap allows."""
+    with open(exe, "rb") as f:
+        body = f.read()
+    return any(marker in body
+               for marker in (b"__asan_init", b"__tsan_init", b"__msan_init"))
+
+
+def out_of_memory_problems(report, env, tmp):
+    """Runs `--only fig07` at full scale on an empty cache with the
+    child's address space capped; returns failure lines."""
+    if is_sanitized(report):
+        print("cgc_report is a sanitizer build: out-of-memory leg not run")
+        return []
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS,
+                           (OOM_AS_LIMIT_BYTES, OOM_AS_LIMIT_BYTES))
+
+    run_env = dict(env, CGC_THREADS="1",
+                   CGC_BENCH_OUT=os.path.join(tmp, "oom_out"),
+                   CGC_BENCH_CACHE=os.path.join(tmp, "oom_cache"))
+    run_env.pop("CGC_BENCH_FAST")
+    proc = subprocess.run([report, "--only", "fig07"], cwd=tmp, env=run_env,
+                          preexec_fn=cap_address_space, capture_output=True,
+                          text=True, timeout=900, check=False)
+    label = (f"cgc_report --only fig07 in {OOM_AS_LIMIT_BYTES // 1024} KB of "
+             "address space")
+    if proc.returncode != EXIT_FATAL:
+        return [f"{label}: exit {proc.returncode}, want {EXIT_FATAL}\n"
+                f"{proc.stderr[-1500:]}"]
+    if "fig07: out of memory" not in proc.stderr:
+        return [f"{label}: stderr does not name fig07's out of memory\n"
+                f"{proc.stderr[-1500:]}"]
     return []
 
 
@@ -346,6 +485,10 @@ def main():
         failures.extend(rebuilt_hostload_problems(report, env, tmp))
 
         failures.extend(ablation_thread_problems(report, env, tmp))
+
+        failures.extend(concurrent_sweep_problems(report, env, tmp))
+
+        failures.extend(out_of_memory_problems(report, env, tmp))
 
         failures.extend(torn_report_resume_problems(report, env, tmp))
 

@@ -442,6 +442,7 @@ TEST_F(FormatsTest, WritersReportAFullDisk) {
   EXPECT_THROW(write_task_events(trace, full), util::TransientError);
   EXPECT_THROW(write_machine_events(trace, full), util::TransientError);
   EXPECT_THROW(write_host_usage(trace, full), util::TransientError);
+  EXPECT_THROW(write_trace_window(trace, full), util::TransientError);
   EXPECT_THROW(write_swf(jobs, full), util::TransientError);
   EXPECT_THROW(write_gwa(jobs, full), util::TransientError);
   EXPECT_THROW(store::write_cgcs(trace, full), util::TransientError);
@@ -583,6 +584,14 @@ TEST_F(FormatsTest, SimulatedGoogleTraceReadsBackAsWritten) {
   const TraceSet read = load(dir, TraceFormat::kGoogleCsv, "google");
   EXPECT_TRUE(validate(written).empty());
   EXPECT_TRUE(validate(read).empty());
+  // The window is the simulated day, not the last event's time. A
+  // directory without trace_window.csv, as a real trace has none,
+  // still takes the last event's.
+  EXPECT_EQ(written.duration(), util::kSecondsPerDay);
+  EXPECT_EQ(read.duration(), written.duration());
+  std::filesystem::remove(dir + "/trace_window.csv");
+  EXPECT_LT(load(dir, TraceFormat::kGoogleCsv, "google").duration(),
+            written.duration());
 
   // Task rows: the CSV carries no requests or usage, so compare the
   // event-borne fields.

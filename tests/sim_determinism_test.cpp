@@ -146,6 +146,9 @@ void expect_same_stats(const SimStats& a, const SimStats& b) {
   EXPECT_EQ(a.max_pending_depth, b.max_pending_depth);
   EXPECT_EQ(a.events_processed, b.events_processed);
   EXPECT_EQ(a.schedule_passes, b.schedule_passes);
+  EXPECT_EQ(a.placement_searches, b.placement_searches);
+  EXPECT_EQ(a.placement_failures, b.placement_failures);
+  EXPECT_EQ(a.eviction_searches, b.eviction_searches);
   EXPECT_EQ(a.wait_count, b.wait_count);
   EXPECT_EQ(a.wait_sum_s, b.wait_sum_s);
   EXPECT_EQ(a.faults_injected, b.faults_injected);

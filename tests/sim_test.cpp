@@ -209,6 +209,46 @@ TEST(ClusterSim, HigherPriorityPreempts) {
   EXPECT_EQ(sim.stats().finished, 2);
 }
 
+TEST(ClusterSim, CountsPlacementAndEvictionSearches) {
+  // Two machines that hold one task each (memory 0.6 of 1.0).
+  //   t=0    A, B placed                      searches 2
+  //   t=100  C finds no room, evicts nothing  searches 3, failed 1, evict 1
+  //   t=200  D (priority 11) finds no room, evicts A and runs;
+  //          C still finds none               searches 5, failed 3, evict 3
+  //   t=380  A resubmits: C, A find none      searches 7, failed 5, evict 5
+  //   t=500  D ends: C placed, A finds none   searches 9, failed 6, evict 6
+  //   t=3600 B ends: A placed                 searches 10
+  SimConfig config = quiet_config(7200);
+  config.preemption = true;
+  config.isolation_eviction_probability = 0.0;
+  Machine second = one_machine()[0];
+  second.machine_id = 2;
+  std::vector<Machine> machines = one_machine();
+  machines.push_back(second);
+  ClusterSim sim(machines, config);
+  Workload workload = {simple_task(1, 0, 3600), simple_task(2, 0, 3600),
+                       simple_task(3, 100, 3600), simple_task(4, 200, 300)};
+  workload[3].priority = 11;
+  for (TaskSpec& spec : workload) {
+    spec.mem_request = 0.6f;
+  }
+  sim.run(workload);
+
+  EXPECT_EQ(sim.stats().evicted, 1);
+  EXPECT_EQ(sim.stats().placement_searches, 10);
+  EXPECT_EQ(sim.stats().placement_failures, 6);
+  EXPECT_EQ(sim.stats().eviction_searches, 6);
+
+  // Without preemption no failure searches for an eviction: C fails at
+  // t=100, D and C at t=200, and both run once A and B end at t=3600.
+  config.preemption = false;
+  ClusterSim no_preemption(machines, config);
+  no_preemption.run(workload);
+  EXPECT_EQ(no_preemption.stats().placement_searches, 7);
+  EXPECT_EQ(no_preemption.stats().placement_failures, 3);
+  EXPECT_EQ(no_preemption.stats().eviction_searches, 0);
+}
+
 TEST(ClusterSim, NoPreemptionWhenDisabled) {
   SimConfig config = quiet_config(7200);
   config.preemption = false;
