@@ -6,7 +6,8 @@
 // each standard trace is built exactly once per process — with up to
 // CGC_THREADS cases at once, while the kernels inside each pipeline fan
 // out across the cgc::exec pool. Each case's stdout block and report
-// record come out whole and in registry order, as a serial sweep's do. `--only <id>` runs one case: this is the one way to run a paper
+// record come out whole and in registry order, as a serial sweep's do.
+// `--only <id>` runs one case: this is the one way to run a paper
 // figure or table. Emits the .dat series plus a machine-readable
 // $CGC_BENCH_OUT/report.json.
 //
@@ -30,6 +31,7 @@
 //
 // Flags, environment knobs and exit codes: `cgc_report --help`.
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -200,14 +202,14 @@ double seconds_since(Clock::time_point start) {
 }
 
 /// One case of the sweep. The scheduler (Sweep::run) fills the first
-/// fields; the pool task running the case writes `record` and `log`
-/// until it reports itself done, after which only the scheduler touches
-/// them.
+/// fields; the pool task running the case writes the rest until its
+/// future is ready, after which only the scheduler touches them.
 struct Slot {
   const BenchCase* c = nullptr;
   bool resumed = false;  ///< satisfied by --resume: runs no task
-  Clock::time_point started;
   std::future<void> task;
+  bool ran = false;  ///< false: skipped, the sweep had stopped
+  bool out_of_memory = false;
   CaseRecord record;
   cgc::bench::CaseLog log;
 };
@@ -220,29 +222,29 @@ struct Sweep {
   long retry_max = 3;
   long backoff_ms = 100;
   long timeout_sec = 0;
-  std::size_t max_in_flight = 1;  ///< CGC_THREADS
   std::optional<cgc::sweep::Lease> lease;  ///< held for the whole sweep
   std::uint64_t heartbeat_progress = 0;
   Clock::time_point sweep_start;
+  /// Set when a case runs out of memory: cases not yet started skip.
+  std::atomic<bool> stop{false};
 
-  /// What case tasks tell the scheduler; guarded by `mutex`.
+  /// A case's current attempt, for the watchdog; guarded by `mutex`.
   struct Progress {
-    bool done = false;
-    bool out_of_memory = false;
-    int attempt = 1;
-    Clock::time_point attempt_start;  ///< the watchdog's clock
+    int attempt = 0;  ///< 0 = not started
+    Clock::time_point started;
+    Clock::time_point attempt_start;
   };
   cgc::util::Mutex mutex;
-  cgc::util::CondVar changed;  ///< a case finished
   std::vector<Progress> progress CGC_GUARDED_BY(mutex);
 
   Sweep() = default;
   Sweep(const Sweep&) = delete;
   Sweep& operator=(const Sweep&) = delete;
 
-  /// A sweep left by an exception still waits for its running cases:
-  /// their tasks use this object.
+  /// A sweep left by an exception skips the cases not yet started and
+  /// waits for the running ones: their tasks use this object.
   ~Sweep() {
+    stop = true;
     for (Slot& s : slots) {
       if (s.task.valid()) {
         s.task.wait();
@@ -302,6 +304,9 @@ struct Sweep {
         cgc::util::MutexLock lock(mutex);
         progress[index].attempt = attempt;
         progress[index].attempt_start = Clock::now();
+        if (attempt == 1) {
+          progress[index].started = progress[index].attempt_start;
+        }
       }
       try {
         if (cgc::fault::armed()) {
@@ -346,6 +351,11 @@ struct Sweep {
         r.error = e.what();
         std::fprintf(stderr, "%s failed: %s\n", c->id.c_str(), e.what());
         break;
+      } catch (...) {
+        r.error = "unknown exception";
+        std::fprintf(stderr, "%s failed: %s\n", c->id.c_str(),
+                     r.error.c_str());
+        break;
       }
     }
     r.seconds = seconds_since(start);
@@ -359,36 +369,28 @@ struct Sweep {
     return out_of_memory;
   }
 
-  /// Starts case `index` as a task on the exec pool. Cases share the
-  /// pool's workers with the kernels they fan out: a case's parallel
-  /// regions take whichever workers other cases leave idle, and no
-  /// thread beyond the pool's allocates (each allocating thread costs
-  /// a malloc arena, and the arenas' free space counts in peak RSS).
-  void admit(std::size_t index) {
-    maybe_kill_worker(index, 0);
-    if (!beat()) {
-      die_checkpointed("worker lease lost; stopping before next case");
-    }
+  /// Queues case `index` as a task on the exec pool. Cases share the
+  /// pool's workers with the kernels they fan out, so at most CGC_THREADS
+  /// cases run at once and they start in registry order (the queue is
+  /// FIFO); no thread beyond the pool's allocates (each allocating
+  /// thread costs a malloc arena, and the arenas' free space counts in
+  /// peak RSS).
+  void submit(std::size_t index) {
     Slot& slot = slots[index];
-    slot.started = Clock::now();
-    {
-      // The watchdog's clock runs from here while the task waits for a
-      // worker.
-      cgc::util::MutexLock lock(mutex);
-      progress[index].attempt_start = slot.started;
-    }
-    slot.task = cgc::util::ThreadPool::shared().submit([this, index] {
-      bool out_of_memory = true;  // all run_case can throw is bad_alloc
+    slot.task = cgc::util::ThreadPool::shared().submit([this, &slot, index] {
+      if (stop) {
+        return;
+      }
+      maybe_kill_worker(index, 0);
+      slot.ran = true;
       try {
-        out_of_memory = run_case(index);
-      } catch (...) {
+        slot.out_of_memory = run_case(index);
+      } catch (const std::bad_alloc&) {  // run_case's own bookkeeping
+        slot.out_of_memory = true;
       }
-      {
-        cgc::util::MutexLock lock(mutex);
-        progress[index].done = true;
-        progress[index].out_of_memory = out_of_memory;
+      if (slot.out_of_memory) {
+        stop = true;
       }
-      changed.notify_all();
     });
   }
 
@@ -402,7 +404,6 @@ struct Sweep {
       report.cases.push_back(std::move(slot.record));
       return;
     }
-    slot.task.wait();
     std::fputs(slot.log.stdout_block.c_str(), stdout);
     // The quarantine window: outputs are on disk, the report stamp is
     // not. A kill here is exactly what --resume's stale-checkpoint
@@ -412,16 +413,36 @@ struct Sweep {
     flush(false, seconds_since(sweep_start));
   }
 
-  /// Checkpoints a watchdog failure for the stuck case `index` and
-  /// exits: its task cannot be stopped.
-  [[noreturn]] void trip_watchdog(std::size_t index, int attempt) {
-    const Slot& slot = slots[index];
+  /// Checkpoints a watchdog failure for a started, unfinished case that
+  /// has outrun CGC_CASE_TIMEOUT, and exits: its task cannot be stopped.
+  void run_watchdog(std::size_t first) {
+    if (timeout_sec <= 0) {
+      return;
+    }
+    std::optional<std::size_t> stuck;
+    Progress p;
+    {
+      cgc::util::MutexLock lock(mutex);
+      for (std::size_t i = first; i < slots.size() && !stuck; ++i) {
+        if (progress[i].attempt > 0 &&
+            Clock::now() - progress[i].attempt_start >=
+                std::chrono::seconds(timeout_sec) &&
+            slots[i].task.wait_for(std::chrono::seconds(0)) !=
+                std::future_status::ready) {
+          stuck = i;
+          p = progress[i];
+        }
+      }
+    }
+    if (!stuck.has_value()) {
+      return;
+    }
     CaseRecord r;
-    r.id = slot.c->id;
-    r.kind = cgc::bench::kind_name(slot.c->kind);
-    r.title = slot.c->title;
-    r.attempts = attempt;
-    r.seconds = seconds_since(slot.started);
+    r.id = slots[*stuck].c->id;
+    r.kind = cgc::bench::kind_name(slots[*stuck].c->kind);
+    r.title = slots[*stuck].c->title;
+    r.attempts = p.attempt;
+    r.seconds = seconds_since(p.started);
     r.error = "watchdog: exceeded CGC_CASE_TIMEOUT=" +
               std::to_string(timeout_sec) + "s";
     std::fprintf(stderr, "%s: %s\n", r.id.c_str(), r.error.c_str());
@@ -430,86 +451,52 @@ struct Sweep {
     die_checkpointed("case watchdog tripped");
   }
 
-  /// Runs the sweep: cases start in registry order, up to
-  /// max_in_flight at once, and their records are stamped in registry
-  /// order as the finished prefix grows, so report.json is always a
-  /// checkpoint --resume understands. Out of memory in a case stops
-  /// admission, lets running cases finish, and throws FatalError naming
-  /// the case.
+  /// Runs the sweep: every case is queued up front, and the records are
+  /// stamped in registry order as the finished prefix grows, so
+  /// report.json is always a checkpoint --resume understands. While it
+  /// waits for the next case in order, the scheduler beats the lease
+  /// heartbeat and runs the watchdog every half second. Out of memory in
+  /// a case skips the cases not yet started, stamps the ones that ran,
+  /// and throws FatalError naming the case.
   void run() {
     const std::size_t n = slots.size();
     {
       cgc::util::MutexLock lock(mutex);
       progress.assign(n, Progress{});
     }
-    std::vector<bool> reaped(n, false);  // seen done by this loop
-    std::size_t next = 0;     // first case not yet started
-    std::size_t stamped = 0;  // first case not yet stamped
-    std::size_t in_flight = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!slots[i].resumed) {
+        submit(i);
+      }
+    }
     std::optional<std::size_t> out_of_memory;
-    for (;;) {
-      // Resumed cases run nothing and take no place.
-      while (!out_of_memory.has_value() && next < n &&
-             (slots[next].resumed || in_flight < max_in_flight)) {
-        if (!slots[next].resumed) {
-          admit(next);
-          ++in_flight;
+    for (std::size_t i = 0; i < n; ++i) {
+      Slot& slot = slots[i];
+      if (!slot.resumed) {
+        while (slot.task.wait_for(std::chrono::milliseconds(500)) ==
+               std::future_status::timeout) {
+          if (!beat()) {
+            flush(false, seconds_since(sweep_start));
+            die_checkpointed("worker lease lost mid-case; stopping");
+          }
+          run_watchdog(i);
         }
-        ++next;
-      }
-      while (stamped < next && (slots[stamped].resumed || reaped[stamped])) {
-        stamp(stamped++);
-      }
-      if (out_of_memory.has_value() && stamped == next) {
-        throw cgc::util::FatalError(slots[*out_of_memory].c->id +
-                                    ": out of memory (std::bad_alloc)");
-      }
-      if (stamped == n) {
-        return;
-      }
-      // Wait for a case to finish; every half second without one, beat
-      // the heartbeat and run the watchdog.
-      const auto deadline = Clock::now() + std::chrono::milliseconds(500);
-      bool finished = false;
-      std::optional<std::pair<std::size_t, int>> stuck;
-      {
-        cgc::util::MutexLock lock(mutex);
-        for (;;) {
-          for (std::size_t i = stamped; i < next; ++i) {
-            if (slots[i].resumed || reaped[i] || !progress[i].done) {
-              continue;
-            }
-            reaped[i] = true;
-            --in_flight;
-            finished = true;
-            if (progress[i].out_of_memory && !out_of_memory.has_value()) {
-              out_of_memory = i;
-            }
-          }
-          if (finished || !changed.wait_until(mutex, deadline)) {
-            break;
-          }
+        slot.task.get();
+        if (!slot.ran) {
+          break;
         }
-        for (std::size_t i = stamped;
-             !finished && timeout_sec > 0 && i < next && !stuck.has_value();
-             ++i) {
-          if (!slots[i].resumed && !reaped[i] &&
-              Clock::now() - progress[i].attempt_start >=
-                  std::chrono::seconds(timeout_sec)) {
-            stuck = {i, progress[i].attempt};
-          }
+        if (slot.out_of_memory && !out_of_memory.has_value()) {
+          out_of_memory = i;
         }
       }
-      if (finished) {
-        continue;
-      }
+      stamp(i);
       if (!beat()) {
-        flush(false, seconds_since(sweep_start));
-        die_checkpointed("worker lease lost mid-case; stopping");
+        die_checkpointed("worker lease lost; stopping before next case");
       }
-      if (stuck.has_value()) {
-        trip_watchdog(stuck->first, stuck->second);
-      }
+    }
+    if (out_of_memory.has_value()) {
+      throw cgc::util::FatalError(slots[*out_of_memory].c->id +
+                                  ": out of memory (std::bad_alloc)");
     }
   }
 };
@@ -766,7 +753,6 @@ int run(int argc, char** argv) {
   }
 
   Sweep sweep;
-  sweep.max_in_flight = cgc::exec::num_workers();
   sweep.out_dir = cgc::bench::out_dir();
   sweep.report_path = sweep.out_dir + "/report.json";
   sweep.retry_max = std::max(1L, env_long("CGC_RETRY_MAX", 3));

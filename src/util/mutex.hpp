@@ -23,7 +23,6 @@
 //   while (!ready_) cv_.wait(mutex_);  // both checked
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -95,19 +94,6 @@ class CondVar {
     std::unique_lock<std::mutex> native(mutex.native(), std::adopt_lock);
     cv_.wait(native);
     native.release();
-  }
-
-  /// As wait(), but returns by `deadline` at the latest. False when it
-  /// returned because the deadline passed.
-  template <typename Clock, typename Duration>
-  bool wait_until(Mutex& mutex,
-                  const std::chrono::time_point<Clock, Duration>& deadline)
-      CGC_REQUIRES(mutex) {
-    std::unique_lock<std::mutex> native(mutex.native(), std::adopt_lock);
-    const bool notified =
-        cv_.wait_until(native, deadline) == std::cv_status::no_timeout;
-    native.release();
-    return notified;
   }
 
   /// Wakes one waiter.
