@@ -276,8 +276,10 @@ struct Sweep {
     // Case tasks may be stuck and cannot be joined; running
     // destructors under them would race. The checkpoint is on disk —
     // leave via _Exit and let --resume/the supervisor pick up from
-    // here. _Exit skips atexit, so flush observability output first.
+    // here. _Exit skips atexit, so flush stdout and observability
+    // output first.
     std::fprintf(stderr, "cgc_report: %s\n", why);
+    std::fflush(stdout);
     cgc::obs::export_now();
     std::_Exit(cgc::util::kExitFailure);
   }
@@ -402,15 +404,18 @@ struct Sweep {
     if (slot.resumed) {
       std::printf("resumed: outputs verified, skipping\n");
       report.cases.push_back(std::move(slot.record));
-      return;
+    } else {
+      std::fputs(slot.log.stdout_block.c_str(), stdout);
+      // The quarantine window: outputs are on disk, the report stamp is
+      // not. A kill here is exactly what --resume's stale-checkpoint
+      // quarantine exists for.
+      maybe_kill_worker(index, 1);
+      report.cases.push_back(std::move(slot.record));
+      flush(false, seconds_since(sweep_start));
     }
-    std::fputs(slot.log.stdout_block.c_str(), stdout);
-    // The quarantine window: outputs are on disk, the report stamp is
-    // not. A kill here is exactly what --resume's stale-checkpoint
-    // quarantine exists for.
-    maybe_kill_worker(index, 1);
-    report.cases.push_back(std::move(slot.record));
-    flush(false, seconds_since(sweep_start));
+    // A killed sweep keeps the stdout of every case it stamped: the
+    // block goes out with its record, not when the buffer fills.
+    std::fflush(stdout);
   }
 
   /// Checkpoints a watchdog failure for a started, unfinished case that
@@ -639,7 +644,6 @@ int run(int argc, char** argv) {
   args.set_positional_help("[DIR...]", "shard dirs to fuse (with --merge)");
   args.add_bool("list", "print the case ids and exit");
   args.add_list("only", "run only these case ids (comma-separated)");
-  args.add_bool("all", "run every case (overrides --only)");
   args.add_bool("resume", "skip cases already satisfied on disk");
   args.add_string("shard", "", "run only the cases shard i of N owns (i/N)");
   args.add_bool("merge", "fuse the shard DIRs into $CGC_BENCH_OUT");
@@ -722,9 +726,7 @@ int run(int argc, char** argv) {
     return usage_error(args, "unexpected argument \"" + merge_dirs.front() +
                                  "\" (shard dirs only go with --merge)");
   }
-  const std::vector<std::string> only =
-      args.get_bool("all") ? std::vector<std::string>{}
-                           : split_ids(args.get_list("only"));
+  const std::vector<std::string> only = split_ids(args.get_list("only"));
   for (const std::string& id : only) {
     if (std::none_of(cases.begin(), cases.end(),
                      [&id](const BenchCase* c) { return c->id == id; })) {
@@ -835,6 +837,7 @@ int run(int argc, char** argv) {
       std::printf("resume: all %zu cases satisfied; nothing to run\n",
                   cases.size());
     }
+    std::fflush(stdout);
   }
   const std::size_t carried = sweep.report.cases.size();
 

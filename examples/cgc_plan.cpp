@@ -35,6 +35,7 @@
 #include "sweep/partition.hpp"
 #include "util/args.hpp"
 #include "util/check.hpp"
+#include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/file.hpp"
 #include "util/time_util.hpp"
@@ -44,17 +45,12 @@ namespace {
 using cgc::plan::ScenarioMatrix;
 using cgc::plan::ScenarioResult;
 
-/// Builds the requested matrix and applies the scoring-knob overrides
-/// (cost, SLO, seed) to every scenario. The caller validates the name
-/// first; the throw here is a backstop for programmer error.
-ScenarioMatrix build_matrix(const cgc::util::Args& args) {
-  cgc::util::TimeSec horizon =
-      static_cast<cgc::util::TimeSec>(args.get_double("hours") *
-                                      cgc::util::kSecondsPerHour);
-  if (args.provided("days")) {
-    horizon = static_cast<cgc::util::TimeSec>(args.get_double("days") *
-                                              cgc::util::kSecondsPerDay);
-  }
+/// Builds the requested matrix over `horizon` and applies the
+/// scoring-knob overrides (cost, SLO, seed) to every scenario. The
+/// caller validates the flags first; the throw here is a backstop for
+/// programmer error.
+ScenarioMatrix build_matrix(const cgc::util::Args& args,
+                            cgc::util::TimeSec horizon) {
   const std::string& name = args.get_string("matrix");
   ScenarioMatrix matrix;
   if (name == "default") {
@@ -137,37 +133,59 @@ int run(int argc, char** argv) {
     case cgc::util::ParseStatus::kOk:
       break;
   }
-  if (!args.positionals().empty()) {
-    std::fprintf(stderr, "cgc_plan takes no positional arguments\n%s",
-                 args.usage().c_str());
+  // Every value is checked before any work starts: a bad one is a usage
+  // error naming the flag, not an engine invariant failing later.
+  const auto fail_usage = [&](const std::string& message) {
+    std::fprintf(stderr, "%s\n%s", message.c_str(), args.usage().c_str());
     return cgc::util::kExitUsage;
+  };
+  const auto bad_value = [&](const std::string& flag, double value,
+                             const char* want) {
+    return fail_usage("--" + flag + " must be " + want + ", got " +
+                      cgc::util::format_double(value));
+  };
+  if (!args.positionals().empty()) {
+    return fail_usage("cgc_plan takes no positional arguments");
   }
   const std::string& matrix_name = args.get_string("matrix");
   if (matrix_name != "default" && matrix_name != "small") {
-    std::fprintf(stderr,
-                 "unknown matrix: %s (expected default or small)\n%s",
-                 matrix_name.c_str(), args.usage().c_str());
-    return cgc::util::kExitUsage;
+    return fail_usage("unknown matrix: " + matrix_name +
+                      " (expected default or small)");
   }
   if (args.get_bool("merge") &&
       (args.provided("shard") || args.get_bool("resume"))) {
-    std::fprintf(stderr,
-                 "--merge cannot be combined with --shard or --resume\n%s",
-                 args.usage().c_str());
-    return cgc::util::kExitUsage;
+    return fail_usage("--merge cannot be combined with --shard or --resume");
   }
   cgc::sweep::ShardSpec shard;
   try {
     shard = cgc::sweep::parse_shard_spec(args.get_string("shard"));
   } catch (const cgc::util::FatalError& e) {
-    std::fprintf(stderr, "%s\n%s", e.what(), args.usage().c_str());
-    return cgc::util::kExitUsage;
+    return fail_usage(e.what());
+  }
+  // --days overrides --hours.
+  const std::string horizon_flag = args.provided("days") ? "days" : "hours";
+  const double horizon_s =
+      args.get_double(horizon_flag) *
+      static_cast<double>(args.provided("days") ? cgc::util::kSecondsPerDay
+                                                : cgc::util::kSecondsPerHour);
+  if (!(horizon_s >= 1.0)) {
+    return bad_value(horizon_flag, args.get_double(horizon_flag),
+                     "at least a second");
+  }
+  for (const char* flag : {"cost", "slo"}) {
+    if (!(args.get_double(flag) >= 0.0)) {
+      return bad_value(flag, args.get_double(flag), ">= 0");
+    }
+  }
+  if (args.get_int("top") < 0) {
+    return fail_usage("--top must be >= 0, got " +
+                      std::to_string(args.get_int("top")));
   }
 
-  ScenarioMatrix matrix = build_matrix(args);
+  ScenarioMatrix matrix =
+      build_matrix(args, static_cast<cgc::util::TimeSec>(horizon_s));
   const std::string& out_dir = args.get_string("out");
-  const std::size_t top_n = static_cast<std::size_t>(
-      args.get_int("top") < 0 ? 0 : args.get_int("top"));
+  const auto top_n = static_cast<std::size_t>(args.get_int("top"));
 
   if (args.get_bool("list")) {
     for (const cgc::plan::ScenarioSpec& spec : matrix.scenarios) {

@@ -33,7 +33,9 @@
 #include "stream/shutdown.hpp"
 #include "util/args.hpp"
 #include "util/check.hpp"
+#include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/time_util.hpp"
 
 int main(int argc, char** argv) {
   cgc::stream::install_shutdown_handlers();
@@ -82,13 +84,10 @@ int main(int argc, char** argv) {
   config.generate_days = args.get_double("days");
   config.task_sampling_rate = args.get_double("sampling");
   config.rate = args.get_double("rate");
-  config.batch_size = static_cast<std::size_t>(args.get_int("batch"));
   config.window.width = args.get_int("width");
   config.window.slide = args.get_int("slide");
   config.window.watermark_lag = args.get_int("lag");
   config.window.relative_error = args.get_double("error");
-  config.window.rate_bins =
-      static_cast<std::size_t>(args.get_int("rate-bins"));
   config.spill_dir = args.get_string("spill");
   config.queries = args.get_list("query");
   config.query_window = args.get_int("window");
@@ -116,8 +115,44 @@ int main(int argc, char** argv) {
       return fail_usage("unknown query: " + query);
     }
   }
-  if (config.batch_size == 0 || config.window.rate_bins == 0) {
-    return fail_usage("--batch and --rate-bins must be positive");
+  // Every value is checked before any work starts: a bad one is a usage
+  // error naming the flag, not an engine invariant failing later.
+  for (const char* flag : {"batch", "rate-bins", "width"}) {
+    if (args.get_int(flag) <= 0) {
+      return fail_usage(std::string("--") + flag + " must be positive, got " +
+                        std::to_string(args.get_int(flag)));
+    }
+  }
+  config.batch_size = static_cast<std::size_t>(args.get_int("batch"));
+  config.window.rate_bins =
+      static_cast<std::size_t>(args.get_int("rate-bins"));
+  const cgc::stream::WindowConfig& window = config.window;
+  if (window.slide < 0 ||
+      (window.slide > 0 && window.width % window.slide != 0)) {
+    return fail_usage("--slide must be 0 or divide --width " +
+                      std::to_string(window.width) + ", got " +
+                      std::to_string(window.slide));
+  }
+  if (window.watermark_lag < 0) {
+    return fail_usage("--lag must be >= 0, got " +
+                      std::to_string(window.watermark_lag));
+  }
+  const auto bad_value = [&](const char* flag, double value,
+                             const char* want) {
+    return fail_usage(std::string("--") + flag + " must be " + want +
+                      ", got " + cgc::util::format_double(value));
+  };
+  if (!(window.relative_error > 0.0 && window.relative_error < 0.5)) {
+    return bad_value("error", window.relative_error, "in (0, 0.5)");
+  }
+  if (!(config.rate >= 0.0)) {
+    return bad_value("rate", config.rate, ">= 0");
+  }
+  if (!(config.generate_days * cgc::util::kSecondsPerDay >= 1.0)) {
+    return bad_value("days", config.generate_days, "at least a second");
+  }
+  if (!(config.task_sampling_rate > 0.0 && config.task_sampling_rate <= 1.0)) {
+    return bad_value("sampling", config.task_sampling_rate, "in (0, 1]");
   }
   try {
     return cgc::stream::run_daemon(config, std::cin, std::cout);

@@ -17,7 +17,6 @@
 // The CGCS commands convert any readable trace into the columnar binary
 // store (parse once, mmap forever) and back out to the text formats.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -33,6 +32,7 @@
 #include "trace/validate.hpp"
 #include "util/args.hpp"
 #include "util/check.hpp"
+#include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/time_util.hpp"
 
@@ -127,8 +127,11 @@ int main(int argc, char** argv) {
       break;
   }
   const std::vector<std::string>& pos = args.positionals();
-  const auto usage = [&]() {
-    std::fprintf(stderr, "%s", args.usage().c_str());
+  const auto usage = [&](std::string message = "") {
+    if (!message.empty()) {
+      message += '\n';
+    }
+    std::fprintf(stderr, "%s%s", message.c_str(), args.usage().c_str());
     return util::kExitUsage;
   };
   if (pos.size() < 2) {
@@ -142,8 +145,20 @@ int main(int argc, char** argv) {
       }
       const std::string& what = pos[1];
       const std::string& out = pos[2];
-      const std::int64_t days =
-          pos.size() > 3 ? std::atoll(pos[3].c_str()) : args.get_int("days");
+      // The positional [days] overrides --days; either must be a whole
+      // number of days, checked before any work starts.
+      std::int64_t days = args.get_int("days");
+      if (pos.size() > 3) {
+        try {
+          days = util::parse_int(pos[3]);
+        } catch (const util::DataError&) {
+          return usage("days must be a whole number, got \"" + pos[3] +
+                       "\"");
+        }
+      }
+      if (days <= 0) {
+        return usage("days must be positive, got " + std::to_string(days));
+      }
       const util::TimeSec horizon = days * util::kSecondsPerDay;
       if (what == "google") {
         // A compact host-load simulation: produces all three tables.
@@ -168,8 +183,7 @@ int main(int argc, char** argv) {
             return util::kExitOk;
           }
         }
-        std::fprintf(stderr, "unknown system: %s\n", what.c_str());
-        return usage();
+        return usage("unknown system: " + what);
       }
     } else if (command == "google-to-swf") {
       if (pos.size() < 3) {

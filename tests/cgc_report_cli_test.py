@@ -4,56 +4,49 @@ and bench_perf.
 
     cgc_report_cli_test.py <cgc_report> <cgc_plan> <bench_perf>
 
-A bad flag value is a usage error: exit 2 (util::kExitUsage) with a
-message naming the value, before any work starts; so is `cgc_plan
---merge` with --shard or --resume. --help exits 0, and `cgc_report
---list` prints the 22 case ids in sorted_cases() order. A plan shard
-checkpoint in a retired format (the `cgcplan v1` lines, or the JSON
-body without a ledger stamp) reads as torn: `cgc_plan --merge` exits 1
-asking for that shard to be rerun, and `--resume` quarantines it and
-reruns the shard. `cgc_report --resume` over a torn report.json moves
-it to report.json.corrupt and reruns to the clean run's outputs, as
-`cgc_plan --resume` does with a torn checkpoint. A resume over a
-narrower or different --only set counts only the cases in its set, runs
-the ones missing, and keeps the other cases' records, so a later resume
-over the wider set quarantines nothing and reruns nothing; under
---spawn, whose workers always resume, the narrower merge skips the
-records they kept instead of refusing them. bench_perf runs
-exactly one known leg: none, an unknown one or two are usage errors, and
+Usage: a bad flag value is exit 2 (util::kExitUsage) naming it, before
+any work starts; --help exits 0, and `cgc_report --list` prints the 22
+case ids in sorted_cases() order. bench_perf runs exactly one known leg;
 its plan leg writes a record with the common frame whose thread runs
-share one digest and fail no scenario. The trace cache has one tier:
-a sweep that rebuilds deleted hostload_*.cgcs entries writes the same
-outputs (file, crc, size) as the sweep that first built them. The
-ablations that run their simulations concurrently print the same table
-rows at CGC_THREADS=1 and 4 (they write no .dat, so no digest covers
-them).
+share one digest and fail no scenario, and its sim leg one TraceSet
+digest at every thread count.
 
-cgc_report runs up to CGC_THREADS cases at once: a sweep at
-CGC_THREADS=1 and one at 4 write the same .dat files, the same
-report.json outputs per case, and the same stdout once timing lines are
-dropped; a sweep at 4 killed in a mid-sweep case's quarantine window
-resumes to the clean run's .dat files. Out of memory in a case (the
-child's address space capped) exits 3 naming the case, so a supervisor
-does not respawn it.
+cgc_plan (DESIGN.md §16): plan.json is byte-identical at CGC_THREADS=1, 2
+and 4, and a 2-way sharded run merges to the same bytes. A torn shard
+checkpoint, or one in a retired format (the `cgcplan v1` lines, or the
+JSON body without a ledger stamp), fails `--merge` with exit 1; `--resume`
+quarantines it and reruns the shard.
 
-Every command runs under CGC_BENCH_FAST=1 with throwaway CGC_BENCH_OUT
-and CGC_BENCH_CACHE directories, so a build that wrongly starts a sweep
-stays at smoke-test scale and then fails its exit-code check.
+cgc_report runs up to CGC_THREADS cases at once: sweeps at CGC_THREADS=1
+and 4 write the same .dat files, report.json outputs and stdout (timing
+lines aside), and the ablations that run their simulations concurrently
+print the same table rows. A sweep killed in a mid-sweep case's
+quarantine window keeps the stdout of every case it stamped, as does a
+resume of it killed in turn, and resumes to the clean run's .dat files.
+A sweep under CGC_TRACE and CGC_METRICS writes the same .dat files, a
+Chrome trace-event JSON, a metrics snapshot and a perf block per case
+(DESIGN.md §11). Injected faults degrade a sweep to exit 1 with an
+accurate report.json (DESIGN.md §10): store corruption is counted,
+transient case failures are retried, and the watchdog stops a stuck
+case. A partial sweep resumes to the clean run's .dat files; a resume
+over a torn report.json moves it to report.json.corrupt; a resume over a
+narrower or different --only set keeps the other cases' records, also
+under --spawn. The trace cache has one tier: rebuilt hostload_*.cgcs
+entries give the same outputs. Out of memory in a case exits 3 naming
+the case, so a supervisor does not respawn it.
 """
 
-import difflib
 import glob
-import hashlib
-import json
 import os
 import re
 import resource
-import shutil
 import signal
-import subprocess
 import sys
-import tempfile
+import threading
 import zlib
+
+from cli_contract import (EXIT_FAILURE, EXIT_FATAL, EXIT_OK, EXIT_USAGE,
+                          Contract, dat_digests, tail)
 
 # sorted_cases() order: figures, tables, ablations, extensions, each by id.
 CASE_IDS = [
@@ -65,19 +58,18 @@ CASE_IDS = [
     "ext_periodicity", "ext_prediction",
 ]
 
-EXIT_OK = 0
-EXIT_FAILURE = 1
-EXIT_USAGE = 2
-EXIT_FATAL = 3
-
 # Lines of cgc_report's stdout that vary run to run: the banner's thread
 # count and the summary's per-case and total seconds.
 TIMING_LINE = re.compile(r"worker threads|^\s+\S+\s+\d+\.\d+ s\b")
 
-# sweep.worker_kill key of fig12 (case index 10) in phase 1, after its
+# A case's stdout block starts with its `[k/N] id` header.
+CASE_HEADER = re.compile(r"^\[\d+/\d+\] ", re.MULTILINE)
+
+# sweep.worker_kill of fig12 (case index 10) in phase 1, after its
 # outputs are written and before its record is stamped: key = index << 1
 # | phase.
-MID_SWEEP_KILL = "sweep.worker_kill:once=21"
+KILLED_INDEX = 10
+MID_SWEEP_KILL = f"sweep.worker_kill:once={KILLED_INDEX << 1 | 1}"
 
 # Address-space cap for the out-of-memory leg: room to start, not to
 # simulate the full-scale Google host-load month fig07 needs.
@@ -105,327 +97,427 @@ JSON_CHECKPOINT_BODY = (
     ' "results": [\n'
     '  {"id": "s9a1e895e806f617d", "ok": false, "error": "transient: x"}]}\n')
 
+# cgc_plan flag values that are usage errors, with the flag each names.
+PLAN_USAGE_ERRORS = (
+    (["--shard", "4/4"], "4/4"),
+    (["--merge", "--shard", "0/2"], "--shard"),
+    (["--merge", "--resume"], "--resume"),
+    (["--hours", "0"], "--hours"),
+    (["--hours", "-1"], "--hours"),
+    (["--days", "-2"], "--days"),
+    (["--cost", "-1"], "--cost"),
+    (["--slo", "-5"], "--slo"),
+    (["--top", "-3"], "--top"),
+)
 
-def check_plan_record(path):
-    """Problems with a bench_perf plan record, as failure lines."""
-    try:
-        with open(path) as f:
-            record = json.load(f)
-    except (OSError, ValueError) as e:
-        return [f"bench_perf plan: no readable record: {e}"]
-    problems = [f"bench_perf plan: record lacks {key!r}" for key in
-                ("bench", "fast_mode", "hardware_concurrency", "ram_gb",
-                 "runs") if key not in record]
-    if problems:
-        return problems
+
+def records(c, out):
+    """report.json's case records in `out`, by id ({} if unreadable)."""
+    report = c.json(os.path.join(out, "report.json"))
+    return {r["id"]: r for r in report["cases"]} if report else {}
+
+
+def check_plan_record(c, path):
+    """bench_perf's plan record: the common frame, pass, one digest."""
+    record = c.json(path)
+    if record is None:
+        return
+    missing = [key for key in ("bench", "fast_mode", "hardware_concurrency",
+                               "ram_gb", "runs") if key not in record]
+    if not c.check(not missing, f"bench_perf plan: record lacks {missing}"):
+        return
     runs = record["runs"]
-    if record["bench"] != "perf_plan" or not record["fast_mode"]:
-        problems.append(f"bench_perf plan: bad frame {record}")
-    if not (record.get("pass") and record.get("deterministic")):
-        problems.append(f"bench_perf plan: not pass+deterministic {record}")
-    if len(runs) < 2 or len({r.get("digest") for r in runs}) != 1:
-        problems.append(f"bench_perf plan: want one digest, runs {runs}")
-    if any(r.get("failed") != 0 for r in runs):
-        problems.append(f"bench_perf plan: failed scenarios in {runs}")
-    return problems
+    c.check(record["bench"] == "perf_plan" and record["fast_mode"],
+            f"bench_perf plan: bad frame {record}")
+    c.check(record.get("pass") and record.get("deterministic"),
+            f"bench_perf plan: not pass+deterministic {record}")
+    c.check(len(runs) >= 2 and len({r.get("digest") for r in runs}) == 1,
+            f"bench_perf plan: want one digest, runs {runs}")
+    c.check(all(r.get("failed") == 0 for r in runs),
+            f"bench_perf plan: failed scenarios in {runs}")
 
 
-def rebuilt_hostload_problems(report, env, tmp):
+def usage_errors(c, report, plan, perf):
+    """--help, --list, and the bad flags and values of each driver."""
+    for exe in (report, plan, perf):
+        c.expect(exe, ["--help"], EXIT_OK)
+    listed = c.expect(report, ["--list"], EXIT_OK)
+    c.same("cgc_report --list: case ids", CASE_IDS,
+           [line.split()[0] for line in listed.stdout.splitlines()
+            if line.strip()])
+    for args, named in ((["--spawn", "four"], "four"),
+                        (["--spawn", "-2"], "-2"),
+                        (["--only", "fig02,fig99"], "fig99"),
+                        (["--shard", "4/4"], "4/4"),
+                        (["--merge", c.path("s0"), "--shard", "0/2"], None),
+                        (["--all"], "--all")):
+        c.expect(report, args, EXIT_USAGE, named)
+    for args, named in PLAN_USAGE_ERRORS:
+        c.expect(plan, ["--matrix", "small", "--out", c.out, *args],
+                 EXIT_USAGE, named)
+    for args in ([], ["warp"], ["plan", "sim"], ["--out"]):
+        c.expect(perf, args, EXIT_USAGE, args[-1] if args else None)
+
+
+def perf_legs(c, perf):
+    """bench_perf's plan and sim legs at fast scale."""
+    record_path = c.path("BENCH_plan.json")
+    c.expect(perf, ["plan", "--out", record_path], EXIT_OK)
+    check_plan_record(c, record_path)
+
+    record_path = c.path("BENCH_sim.json")
+    if c.expect(perf, ["sim", "--out", record_path],
+                EXIT_OK).returncode != EXIT_OK:
+        return
+    record = c.json(record_path)
+    if record:
+        runs = record["runs"]
+        c.check(record["pass"], f"bench_perf sim: not pass {record}")
+        c.check(record["deterministic"],
+                "bench_perf sim: TraceSet digests differ across thread counts")
+        c.check(len(runs) >= 3 and len({r["digest"] for r in runs}) == 1,
+                f"bench_perf sim: want one digest over >= 3 runs, got {runs}")
+
+
+def plan_runs(c, plan):
+    """plan.json across thread counts, shards, a torn checkpoint and the
+    retired checkpoint formats."""
+    def plan_run(out, *args, code=EXIT_OK, named=None, **env):
+        return c.expect(plan, ["--matrix", "small", "--out", out, *args],
+                        code, named, **env)
+
+    golden = c.path("plan-t1", "plan.json")
+    for threads in (1, 2, 4):
+        plan_run(c.path(f"plan-t{threads}"), CGC_THREADS=threads)
+    for threads in (2, 4):
+        c.same_file(golden, c.path(f"plan-t{threads}", "plan.json"))
+
+    sharded = c.path("plan-sh")
+    merged = os.path.join(sharded, "plan.json")
+    plan_run(sharded, "--shard", "0/2")
+    plan_run(sharded, "--shard", "1/2")
+    plan_run(sharded, "--merge")
+    c.same_file(golden, merged)
+
+    ckpt = os.path.join(sharded, "plan-shard-1-of-2.cgcp")
+    if os.path.exists(ckpt):
+        os.truncate(ckpt, 200)
+        # The last merge must write plan.json for the final cmp to pass.
+        if os.path.exists(merged):
+            os.remove(merged)
+        plan_run(sharded, "--merge", code=EXIT_FAILURE,
+                 named=f"torn checkpoint {ckpt}")
+        plan_run(sharded, "--shard", "1/2", "--resume")
+        c.check(os.path.exists(ckpt + ".corrupt"),
+                f"cgc_plan --resume: torn {ckpt} was not quarantined")
+        plan_run(sharded, "--merge")
+        c.same_file(golden, merged)
+    else:
+        c.fail(f"cgc_plan --shard 1/2: no {ckpt}")
+
+    for name, body in (("v1", V1_CHECKPOINT_BODY),
+                       ("json", JSON_CHECKPOINT_BODY)):
+        out = c.path("plan-" + name)
+        os.makedirs(out)
+        shard = os.path.join(out, "plan-shard-1-of-2.cgcp")
+        with open(shard, "w") as f:
+            f.write(body + "end %08x\n" % zlib.crc32(body.encode()))
+        plan_run(out, "--merge", code=EXIT_FAILURE, named="rerun that shard")
+        plan_run(out, "--shard", "1/2", "--resume")
+        c.check(os.path.exists(shard + ".corrupt"),
+                f"cgc_plan --resume: {name}-format checkpoint was not "
+                "quarantined")
+
+
+def rebuilt_hostload(c, report):
     """Runs the two host-load cases twice on one cache, deleting the
-    hostload_*.cgcs entries in between, and compares report.json
-    outputs; returns failure lines."""
+    hostload_*.cgcs entries in between; the outputs must not move."""
     cases = "fig13,ext_periodicity"
-    cache = os.path.join(tmp, "hostload_cache")
+    cache = c.path("hostload_cache")
     outputs = []
     for attempt in range(2):
         if attempt == 1:
             built = glob.glob(os.path.join(cache, "hostload_*.cgcs"))
-            if not built:
-                return [f"cgc_report --only {cases}: no hostload_*.cgcs in "
-                        f"{cache}"]
+            if not c.check(built, f"cgc_report --only {cases}: no "
+                                  f"hostload_*.cgcs in {cache}"):
+                return
             for path in built:
                 os.remove(path)
-        out = os.path.join(tmp, f"hostload_out{attempt}")
-        proc = subprocess.run([report, "--only", cases], cwd=tmp,
-                              env=dict(env, CGC_BENCH_OUT=out,
-                                       CGC_BENCH_CACHE=cache),
-                              capture_output=True, text=True, timeout=900,
-                              check=False)
-        if proc.returncode != EXIT_OK:
-            return [f"cgc_report --only {cases} (run {attempt + 1}): exit "
-                    f"{proc.returncode}\n{proc.stderr[-1500:]}"]
-        with open(os.path.join(out, "report.json")) as f:
-            outputs.append({c["id"]: c["outputs"]
-                            for c in json.load(f)["cases"]})
-    if outputs[0] != outputs[1]:
-        return [f"cgc_report --only {cases}: outputs after rebuilding the "
-                f"host-load cache differ\n  first:   {outputs[0]}\n"
-                f"  rebuilt: {outputs[1]}"]
-    return []
+        out = c.path(f"hostload_out{attempt}")
+        if c.expect(report, ["--only", cases], EXIT_OK, CGC_BENCH_OUT=out,
+                    CGC_BENCH_CACHE=cache).returncode != EXIT_OK:
+            return
+        outputs.append({i: r["outputs"] for i, r in records(c, out).items()})
+    c.same(f"cgc_report --only {cases}: outputs after rebuilding the "
+           "host-load cache differ", outputs[0], outputs[1])
 
 
-def ablation_thread_problems(report, env, tmp):
-    """Runs the concurrent-sim ablations at CGC_THREADS=1 and 4 and
-    compares their table rows (stdout lines starting with '|'); returns
-    failure lines."""
+def ablation_threads(c, report):
+    """The concurrent-sim ablations print the same table rows (stdout
+    lines starting with '|') at CGC_THREADS=1 and 4."""
     cases = "ablation_constraints,ablation_placement,ablation_preemption"
     # Three tables: a header row each plus 5, 5 and 4 variant rows.
     want_rows = 3 + 5 + 5 + 4
     tables = {}
     for threads in ("1", "4"):
-        proc = subprocess.run([report, "--only", cases], cwd=tmp,
-                              env=dict(env, CGC_THREADS=threads,
-                                       CGC_BENCH_OUT=os.path.join(
-                                           tmp, "ablation_out" + threads)),
-                              capture_output=True, text=True, timeout=900,
-                              check=False)
+        proc = c.expect(report, ["--only", cases], EXIT_OK,
+                        CGC_THREADS=threads,
+                        CGC_BENCH_OUT=c.path("ablation_out" + threads))
         if proc.returncode != EXIT_OK:
-            return [f"cgc_report --only {cases} at CGC_THREADS={threads}: "
-                    f"exit {proc.returncode}\n{proc.stderr[-1500:]}"]
+            return
         tables[threads] = [line for line in proc.stdout.splitlines()
                            if line.startswith("|")]
-    if len(tables["1"]) != want_rows:
-        return [f"cgc_report --only {cases}: {len(tables['1'])} table rows, "
-                f"want {want_rows}"]
-    if tables["1"] != tables["4"]:
-        diff = [f"  1: {a}\n  4: {b}"
-                for a, b in zip(tables["1"], tables["4"]) if a != b]
-        return [f"cgc_report --only {cases}: table rows differ between "
-                "CGC_THREADS=1 and 4\n" + "\n".join(diff)]
-    return []
+    c.check(len(tables["1"]) == want_rows,
+            f"cgc_report --only {cases}: {len(tables['1'])} table rows, "
+            f"want {want_rows}")
+    c.same(f"cgc_report --only {cases}: table rows differ between "
+           "CGC_THREADS=1 and 4", tables["1"], tables["4"])
 
 
-def dat_digests(out):
-    """sha256 of every top-level .dat file in `out`, by name."""
-    digests = {}
-    for path in sorted(glob.glob(os.path.join(out, "*.dat"))):
-        with open(path, "rb") as f:
-            digests[os.path.basename(path)] = hashlib.sha256(
-                f.read()).hexdigest()
-    return digests
-
-
-def first_difference(a, b):
-    """The first few lines of a unified diff of two line lists."""
-    return "\n".join(list(difflib.unified_diff(a, b, lineterm=""))[:12])
-
-
-def concurrent_sweep_problems(report, env, tmp):
-    """Runs the fast sweep at CGC_THREADS=1 and 4, compares them, then
-    kills a sweep at 4 in a mid-sweep case and resumes it; returns
-    failure lines."""
+def concurrent_sweep(c, report):
+    """Runs the fast sweep at CGC_THREADS=1 and 4 and compares them;
+    returns the 4-thread sweep's out dir, or None if a sweep failed."""
     runs = {}
     for threads in ("1", "4"):
-        out = os.path.join(tmp, "threads_out" + threads)
-        proc = subprocess.run([report], cwd=tmp,
-                              env=dict(env, CGC_THREADS=threads,
-                                       CGC_BENCH_OUT=out),
-                              capture_output=True, text=True, timeout=900,
-                              check=False)
+        out = c.path("threads_out" + threads)
+        proc = c.expect(report, [], EXIT_OK, CGC_THREADS=threads,
+                        CGC_BENCH_OUT=out)
         if proc.returncode != EXIT_OK:
-            return [f"cgc_report at CGC_THREADS={threads}: exit "
-                    f"{proc.returncode}\n{proc.stderr[-1500:]}"]
-        with open(os.path.join(out, "report.json")) as f:
-            outputs = [(c["id"], c["outputs"]) for c in json.load(f)["cases"]]
+            return None
         stdout = [line for line in proc.stdout.replace(out, "<out>")
                   .splitlines() if not TIMING_LINE.search(line)]
-        runs[threads] = {".dat sha256s": dat_digests(out),
-                         "report.json outputs": outputs, "stdout": stdout}
-    problems = []
+        runs[threads] = {
+            ".dat sha256s": dat_digests(out),
+            "report.json outputs": [(i, r["outputs"]) for i, r in
+                                    records(c, out).items()],
+            "stdout": stdout}
     for what, one in runs["1"].items():
-        four = runs["4"][what]
-        if one != four:
-            shown = (first_difference(one, four) if what == "stdout"
-                     else f"  1: {one}\n  4: {four}")
-            problems.append(f"cgc_report: {what} differ between "
-                            f"CGC_THREADS=1 and 4\n{shown}")
+        c.same(f"cgc_report: {what} differ between CGC_THREADS=1 and 4",
+               one, runs["4"][what])
     written = set(runs["4"][".dat sha256s"])
     attributed = {o["file"] for _, outputs in runs["4"]["report.json outputs"]
                   for o in outputs}
-    if not written or attributed != written:
-        problems.append("cgc_report: report.json outputs name "
-                        f"{sorted(attributed)}, the sweep wrote "
-                        f"{sorted(written)}")
+    c.check(written and attributed == written,
+            f"cgc_report: report.json outputs name {sorted(attributed)}, the "
+            f"sweep wrote {sorted(written)}")
+    return c.path("threads_out4")
 
-    out = os.path.join(tmp, "killed_out")
-    run_env = dict(env, CGC_THREADS="4", CGC_BENCH_OUT=out)
+
+def killed_sweep(c, report, clean):
+    """Kills a sweep at CGC_THREADS=4 in a mid-sweep case's quarantine
+    window, then a resume of it at the same case, then resumes it to the
+    end. Each killed life keeps the stdout of every case it stamped."""
+    out = c.path("killed_out")
     label = f"cgc_report at CGC_THREADS=4 under {MID_SWEEP_KILL}"
-    proc = subprocess.run([report], cwd=tmp,
-                          env=dict(run_env, CGC_FAULT_SPEC=MID_SWEEP_KILL),
-                          capture_output=True, text=True, timeout=900,
-                          check=False)
-    if proc.returncode != -signal.SIGKILL:
-        return problems + [f"{label}: exit {proc.returncode}, want SIGKILL"
-                           f"\n{proc.stderr[-1500:]}"]
-    proc = subprocess.run([report, "--resume"], cwd=tmp, env=run_env,
-                          capture_output=True, text=True, timeout=900,
-                          check=False)
-    if proc.returncode != EXIT_OK:
-        return problems + [f"{label}, then --resume: exit {proc.returncode}"
-                           f"\n{proc.stderr[-1500:]}"]
-    if dat_digests(out) != runs["4"][".dat sha256s"]:
-        problems.append(f"{label}, then --resume: .dat files differ from the "
-                        "clean run's")
-    return problems
+    for args in ([], ["--resume"]):
+        proc = c.expect(report, args, -signal.SIGKILL, CGC_THREADS=4,
+                        CGC_BENCH_OUT=out, CGC_FAULT_SPEC=MID_SWEEP_KILL)
+        c.same(f"{' '.join([label, *args])}: [k/N] headers in stdout vs "
+               "records in report.json", len(records(c, out)),
+               len(CASE_HEADER.findall(proc.stdout)))
+    for line in ("resume: quarantined ",
+                 f"resume: {KILLED_INDEX} of {len(CASE_IDS)} cases already "
+                 "satisfied"):
+        c.check(line in proc.stdout, f"{label} --resume: stdout lacks "
+                                     f"{line!r}\n{tail(proc.stdout)}")
+    if c.expect(report, ["--resume"], EXIT_OK, CGC_THREADS=4,
+                CGC_BENCH_OUT=out).returncode == EXIT_OK:
+        c.same(f"{label}, then --resume: .dat files differ from the clean "
+               "run's", dat_digests(clean), dat_digests(out))
 
 
-def is_sanitized(exe):
-    """True for a sanitizer build, whose shadow memory needs far more
-    address space than the out-of-memory leg's cap allows."""
-    with open(exe, "rb") as f:
+def observability(c, report, clean):
+    """A sweep under CGC_TRACE and CGC_METRICS is a pure observer."""
+    out = c.path("traced_out")
+    trace_path, metrics_path = c.path("trace.json"), c.path("metrics.json")
+    if c.expect(report, [], EXIT_OK, CGC_THREADS=4, CGC_BENCH_OUT=out,
+                CGC_TRACE=trace_path,
+                CGC_METRICS=metrics_path).returncode != EXIT_OK:
+        return
+    c.same("cgc_report under CGC_TRACE and CGC_METRICS: .dat files differ "
+           "from the uninstrumented run's", dat_digests(clean, True),
+           dat_digests(out, True))
+    trace = c.json(trace_path)
+    if trace:
+        events = trace["traceEvents"]
+        c.check(events, "trace has no spans")
+        for e in events:
+            if not c.check(all(k in e for k in ("name", "ph", "ts", "dur",
+                                                "pid", "tid")) and
+                           e["ph"] == "X" and e["dur"] >= 0 and e["ts"] >= 0,
+                           f"trace: malformed span {e}"):
+                break
+        names = {e["name"] for e in events}
+        c.check(any(n.startswith("case:") for n in names),
+                f"trace: no case: span in {sorted(names)}")
+        c.check("trace.load" in names, f"trace: no trace.load in {names}")
+    metrics = c.json(metrics_path)
+    if metrics:
+        counters = metrics["counters"]
+        for name in ("exec.chunks", "store.chunks_decoded"):
+            c.check(name in counters,
+                    f"metrics: no {name} counter in {sorted(counters)}")
+    traced = c.json(os.path.join(out, "report.json"))
+    if traced:
+        c.check(traced["complete"] and len(traced["cases"]) >= len(CASE_IDS),
+                f"traced sweep: incomplete report.json {traced}")
+        for r in traced["cases"]:
+            perf = r["perf"]
+            c.check(perf["wall_s"] >= 0 and perf["cpu_s"] >= 0 and
+                    perf["max_rss_kb"] > 0, f"perf block of {r['id']}: {perf}")
+
+
+def fault_matrix(c, report, clean):
+    """Deterministic faults degrade a sweep to exit 1 with an accurate
+    report.json, never a crash; resumes re-run only what is missing."""
+    c.expect(report, ["--resume"], EXIT_OK, CGC_BENCH_OUT=clean)
+    resumed = c.json(os.path.join(clean, "report.json"))
+    if resumed:
+        c.check(resumed["complete"], "resume run did not complete")
+        c.check(all(r["ok"] for r in resumed["cases"]),
+                "resume run: a case failed")
+        c.check(all(r["resumed"] for r in resumed["cases"]),
+                "a satisfied case was re-executed on --resume")
+
+    def degraded(name, args, spec, **env):
+        out = c.path(name)
+        c.expect(report, args, EXIT_FAILURE, CGC_BENCH_OUT=out,
+                 CGC_FAULT_SPEC=spec, **env)
+        return c.json(os.path.join(out, "report.json"))
+
+    r = degraded("corrupt_out", [], "store.chunk_crc:p=0.25,seed=9")
+    if r:
+        c.check(r["complete"], "degraded sweep did not run to completion")
+        c.check(r["chunks_quarantined"] > 0,
+                "no chunks quarantined despite injection")
+        c.check(r["rows_lost"] + r["values_defaulted"] > 0,
+                f"store corruption lost no rows or values: {r}")
+
+    r = degraded("transient_out", [], "report.case:every=1,kind=transient",
+                 CGC_RETRY_MAX=2, CGC_RETRY_BACKOFF_MS=1)
+    if r:
+        c.check(r["complete"], "transient-fault sweep did not complete")
+        for case in r["cases"]:
+            c.check(not case["ok"] and case["attempts"] == 2 and
+                    "injected" in case["error"],
+                    f"transient faults: want 2 failed attempts naming "
+                    f"'injected', got {case}")
+
+    # The stall sleeps twice the budget, so the watchdog must fire.
+    r = degraded("stalled_out", ["--only", "tab01"],
+                 "report.case_stall:once=0", CGC_CASE_TIMEOUT=1)
+    if r:
+        stuck = [case for case in r["cases"] if not case["ok"]]
+        c.check(stuck and "watchdog" in stuck[0]["error"],
+                f"watchdog case missing from checkpoint: {r['cases']}")
+
+    out = c.path("partial_out")
+    c.expect(report, ["--only", "tab01,fig04"], EXIT_OK, CGC_BENCH_OUT=out)
+    c.expect(report, ["--resume"], EXIT_OK, CGC_BENCH_OUT=out)
+    c.same("cgc_report --only tab01,fig04, then --resume: .dat files differ "
+           "from a clean sweep's", dat_digests(clean, True),
+           dat_digests(out, True))
+
+
+def out_of_memory(c, report):
+    """`--only fig07` at full scale on an empty cache, with the child's
+    address space capped, exits 3 naming the case."""
+    with open(report, "rb") as f:
         body = f.read()
-    return any(marker in body
-               for marker in (b"__asan_init", b"__tsan_init", b"__msan_init"))
-
-
-def out_of_memory_problems(report, env, tmp):
-    """Runs `--only fig07` at full scale on an empty cache with the
-    child's address space capped; returns failure lines."""
-    if is_sanitized(report):
+    # A sanitizer build's shadow memory needs far more address space.
+    if any(marker in body
+           for marker in (b"__asan_init", b"__tsan_init", b"__msan_init")):
         print("cgc_report is a sanitizer build: out-of-memory leg not run")
-        return []
+        return
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS,
                            (OOM_AS_LIMIT_BYTES, OOM_AS_LIMIT_BYTES))
 
-    run_env = dict(env, CGC_THREADS="1",
-                   CGC_BENCH_OUT=os.path.join(tmp, "oom_out"),
-                   CGC_BENCH_CACHE=os.path.join(tmp, "oom_cache"))
-    run_env.pop("CGC_BENCH_FAST")
-    proc = subprocess.run([report, "--only", "fig07"], cwd=tmp, env=run_env,
-                          preexec_fn=cap_address_space, capture_output=True,
-                          text=True, timeout=900, check=False)
-    label = (f"cgc_report --only fig07 in {OOM_AS_LIMIT_BYTES // 1024} KB of "
-             "address space")
-    if proc.returncode != EXIT_FATAL:
-        return [f"{label}: exit {proc.returncode}, want {EXIT_FATAL}\n"
-                f"{proc.stderr[-1500:]}"]
-    if "fig07: out of memory" not in proc.stderr:
-        return [f"{label}: stderr does not name fig07's out of memory\n"
-                f"{proc.stderr[-1500:]}"]
-    return []
+    c.expect(report, ["--only", "fig07"], EXIT_FATAL,
+             named="fig07: out of memory", preexec_fn=cap_address_space,
+             CGC_THREADS=1, CGC_BENCH_FAST=None,
+             CGC_BENCH_OUT=c.path("oom_out"),
+             CGC_BENCH_CACHE=c.path("oom_cache"))
 
 
-def torn_report_resume_problems(report, env, tmp):
-    """Runs `--only fig02` clean, tears its report.json, and resumes;
-    returns failure lines."""
-    out = os.path.join(tmp, "torn_report_out")
-    run_env = dict(env, CGC_BENCH_OUT=out)
-
-    def sweep(*extra):
-        return subprocess.run([report, "--only", "fig02", *extra], cwd=tmp,
-                              env=run_env, capture_output=True, text=True,
-                              timeout=900, check=False)
-
-    def outputs():
-        with open(os.path.join(out, "report.json")) as f:
-            return [c["outputs"] for c in json.load(f)["cases"]]
-
-    proc = sweep()
-    if proc.returncode != EXIT_OK:
-        return [f"cgc_report --only fig02: exit {proc.returncode}\n"
-                f"{proc.stderr[-1500:]}"]
-    clean = outputs()
+def torn_report_resume(c, report):
+    """`--only fig02` clean, then a resume over its torn report.json."""
+    out = c.path("torn_report_out")
+    if c.expect(report, ["--only", "fig02"], EXIT_OK,
+                CGC_BENCH_OUT=out).returncode != EXIT_OK:
+        return
+    clean = records(c, out)
     path = os.path.join(out, "report.json")
     with open(path, "rb") as f:
         whole = f.read()
     torn = whole[:len(whole) // 2]
     with open(path, "wb") as f:
         f.write(torn)
-    proc = sweep("--resume")
     label = "cgc_report --only fig02 --resume over a torn report.json"
-    if proc.returncode != EXIT_OK:
-        return [f"{label}: exit {proc.returncode}\n{proc.stderr[-1500:]}"]
-    problems = []
-    if path + ".corrupt" not in proc.stderr:
-        problems.append(f"{label}: stderr does not name {path}.corrupt\n"
-                        f"{proc.stderr[-1500:]}")
+    c.expect(report, ["--only", "fig02", "--resume"], EXIT_OK,
+             named=path + ".corrupt", CGC_BENCH_OUT=out)
     try:
         with open(path + ".corrupt", "rb") as f:
-            if f.read() != torn:
-                problems.append(f"{label}: .corrupt lacks the torn bytes")
+            c.check(f.read() == torn, f"{label}: .corrupt lacks the torn "
+                                      "bytes")
     except OSError as e:
-        problems.append(f"{label}: no report.json.corrupt: {e}")
-    if outputs() != clean:
-        problems.append(f"{label}: outputs {outputs()}, clean run {clean}")
-    return problems
+        c.fail(f"{label}: no report.json.corrupt: {e}")
+    c.same(f"{label}: outputs differ from the clean run's",
+           {i: r["outputs"] for i, r in clean.items()},
+           {i: r["outputs"] for i, r in records(c, out).items()})
 
 
-def changed_set_resume_problems(report, env, tmp):
-    """Runs `--only fig02,fig03`, then resumes over other --only sets in
-    the same dir; returns failure lines."""
-    problems = []
-
+def changed_set_resume(c, report):
+    """`--only fig02,fig03`, then resumes over other --only sets in the
+    same dir."""
     def sweep(out, only, *extra):
-        label = f"cgc_report --only {only} {' '.join(extra)}".strip()
-        proc = subprocess.run([report, "--only", only, *extra], cwd=tmp,
-                              env=dict(env, CGC_BENCH_OUT=out),
-                              capture_output=True, text=True, timeout=900,
-                              check=False)
-        if proc.returncode != EXIT_OK:
-            problems.append(f"{label}: exit {proc.returncode}\n"
-                            f"{proc.stderr[-1500:]}")
-        elif "quarantined" in proc.stdout:
-            problems.append(f"{label}: quarantined intact outputs\n"
-                            f"{proc.stdout[-1500:]}")
+        proc = c.expect(report, ["--only", only, *extra], EXIT_OK,
+                        CGC_BENCH_OUT=out)
+        c.check("quarantined" not in proc.stdout,
+                f"cgc_report --only {only} {' '.join(extra)}: quarantined "
+                f"intact outputs\n{tail(proc.stdout)}")
         return proc
 
-    def cases(out):
-        try:
-            with open(os.path.join(out, "report.json")) as f:
-                return {c["id"]: c for c in json.load(f)["cases"]}
-        except (OSError, ValueError) as e:
-            problems.append(f"{out}/report.json unreadable: {e}")
-            return {}
-
     # (a) Narrow the set, then widen it again.
-    out = os.path.join(tmp, "narrowed_out")
+    out = c.path("narrowed_out")
     sweep(out, "fig02,fig03")
     proc = sweep(out, "fig02", "--resume")
-    if "resume: 1 of 1 cases already satisfied" not in proc.stdout:
-        problems.append("cgc_report --only fig02 --resume: want \"1 of 1 "
-                        f"cases already satisfied\"\n{proc.stdout[-1500:]}")
-    if sorted(cases(out)) != ["fig02", "fig03"]:
-        problems.append("cgc_report --only fig02 --resume: report.json "
-                        f"cases {sorted(cases(out))}, want fig02 and fig03")
+    c.check("resume: 1 of 1 cases already satisfied" in proc.stdout,
+            "cgc_report --only fig02 --resume: want \"1 of 1 cases already "
+            f"satisfied\"\n{tail(proc.stdout)}")
+    c.same("cgc_report --only fig02 --resume: report.json cases",
+           ["fig02", "fig03"], sorted(records(c, out)))
     sweep(out, "fig02,fig03", "--resume")
-    rerun = [i for i, c in cases(out).items() if not c["resumed"]]
-    if rerun:
-        problems.append("cgc_report --only fig02,fig03 --resume after a "
-                        f"narrower resume reran {rerun}")
+    c.same("cgc_report --only fig02,fig03 --resume after a narrower "
+           "resume: cases rerun", [],
+           [i for i, r in records(c, out).items() if not r["resumed"]])
 
     # (b) Swap one case of the set for another.
-    out = os.path.join(tmp, "swapped_out")
+    out = c.path("swapped_out")
     sweep(out, "fig02,fig03")
     sweep(out, "fig02,fig04", "--resume")
-    got = {i: (c["ok"], c["resumed"]) for i, c in cases(out).items()}
-    want = {"fig02": (True, True), "fig03": (True, False),
-            "fig04": (True, False)}
-    if got != want:
-        problems.append("cgc_report --only fig02,fig04 --resume after "
-                        f"fig02,fig03: (ok, resumed) {got}, want {want}")
+    c.same("cgc_report --only fig02,fig04 --resume after fig02,fig03: "
+           "(ok, resumed)",
+           {"fig02": (True, True), "fig03": (True, False),
+            "fig04": (True, False)},
+           {i: (r["ok"], r["resumed"]) for i, r in records(c, out).items()})
 
     # (c) Sharded: --spawn workers always resume in their shard dirs, so
     # the narrower merge must skip the records the workers kept.
-    out = os.path.join(tmp, "spawn_out")
+    out = c.path("spawn_out")
     sweep(out, "fig02,fig03", "--spawn", "2")
     sweep(out, "fig02", "--spawn", "2")
-    if sorted(cases(out)) != ["fig02"]:
-        problems.append("cgc_report --only fig02 --spawn 2 after "
-                        f"fig02,fig03: merged cases {sorted(cases(out))}, "
-                        "want fig02")
+    c.same("cgc_report --only fig02 --spawn 2 after fig02,fig03: merged "
+           "cases", ["fig02"], sorted(records(c, out)))
     sweep(out, "fig02,fig03", "--spawn", "2")
-    if sorted(cases(out)) != ["fig02", "fig03"]:
-        problems.append("cgc_report --only fig02,fig03 --spawn 2 after a "
-                        f"narrower spawn: merged cases {sorted(cases(out))}")
+    c.same("cgc_report --only fig02,fig03 --spawn 2 after a narrower spawn: "
+           "merged cases", ["fig02", "fig03"], sorted(records(c, out)))
     for shard in ("s0of2", "s1of2"):
-        rerun = [i for i, c in cases(os.path.join(out, "shards", shard))
-                 .items() if not c["resumed"]]
-        if rerun:
-            problems.append("cgc_report --only fig02,fig03 --spawn 2 after "
-                            f"a narrower spawn: shard {shard} reran {rerun}")
-    return problems
+        c.same(f"cgc_report --only fig02,fig03 --spawn 2 after a narrower "
+               f"spawn: cases shard {shard} reran", [],
+               [i for i, r in records(c, os.path.join(out, "shards", shard))
+                .items() if not r["resumed"]])
 
 
 def main():
@@ -433,88 +525,24 @@ def main():
         sys.stderr.write(__doc__)
         return EXIT_USAGE
     report, plan, perf = (os.path.abspath(exe) for exe in sys.argv[1:])
-    failures = []
-    with tempfile.TemporaryDirectory(prefix="cgc_cli_test_") as tmp:
-        out = os.path.join(tmp, "out")
-        env = dict(os.environ, CGC_BENCH_FAST="1", CGC_BENCH_OUT=out,
-                   CGC_BENCH_CACHE=os.path.join(tmp, "cache"))
-        env.pop("CGC_FAULT_SPEC", None)
-
-        def expect(exe, args, code, named=None):
-            label = " ".join([os.path.basename(exe), *args])
-            proc = subprocess.run([exe, *args], cwd=tmp, env=env,
-                                  capture_output=True, text=True,
-                                  timeout=900, check=False)
-            if proc.returncode != code:
-                failures.append(f"{label}: exit {proc.returncode}, want "
-                                f"{code}\n{proc.stderr[-1500:]}")
-            elif named is not None and named not in proc.stderr:
-                failures.append(f"{label}: stderr does not name "
-                                f"{named!r}\n{proc.stderr[-1500:]}")
-            # bench_perf makes CGC_BENCH_OUT only once a leg starts.
-            work = out if exe == perf else os.path.join(out, "report.json")
-            if code == EXIT_USAGE and os.path.exists(work):
-                failures.append(f"{label}: a usage error still did work")
-            shutil.rmtree(out, ignore_errors=True)
-            return proc
-
-        for exe in (report, plan, perf):
-            expect(exe, ["--help"], EXIT_OK)
-        listed = expect(report, ["--list"], EXIT_OK)
-        ids = [line.split()[0] for line in listed.stdout.splitlines()
-               if line.strip()]
-        if ids != CASE_IDS:
-            failures.append(f"cgc_report --list: ids {ids}, want {CASE_IDS}")
-
-        expect(report, ["--spawn", "four"], EXIT_USAGE, "four")
-        expect(report, ["--spawn", "-2"], EXIT_USAGE, "-2")
-        expect(report, ["--only", "fig02,fig99"], EXIT_USAGE, "fig99")
-        expect(report, ["--shard", "4/4"], EXIT_USAGE, "4/4")
-        expect(report, ["--merge", os.path.join(tmp, "s0"),
-                        "--shard", "0/2"], EXIT_USAGE)
-        expect(plan, ["--shard", "4/4"], EXIT_USAGE, "4/4")
-        expect(plan, ["--merge", "--shard", "0/2"], EXIT_USAGE, "--shard")
-        expect(plan, ["--merge", "--resume"], EXIT_USAGE, "--resume")
-
-        for args in ([], ["warp"], ["plan", "sim"], ["--out"]):
-            expect(perf, args, EXIT_USAGE, args[-1] if args else None)
-        record_path = os.path.join(tmp, "BENCH_plan.json")
-        expect(perf, ["plan", "--out", record_path], EXIT_OK)
-        failures.extend(check_plan_record(record_path))
-
-        failures.extend(rebuilt_hostload_problems(report, env, tmp))
-
-        failures.extend(ablation_thread_problems(report, env, tmp))
-
-        failures.extend(concurrent_sweep_problems(report, env, tmp))
-
-        failures.extend(out_of_memory_problems(report, env, tmp))
-
-        failures.extend(torn_report_resume_problems(report, env, tmp))
-
-        failures.extend(changed_set_resume_problems(report, env, tmp))
-
-        for name, body in (("v1", V1_CHECKPOINT_BODY),
-                           ("json", JSON_CHECKPOINT_BODY)):
-            plan_out = os.path.join(tmp, "plan-" + name)
-            os.makedirs(plan_out)
-            shard = os.path.join(plan_out, "plan-shard-1-of-2.cgcp")
-            with open(shard, "w") as f:
-                f.write(body + "end %08x\n" % zlib.crc32(body.encode()))
-            plan_args = ["--matrix", "small", "--out", plan_out]
-            expect(plan, [*plan_args, "--merge"], EXIT_FAILURE,
-                   "rerun that shard")
-            expect(plan, [*plan_args, "--shard", "1/2", "--resume"], EXIT_OK)
-            if not os.path.exists(shard + ".corrupt"):
-                failures.append(f"cgc_plan --resume: {name}-format "
-                                "checkpoint was not quarantined")
-
-    for failure in failures:
-        print(f"FAIL {failure}", file=sys.stderr)
-    if failures:
-        return 1
-    print("cgc_report/cgc_plan/bench_perf CLI contract holds")
-    return 0
+    c = Contract("cgc_report_cli_test")
+    usage_errors(c, report, plan, perf)
+    # bench_perf's legs share no file with the rest and run beside them.
+    perf_runs = threading.Thread(target=perf_legs, args=(c, perf))
+    perf_runs.start()
+    plan_runs(c, plan)
+    rebuilt_hostload(c, report)
+    ablation_threads(c, report)
+    clean = concurrent_sweep(c, report)
+    if clean:
+        killed_sweep(c, report, clean)
+        observability(c, report, clean)
+        fault_matrix(c, report, clean)
+    out_of_memory(c, report)
+    torn_report_resume(c, report)
+    changed_set_resume(c, report)
+    perf_runs.join()
+    return c.finish("cgc_report/cgc_plan/bench_perf CLI contract holds")
 
 
 if __name__ == "__main__":

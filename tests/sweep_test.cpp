@@ -5,7 +5,7 @@
 // resume policy, the report merge's digest checks, and the supervisor's
 // exit-code triage. The end-to-end kill-and-resume invariant (SIGKILL
 // workers at random, resume, merge, diff against a single-process run)
-// lives in CI's sweep-kill-matrix job; these tests pin the contracts
+// lives in tests/sweep_shard_cli_test.py; these tests pin the contracts
 // it relies on.
 #include <gtest/gtest.h>
 

@@ -13,7 +13,9 @@ lint-time errors:
   site-registry        fault/metric site strings: code <-> README table
                        <-> DESIGN.md <-> at least one test, both ways
   exit-taxonomy        exit codes outside 0..3, raw `throw std::...`
-  doc-coverage         public members of enforced headers documented
+  doc-coverage         public members of enforced headers documented;
+                       every bench case and bench_perf leg named in
+                       EXPERIMENTS.md
   input-check          CGC_CHECK in a trace/store input reader
 
 Findings print as `path:line: [check] message` and exit 1; a clean run
@@ -525,18 +527,51 @@ def _doc_check_header(path, cache, findings):
         prev_was_comment = False
 
 
+# A bench case registration, and a row of bench_perf's leg table.
+BENCH_CASE_RE = re.compile(r'^CGC_BENCH\("([a-z0-9_]*)"', re.MULTILINE)
+PERF_LEG_RE = re.compile(r'^ *\{"([a-z]*)", run_\1,', re.MULTILINE)
+
+
+def _doc_check_experiments(root, cache, findings):
+    """Every bench case id and every `bench_perf <leg>` appears in
+    backticks in EXPERIMENTS.md."""
+    bench = root / "bench"
+    if not bench.is_dir():
+        return
+    experiments = root / "EXPERIMENTS.md"
+    documented = cache.text(experiments) if experiments.is_file() else ""
+    cases, legs = [], []  # (path, line, name)
+    for path in sorted(bench.glob("*.cpp")):
+        text = cache.text(path)
+        cases += [(path, _line_of(text, m.start()), m.group(1))
+                  for m in BENCH_CASE_RE.finditer(text)]
+        if path.name == "bench_perf.cpp":
+            legs += [(path, _line_of(text, m.start()), "bench_perf " +
+                      m.group(1)) for m in PERF_LEG_RE.finditer(text)]
+    if not cases or not legs:
+        findings.append(Finding(
+            bench, 1, "doc-coverage",
+            "found no CGC_BENCH ids or no bench_perf legs in bench/*.cpp"))
+    for path, line, name in cases + legs:
+        if f"`{name}`" not in documented:
+            findings.append(Finding(
+                path, line, "doc-coverage",
+                f"`{name}` is not referenced in EXPERIMENTS.md"))
+
+
 def check_doc_coverage(root, paths, explicit, cache, findings):
     """Every public member (field, method, enumerator, nested type) of
     an enforced header needs a doc comment: `//`/`///` line(s) above the
     declaration or a trailing `///<`. Run as the standalone
     `--check doc-coverage <path>` subcommand it audits exactly the
     given paths (any src/* dir); in an all-checks run the gate covers
-    DOC_ENFORCED_ROOTS.
+    DOC_ENFORCED_ROOTS and EXPERIMENTS.md's bench index.
     """
     if explicit:
         roots = paths
     else:
         roots = [root / r for r in DOC_ENFORCED_ROOTS]
+        _doc_check_experiments(root, cache, findings)
     headers = []
     for r in roots:
         if r.is_file():
